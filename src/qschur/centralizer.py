@@ -5,16 +5,22 @@ linear system [M, pi(x)] = 0 over all generators x.  Diagonal generators
 (the K_a at a rational point, Cartan elements of osp, sigma = -1) are
 processed first: each kills the unknowns M[i, j] whose diagonal profiles
 differ, which partitions the indices into classes; the remaining
-commutator rows are assembled only over the surviving unknowns and handed
-to the exact elimination kernel.  This is an elimination order for the
-full honest system, not a reduction of it.
+commutator rows are assembled only over the surviving unknowns.  This is
+an elimination order for the full honest system, not a reduction of it.
 
-Quantum gl commutants are computed at several rational specialisation
-points with an agreement requirement (specialisation can only drop the
-nullity of the defining system's complement, so agreement certifies the
-generic value); the classical osp commutant is a single exact computation
-over Q.  Every spanning image is verified to commute with every generator
-before its span is counted, and span_rank <= commutant_dim is asserted.
+`fft_report` computes the diagram side first.  Every spanning image is
+verified exactly to commute with every generator, so its span rank (at a
+point, or over Q for osp) is a lower bound for the commutant dimension.
+Specialising q, or reducing mod a prime p, can only lower the rank of the
+constraint rows, so survivors - rank_p(any prefix of the rows) is an upper
+bound.  The commutant rows are therefore fed, generator by generator, to
+the F_p `Echelon` until the two bounds meet; the stop proves `equal` and is
+recorded as a `Certificate` (prime, point, rows used of rows total,
+survivors, rank).  If the bounds never meet, or a denominator vanishes
+mod p, the fallback is logged and the exact path decides: one nullity over
+Q for osp, or nullities at several rational points that must agree for
+quantum gl.  Gap verdicts therefore always come from exact arithmetic.
+span_rank <= commutant_dim is asserted in every case.
 """
 
 from __future__ import annotations
@@ -31,15 +37,15 @@ from .diagrams import quotient_relations
 from .functor import (EvalContext, evaluate, image_basis, make_context)
 from .rootdata import RootDatum, distinguished
 from .scalar import RatFunc, qint
-from .superspace import (DEFAULT_POINTS, PointDisagreement, SparseMat,
-                         fresh_points, int_rank, kron_chain, ranks_at,
-                         vectorize)
+from .superspace import (DEFAULT_POINTS, PRIME, Echelon, PointDisagreement,
+                         SparseMat, UnluckyPrime, fresh_points, int_rank,
+                         kron_chain, log_fallback, ranks_at, vectorize)
 
 __all__ = [
     "FftReport", "fft_report", "commutant_dim_glq", "commutant_dim_osp",
     "commutant_dim_gl_classical", "span_rank", "check_membership",
     "RelationReport", "relation_check", "MembershipError",
-    "commutant_nullity",
+    "commutant_nullity", "Certificate", "certify_nullity",
 ]
 
 DEFAULT_UNKNOWN_BUDGET = 150_000  # max d**2 unknowns for a commutant cell
@@ -99,6 +105,54 @@ def commutant_nullity(gens: list[SparseMat], dim: int) -> int:
     return survivors - int_rank(rows)
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """Proof that a commutant dimension equals its known lower bound.
+
+    Eliminating the first `rows_used` of the `rows_total` constraint rows
+    mod `prime` (specialised at q = `point` for quantum gl, None for osp)
+    gave `rank`, so the commutant dimension is at most survivors - rank,
+    which equals the lower bound.
+    """
+    prime: int
+    point: str | None
+    rows_used: int
+    rows_total: int
+    survivors: int
+    rank: int
+
+
+def certify_nullity(gens: list[SparseMat], dim: int, lower_bound: int,
+                    point=None) -> Certificate | None:
+    """Certificate that the nullity of [M, P] = 0 equals `lower_bound`.
+
+    `gens` have int/Fraction entries (specialised at `point` if quantum).
+    Rows go to the F_p echelon in assembly order, generator by generator,
+    until survivors - rank meets the bound.  None, with the reason logged,
+    if the bound is never met or a denominator vanishes mod p; the caller
+    then takes the exact path.
+    """
+    survivors, rows = assemble_commutant_rows(gens, dim)
+    ech = Echelon()
+    used = 0
+    try:
+        while survivors - ech.rank > lower_bound and used < len(rows):
+            ech.add(rows[used])
+            used += 1
+    except UnluckyPrime as exc:
+        log_fallback(__name__, "commutant certificate: %s; exact fallback",
+                     exc)
+        return None
+    if survivors - ech.rank != lower_bound:
+        log_fallback(__name__, "commutant certificate: nullity bound %d "
+                     "after all %d rows does not meet the lower bound %d; "
+                     "exact fallback", survivors - ech.rank, len(rows),
+                     lower_bound)
+        return None
+    return Certificate(PRIME, None if point is None else str(point), used,
+                       len(rows), survivors, ech.rank)
+
+
 def _ratfunc_rank(rows) -> int:
     """Field elimination over Q(q); the exact fallback for small systems."""
     pivots: dict[int, dict] = {}
@@ -149,6 +203,12 @@ def commutant_nullity_exact_qq(gens: list[SparseMat], dim: int) -> int:
 # ---------------------------------------------------------------------------
 # Commutant dimensions.
 
+def _check_unknowns(d: int, budget: int) -> None:
+    if d * d > budget:
+        raise ValueError(f"commutant system of {d * d} unknowns exceeds "
+                         f"budget {budget}")
+
+
 def _glq_generator_mats(datum: RootDatum, r: int, s: int = 0):
     rep = qgl.natural_rep(datum)
     signs = (1,) * r + (-1,) * s
@@ -158,16 +218,29 @@ def _glq_generator_mats(datum: RootDatum, r: int, s: int = 0):
 
 def commutant_dim_glq(datum: RootDatum, r: int, points=DEFAULT_POINTS,
                       s: int = 0, exact: bool = False, seed: int = 0,
-                      budget: int = DEFAULT_UNKNOWN_BUDGET) -> int:
-    """dim End_{U_q}(V^{(x) r} (x) V*^{(x) s}) via specialised nullspaces."""
+                      budget: int = DEFAULT_UNKNOWN_BUDGET,
+                      lower_bound: int | None = None):
+    """dim End_{U_q}(V^{(x) r} (x) V*^{(x) s}) via specialised nullspaces.
+
+    With `lower_bound` (a proved lower bound such as the span rank) the
+    result is a pair (dim, certificate): the rows specialised at points[0]
+    are eliminated mod p until the bound is met, and the certificate is
+    None where the multi-point exact path decided instead.  `exact` takes
+    precedence and returns the Q(q) nullity alone.
+    """
     d = qgl.natural_space(datum).dim ** (r + s)
-    if d * d > budget:
-        raise ValueError(f"commutant system of {d * d} unknowns exceeds "
-                         f"budget {budget}")
+    _check_unknowns(d, budget)
     gens = _glq_generator_mats(datum, r, s)
     if exact:
         return commutant_nullity_exact_qq(gens, d)
-    return agreed_nullity(gens, d, points, seed)
+    if lower_bound is None:
+        return agreed_nullity(gens, d, points, seed)
+    point = list(points)[0]
+    cert = certify_nullity([g.specialize(point) for g in gens], d,
+                           lower_bound, point)
+    if cert is None:
+        return agreed_nullity(gens, d, points, seed), None
+    return lower_bound, cert
 
 
 def _nullities_at(gens, d, points):
@@ -197,16 +270,25 @@ def agreed_nullity(gens, d, points, seed: int = 0) -> int:
 
 
 def commutant_dim_osp(m: int, n: int, r: int,
-                      budget: int = DEFAULT_UNKNOWN_BUDGET) -> int:
-    """dim End of the Harish-Chandra pair action on V^{(x) r}, exact over Q."""
+                      budget: int = DEFAULT_UNKNOWN_BUDGET,
+                      lower_bound: int | None = None):
+    """dim End of the Harish-Chandra pair action on V^{(x) r}, exact over Q.
+
+    With `lower_bound` the result is a pair (dim, certificate): the rows
+    are eliminated mod p until the bound is met, and the certificate is
+    None where the exact nullity over Q decided instead.
+    """
     d = osp_mod.natural_space(m, n).dim ** r
-    if d * d > budget:
-        raise ValueError(f"commutant system of {d * d} unknowns exceeds "
-                         f"budget {budget}")
+    _check_unknowns(d, budget)
     gens = [osp_mod.leibniz_tensor(X, r) for X in osp_mod.osp_basis(m, n)]
     sig = osp_mod.sigma(m, n)
     gens.append(kron_chain([sig] * r))
-    return commutant_nullity(gens, d)
+    if lower_bound is None:
+        return commutant_nullity(gens, d)
+    cert = certify_nullity(gens, d, lower_bound)
+    if cert is None:
+        return commutant_nullity(gens, d), None
+    return lower_bound, cert
 
 
 def commutant_dim_gl_classical(m: int, n: int, r: int) -> int:
@@ -257,6 +339,8 @@ class FftReport:
     bound_lhs: int | None = None
     bound_ok: bool | None = None
     wall_clock_ms: int | None = None
+    #: proof of `equal`; None where the exact fallback decided (not in JSON)
+    certificate: Certificate | None = None
 
     @property
     def equal(self) -> bool:
@@ -282,6 +366,30 @@ class FftReport:
         return json.dumps(self.to_dict(with_timing), sort_keys=True)
 
 
+# The diagram side of a cell lives in its own function so that the images
+# are freed before the commutant elimination, which sets the peak memory.
+
+def _glq_span_ranks(datum: RootDatum, r: int, s: int, points,
+                    budget: int) -> list[int]:
+    """Ranks at the points of the Hecke (walled if s > 0) images, after
+    checking exactly that every image centralises every generator."""
+    ctx = make_context("glq", datum=datum, budget=max(budget, 4096))
+    kind = "hecke" if s == 0 else "walled"
+    images = image_basis(kind, ctx, r, s, points=points)
+    check_membership(images, _glq_generator_mats(datum, r, s))
+    return ranks_at([vectorize(img) for img in images], points)
+
+
+def _osp_span_rank(m: int, n: int, r: int, budget: int) -> int:
+    """Rank over Q of the Brauer images, after the exact membership check."""
+    ctx = make_context("osp_classical", m=m, n=n, budget=max(budget, 4096))
+    images = image_basis("brauer", ctx, r)
+    gens = [osp_mod.leibniz_tensor(X, r) for X in osp_mod.osp_basis(m, n)]
+    gens.append(kron_chain([osp_mod.sigma(m, n)] * r))
+    check_membership(images, gens)
+    return int_rank([vectorize(img) for img in images])
+
+
 def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
                points=DEFAULT_POINTS, budget: int = DEFAULT_UNKNOWN_BUDGET,
                seed: int = 0) -> FftReport:
@@ -290,31 +398,26 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     flavor "gl": quantum gl(m|n), Hecke images (walled when s > 0).
     flavor "osp": classical osp(m|2n) with the sigma-extended pair and
     Brauer images; for even m the spanning bound 2r < m(2n+1) is recorded.
+    The span rank is computed first and bounds the commutant elimination
+    from below (see the module docstring).
     """
     t0 = time.monotonic()
     points = list(points)
     if flavor == "gl":
         datum = distinguished("gl", m, n)
-        cdim = commutant_dim_glq(datum, r, points, s=s, seed=seed, budget=budget)
-        ctx = make_context("glq", datum=datum, budget=max(budget, 4096))
-        kind = "hecke" if s == 0 else "walled"
-        images = image_basis(kind, ctx, r, s, points=points)
-        gens = _glq_generator_mats(datum, r, s)
-        check_membership(images, gens)
-        rows = [vectorize(img) for img in images]
-        ranks = ranks_at(rows, points)
+        _check_unknowns(qgl.natural_space(datum).dim ** (r + s), budget)
+        ranks = _glq_span_ranks(datum, r, s, points, budget)
         srank = max(ranks)
         agreement = len(set(ranks)) == 1
+        cdim, cert = commutant_dim_glq(datum, r, points, s=s, seed=seed,
+                                       budget=budget, lower_bound=srank)
         bound = bound_lhs = bound_ok = None
     elif flavor == "osp":
-        cdim = commutant_dim_osp(m, n, r, budget=budget)
-        ctx = make_context("osp_classical", m=m, n=n, budget=max(budget, 4096))
-        images = image_basis("brauer", ctx, r)
-        gens = [osp_mod.leibniz_tensor(X, r) for X in osp_mod.osp_basis(m, n)]
-        gens.append(kron_chain([osp_mod.sigma(m, n)] * r))
-        check_membership(images, gens)
-        srank = int_rank([vectorize(img) for img in images])
+        _check_unknowns(osp_mod.natural_space(m, n).dim ** r, budget)
+        srank = _osp_span_rank(m, n, r, budget)
         agreement = True
+        cdim, cert = commutant_dim_osp(m, n, r, budget=budget,
+                                       lower_bound=srank)
         if m % 2 == 0:
             bound, bound_lhs = m * (2 * n + 1), 2 * r
             bound_ok = bound_lhs < bound
@@ -330,7 +433,7 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     ms = int((time.monotonic() - t0) * 1000)
     return FftReport(flavor, m, n, r, s, cdim, srank,
                      [str(p) for p in points], agreement, verdict,
-                     bound, bound_lhs, bound_ok, ms)
+                     bound, bound_lhs, bound_ok, ms, cert)
 
 
 # ---------------------------------------------------------------------------

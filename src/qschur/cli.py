@@ -80,7 +80,27 @@ def parse_datum(tokens: list[str], order: str | None) -> RootDatum:
 
 
 def _parse_points(text: str):
-    return tuple(Fraction(tok.strip()) for tok in text.split(","))
+    """Distinct rational points away from 0 and +-1, where q-integers and
+    the K_a degenerate and no specialised rank can be generic."""
+    try:
+        points = tuple(Fraction(tok.strip()) for tok in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad --points {text!r}: {exc}") from exc
+    if len(set(points)) != len(points):
+        raise UsageError(f"--points {text!r} repeats a point")
+    if {0, 1, -1} & set(points):
+        raise UsageError("specialisation points must avoid 0, 1 and -1")
+    return points
+
+
+def _parse_powers(text: str) -> list[int]:
+    try:
+        rs = [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"bad -r {text!r}; want e.g. 2 or 1,2,3") from exc
+    if min(rs) < 1:
+        raise UsageError("tensor powers -r must be at least 1")
+    return rs
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -161,8 +181,10 @@ def cmd_fft(args) -> int:
     if datum.algebra == "osp" and args.s:
         raise UsageError("mixed tensor factors (-s) apply to gl only; the "
                          "osp natural module is self-dual")
+    if args.s < 0:
+        raise UsageError("dual tensor factors -s must be at least 0")
     points = _parse_points(args.points) if args.points else DEFAULT_POINTS
-    rs = [int(x) for x in str(args.r).split(",")] if args.r else [2]
+    rs = _parse_powers(args.r or "2")
     reports = []
     for r in rs:
         reports.append(centralizer.fft_report(
@@ -188,7 +210,10 @@ def cmd_relations(args) -> int:
     z = None
     if args.z:
         from .scalar import parse as parse_scalar
-        z = parse_scalar(args.z)
+        try:
+            z = parse_scalar(args.z)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad --z {args.z!r}: {exc}") from exc
     report = centralizer.relation_check(kind, datum.m, datum.n,
                                         r=args.r or 2, z=z)
     payload = {"command": "relations", "datum": datum.describe(),

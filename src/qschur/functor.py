@@ -30,8 +30,9 @@ from .diagrams import (BraidWord, BrauerDiagram, RibbonWord, brauer_basis,
                        closure, diagram_factor, perm_word)
 from .rootdata import RootDatum
 from .scalar import RatFunc
-from .superspace import (DEFAULT_POINTS, SparseMat, SuperSpace, kron_chain,
-                         rank_at, unit_space, vectorize)
+from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, SuperSpace,
+                         UnluckyPrime, kron_chain, log_fallback, rank_at,
+                         unit_space, vectorize)
 
 __all__ = [
     "EvalContext", "make_context", "evaluate", "invariant", "image_basis",
@@ -263,34 +264,51 @@ def _walled_generators(ctx: EvalContext, r: int, s: int) -> list[SparseMat]:
 
 def _walled_images(ctx: EvalContext, r: int, s: int,
                    points) -> list[SparseMat]:
-    """Span closure of the walled generator algebra (contains the identity)."""
+    """Span closure of the walled generator algebra (contains the identity).
+
+    Candidates g @ b are kept when their specialisation at the first point
+    is independent of the kept ones.  The test runs incrementally mod p
+    (independence mod p implies independence over Q, so every kept image
+    is new); if a denominator vanishes mod p, the closure is redone with
+    exact re-ranks.
+    """
     if ctx.V.dim ** (r + s) > ctx.budget:
         raise BudgetError(f"mixed space V^{r} (x) V*^{s} exceeds budget")
-    space = ctx.space_of(("+",) * r + ("-",) * s)
-    ident = SparseMat.identity(space)
+    ident = SparseMat.identity(ctx.space_of(("+",) * r + ("-",) * s))
     gens = _walled_generators(ctx, r, s)
-    basis = [ident]
     point = list(points)[0]
-    rows = [vectorize(ident.specialize(point))]
-    rank = 1
-    frontier = [ident]
     cap = math.factorial(r + s)
+    try:
+        return _span_closure(ident, gens, point, cap, Echelon().add)
+    except UnluckyPrime as exc:
+        log_fallback(__name__, "walled closure: %s; exact re-ranks", exc)
+    rows = []
+
+    def exact_add(row):
+        if rank_at(rows + [row], [point]) > len(rows):
+            rows.append(row)
+            return True
+        return False
+
+    return _span_closure(ident, gens, point, cap, exact_add)
+
+
+def _span_closure(ident, gens, point, cap, add) -> list[SparseMat]:
+    """Breadth-first products of gens on ident, kept where `add` accepts
+    the row specialised at `point`, until `cap` images are kept."""
+    add(vectorize(ident.specialize(point)))
+    basis = [ident]
+    frontier = [ident]
     while frontier and len(basis) < cap:
         new_frontier = []
         for b in frontier:
             for g in gens:
                 cand = g @ b
-                trial = rows + [vectorize(cand.specialize(point))]
-                tr = rank_at(trial, [point])
-                if tr > rank:
-                    rank = tr
-                    rows = trial
+                if add(vectorize(cand.specialize(point))):
                     basis.append(cand)
                     new_frontier.append(cand)
                     if len(basis) >= cap:
-                        break
-            if len(basis) >= cap:
-                break
+                        return basis
         frontier = new_frontier
     return basis
 

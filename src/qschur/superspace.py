@@ -14,13 +14,16 @@ signs against odd source vectors.  Indexing of V (x) W is row-major:
 
 Rank and nullity are exact: entries are specialised at rational points
 (RatFunc) or taken as-is (Fraction/int), rows are cleared to integers and
-handed to the elimination kernel.
+handed to the elimination kernel.  `Echelon` is the incremental companion
+over F_p: reduction mod p can only lower a rank, so its rank is a proved
+lower bound for the rank over Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 import random
 
@@ -31,6 +34,7 @@ __all__ = [
     "SuperSpace", "SparseMat", "unit_space", "tau", "graded_kron",
     "rank_at", "ranks_at", "nullspace_dim_at", "vectorize",
     "DEFAULT_POINTS", "fresh_points", "PointDisagreement",
+    "Echelon", "PRIME", "UnluckyPrime",
 ]
 
 #: Default specialisation points: nonzero rationals away from 0, +-1 and
@@ -418,6 +422,78 @@ def rank_at(mat_or_rows, points=DEFAULT_POINTS) -> int:
         import warnings
         warnings.warn(f"specialised ranks disagree across points: {ranks}")
     return max(ranks)
+
+
+#: The working prime of `Echelon`: 2^61 - 1, so residues are machine-size.
+PRIME = 2 ** 61 - 1
+
+
+class UnluckyPrime(ArithmeticError):
+    """A denominator vanishes mod the working prime; use exact arithmetic."""
+
+
+def log_fallback(logger: str, msg: str, *args) -> None:
+    """Log, at INFO on the named logger, that a fast path fell back.
+
+    logging is imported here rather than at module level because it would
+    add about 5 ms to importing qschur, and only fallbacks log.
+    """
+    import logging
+    logging.getLogger(logger).info(msg, *args)
+
+
+class Echelon:
+    """Incremental sparse row echelon form over F_p, p = PRIME.
+
+    `add(row)` reduces an int/Fraction row mod p against the pivots kept so
+    far and keeps it as a new pivot if anything is left.  Reduction mod p
+    can only lower a rank, so a row that `add` keeps is independent of the
+    earlier rows over Q as well, and `rank` never exceeds the rank over Q
+    of the rows added.  A denominator divisible by p raises `UnluckyPrime`
+    rather than guessing a residue.
+    """
+
+    def __init__(self):
+        self.rank = 0
+        self._pivots: dict[int, dict[int, int]] = {}  # col -> row, pivot 1 implied
+
+    def add(self, row: dict) -> bool:
+        """Reduce `row` (column -> int/Fraction); True if it raised the rank."""
+        p, pivots = PRIME, self._pivots
+        red = {}
+        for k, v in row.items():
+            if isinstance(v, Fraction):
+                if v.denominator % p == 0:
+                    raise UnluckyPrime(f"denominator of {v} vanishes mod {p}")
+                v = v.numerator * pow(v.denominator, -1, p)
+            v %= p
+            if v:
+                red[k] = v
+        # Entries are reduced mod p only when their column comes up, so
+        # they may grow past p meanwhile.  A column is queued exactly once:
+        # pivot rows only hold columns right of their pivot, so nothing
+        # left of the column being cleared is ever touched again.
+        heap = list(red)
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            b = red.pop(c) % p
+            if not b:
+                continue
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(b, -1, p)
+                pivots[c] = {k: w for k, v in red.items() if (w := v * inv % p)}
+                self.rank += 1
+                return True
+            for k, v in piv.items():
+                w = red.get(k)
+                if w is None:
+                    red[k] = -b * v
+                    heappush(heap, k)
+                else:
+                    red[k] = w - b * v
+        return False
 
 
 def nullspace_dim_at(constraint: SparseMat) -> int:

@@ -45,6 +45,34 @@ def dense_nullity(rows, ncols: int) -> int:
     return ncols - dense_rank(rows, ncols)
 
 
+def assert_certified(rep) -> None:
+    """An `equal` report carries a certificate whose bound meets the span."""
+    cert = rep.certificate
+    assert cert is not None, (rep.flavor, rep.m, rep.n, rep.r, rep.s)
+    assert cert.survivors - cert.rank == rep.span_rank == rep.commutant_dim
+    assert cert.rows_used <= cert.rows_total
+
+
+def commutator_rows(gens, dim: int) -> list[dict]:
+    """Every nonzero row of [M, P] = 0, assembled densely per generator."""
+    rows = []
+    for P in gens:
+        for i in range(dim):
+            for j in range(dim):
+                row = {}
+                for k in range(dim):
+                    v = P.entries.get((i, k), 0)
+                    if v:
+                        row[k * dim + j] = row.get(k * dim + j, 0) + v
+                    w = P.entries.get((k, j), 0)
+                    if w:
+                        row[i * dim + k] = row.get(i * dim + k, 0) - w
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return rows
+
+
 def random_homogeneous(space: SuperSpace, parity: int,
                        rng: random.Random, density: float = 0.5) -> SparseMat:
     """Random parity-homogeneous operator with small integer entries."""

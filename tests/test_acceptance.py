@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  All checks are exact; the only rational-specialisation step is the
-rank computation at the three default points, whose agreement is itself
-asserted.
+lines.  All checks are exact or proved: span ranks are computed at the
+three default points, whose agreement is itself asserted, and every `equal`
+FFT verdict carries a mod-p certificate that the commutant dimension meets
+the span rank.
 """
 
 import itertools
@@ -11,6 +12,7 @@ import random
 import time
 from fractions import Fraction
 
+from conftest import assert_certified
 from qschur.centralizer import (commutant_dim_glq, commutant_dim_osp,
                                 fft_report, relation_check)
 from qschur.diagrams import (BraidWord, braid_to_ribbon, brauer_basis,
@@ -105,8 +107,10 @@ def test_criterion_05_fft_quantum_gl():
         assert rep.verdict == "equal", (m, n, r, rep.verdict)
         assert rep.agreement, (m, n, r)
         assert rep.commutant_dim == want, (m, n, r, rep.commutant_dim)
+        assert_certified(rep)
     _report(5, f"quantum gl FFT equal on {len(GLQ_FFT_CELLS)} cells with "
-               f"3-point agreement and exact membership "
+               f"3-point span agreement, exact membership and a mod-p "
+               f"certificate "
                f"({time.monotonic() - t0:.1f}s, budget 600s)")
 
 
@@ -158,7 +162,8 @@ def test_criterion_08_fft_classical_osp():
                     continue
                 bounded += 1
             assert rep.verdict == "equal", (m, n, r, rep.verdict)
-    _report(8, f"classical osp FFT equal on all asserted cells "
+            assert_certified(rep)
+    _report(8, f"classical osp FFT equal and certified on all asserted cells "
                f"({cells} run, bound recorded on even m) "
                f"({time.monotonic() - t0:.1f}s, budget 600s)")
 

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_nullity
-from qschur.centralizer import (MembershipError, check_membership,
+from conftest import assert_certified, commutator_rows, dense_nullity
+from qschur.centralizer import (MembershipError, _glq_generator_mats,
+                                certify_nullity, check_membership,
                                 commutant_dim_gl_classical, commutant_dim_glq,
                                 commutant_dim_osp, commutant_nullity,
                                 commutant_nullity_exact_qq, fft_report,
@@ -13,8 +14,8 @@ from qschur.osp import leibniz_tensor, osp_basis, sigma
 from qschur.qgl import act_on_signs, act_tensor, generator_names, natural_rep
 from qschur.rootdata import distinguished
 from qschur.scalar import qint
-from qschur.superspace import (DEFAULT_POINTS, SparseMat, kron_chain,
-                               vectorize)
+from qschur.superspace import (DEFAULT_POINTS, PRIME, SparseMat, SuperSpace,
+                               kron_chain, vectorize)
 
 # Oracle-produced commutant dimensions, frozen (brute-force nullspace at the
 # default points; cross-checked against the dense oracle on the small cells).
@@ -55,24 +56,9 @@ def test_commutant_against_dense_oracle():
     d = distinguished("gl", 1, 1)
     rep = natural_rep(d)
     pt = Fraction(7, 5)
-    dim = 4
-    rows = []
-    for gen in generator_names(d, with_inverses=True):
-        P = act_tensor(rep, gen, 2).specialize(pt)
-        for i in range(dim):
-            for j in range(dim):
-                row = {}
-                for k in range(dim):
-                    v = P.entries.get((i, k), 0)
-                    if v:
-                        row[k * dim + j] = row.get(k * dim + j, 0) + v
-                    w = P.entries.get((k, j), 0)
-                    if w:
-                        row[i * dim + k] = row.get(i * dim + k, 0) - w
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    assert dense_nullity(rows, dim * dim) == GLQ_DIMS[(1, 1, 2)]
+    gens = [act_tensor(rep, gen, 2).specialize(pt)
+            for gen in generator_names(d, with_inverses=True)]
+    assert dense_nullity(commutator_rows(gens, 4), 16) == GLQ_DIMS[(1, 1, 2)]
 
 
 def test_commutant_osp_frozen_dims():
@@ -113,12 +99,15 @@ def test_fft_report_gl_cells():
         assert rep.verdict == "equal"
         assert rep.commutant_dim == rep.span_rank == want
         assert rep.agreement
+        assert_certified(rep)
+        assert rep.certificate.point == str(DEFAULT_POINTS[0])
 
 
 def test_fft_report_walled_cell():
     rep = fft_report("gl", 2, 1, 1, s=1)
     assert rep.verdict == "equal"
     assert rep.commutant_dim == 2
+    assert_certified(rep)
 
 
 def test_fft_report_osp_cells():
@@ -126,6 +115,8 @@ def test_fft_report_osp_cells():
         rep = fft_report("osp", m, n, r)
         assert rep.verdict == "equal"
         assert rep.commutant_dim == rep.span_rank == want
+        assert_certified(rep)
+        assert rep.certificate.point is None
         if m % 2 == 0:
             assert rep.bound == m * (2 * n + 1)
             assert rep.bound_ok == (2 * r < rep.bound)
@@ -147,6 +138,7 @@ def test_fft_report_json_shape():
         assert key in data
     assert "wall_clock_ms" not in data
     assert "wall_clock_ms" in rep.to_dict(with_timing=True)
+    assert rep.certificate is not None and "certificate" not in data
 
 
 def test_relation_check_hecke():
@@ -196,6 +188,53 @@ def test_agreed_nullity_retries_at_fresh_points():
     # at generic points the commutant of a single Jordan nilpotent is 2-dim
     good = SparseMat(V, V, {(0, 1): Q})
     assert agreed_nullity([good], 2, DEFAULT_POINTS) == 2
+
+
+def _osp_gens(m, n, r):
+    gens = [leibniz_tensor(X, r) for X in osp_basis(m, n)]
+    gens.append(kron_chain([sigma(m, n)] * r))
+    return gens
+
+
+def test_certified_and_exact_nullities_match_dense_oracle():
+    pt = DEFAULT_POINTS[0]
+    cells = [(_osp_gens(1, 1, 2), None)]
+    for (m, n) in [(1, 1), (2, 1)]:
+        glq = _glq_generator_mats(distinguished("gl", m, n), 2)
+        cells.append(([g.specialize(pt) for g in glq], pt))
+    for gens, point in cells:
+        dim = gens[0].rows
+        want = dense_nullity(commutator_rows(gens, dim), dim * dim)
+        assert commutant_nullity(gens, dim) == want
+        cert = certify_nullity(gens, dim, want, point)
+        assert cert is not None and cert.survivors - cert.rank == want
+        assert cert.rows_used <= cert.rows_total
+        assert cert.prime == PRIME
+
+
+def test_unmet_lower_bound_takes_the_exact_path(caplog):
+    # the commutant of a single Jordan block on a 2-dim space is 2-dim;
+    # elimination can never bring the upper bound down to 1
+    V = SuperSpace(("a", "b"), (0, 0), ((0,), (0,)))
+    jordan = [SparseMat(V, V, {(0, 1): 1})]
+    with caplog.at_level("INFO", logger="qschur.centralizer"):
+        assert certify_nullity(jordan, 2, 1) is None
+    assert "exact fallback" in caplog.text
+    assert commutant_nullity(jordan, 2) == 2
+    assert commutant_dim_osp(1, 1, 2, lower_bound=1) == (3, None)
+    assert commutant_dim_glq(distinguished("gl", 1, 1), 2,
+                             lower_bound=1) == (2, None)
+    dim, cert = commutant_dim_osp(1, 1, 2, lower_bound=3)
+    assert dim == 3 and cert.survivors - cert.rank == 3
+
+
+def test_denominator_divisible_by_prime_takes_the_exact_path(caplog):
+    V = SuperSpace(("a", "b"), (0, 0), ((0,), (0,)))
+    unlucky = [SparseMat(V, V, {(0, 1): Fraction(1, PRIME)})]
+    with caplog.at_level("INFO", logger="qschur.centralizer"):
+        assert certify_nullity(unlucky, 2, 2) is None
+    assert "vanishes mod" in caplog.text
+    assert commutant_nullity(unlucky, 2) == 2
 
 
 def test_budget_guards():

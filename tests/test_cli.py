@@ -159,3 +159,24 @@ def test_invariant_budget_exit(capsys):
                        "--braid", "s1 s2 s1", "--budget", "100")
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-r", "0"], ["-r", "-1"], ["-r", "1,0"], ["-r", "two"],
+    ["-r", "1", "-s", "-1"],
+    ["--points", "7/5,7/5"], ["--points", "1,7/5"], ["--points", "0"],
+    ["--points=-1,13/9"], ["--points", "1/0"], ["--points", "7/5,x"],
+])
+def test_fft_rejects_degenerate_input(capsys, argv):
+    code, out, err = run(capsys, "fft", "gl", "2|1", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+def test_relations_bad_z_is_usage_error(capsys):
+    code, _, err = run(capsys, "relations", "gl", "1|1", "--kind",
+                       "walledbmw", "--z", "1/(q-q)")
+    assert code == 2 and "division by zero" in err
+    code, _, err = run(capsys, "relations", "gl", "1|1", "--kind",
+                       "walledbmw", "--z", "q +")
+    assert code == 2

@@ -198,6 +198,21 @@ def test_image_basis_walled_11():
     assert any(im == turn for im in images)
 
 
+def test_walled_closure_exact_path_keeps_the_same_images(monkeypatch):
+    import qschur.functor as functor
+    from qschur.superspace import UnluckyPrime
+
+    class Unlucky:
+        def add(self, row):
+            raise UnluckyPrime("forced")
+
+    ctx = make_context("glq", datum=distinguished("gl", 1, 1))
+    fast = image_basis("walled", ctx, 2, 1)
+    monkeypatch.setattr(functor, "Echelon", Unlucky)
+    exact = image_basis("walled", ctx, 2, 1)
+    assert len(fast) == 6 and exact == fast
+
+
 def test_image_basis_argument_checks():
     ctx = make_context("osp_classical", m=3, n=1)
     with pytest.raises(ValueError):

@@ -6,9 +6,10 @@ import pytest
 from conftest import dense_nullity, dense_rank, random_homogeneous, random_space
 from qschur.rootdata import distinguished
 from qschur.scalar import ONE, Q, RatFunc
-from qschur.superspace import (DEFAULT_POINTS, SparseMat, SuperSpace,
-                               graded_kron, int_rank, nullspace_dim_at,
-                               rank_at, ranks_at, tau, unit_space, vectorize)
+from qschur.superspace import (DEFAULT_POINTS, PRIME, Echelon, SparseMat,
+                               SuperSpace, UnluckyPrime, graded_kron, int_rank,
+                               nullspace_dim_at, rank_at, ranks_at, tau,
+                               unit_space, vectorize)
 
 
 def _space(parities, weight_len=1):
@@ -182,6 +183,24 @@ def test_rank_matches_dense_oracle_random():
                    if rng.random() < 0.6}
             rows.append({c: v for c, v in row.items() if v})
         assert int_rank(rows) == dense_rank(rows, ncols)
+        # the F_p echelon keeps exactly the rows that raise the rank
+        ech = Echelon()
+        for k, row in enumerate(rows, 1):
+            grew = dense_rank(rows[:k], ncols) > ech.rank
+            assert ech.add(row) == grew
+        assert ech.rank == dense_rank(rows, ncols)
+
+
+def test_echelon_fraction_rows_and_unlucky_prime():
+    ech = Echelon()
+    assert ech.add({0: Fraction(1, 3), 2: Fraction(-2, 7)})
+    assert not ech.add({0: Fraction(7, 5), 2: Fraction(-6, 5)})  # 21/5 times
+    assert ech.add({1: Fraction(1, 2)})
+    assert not ech.add({})
+    assert not ech.add({3: PRIME})  # zero mod p: rank mod p is a lower bound
+    assert ech.rank == 2
+    with pytest.raises(UnluckyPrime):
+        ech.add({0: Fraction(1, 2 * PRIME)})
 
 
 def test_fresh_points_deterministic_and_avoiding():
