@@ -18,34 +18,35 @@ the F_p `Echelon` until the two bounds meet; the stop proves `equal` and is
 recorded as a `Certificate` (prime, point, rows used of rows total,
 survivors, rank).  If the bounds never meet, or a denominator vanishes
 mod p, the fallback is logged and the exact path decides: one nullity over
-Q for osp, or nullities at several rational points that must agree for
-quantum gl.  Gap verdicts therefore always come from exact arithmetic.
-span_rank <= commutant_dim is asserted in every case.
+Q for osp, or for quantum gl the least of the exact nullities at the
+rational points, each of which is an upper bound for the nullity over Q(q)
+(`least_nullity`).  Gap verdicts therefore always come from exact
+arithmetic.  span_rank <= commutant_dim is asserted in every case.
 """
 
 from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import osp as osp_mod
 from . import qgl
 from .diagrams import quotient_relations
-from .functor import (EvalContext, evaluate, image_basis, make_context)
+from .functor import (BudgetError, EvalContext, evaluate, image_basis,
+                      make_context)
 from .rootdata import RootDatum, distinguished
 from .scalar import RatFunc, qint
-from .superspace import (DEFAULT_POINTS, PRIME, Echelon, PointDisagreement,
-                         SparseMat, UnluckyPrime, fresh_points, int_rank,
-                         kron_chain, log_fallback, ranks_at, vectorize)
+from .superspace import (DEFAULT_POINTS, PRIME, Echelon, SparseMat,
+                         UnluckyPrime, int_rank, kron_chain, log_fallback,
+                         ranks_at, vectorize)
 
 __all__ = [
     "FftReport", "fft_report", "commutant_dim_glq", "commutant_dim_osp",
     "commutant_dim_gl_classical", "span_rank", "check_membership",
     "RelationReport", "relation_check", "MembershipError",
-    "commutant_nullity", "Certificate", "certify_nullity",
+    "commutant_nullity", "least_nullity", "Certificate", "certify_nullity",
 ]
 
 DEFAULT_UNKNOWN_BUDGET = 150_000  # max d**2 unknowns for a commutant cell
@@ -205,8 +206,8 @@ def commutant_nullity_exact_qq(gens: list[SparseMat], dim: int) -> int:
 
 def _check_unknowns(d: int, budget: int) -> None:
     if d * d > budget:
-        raise ValueError(f"commutant system of {d * d} unknowns exceeds "
-                         f"budget {budget}")
+        raise BudgetError(f"commutant system of {d * d} unknowns exceeds "
+                          f"budget {budget}")
 
 
 def _glq_generator_mats(datum: RootDatum, r: int, s: int = 0):
@@ -216,57 +217,44 @@ def _glq_generator_mats(datum: RootDatum, r: int, s: int = 0):
             for gen in qgl.generator_names(datum, with_inverses=True)]
 
 
+def _osp_generator_mats(m: int, n: int, r: int):
+    gens = [osp_mod.leibniz_tensor(X, r) for X in osp_mod.osp_basis(m, n)]
+    gens.append(kron_chain([osp_mod.sigma(m, n)] * r))
+    return gens
+
+
+def least_nullity(gens, d, points) -> int:
+    """Least exact nullity of the system specialised at the points.
+
+    Specialising q can only lower the rank of the constraint rows, so each
+    specialised nullity bounds the nullity over Q(q) from above; at a
+    generic point it is equal.
+    """
+    return min(commutant_nullity([g.specialize(p) for g in gens], d)
+               for p in points)
+
+
 def commutant_dim_glq(datum: RootDatum, r: int, points=DEFAULT_POINTS,
-                      s: int = 0, exact: bool = False, seed: int = 0,
-                      budget: int = DEFAULT_UNKNOWN_BUDGET,
+                      s: int = 0, budget: int = DEFAULT_UNKNOWN_BUDGET,
                       lower_bound: int | None = None):
     """dim End_{U_q}(V^{(x) r} (x) V*^{(x) s}) via specialised nullspaces.
 
     With `lower_bound` (a proved lower bound such as the span rank) the
     result is a pair (dim, certificate): the rows specialised at points[0]
     are eliminated mod p until the bound is met, and the certificate is
-    None where the multi-point exact path decided instead.  `exact` takes
-    precedence and returns the Q(q) nullity alone.
+    None where `least_nullity` decided instead.
     """
     d = qgl.natural_space(datum).dim ** (r + s)
     _check_unknowns(d, budget)
     gens = _glq_generator_mats(datum, r, s)
-    if exact:
-        return commutant_nullity_exact_qq(gens, d)
     if lower_bound is None:
-        return agreed_nullity(gens, d, points, seed)
+        return least_nullity(gens, d, points)
     point = list(points)[0]
     cert = certify_nullity([g.specialize(point) for g in gens], d,
                            lower_bound, point)
     if cert is None:
-        return agreed_nullity(gens, d, points, seed), None
+        return least_nullity(gens, d, points), None
     return lower_bound, cert
-
-
-def _nullities_at(gens, d, points):
-    out = []
-    for p in points:
-        out.append(commutant_nullity([g.specialize(p) for g in gens], d))
-    return out
-
-
-def agreed_nullity(gens, d, points, seed: int = 0) -> int:
-    """Specialised nullity with multi-point agreement.
-
-    A disagreement (a non-generic point collision) is logged and retried
-    once at fresh seeded points; a persistent disagreement raises.
-    """
-    points = list(points)
-    vals = _nullities_at(gens, d, points)
-    if len(set(vals)) != 1:
-        warnings.warn(f"commutant nullity disagreement {vals} at {points}; "
-                      "retrying at fresh points")
-        retry = fresh_points(seed + 1, len(points), avoid=points)
-        vals = _nullities_at(gens, d, retry)
-        if len(set(vals)) != 1:
-            raise PointDisagreement(
-                f"nullity disagreement persists: {vals} at {retry}")
-    return vals[0]
 
 
 def commutant_dim_osp(m: int, n: int, r: int,
@@ -280,9 +268,7 @@ def commutant_dim_osp(m: int, n: int, r: int,
     """
     d = osp_mod.natural_space(m, n).dim ** r
     _check_unknowns(d, budget)
-    gens = [osp_mod.leibniz_tensor(X, r) for X in osp_mod.osp_basis(m, n)]
-    sig = osp_mod.sigma(m, n)
-    gens.append(kron_chain([sig] * r))
+    gens = _osp_generator_mats(m, n, r)
     if lower_bound is None:
         return commutant_nullity(gens, d)
     cert = certify_nullity(gens, d, lower_bound)
@@ -384,15 +370,13 @@ def _osp_span_rank(m: int, n: int, r: int, budget: int) -> int:
     """Rank over Q of the Brauer images, after the exact membership check."""
     ctx = make_context("osp_classical", m=m, n=n, budget=max(budget, 4096))
     images = image_basis("brauer", ctx, r)
-    gens = [osp_mod.leibniz_tensor(X, r) for X in osp_mod.osp_basis(m, n)]
-    gens.append(kron_chain([osp_mod.sigma(m, n)] * r))
-    check_membership(images, gens)
+    check_membership(images, _osp_generator_mats(m, n, r))
     return int_rank([vectorize(img) for img in images])
 
 
 def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
-               points=DEFAULT_POINTS, budget: int = DEFAULT_UNKNOWN_BUDGET,
-               seed: int = 0) -> FftReport:
+               points=DEFAULT_POINTS,
+               budget: int = DEFAULT_UNKNOWN_BUDGET) -> FftReport:
     """Run both sides of one fundamental-theorem cell and compare.
 
     flavor "gl": quantum gl(m|n), Hecke images (walled when s > 0).
@@ -409,8 +393,8 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
         ranks = _glq_span_ranks(datum, r, s, points, budget)
         srank = max(ranks)
         agreement = len(set(ranks)) == 1
-        cdim, cert = commutant_dim_glq(datum, r, points, s=s, seed=seed,
-                                       budget=budget, lower_bound=srank)
+        cdim, cert = commutant_dim_glq(datum, r, points, s=s, budget=budget,
+                                       lower_bound=srank)
         bound = bound_lhs = bound_ok = None
     elif flavor == "osp":
         _check_unknowns(osp_mod.natural_space(m, n).dim ** r, budget)

@@ -6,10 +6,11 @@ The algebra is given positionally as in "gl 2|1" or "osp 3|2" (for osp the
 second number is the full odd dimension 2n and must be even), optionally
 followed by "order=e1,d1,e2" or the --order flag.  Output is a text table
 by default and machine JSON with --json; JSON is byte-deterministic for a
-fixed configuration and seed (timings only appear with --timing).
+fixed configuration (timings only appear with --timing).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-exceeded.
+Exit codes: 0 success, 1 verification failure, 2 usage error (also a
+malformed --ribbon-json, a tensor power -r below 1, or below 2 for
+relations, and a --budget below 1), 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from . import centralizer, functor, qgl
 from .diagrams import brauer_basis, parse_braid
 from .rootdata import RootDatum, admissible_orderings, distinguished, sdim_q
-from .superspace import DEFAULT_POINTS, PointDisagreement
+from .superspace import DEFAULT_POINTS
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -77,6 +78,18 @@ def parse_datum(tokens: list[str], order: str | None) -> RootDatum:
     else:
         datum = distinguished(algebra, m, n)
     return datum
+
+
+def _at_least(low: int):
+    """argparse type: an int that is at least `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, "
+                                             f"got {value}")
+        return value
+    parse.__name__ = "int"  # argparse says "invalid int value" on a ValueError
+    return parse
 
 
 def _parse_points(text: str):
@@ -155,7 +168,7 @@ def cmd_invariant(args) -> int:
             raise UsageError("give either --braid or --ribbon-json, not both")
         from .diagrams import RibbonWord
         word = RibbonWord.from_json(args.ribbon_json)
-        if word.source != () or word.target != ():
+        if word.source or word.target:
             raise UsageError("the ribbon word must be closed (empty source "
                              "and target) to evaluate to a scalar")
         value = functor.evaluate(word, ctx).scalar_value()
@@ -189,7 +202,7 @@ def cmd_fft(args) -> int:
     for r in rs:
         reports.append(centralizer.fft_report(
             datum.algebra, datum.m, datum.n, r, s=args.s,
-            points=points, budget=args.budget, seed=args.seed))
+            points=points, budget=args.budget))
     payload = {"command": "fft",
                "cells": [rep.to_dict(with_timing=args.timing) for rep in reports]}
     lines = []
@@ -214,8 +227,7 @@ def cmd_relations(args) -> int:
             z = parse_scalar(args.z)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad --z {args.z!r}: {exc}") from exc
-    report = centralizer.relation_check(kind, datum.m, datum.n,
-                                        r=args.r or 2, z=z)
+    report = centralizer.relation_check(kind, datum.m, datum.n, r=args.r, z=z)
     payload = {"command": "relations", "datum": datum.describe(),
                **report.to_dict()}
     lines = [f"[{'ok' if ok else 'FAIL'}] {name}" + ("" if ok else f" residual {res}")
@@ -226,7 +238,7 @@ def cmd_relations(args) -> int:
 
 
 def cmd_brauer(args) -> int:
-    r = args.r or 2
+    r = args.r
     diagrams_list = brauer_basis(r)
     payload = {"command": "brauer", "r": r, "count": len(diagrams_list),
                "diagrams": [list(d.match) for d in diagrams_list]}
@@ -262,9 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", help="ordering, e.g. e1,d1,e2")
         p.set_defaults(algebra_required=algebra_required)
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_at_least(1), default=None,
                        help="dimension/unknown budget override")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("rmatrix", help="print R or the braiding on V (x) V")
     common(p)
@@ -284,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ribbon-json", default="",
                    help='closed ribbon word, e.g. \'{"mode": "directed", '
                         '"layers": [["U+"], ["Om-"]]}\'')
-    p.add_argument("-r", type=int, default=None, help="strand count override")
+    p.add_argument("-r", type=_at_least(1), default=None,
+                   help="strand count override")
     p.set_defaults(func=cmd_invariant, default_budget=functor.DEFAULT_BUDGET)
 
     p = sub.add_parser("fft", help="centralizer dimension vs diagram span")
@@ -300,14 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kind", choices=("hecke", "walledbmw", "bmw", "brauer"),
                    required=True)
-    p.add_argument("-r", type=int, default=2)
+    p.add_argument("-r", type=_at_least(2), default=2,
+                   help="strands; a relation spans two")
     p.add_argument("--z", help="walled loop parameter (defaults to [m-n]_q)")
     p.set_defaults(func=cmd_relations, default_budget=4096)
 
     p = sub.add_parser("brauer", help="enumerate Brauer diagrams, optionally "
                                       "verifying the osp matrix model")
     common(p, algebra_required=False)
-    p.add_argument("-r", type=int, default=2)
+    p.add_argument("-r", type=_at_least(1), default=2)
     p.set_defaults(func=cmd_brauer, default_budget=4096)
     return top
 
@@ -332,18 +345,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (functor.BudgetError,) as exc:
+    except functor.BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:
-        if "budget" in str(exc):
-            print(f"budget exceeded: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PointDisagreement as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except centralizer.MembershipError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY

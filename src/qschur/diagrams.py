@@ -355,9 +355,14 @@ class RibbonWord:
                 src += s
                 dst += t
             return src, dst
-        s = sum(table[tok][0] for tok in layer)
-        t = sum(table[tok][1] for tok in layer)
-        return s, t
+        arity_in = arity_out = 0
+        for tok in layer:
+            if tok not in table:
+                raise ValueError(f"unknown non-directed token {tok!r}")
+            s, t = table[tok]
+            arity_in += s
+            arity_out += t
+        return arity_in, arity_out
 
     def validate(self):
         prev_target = None
@@ -406,8 +411,18 @@ class RibbonWord:
 
     @classmethod
     def from_json(cls, text: str) -> "RibbonWord":
+        """Parse {"mode": str, "layers": [[token, ...], ...]}; ValueError
+        for malformed JSON or any other shape."""
         data = json.loads(text)
-        return cls(data["mode"], tuple(tuple(l) for l in data["layers"]))
+        if not isinstance(data, dict):
+            data = {}
+        mode, layers = data.get("mode"), data.get("layers")
+        if not (isinstance(mode, str) and isinstance(layers, list) and all(
+                isinstance(l, list) and all(isinstance(t, str) for t in l)
+                for l in layers)):
+            raise ValueError('a ribbon word is {"mode": str, "layers": '
+                             '[[token, ...], ...]}')
+        return cls(mode, tuple(tuple(l) for l in layers))
 
 
 def braid_to_ribbon(w: BraidWord, mode: str = "directed") -> RibbonWord:

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
-import random
 
 from .kernels import rank_of_int_rows
 from .scalar import RatFunc
@@ -33,32 +32,12 @@ from .scalar import RatFunc
 __all__ = [
     "SuperSpace", "SparseMat", "unit_space", "tau", "graded_kron",
     "rank_at", "ranks_at", "nullspace_dim_at", "vectorize",
-    "DEFAULT_POINTS", "fresh_points", "PointDisagreement",
-    "Echelon", "PRIME", "UnluckyPrime",
+    "DEFAULT_POINTS", "Echelon", "PRIME", "UnluckyPrime",
 ]
 
 #: Default specialisation points: nonzero rationals away from 0, +-1 and
 #: small roots of unity, so generic ranks survive specialisation.
 DEFAULT_POINTS = (Fraction(7, 5), Fraction(13, 9), Fraction(23, 17))
-
-
-class PointDisagreement(ArithmeticError):
-    """Specialised ranks differ between points (non-generic collision)."""
-
-
-def fresh_points(seed: int, count: int = 3, avoid=()) -> tuple[Fraction, ...]:
-    """Deterministic replacement points p/r with small odd primes."""
-    rng = random.Random(seed)
-    primes = [5, 7, 9, 11, 13, 17, 19, 23, 29, 31]
-    out = []
-    banned = set(avoid) | {Fraction(0), Fraction(1), Fraction(-1)}
-    while len(out) < count:
-        a, b = rng.choice(primes), rng.choice(primes)
-        pt = Fraction(a + b, b)
-        if pt not in banned:
-            out.append(pt)
-            banned.add(pt)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -4,18 +4,17 @@ import pytest
 
 from conftest import assert_certified, commutator_rows, dense_nullity
 from qschur.centralizer import (MembershipError, _glq_generator_mats,
-                                certify_nullity, check_membership,
-                                commutant_dim_gl_classical, commutant_dim_glq,
-                                commutant_dim_osp, commutant_nullity,
-                                commutant_nullity_exact_qq, fft_report,
-                                relation_check, span_rank)
-from qschur.functor import image_basis, make_context
-from qschur.osp import leibniz_tensor, osp_basis, sigma
-from qschur.qgl import act_on_signs, act_tensor, generator_names, natural_rep
+                                _osp_generator_mats, certify_nullity,
+                                check_membership, commutant_dim_gl_classical,
+                                commutant_dim_glq, commutant_dim_osp,
+                                commutant_nullity, commutant_nullity_exact_qq,
+                                fft_report, least_nullity, relation_check,
+                                span_rank)
+from qschur.functor import BudgetError, image_basis, make_context
+from qschur.qgl import act_tensor, generator_names, natural_rep
 from qschur.rootdata import distinguished
-from qschur.scalar import qint
-from qschur.superspace import (DEFAULT_POINTS, PRIME, SparseMat, SuperSpace,
-                               kron_chain, vectorize)
+from qschur.scalar import Q, RatFunc, qint
+from qschur.superspace import DEFAULT_POINTS, PRIME, SparseMat, SuperSpace
 
 # Oracle-produced commutant dimensions, frozen (brute-force nullspace at the
 # default points; cross-checked against the dense oracle on the small cells).
@@ -45,10 +44,11 @@ def test_commutant_glq_frozen_dims():
 
 def test_commutant_glq_exact_mode_agrees():
     # exact Q(q) elimination must reproduce the specialised values
-    assert commutant_dim_glq(distinguished("gl", 1, 1), 1, exact=True) == 1
-    for (m, n, r) in [(1, 1, 2), (2, 1, 2), (1, 2, 2), (1, 1, 3)]:
+    for (m, n, r) in [(1, 1, 1), (1, 1, 2), (2, 1, 2), (1, 2, 2), (1, 1, 3)]:
         d = distinguished("gl", m, n)
-        assert commutant_dim_glq(d, r, exact=True) == GLQ_DIMS[(m, n, r)]
+        gens = _glq_generator_mats(d, r)
+        exact = commutant_nullity_exact_qq(gens, gens[0].rows)
+        assert exact == GLQ_DIMS[(m, n, r)]
 
 
 def test_commutant_against_dense_oracle():
@@ -175,30 +175,21 @@ def test_commutant_nullity_trivial_cases():
     assert commutant_nullity([diag], 2) == 2  # only diagonals survive
 
 
-def test_agreed_nullity_retries_at_fresh_points():
-    # a generator that degenerates at q = 7/5 drops constraints there;
-    # the retry at fresh points must restore agreement
-    from qschur.centralizer import agreed_nullity
-    from qschur.scalar import Q, RatFunc
-    from qschur.superspace import SuperSpace
+def test_least_nullity_skips_a_degenerate_point():
+    # a generator that vanishes at q = 7/5 drops its constraints there, so
+    # the nullity at that point is 4; the least over the points is generic
     V = SuperSpace(("a", "b"), (0, 0), ((0,), (0,)))
     bad = SparseMat(V, V, {(0, 1): Q - RatFunc({0: 7}, {0: 5})})
-    with pytest.warns(UserWarning):
-        assert agreed_nullity([bad], 2, DEFAULT_POINTS) == 2
+    assert commutant_nullity([bad.specialize(DEFAULT_POINTS[0])], 2) == 4
+    assert least_nullity([bad], 2, DEFAULT_POINTS) == 2
     # at generic points the commutant of a single Jordan nilpotent is 2-dim
     good = SparseMat(V, V, {(0, 1): Q})
-    assert agreed_nullity([good], 2, DEFAULT_POINTS) == 2
-
-
-def _osp_gens(m, n, r):
-    gens = [leibniz_tensor(X, r) for X in osp_basis(m, n)]
-    gens.append(kron_chain([sigma(m, n)] * r))
-    return gens
+    assert least_nullity([good], 2, DEFAULT_POINTS) == 2
 
 
 def test_certified_and_exact_nullities_match_dense_oracle():
     pt = DEFAULT_POINTS[0]
-    cells = [(_osp_gens(1, 1, 2), None)]
+    cells = [(_osp_generator_mats(1, 1, 2), None)]
     for (m, n) in [(1, 1), (2, 1)]:
         glq = _glq_generator_mats(distinguished("gl", m, n), 2)
         cells.append(([g.specialize(pt) for g in glq], pt))
@@ -238,7 +229,9 @@ def test_denominator_divisible_by_prime_takes_the_exact_path(caplog):
 
 
 def test_budget_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetError):
         commutant_dim_glq(distinguished("gl", 2, 2), 3, budget=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetError):
         commutant_dim_osp(3, 2, 3, budget=10)
+    with pytest.raises(BudgetError):
+        fft_report("osp", 3, 1, 2, budget=10)

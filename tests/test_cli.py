@@ -121,6 +121,9 @@ def test_relations_command(capsys):
     code, out, _ = run(capsys, "relations", "gl", "2|1", "--kind", "hecke",
                        "-r", "3")
     assert code == 0 and "all zero: True" in out
+    code, out, _ = run(capsys, "relations", "gl", "2|1", "--kind", "hecke",
+                       "-r", "2", "--json")
+    assert code == 0 and len(json.loads(out)["items"]) == 1
     code, out, _ = run(capsys, "relations", "gl", "2|1", "--kind", "walledbmw")
     assert code == 0
     code, out, _ = run(capsys, "relations", "osp", "3|2", "--kind", "bmw",
@@ -135,6 +138,8 @@ def test_relations_command(capsys):
 def test_brauer_command(capsys):
     code, out, _ = run(capsys, "brauer", "-r", "3")
     assert code == 0 and "15 diagrams" in out
+    code, out, _ = run(capsys, "brauer", "-r", "1")
+    assert code == 0 and "1 diagrams on 1 strands" in out
     code, out, _ = run(capsys, "brauer", "-r", "2", "osp", "3|2", "--json")
     assert code == 0
     data = json.loads(out)
@@ -180,3 +185,39 @@ def test_relations_bad_z_is_usage_error(capsys):
     code, _, err = run(capsys, "relations", "gl", "1|1", "--kind",
                        "walledbmw", "--z", "q +")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["brauer", "-r", "-1"], ["brauer", "-r", "0"], ["brauer", "-r", "x"],
+    ["relations", "gl", "2|1", "--kind", "hecke", "-r", "-1"],
+    ["relations", "gl", "2|1", "--kind", "hecke", "-r", "0"],
+    ["relations", "gl", "2|1", "--kind", "hecke", "-r", "1"],
+    ["invariant", "gl", "1|1", "-r", "0"],
+])
+def test_strand_counts_below_minimum_are_usage_errors(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["fft", "gl", "1|1", "-r", "2", "--budget", "-5"],
+    ["fft", "gl", "1|1", "-r", "2", "--budget", "0"],
+    ["rmatrix", "gl", "1|1", "--budget", "-1"],
+    ["sdim", "gl", "1|1", "--budget", "0"],
+])
+def test_non_positive_budget_is_usage_error(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("ribbon", [
+    '[1]', '"s"', '{"mode": "directed"}', '{"mode": "directed", "layers": 5}',
+    '{"mode": 1, "layers": []}', '{"mode": "directed", "layers": [[1]]}',
+    '{"mode": "directed", "layers": ["U+"]}', 'not json',
+    '{"mode": "nondirected", "layers": [["Z"]]}',
+    '{"mode": "nondirected", "layers": [["U"], ["Om"]]}',
+])
+def test_malformed_ribbon_json_is_usage_error(capsys, ribbon):
+    code, out, err = run(capsys, "invariant", "gl", "1|1", "--ribbon-json",
+                         ribbon)
+    assert code == 2 and out == "" and err.startswith("error:")

@@ -113,6 +113,8 @@ def test_ribbon_word_validation():
         RibbonWord("directed", (("Z",),))
     with pytest.raises(ValueError):
         RibbonWord("sideways", (("I+",),))
+    with pytest.raises(ValueError):
+        RibbonWord("nondirected", (("Z",),))
     RibbonWord("directed", (("U+",), ("Om-",)))  # the unknot validates
 
 
@@ -129,6 +131,17 @@ def test_closure_examples():
 def test_ribbon_json_roundtrip():
     w = closure(parse_braid("s1 s1"))
     assert RibbonWord.from_json(w.to_json()) == w
+
+
+@pytest.mark.parametrize("text", [
+    '[1]', '"s"', '{"mode": "directed"}', '{"mode": "directed", "layers": 5}',
+    '{"mode": null, "layers": []}',
+    '{"mode": "directed", "layers": [["I+", 2]]}',
+    '{"mode": "directed", "layers": [[["I+"]]]}',
+])
+def test_ribbon_json_wrong_shape_raises_value_error(text):
+    with pytest.raises(ValueError):
+        RibbonWord.from_json(text)
 
 
 def test_stack_and_juxtapose():

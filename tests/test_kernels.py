@@ -1,10 +1,7 @@
-import importlib.util
 import random
 
-import pytest
-
 from conftest import dense_rank
-from qschur import _kernels_py, kernels
+from qschur import kernels
 
 
 def _random_rows(rng, ncols, nrows):
@@ -20,26 +17,7 @@ def test_pure_kernel_matches_dense_oracle():
     for _ in range(60):
         ncols = rng.randint(1, 10)
         rows = _random_rows(rng, ncols, rng.randint(0, 10))
-        assert _kernels_py.rank_of_int_rows(rows) == dense_rank(rows, ncols)
-
-
-def test_selected_backend_matches_pure():
-    rng = random.Random(200)
-    for _ in range(40):
-        ncols = rng.randint(1, 12)
-        rows = _random_rows(rng, ncols, rng.randint(0, 12))
-        assert kernels.rank_of_int_rows(rows) == _kernels_py.rank_of_int_rows(rows)
-
-
-def test_compiled_backend_if_available():
-    if importlib.util.find_spec("qschur._speedups") is None:
-        pytest.skip("compiled kernel not built")
-    from qschur import _speedups
-    rng = random.Random(300)
-    for _ in range(40):
-        ncols = rng.randint(1, 12)
-        rows = _random_rows(rng, ncols, rng.randint(0, 12))
-        assert _speedups.rank_of_int_rows(rows) == _kernels_py.rank_of_int_rows(rows)
+        assert kernels.rank_of_int_rows(rows) == dense_rank(rows, ncols)
 
 
 def test_kernel_handles_duplicate_and_zero_rows():

@@ -203,15 +203,6 @@ def test_echelon_fraction_rows_and_unlucky_prime():
         ech.add({0: Fraction(1, 2 * PRIME)})
 
 
-def test_fresh_points_deterministic_and_avoiding():
-    from qschur.superspace import fresh_points
-    a = fresh_points(17, 3)
-    assert a == fresh_points(17, 3)
-    b = fresh_points(17, 3, avoid=a)
-    assert not set(a) & set(b)
-    assert all(p not in (0, 1, -1) for p in a + b)
-
-
 def test_dump_format():
     V = _space([0, 1])
     m = SparseMat(V, V, {(0, 1): Q})
