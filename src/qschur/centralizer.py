@@ -45,7 +45,7 @@ from .superspace import (DEFAULT_POINTS, PRIME, Echelon, SparseMat,
 __all__ = [
     "FftReport", "fft_report", "commutant_dim_glq", "commutant_dim_osp",
     "commutant_dim_gl_classical", "span_rank", "check_membership",
-    "RelationReport", "relation_check", "MembershipError",
+    "RelationReport", "relation_check", "RELATION_ALGEBRA", "MembershipError",
     "commutant_nullity", "least_nullity", "Certificate", "certify_nullity",
 ]
 
@@ -453,9 +453,27 @@ def _placed_sum(ctx: EvalContext, relation, r: int, i: int) -> SparseMat:
     return total
 
 
+#: The algebra whose natural module each relation family is checked on.
+RELATION_ALGEBRA = {"hecke": "gl", "walledbmw": "gl", "bmw": "osp",
+                    "brauer": "osp"}
+
+
 def relation_check(kind: str, m: int, n: int, r: int = 2,
                    z=None, budget: int = 4096) -> RelationReport:
-    """Push a quotient-relation family through the functor; assert zeros."""
+    """Push a quotient-relation family through the functor; assert zeros.
+
+    V is the natural module of the family's algebra (RELATION_ALGEBRA).
+    Relations are placed on r >= 2 strands, and BudgetError is raised
+    before anything is built when dim(V)^r exceeds the budget.
+    """
+    if kind not in RELATION_ALGEBRA:
+        raise ValueError(f"unknown relation family {kind!r}")
+    if r < 2:
+        raise ValueError(f"a relation spans two strands; got r = {r}")
+    d = m + n if RELATION_ALGEBRA[kind] == "gl" else m + 2 * n
+    if d ** r > budget:
+        raise BudgetError(f"V^(x){r} has dimension {d ** r}, over budget "
+                          f"{budget}")
     items = []
     if kind == "hecke":
         datum = distinguished("gl", m, n)
@@ -473,8 +491,8 @@ def relation_check(kind: str, m: int, n: int, r: int = 2,
         rels = quotient_relations("walledbmw", {"z": z})
         for rel in rels:
             if rel.model == "word":
-                for i in range(1, max(r, 2)):
-                    res = _placed_sum(ctx, rel, max(r, 2), i)
+                for i in range(1, r):
+                    res = _placed_sum(ctx, rel, r, i)
                     items.append((f"{rel.name} at position {i}", res.is_zero(),
                                   f"nnz={len(res.entries)}"))
             else:
@@ -490,19 +508,18 @@ def relation_check(kind: str, m: int, n: int, r: int = 2,
         checks = osp_mod.quantum_g_spectral(m, n)
         for name, ok in checks.items():
             items.append((name, ok, "spectral model"))
-    elif kind == "brauer":
+    else:
         delta = Fraction(m - 2 * n)
-        rep = osp_mod.brauer_rep(m, n, max(r, 2))
-        rr = max(r, 2)
+        rep = osp_mod.brauer_rep(m, n, r)
         V = osp_mod.natural_space(m, n)
-        ident = SparseMat.identity(V.tensor_power(rr))
-        for i in range(1, rr):
+        ident = SparseMat.identity(V.tensor_power(r))
+        for i in range(1, r):
             s, e = rep[("s", i)], rep[("e", i)]
             items.append((f"s{i}^2 = 1", (s @ s) == ident, ""))
             items.append((f"e{i}^2 = delta e{i}", (e @ e) == e.scale(delta), ""))
             items.append((f"e{i} s{i} = e{i}", (e @ s) == e, ""))
             items.append((f"s{i} e{i} = e{i}", (s @ e) == e, ""))
-        for i in range(1, rr - 1):
+        for i in range(1, r - 1):
             s1, s2 = rep[("s", i)], rep[("s", i + 1)]
             e1, e2 = rep[("e", i)], rep[("e", i + 1)]
             items.append((f"braid s{i} s{i + 1} s{i}",
@@ -511,12 +528,10 @@ def relation_check(kind: str, m: int, n: int, r: int = 2,
             items.append((f"e{i + 1} e{i} e{i + 1} = e{i + 1}",
                           (e2 @ e1 @ e2) == e2, ""))
             items.append((f"e{i} s{i + 1} e{i} = e{i}", (e1 @ s2 @ e1) == e1, ""))
-        for i in range(1, rr):
-            for j in range(i + 2, rr):
+        for i in range(1, r):
+            for j in range(i + 2, r):
                 si, sj = rep[("s", i)], rep[("s", j)]
                 ei, ej = rep[("e", i)], rep[("e", j)]
                 items.append((f"[s{i}, s{j}] = 0", (si @ sj) == (sj @ si), ""))
                 items.append((f"[e{i}, e{j}] = 0", (ei @ ej) == (ej @ ei), ""))
-    else:
-        raise ValueError(f"unknown relation family {kind!r}")
     return RelationReport(kind, items)

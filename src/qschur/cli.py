@@ -8,15 +8,20 @@ followed by "order=e1,d1,e2" or the --order flag.  Output is a text table
 by default and machine JSON with --json; JSON is byte-deterministic for a
 fixed configuration (timings only appear with --timing).
 
+Relations run in the distinguished ordering, hecke and walledbmw on gl,
+bmw and brauer on osp.  Only commands that build tensor powers take --budget.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error (also a
 malformed --ribbon-json, a tensor power -r below 1, or below 2 for
-relations, and a --budget below 1), 3 budget exceeded.
+relations and a brauer check, a relation family on the wrong algebra, and a
+--budget below 1), 3 budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -117,11 +122,13 @@ def _parse_powers(text: str) -> list[int]:
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        print(json.dumps(payload, sort_keys=True) if args.json
+              else "\n".join(text_lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send the rest, and the flush at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_rmatrix(args) -> int:
@@ -152,10 +159,8 @@ def cmd_sdim(args) -> int:
         payload["invariant"] = invariant
         lines.append(f"invariant across {len(data)} orderings"
                      if invariant else "NOT invariant across orderings")
-        if not invariant:
-            return EXIT_VERIFY
     _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK if payload.get("invariant", True) else EXIT_VERIFY
 
 
 def cmd_invariant(args) -> int:
@@ -217,9 +222,21 @@ def cmd_fft(args) -> int:
     return EXIT_OK if all(rep.equal for rep in reports) else EXIT_VERIFY
 
 
-def cmd_relations(args) -> int:
+def _relation_datum(args, kind: str) -> RootDatum:
+    """The algebra of a relation check: of the family's type, distinguished."""
     datum = parse_datum(args.algebra, args.order)
+    want = centralizer.RELATION_ALGEBRA[kind]
+    if datum.algebra != want:
+        raise UsageError(f"{kind} relations are checked on {want} algebras, "
+                         f"not {datum.describe()}")
+    if not datum.is_distinguished():
+        raise UsageError("relations are checked on the distinguished ordering")
+    return datum
+
+
+def cmd_relations(args) -> int:
     kind = args.kind
+    datum = _relation_datum(args, kind)
     z = None
     if args.z:
         from .scalar import parse as parse_scalar
@@ -227,7 +244,8 @@ def cmd_relations(args) -> int:
             z = parse_scalar(args.z)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad --z {args.z!r}: {exc}") from exc
-    report = centralizer.relation_check(kind, datum.m, datum.n, r=args.r, z=z)
+    report = centralizer.relation_check(kind, datum.m, datum.n, r=args.r, z=z,
+                                        budget=args.budget)
     payload = {"command": "relations", "datum": datum.describe(),
                **report.to_dict()}
     lines = [f"[{'ok' if ok else 'FAIL'}] {name}" + ("" if ok else f" residual {res}")
@@ -239,24 +257,20 @@ def cmd_relations(args) -> int:
 
 def cmd_brauer(args) -> int:
     r = args.r
+    datum = _relation_datum(args, "brauer") if args.algebra else None
     diagrams_list = brauer_basis(r)
     payload = {"command": "brauer", "r": r, "count": len(diagrams_list),
                "diagrams": [list(d.match) for d in diagrams_list]}
     lines = [f"{len(diagrams_list)} diagrams on {r} strands"]
-    if args.algebra:
-        datum = parse_datum(args.algebra, args.order)
-        if datum.algebra != "osp":
-            raise UsageError("brauer --check uses an osp algebra")
-        report = centralizer.relation_check("brauer", datum.m, datum.n, r=r)
+    if datum:
+        report = centralizer.relation_check("brauer", datum.m, datum.n, r=r,
+                                            budget=args.budget)
         payload.update(report.to_dict())
         lines += [f"[{'ok' if ok else 'FAIL'}] {name}"
                   for name, ok, _ in report.items]
         lines.append(f"all relations hold: {report.all_zero}")
-        if not report.all_zero:
-            _emit(args, payload, lines)
-            return EXIT_VERIFY
     _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK if payload.get("all_zero", True) else EXIT_VERIFY
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "centralizer checks for quantum supergroups.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, algebra_required=True):
+    def common(p, algebra_required=True, budget=None):
         p.add_argument("algebra", nargs="*",
                        help="algebra spec, e.g. 'gl 2|1' or 'osp 3|2 order=d1,e1'")
         p.add_argument("--algebra", dest="algebra_flag", metavar="SPEC",
@@ -274,54 +288,55 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", help="ordering, e.g. e1,d1,e2")
         p.set_defaults(algebra_required=algebra_required)
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--budget", type=_at_least(1), default=None,
-                       help="dimension/unknown budget override")
+        if budget is not None:
+            p.add_argument("--budget", type=_at_least(1), default=budget,
+                           help="dimension/unknown budget (default %(default)s)")
 
     p = sub.add_parser("rmatrix", help="print R or the braiding on V (x) V")
     common(p)
     p.add_argument("--braiding", action="store_true",
                    help="print g-check = tau o R instead of R")
-    p.set_defaults(func=cmd_rmatrix, default_budget=4096)
+    p.set_defaults(func=cmd_rmatrix)
 
     p = sub.add_parser("sdim", help="quantum superdimension of V")
     common(p)
     p.add_argument("--all-orderings", action="store_true",
                    help="verify invariance across all admissible orderings")
-    p.set_defaults(func=cmd_sdim, default_budget=4096)
+    p.set_defaults(func=cmd_sdim)
 
     p = sub.add_parser("invariant", help="framed invariant of a braid closure")
-    common(p)
+    common(p, budget=functor.DEFAULT_BUDGET)
     p.add_argument("--braid", default="", help="braid word, e.g. 's1 s2^-1 s1'")
     p.add_argument("--ribbon-json", default="",
                    help='closed ribbon word, e.g. \'{"mode": "directed", '
                         '"layers": [["U+"], ["Om-"]]}\'')
     p.add_argument("-r", type=_at_least(1), default=None,
                    help="strand count override")
-    p.set_defaults(func=cmd_invariant, default_budget=functor.DEFAULT_BUDGET)
+    p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("fft", help="centralizer dimension vs diagram span")
-    common(p)
+    common(p, budget=centralizer.DEFAULT_UNKNOWN_BUDGET)
     p.add_argument("-r", default="2", help="tensor power(s), e.g. 2 or 1,2,3")
     p.add_argument("-s", type=int, default=0, help="dual tensor factors (gl)")
     p.add_argument("--points", help="specialisation points, e.g. 7/5,13/9")
     p.add_argument("--timing", action="store_true",
                    help="include wall_clock_ms (breaks byte determinism)")
-    p.set_defaults(func=cmd_fft, default_budget=centralizer.DEFAULT_UNKNOWN_BUDGET)
+    p.set_defaults(func=cmd_fft)
 
     p = sub.add_parser("relations", help="verify quotient relations")
-    common(p)
+    common(p, budget=4096)
     p.add_argument("--kind", choices=("hecke", "walledbmw", "bmw", "brauer"),
                    required=True)
     p.add_argument("-r", type=_at_least(2), default=2,
                    help="strands; a relation spans two")
     p.add_argument("--z", help="walled loop parameter (defaults to [m-n]_q)")
-    p.set_defaults(func=cmd_relations, default_budget=4096)
+    p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("brauer", help="enumerate Brauer diagrams, optionally "
                                       "verifying the osp matrix model")
-    common(p, algebra_required=False)
+    common(p, algebra_required=False, budget=4096)
     p.add_argument("-r", type=_at_least(1), default=2)
-    p.set_defaults(func=cmd_brauer, default_budget=4096)
+    p.set_defaults(func=cmd_brauer)
     return top
 
 
@@ -331,8 +346,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.budget is None:
-        args.budget = args.default_budget
     try:
         if getattr(args, "algebra_flag", None):
             if args.algebra:

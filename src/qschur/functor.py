@@ -61,14 +61,14 @@ class EvalContext:
         """Tensor space of a directed sign tuple or a non-directed arity."""
         if self.mode == "directed":
             if not sig:
-                return unit_space(len(self.V.weights[0]))
+                return unit_space()
             out = None
             for s in sig:
                 sp = self.V if s == "+" else self.V.dual()
                 out = sp if out is None else out.tensor(sp)
             return out
         if sig == 0:
-            return unit_space(len(self.V.weights[0]))
+            return unit_space()
         return self.V.tensor_power(sig)
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .rootdata import distinguished
 from .scalar import ONE, RatFunc, qint, qpow
-from .superspace import SparseMat, SuperSpace, kron_chain, tau
+from .superspace import SparseMat, SuperSpace, kron_chain, tau, unit_space
 
 __all__ = [
     "natural_space", "osp_form", "osp_basis", "sigma", "cupcap_maps", "e_map",
@@ -36,38 +36,29 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def natural_space(m: int, n: int) -> SuperSpace:
-    """Weight basis of C^{m|2n} in the order described in the module docstring."""
-    datum = distinguished("osp", m, n)
-    rows = datum.module_weights()
-    ell = m // 2
-
-    def label(w, pos):
-        k = datum.eps_count
-        for i in range(k):
-            if w[i]:
-                return f"{'+' if w[i] > 0 else '-'}e{i + 1}"
-        for j in range(n):
-            if w[k + j]:
-                return f"{'+' if w[k + j] > 0 else '-'}d{j + 1}"
-        return "0"
-
-    labels = tuple(label(w, i) for i, (w, _) in enumerate(rows))
-    parities = tuple(p for _, p in rows)
-    weights = tuple(w for w, _ in rows)
-    return SuperSpace(labels, parities, weights, name=f"V[osp {m}|{2 * n}]")
+    """C^{m|2n}, basis ordered as in the module docstring; its weights are
+    those of `distinguished("osp", m, n).module_weights()`."""
+    rows = distinguished("osp", m, n).module_weights()
+    return SuperSpace(tuple(p for _, p in rows), name=f"V[osp {m}|{2 * n}]")
 
 
-def _partner(space: SuperSpace) -> list[int]:
+def _weights(m: int, n: int) -> list:
+    """Weight of each basis vector of natural_space(m, n), in basis order."""
+    return [w for w, _ in distinguished("osp", m, n).module_weights()]
+
+
+def _partner(weights) -> list[int]:
     """Index of the basis vector of opposite weight (e_0 is self-paired)."""
-    index = {w: i for i, w in enumerate(space.weights)}
-    return [index[tuple(-x for x in w)] for w in space.weights]
+    index = {w: i for i, w in enumerate(weights)}
+    return [index[tuple(-x for x in w)] for w in weights]
 
 
 @lru_cache(maxsize=None)
 def osp_form(m: int, n: int) -> SparseMat:
     """Gram matrix J of the even supersymmetric form, J[v, w] = (e_v, e_w)."""
     V = natural_space(m, n)
-    partner = _partner(V)
+    weights = _weights(m, n)
+    partner = _partner(weights)
     entries = {}
     for v in range(V.dim):
         w = partner[v]
@@ -75,8 +66,8 @@ def osp_form(m: int, n: int) -> SparseMat:
             entries[(v, w)] = 1
         else:
             # symplectic block: (e_{+d}, e_{-d}) = 1, (e_{-d}, e_{+d}) = -1
-            k = next(i for i, c in enumerate(V.weights[v]) if c)
-            entries[(v, w)] = 1 if V.weights[v][k] > 0 else -1
+            k = next(i for i, c in enumerate(weights[v]) if c)
+            entries[(v, w)] = 1 if weights[v][k] > 0 else -1
     return SparseMat(V, V, entries)
 
 
@@ -90,7 +81,7 @@ def osp_basis(m: int, n: int) -> tuple[SparseMat, ...]:
     """
     V = natural_space(m, n)
     J = osp_form(m, n)
-    partner = _partner(V)
+    partner = _partner(_weights(m, n))
     par = V.parities
     d = V.dim
 
@@ -138,8 +129,10 @@ def sigma(m: int, n: int) -> SparseMat:
     ell = m // 2
     if ell == 0:
         return SparseMat.identity(V)
-    hi = V.labels.index(f"+e{ell}")
-    lo = V.labels.index(f"-e{ell}")
+    weights = _weights(m, n)
+    eps = tuple(int(i == ell - 1) for i in range(len(weights[0])))
+    hi = weights.index(eps)
+    lo = weights.index(tuple(-x for x in eps))
     entries = {(i, i): 1 for i in range(V.dim) if i not in (hi, lo)}
     entries[(hi, lo)] = 1
     entries[(lo, hi)] = 1
@@ -151,7 +144,7 @@ def cupcap_maps(m: int, n: int) -> tuple[SparseMat, SparseMat]:
     """(c-hat, c-check): the form V (x) V -> Q and its snake-inverse Q -> V (x) V."""
     V = natural_space(m, n)
     J = osp_form(m, n)
-    one = SuperSpace(("1",), (0,), ((0,) * len(V.weights[0]),), name="unit")
+    one = unit_space()
     d = V.dim
     chat = SparseMat(V.tensor(V), one,
                      {(0, a * d + b): v for (a, b), v in J.entries.items()})

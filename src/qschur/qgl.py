@@ -33,10 +33,10 @@ __all__ = [
 
 
 def natural_space(datum: RootDatum) -> SuperSpace:
-    labels = tuple(f"v{a + 1}" for a in range(len(datum.module_weights())))
-    weights = tuple(w for w, _ in datum.module_weights())
+    """V = C^{m|n}, one basis vector per ordering symbol; its weights are
+    those of `datum.module_weights()`."""
     parities = tuple(p for _, p in datum.module_weights())
-    return SuperSpace(labels, parities, weights, name=f"V[{datum.describe()}]")
+    return SuperSpace(parities, name=f"V[{datum.describe()}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,9 +308,9 @@ def braiding_inverse(datum: RootDatum) -> SparseMat:
 @lru_cache(maxsize=None)
 def k2rho(datum: RootDatum) -> SparseMat:
     """Diagonal q^{(wt, 2 rho)}; its supertrace is sdim_q."""
-    V = natural_space(datum)
     r2 = datum.rho2()
-    return _diag(V, [qpow(datum.form(w, r2)) for w in V.weights])
+    return _diag(natural_space(datum),
+                 [qpow(datum.form(w, r2)) for w, _ in datum.module_weights()])
 
 
 @dataclass(frozen=True)
@@ -327,11 +327,11 @@ class DualityMaps:
 def duality_maps(datum: RootDatum) -> DualityMaps:
     V = natural_space(datum)
     Vd = V.dual()
-    one = unit_space(datum.rank)
+    one = unit_space()
     d = V.dim
     par = V.parities
     r2 = datum.rho2()
-    kvals = [qpow(datum.form(w, r2)) for w in V.weights]
+    kvals = [qpow(datum.form(w, r2)) for w, _ in datum.module_weights()]
     omega = SparseMat(Vd.tensor(V), one,
                       {(0, a * d + a): ONE for a in range(d)})
     upsilon = SparseMat(one, V.tensor(Vd),

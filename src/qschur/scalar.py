@@ -59,12 +59,6 @@ def _pmul(a, b):
     return out
 
 
-def _pscale(a, k):
-    if not k:
-        return {}
-    return {e: c * k for e, c in a.items()}
-
-
 def _pshift(a, s):
     if not s:
         return dict(a)
@@ -216,9 +210,6 @@ class RatFunc:
     def den(self):
         """Denominator, as an exponent -> coefficient mapping."""
         return dict(self._d)
-
-    def is_polynomial(self) -> bool:
-        return self._d == _ONE_POLY
 
     def __bool__(self):
         return bool(self._n)

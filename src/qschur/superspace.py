@@ -1,9 +1,11 @@
 """Z2-graded spaces and exact sparse matrices.
 
-A SuperSpace is an ordered basis; each vector carries a parity bit and an
-integer weight vector.  A SparseMat maps a source space to a target space
-and stores only nonzero entries; scalars may be RatFunc, Fraction or int
-(the three interoperate).  Tensor products of operators use the graded
+A SuperSpace is an ordered basis; each vector carries only its parity bit,
+which is all the Koszul sign rule reads.  The weights of a module's basis
+are data of the module and live on its root datum
+(`RootDatum.module_weights`).  A SparseMat maps a source space to a target
+space and stores only nonzero entries; scalars may be RatFunc, Fraction or
+int (the three interoperate).  Tensor products of operators use the graded
 (Koszul) rule
 
     (A (x) B)(v (x) w) = (-1)^{[B][v]} Av (x) Bw,
@@ -21,7 +23,7 @@ lower bound for the rank over Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
@@ -42,38 +44,21 @@ DEFAULT_POINTS = (Fraction(7, 5), Fraction(13, 9), Fraction(23, 17))
 
 @dataclass(frozen=True)
 class SuperSpace:
-    """Finite ordered homogeneous basis with parities and weights."""
+    """Finite ordered homogeneous basis, given by the parity of each vector."""
 
-    labels: tuple[str, ...]
     parities: tuple[int, ...]
-    weights: tuple[tuple[int, ...], ...]
     name: str = ""
-
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("basis labels must be distinct")
-        if not (len(self.labels) == len(self.parities) == len(self.weights)):
-            raise ValueError("labels, parities and weights must align")
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        return len(self.parities)
 
     def tensor(self, other: "SuperSpace") -> "SuperSpace":
-        labels = tuple(f"{a}.{b}" for a in self.labels for b in other.labels)
-        parities = tuple((p + r) % 2 for p in self.parities for r in other.parities)
-        weights = tuple(tuple(x + y for x, y in zip(u, v))
-                        for u in self.weights for v in other.weights)
-        return SuperSpace(labels, parities, weights)
+        return SuperSpace(tuple((p + r) % 2 for p in self.parities
+                                for r in other.parities))
 
     def dual(self) -> "SuperSpace":
-        labels = tuple(f"{a}*" for a in self.labels)
-        weights = tuple(tuple(-x for x in w) for w in self.weights)
-        name = f"{self.name}*" if self.name else ""
-        return SuperSpace(labels, self.parities, weights, name)
-
-    def compatible(self, other: "SuperSpace") -> bool:
-        return self.parities == other.parities
+        return SuperSpace(self.parities, f"{self.name}*" if self.name else "")
 
     def tensor_power(self, r: int) -> "SuperSpace":
         out = self
@@ -85,9 +70,9 @@ class SuperSpace:
         return self.name or f"dim {self.dim} (parities {''.join(map(str, self.parities))})"
 
 
-def unit_space(weight_len: int = 0) -> SuperSpace:
+def unit_space() -> SuperSpace:
     """The 1-dimensional even unit object."""
-    return SuperSpace(("1",), (0,), ((0,) * weight_len,), name="unit")
+    return SuperSpace((0,), name="unit")
 
 
 class SparseMat:
@@ -225,9 +210,6 @@ class SparseMat:
             if v:
                 total = total + (-v if par[a] else v)
         return total
-
-    def graded_kron(self, other: "SparseMat") -> "SparseMat":
-        return graded_kron(self, other)
 
     def scalar_value(self):
         """The single entry of a 1x1 matrix (0 if empty)."""

@@ -166,9 +166,35 @@ def test_relation_check_bmw_and_brauer():
         relation_check("mystery", 1, 1)
 
 
+@pytest.mark.parametrize("kind", ["hecke", "walledbmw", "bmw", "brauer"])
+@pytest.mark.parametrize("r", [1, 0, -3])
+def test_relation_check_rejects_fewer_than_two_strands(kind, r):
+    with pytest.raises(ValueError):
+        relation_check(kind, 2, 1, r=r)
+
+
+def test_relation_check_places_on_r_strands():
+    names = [nm for nm, _, _ in relation_check("walledbmw", 2, 1, r=3).items]
+    assert any(nm.endswith("at position 2") for nm in names)
+    assert not any(nm.endswith("at position 3") for nm in names)
+    names = [nm for nm, _, _ in relation_check("brauer", 1, 1, r=3).items]
+    assert "s2^2 = 1" in names and "s3^2 = 1" not in names
+
+
+def test_relation_check_budget():
+    # gl(2|1): dim V^(x)3 = 27; osp(3|2): dim V^(x)3 = 125
+    with pytest.raises(BudgetError):
+        relation_check("hecke", 2, 1, r=3, budget=26)
+    assert relation_check("hecke", 2, 1, r=3, budget=27).all_zero
+    with pytest.raises(BudgetError):
+        relation_check("brauer", 3, 1, r=3, budget=124)
+    with pytest.raises(BudgetError):
+        relation_check("walledbmw", 2, 1, r=2, budget=8)
+
+
 def test_commutant_nullity_trivial_cases():
     from qschur.superspace import SuperSpace
-    V = SuperSpace(("a", "b"), (0, 0), ((0,), (0,)))
+    V = SuperSpace((0, 0))
     ident = SparseMat.identity(V)
     assert commutant_nullity([ident], 2) == 4  # identity centralises all
     diag = SparseMat(V, V, {(0, 0): 1, (1, 1): 2})
@@ -178,7 +204,7 @@ def test_commutant_nullity_trivial_cases():
 def test_least_nullity_skips_a_degenerate_point():
     # a generator that vanishes at q = 7/5 drops its constraints there, so
     # the nullity at that point is 4; the least over the points is generic
-    V = SuperSpace(("a", "b"), (0, 0), ((0,), (0,)))
+    V = SuperSpace((0, 0))
     bad = SparseMat(V, V, {(0, 1): Q - RatFunc({0: 7}, {0: 5})})
     assert commutant_nullity([bad.specialize(DEFAULT_POINTS[0])], 2) == 4
     assert least_nullity([bad], 2, DEFAULT_POINTS) == 2
@@ -206,7 +232,7 @@ def test_certified_and_exact_nullities_match_dense_oracle():
 def test_unmet_lower_bound_takes_the_exact_path(caplog):
     # the commutant of a single Jordan block on a 2-dim space is 2-dim;
     # elimination can never bring the upper bound down to 1
-    V = SuperSpace(("a", "b"), (0, 0), ((0,), (0,)))
+    V = SuperSpace((0, 0))
     jordan = [SparseMat(V, V, {(0, 1): 1})]
     with caplog.at_level("INFO", logger="qschur.centralizer"):
         assert certify_nullity(jordan, 2, 1) is None
@@ -220,7 +246,7 @@ def test_unmet_lower_bound_takes_the_exact_path(caplog):
 
 
 def test_denominator_divisible_by_prime_takes_the_exact_path(caplog):
-    V = SuperSpace(("a", "b"), (0, 0), ((0,), (0,)))
+    V = SuperSpace((0, 0))
     unlucky = [SparseMat(V, V, {(0, 1): Fraction(1, PRIME)})]
     with caplog.at_level("INFO", logger="qschur.centralizer"):
         assert certify_nullity(unlucky, 2, 2) is None

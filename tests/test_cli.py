@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qschur.cli import main, parse_datum, UsageError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -208,6 +214,56 @@ def test_strand_counts_below_minimum_are_usage_errors(capsys, argv):
 def test_non_positive_budget_is_usage_error(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("command", [["rmatrix", "gl", "1|1"],
+                                     ["sdim", "gl", "1|1"]])
+def test_budget_is_not_an_option_where_nothing_is_bounded(capsys, command):
+    code, out, err = run(capsys, *command, "--budget", "5")
+    assert code == 2 and out == "" and "--budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["relations", "gl", "2|1", "--kind", "hecke", "-r", "3", "--budget", "26"],
+    ["relations", "osp", "3|2", "--kind", "bmw", "-r", "3", "--budget", "124"],
+    ["brauer", "-r", "3", "osp", "3|2", "--budget", "124"],
+])
+def test_relations_and_brauer_honour_the_budget(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.startswith("budget exceeded")
+    assert run(capsys, *argv[:-1], "125")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["relations", "osp", "3|2", "--kind", "hecke"],
+    ["relations", "osp", "3|2", "--kind", "walledbmw"],
+    ["relations", "gl", "1|1", "--kind", "brauer"],
+    ["relations", "gl", "2|1", "--kind", "bmw"],
+    ["relations", "gl", "2|1", "order=e1,d1,e2", "--kind", "hecke"],
+    ["relations", "osp", "3|2", "order=e1,d1", "--kind", "bmw"],
+    ["brauer", "-r", "2", "gl", "2|1"],
+    ["brauer", "-r", "2", "osp", "3|2", "order=e1,d1"],
+    ["brauer", "-r", "1", "osp", "3|2"],
+])
+def test_relation_family_needs_its_algebra(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_closed_stdout_is_not_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qschur", "fft", "gl", "1|1", "-r", "1,2",
+             "--json"], stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr and proc.stderr == ""
+    assert proc.returncode == 0
 
 
 @pytest.mark.parametrize("ribbon", [

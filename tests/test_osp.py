@@ -70,8 +70,7 @@ def test_sigma():
     V = natural_space(3, 1)
     assert sigma(3, 1) == SparseMat(V, V, {(i, i): -1 for i in range(V.dim)})
     s = sigma(2, 1)
-    W = natural_space(2, 1)
-    hi, lo = W.labels.index("+e1"), W.labels.index("-e1")
+    hi, lo = 0, 1  # the basis of C^{2|2} is e_{+eps_1}, e_{-eps_1}, ...
     assert s.entries[(hi, lo)] == 1 and s.entries[(lo, hi)] == 1
     for (m, n) in OSP_SET:
         sg = sigma(m, n)

@@ -127,9 +127,11 @@ def test_braiding_classical_limit_is_flip():
 def test_braiding_preserves_weights():
     d = distinguished("gl", 2, 2)
     g = braiding(d)
-    V2 = g.src
+    wts = [w for w, _ in d.module_weights()]
+    # weight of basis vector a * dim + b of V (x) V
+    V2 = [tuple(x + y for x, y in zip(u, v)) for u in wts for v in wts]
     for (r, c) in g.entries:
-        assert V2.weights[r] == V2.weights[c]
+        assert V2[r] == V2[c]
 
 
 def test_k2rho_examples():

@@ -12,10 +12,8 @@ from qschur.superspace import (DEFAULT_POINTS, PRIME, Echelon, SparseMat,
                                unit_space, vectorize)
 
 
-def _space(parities, weight_len=1):
-    return SuperSpace(tuple(f"b{i}" for i in range(len(parities))),
-                      tuple(parities),
-                      tuple((0,) * weight_len for _ in parities))
+def _space(parities):
+    return SuperSpace(tuple(parities))
 
 
 def test_graded_kron_even_is_plain_kron():
