@@ -8,14 +8,17 @@ differ, which partitions the indices into classes; the remaining
 commutator rows are assembled only over the surviving unknowns.  This is
 an elimination order for the full honest system, not a reduction of it.
 
-`fft_report` computes the diagram side first.  Every spanning image is
-verified exactly to commute with every generator, so its span rank (at a
-point, or over Q for osp) is a lower bound for the commutant dimension.
-Specialising q, or reducing mod a prime p, can only lower the rank of the
-constraint rows, so survivors - rank_p(any prefix of the rows) is an upper
-bound.  The commutant rows are therefore fed, generator by generator, to
-the F_p `Echelon` until the two bounds meet; the stop proves `equal` and is
-recorded as a `Certificate` (prime, point, rows used of rows total,
+`fft_report` computes the diagram side first.  Every spanning image is a
+product of the diagram generators (`functor.diagram_generators`: placed
+crossings, turnbacks, s_i and e_i), and each of those is verified exactly
+to commute with every symmetry generator; so every image does, and its span
+rank (at a point, or over Q for osp) is a lower bound for the commutant
+dimension.  Specialising q, or reducing mod a prime p, can only lower the
+rank of the constraint rows, so survivors - rank_p(any prefix of the rows)
+is an upper bound.  The commutant rows are therefore assembled one
+symmetry generator at a time and fed to the F_p `Echelon` until the two
+bounds meet; no rows are built past that stop, which proves `equal` and is
+recorded as a `Certificate` (prime, point, rows used of rows assembled,
 survivors, rank).  If the bounds never meet, or a denominator vanishes
 mod p, the fallback is logged and the exact path decides: one nullity over
 Q for osp, or for quantum gl the least of the exact nullities at the
@@ -34,8 +37,8 @@ from fractions import Fraction
 from . import osp as osp_mod
 from . import qgl
 from .diagrams import quotient_relations
-from .functor import (BudgetError, EvalContext, evaluate, image_basis,
-                      make_context)
+from .functor import (BudgetError, EvalContext, diagram_generators, evaluate,
+                      image_basis, make_context)
 from .rootdata import RootDatum, distinguished
 from .scalar import RatFunc, qint
 from .superspace import (DEFAULT_POINTS, PRIME, Echelon, SparseMat,
@@ -59,18 +62,25 @@ class MembershipError(AssertionError):
 # ---------------------------------------------------------------------------
 # Core nullity computation.
 
-def assemble_commutant_rows(gens: list[SparseMat], dim: int):
-    """(survivor count, constraint rows) for the system [M, P] = 0.
-
-    Diagonal P pin every unknown M[i,j] whose diagonal profiles differ;
-    the commutator rows of the remaining generators are then assembled
-    over the surviving unknowns only (unknown id = i*dim + j, row-major).
-    """
+def _split_diagonal(gens: list[SparseMat], dim: int):
+    """(diagonal generators, the others), in their given order."""
     diag, other = [], []
     for g in gens:
         if g.src.dim != dim or g.dst.dim != dim:
             raise ValueError("commutant generators must be square of the given size")
         (diag if all(r == c for (r, c) in g.entries) else other).append(g)
+    return diag, other
+
+
+def assemble_commutant_rows(gens: list[SparseMat], dim: int):
+    """(survivor count, constraint rows) for the system [M, P] = 0.
+
+    Diagonal P pin every unknown M[i,j] whose diagonal profiles differ;
+    the commutator rows of the remaining generators are then assembled
+    over the surviving unknowns only (unknown id = i*dim + j, row-major),
+    generator by generator in the given order.
+    """
+    diag, other = _split_diagonal(gens, dim)
     profiles = {}
     for i in range(dim):
         profiles.setdefault(
@@ -110,15 +120,17 @@ def commutant_nullity(gens: list[SparseMat], dim: int) -> int:
 class Certificate:
     """Proof that a commutant dimension equals its known lower bound.
 
-    Eliminating the first `rows_used` of the `rows_total` constraint rows
-    mod `prime` (specialised at q = `point` for quantum gl, None for osp)
-    gave `rank`, so the commutant dimension is at most survivors - rank,
-    which equals the lower bound.
+    Eliminating the first `rows_used` of the `rows_assembled` constraint
+    rows mod `prime` (specialised at q = `point` for quantum gl, None for
+    osp) gave `rank`, so the commutant dimension is at most survivors -
+    rank, which equals the lower bound.  Rows are assembled one generator
+    at a time, so `rows_assembled` stops at the generator where the bound
+    was met.
     """
     prime: int
     point: str | None
     rows_used: int
-    rows_total: int
+    rows_assembled: int
     survivors: int
     rank: int
 
@@ -128,18 +140,27 @@ def certify_nullity(gens: list[SparseMat], dim: int, lower_bound: int,
     """Certificate that the nullity of [M, P] = 0 equals `lower_bound`.
 
     `gens` have int/Fraction entries (specialised at `point` if quantum).
-    Rows go to the F_p echelon in assembly order, generator by generator,
-    until survivors - rank meets the bound.  None, with the reason logged,
-    if the bound is never met or a denominator vanishes mod p; the caller
-    then takes the exact path.
+    The rows of one non-diagonal generator at a time (with the diagonal
+    ones, which fix the survivors) are assembled and fed to the F_p
+    echelon, in the order `assemble_commutant_rows(gens, dim)` gives them,
+    until survivors - rank meets the bound; no further rows are built.
+    None, with the reason logged, if the bound is never met or a
+    denominator vanishes mod p; the caller then takes the exact path.
     """
-    survivors, rows = assemble_commutant_rows(gens, dim)
+    diag, other = _split_diagonal(gens, dim)
     ech = Echelon()
-    used = 0
+    used = assembled = 0
     try:
-        while survivors - ech.rank > lower_bound and used < len(rows):
-            ech.add(rows[used])
-            used += 1
+        for batch in [diag + [P] for P in other] or [diag]:
+            survivors, rows = assemble_commutant_rows(batch, dim)
+            assembled += len(rows)
+            for row in rows:
+                if survivors - ech.rank <= lower_bound:
+                    break
+                ech.add(row)
+                used += 1
+            if survivors - ech.rank <= lower_bound:
+                break
     except UnluckyPrime as exc:
         log_fallback(__name__, "commutant certificate: %s; exact fallback",
                      exc)
@@ -147,11 +168,11 @@ def certify_nullity(gens: list[SparseMat], dim: int, lower_bound: int,
     if survivors - ech.rank != lower_bound:
         log_fallback(__name__, "commutant certificate: nullity bound %d "
                      "after all %d rows does not meet the lower bound %d; "
-                     "exact fallback", survivors - ech.rank, len(rows),
+                     "exact fallback", survivors - ech.rank, assembled,
                      lower_bound)
         return None
     return Certificate(PRIME, None if point is None else str(point), used,
-                       len(rows), survivors, ech.rank)
+                       assembled, survivors, ech.rank)
 
 
 def _ratfunc_rank(rows) -> int:
@@ -298,12 +319,20 @@ def span_rank(images, points=DEFAULT_POINTS) -> int:
 
 
 def check_membership(images, gens) -> None:
-    """Every image must commute with every generator, exactly."""
-    for idx, img in enumerate(images):
-        for gen in gens:
+    """Every image must commute with every generator, exactly.
+
+    `images` is a list, or a dict from names to images (such as
+    `diagram_generators` returns); the error names the failing one.
+    """
+    if isinstance(images, dict):
+        named = {f"diagram generator {k}": v for k, v in images.items()}
+    else:
+        named = {f"image {idx}": v for idx, v in enumerate(images)}
+    for name, img in named.items():
+        for j, gen in enumerate(gens):
             if (img @ gen) != (gen @ img):
                 raise MembershipError(
-                    f"image {idx} does not centralise a symmetry generator")
+                    f"{name} does not centralise symmetry generator {j}")
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +387,23 @@ class FftReport:
 def _glq_span_ranks(datum: RootDatum, r: int, s: int, points,
                     budget: int) -> list[int]:
     """Ranks at the points of the Hecke (walled if s > 0) images, after
-    checking exactly that every image centralises every generator."""
+    checking exactly that every diagram generator, and so every image,
+    centralises every symmetry generator."""
     ctx = make_context("glq", datum=datum, budget=max(budget, 4096))
     kind = "hecke" if s == 0 else "walled"
+    check_membership(diagram_generators(kind, ctx, r, s),
+                     _glq_generator_mats(datum, r, s))
     images = image_basis(kind, ctx, r, s, points=points)
-    check_membership(images, _glq_generator_mats(datum, r, s))
     return ranks_at([vectorize(img) for img in images], points)
 
 
 def _osp_span_rank(m: int, n: int, r: int, budget: int) -> int:
-    """Rank over Q of the Brauer images, after the exact membership check."""
+    """Rank over Q of the Brauer images, after checking exactly that every
+    s_i and e_i, and so every image, centralises every symmetry generator."""
     ctx = make_context("osp_classical", m=m, n=n, budget=max(budget, 4096))
+    check_membership(diagram_generators("brauer", ctx, r),
+                     _osp_generator_mats(m, n, r))
     images = image_basis("brauer", ctx, r)
-    check_membership(images, _osp_generator_mats(m, n, r))
     return int_rank([vectorize(img) for img in images])
 
 
@@ -464,14 +497,19 @@ def relation_check(kind: str, m: int, n: int, r: int = 2,
 
     V is the natural module of the family's algebra (RELATION_ALGEBRA).
     Relations are placed on r >= 2 strands, and BudgetError is raised
-    before anything is built when dim(V)^r exceeds the budget.
+    before anything is built when dim(V)^r exceeds the budget.  The bmw
+    family is checked in the spectral model, which has no strands and
+    builds no tensor power: it takes only r = 2 and no budget applies.
     """
     if kind not in RELATION_ALGEBRA:
         raise ValueError(f"unknown relation family {kind!r}")
     if r < 2:
         raise ValueError(f"a relation spans two strands; got r = {r}")
+    if kind == "bmw" and r != 2:
+        raise ValueError(f"the bmw family is checked in the spectral model, "
+                         f"which has no strands; r must be 2, got {r}")
     d = m + n if RELATION_ALGEBRA[kind] == "gl" else m + 2 * n
-    if d ** r > budget:
+    if kind != "bmw" and d ** r > budget:
         raise BudgetError(f"V^(x){r} has dimension {d ** r}, over budget "
                           f"{budget}")
     items = []

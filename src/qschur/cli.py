@@ -9,12 +9,14 @@ by default and machine JSON with --json; JSON is byte-deterministic for a
 fixed configuration (timings only appear with --timing).
 
 Relations run in the distinguished ordering, hecke and walledbmw on gl,
-bmw and brauer on osp.  Only commands that build tensor powers take --budget.
+bmw and brauer on osp.  bmw is checked in a spectral model with no strands,
+so it takes -r 2 only and no budget applies.  Only commands that build
+tensor powers take --budget.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (also a
 malformed --ribbon-json, a tensor power -r below 1, or below 2 for
-relations and a brauer check, a relation family on the wrong algebra, and a
---budget below 1), 3 budget exceeded.
+relations and a brauer check, -r other than 2 for bmw, a relation family
+on the wrong algebra, and a --budget below 1), 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -328,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("hecke", "walledbmw", "bmw", "brauer"),
                    required=True)
     p.add_argument("-r", type=_at_least(2), default=2,
-                   help="strands; a relation spans two")
+                   help="strands; a relation spans two (bmw: 2 only)")
     p.add_argument("--z", help="walled loop parameter (defaults to [m-n]_q)")
     p.set_defaults(func=cmd_relations)
 

@@ -15,7 +15,9 @@ image_basis() produces the spanning sets the centralizer comparisons use:
 Hecke (braiding lifts of reduced permutation words), Brauer (classical
 diagram images via the certified diagram factorisation), and walled (the
 algebra generated by V-side crossings, dualised V*-side crossings and the
-wall turnback on V^{(x) r} (x) V*^{(x) s}).
+wall turnback on V^{(x) r} (x) V*^{(x) s}).  Each set is multiplied out of
+the placed elementary tangles that diagram_generators() returns, so every
+image is a product of those generators.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, SuperSpace,
 
 __all__ = [
     "EvalContext", "make_context", "evaluate", "invariant", "image_basis",
-    "BudgetError", "brauer_diagram_matrix", "hecke_word_matrices",
-    "dual_braiding",
+    "diagram_generators", "BudgetError", "brauer_diagram_matrix",
+    "hecke_word_matrices", "dual_braiding",
 ]
 
 DEFAULT_BUDGET = 625  # max dimension of any space met during evaluation
@@ -160,12 +162,7 @@ def _placed(ctx: EvalContext, mat: SparseMat, i: int, r: int) -> SparseMat:
 
 def hecke_word_matrices(ctx: EvalContext, r: int) -> list[SparseMat]:
     """Images of positive braid lifts of reduced words, one per permutation."""
-    if ctx.flavor != "glq":
-        raise ValueError("Hecke images live in the glq context")
-    g = ctx.images["X+"]
-    if ctx.V.dim ** r > ctx.budget:
-        raise BudgetError(f"V^(x){r} exceeds budget {ctx.budget}")
-    gi = [None] + [_placed(ctx, g, i, r) for i in range(1, r)] if r > 1 else [None]
+    gi = [None] + list(diagram_generators("hecke", ctx, r).values())
     out = []
     for perm in itertools.permutations(range(r)):
         mat = SparseMat.identity(ctx.V.tensor_power(r))
@@ -239,26 +236,27 @@ def dual_braiding(ctx: EvalContext) -> SparseMat:
             @ kron_chain([upp, iVd, iVd]))
 
 
-def _walled_generators(ctx: EvalContext, r: int, s: int) -> list[SparseMat]:
+def _walled_generators(ctx: EvalContext, r: int,
+                       s: int) -> dict[str, SparseMat]:
     V, Vd = ctx.V, ctx.V.dual()
     iV, iVd = SparseMat.identity(V), SparseMat.identity(Vd)
-    out = []
+    out = {}
     for i in range(1, r):
-        out.append(kron_chain([iV] * (i - 1) + [ctx.images["X+"]]
-                              + [iV] * (r - i - 1) + [iVd] * s))
-        out.append(kron_chain([iV] * (i - 1) + [ctx.images["X-"]]
-                              + [iV] * (r - i - 1) + [iVd] * s))
+        for tok in ("X+", "X-"):
+            out[f"{tok} at strand {i}"] = kron_chain(
+                [iV] * (i - 1) + [ctx.images[tok]] + [iV] * (r - i - 1)
+                + [iVd] * s)
     if r >= 1 and s >= 1:
         turn = ctx.images["U+"] @ ctx.images["Om-"]  # V (x) V* -> V (x) V*
-        out.append(kron_chain([iV] * (r - 1) + [turn] + [iVd] * (s - 1)))
+        out["wall turnback"] = kron_chain([iV] * (r - 1) + [turn]
+                                          + [iVd] * (s - 1))
     if s >= 2:
         gd = dual_braiding(ctx)
         gd_inv = gd.inverse()
         for j in range(1, s):
-            out.append(kron_chain([iV] * r + [iVd] * (j - 1) + [gd]
-                                  + [iVd] * (s - j - 1)))
-            out.append(kron_chain([iV] * r + [iVd] * (j - 1) + [gd_inv]
-                                  + [iVd] * (s - j - 1)))
+            for tok, mat in (("X+", gd), ("X-", gd_inv)):
+                out[f"dual {tok} at strand {r + j}"] = kron_chain(
+                    [iV] * r + [iVd] * (j - 1) + [mat] + [iVd] * (s - j - 1))
     return out
 
 
@@ -272,10 +270,8 @@ def _walled_images(ctx: EvalContext, r: int, s: int,
     is new); if a denominator vanishes mod p, the closure is redone with
     exact re-ranks.
     """
-    if ctx.V.dim ** (r + s) > ctx.budget:
-        raise BudgetError(f"mixed space V^{r} (x) V*^{s} exceeds budget")
+    gens = list(diagram_generators("walled", ctx, r, s).values())
     ident = SparseMat.identity(ctx.space_of(("+",) * r + ("-",) * s))
-    gens = _walled_generators(ctx, r, s)
     point = list(points)[0]
     cap = math.factorial(r + s)
     try:
@@ -313,22 +309,51 @@ def _span_closure(ident, gens, point, cap, add) -> list[SparseMat]:
     return basis
 
 
+#: The context flavor each kind of spanning set lives in.
+_IMAGE_FLAVOR = {"hecke": "glq", "brauer": "osp_classical", "walled": "glq"}
+
+
+def _check_kind(kind: str, ctx: EvalContext, r: int, s: int) -> None:
+    if kind not in _IMAGE_FLAVOR:
+        raise ValueError(f"unknown image basis kind {kind!r}")
+    if ctx.flavor != _IMAGE_FLAVOR[kind]:
+        raise ValueError(f"{kind} images live in the {_IMAGE_FLAVOR[kind]} "
+                         "context")
+    if ctx.V.dim ** (r + s) > ctx.budget:
+        raise BudgetError(f"V^(x){r} (x) V*^(x){s} exceeds budget "
+                          f"{ctx.budget}")
+
+
+def diagram_generators(kind: str, ctx: EvalContext, r: int,
+                       s: int = 0) -> dict[str, SparseMat]:
+    """The placed elementary tangles that image_basis multiplies out, by name.
+
+    Hecke: the braiding X+ at strands i, i+1 for i = 1..r-1.  Brauer: the
+    `osp.brauer_rep` images s_i and e_i.  Walled: X+ and X- on the V side,
+    the wall turnback, and X+ and X- on the V* side.  Every image of the
+    same kind is a product of these (the identity is the empty product), so
+    a map that commutes with all of them commutes with the whole span.
+    """
+    _check_kind(kind, ctx, r, s)
+    if kind == "hecke":
+        return {f"X+ at strand {i}": _placed(ctx, ctx.images["X+"], i, r)
+                for i in range(1, r)}
+    if kind == "brauer":
+        return {f"{g}{i}": mat
+                for (g, i), mat in osp_mod.brauer_rep(*ctx.mn, r).items()}
+    return _walled_generators(ctx, r, s)
+
+
 def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
                 points=None) -> list[SparseMat]:
-    """Spanning set of diagram images on the r-th (mixed) tensor power."""
+    """Spanning set of diagram images on the r-th (mixed) tensor power, each
+    a product of the matrices `diagram_generators` returns (Brauer images
+    through the same cached `osp.brauer_rep`)."""
+    _check_kind(kind, ctx, r, s)
     if kind == "hecke":
         if math.factorial(r) > 5000:
             raise BudgetError("Hecke word count r! exceeds budget")
         return hecke_word_matrices(ctx, r)
     if kind == "brauer":
-        if ctx.flavor != "osp_classical":
-            raise ValueError("Brauer images live in the osp_classical context")
-        m, n = ctx.mn
-        if ctx.V.dim ** r > ctx.budget:
-            raise BudgetError(f"V^(x){r} exceeds budget {ctx.budget}")
-        return [brauer_diagram_matrix(d, m, n) for d in brauer_basis(r)]
-    if kind == "walled":
-        if ctx.flavor != "glq":
-            raise ValueError("walled images live in the glq context")
-        return _walled_images(ctx, r, s, points or DEFAULT_POINTS)
-    raise ValueError(f"unknown image basis kind {kind!r}")
+        return [brauer_diagram_matrix(d, *ctx.mn) for d in brauer_basis(r)]
+    return _walled_images(ctx, r, s, points or DEFAULT_POINTS)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .rootdata import distinguished
 from .scalar import ONE, RatFunc, qint, qpow
@@ -172,8 +173,12 @@ def leibniz_tensor(X: SparseMat, r: int) -> SparseMat:
     return total
 
 
-def brauer_rep(m: int, n: int, r: int) -> dict:
-    """Images of the Brauer generators on V^{(x) r}: s_i -> tau_i, e_i -> E_i."""
+@lru_cache(maxsize=None)
+def brauer_rep(m: int, n: int, r: int) -> MappingProxyType:
+    """Images of the Brauer generators on V^{(x) r}: s_i -> tau_i, e_i -> E_i.
+
+    Keyed ("s", i) and ("e", i); cached, so the mapping is read-only.
+    """
     if r < 1:
         raise ValueError("tensor power must be >= 1")
     V = natural_space(m, n)
@@ -184,7 +189,7 @@ def brauer_rep(m: int, n: int, r: int) -> dict:
     for i in range(1, r):
         out[("s", i)] = kron_chain([iV] * (i - 1) + [t] + [iV] * (r - i - 1))
         out[("e", i)] = kron_chain([iV] * (i - 1) + [E] + [iV] * (r - i - 1))
-    return out
+    return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def assert_certified(rep) -> None:
     cert = rep.certificate
     assert cert is not None, (rep.flavor, rep.m, rep.n, rep.r, rep.s)
     assert cert.survivors - cert.rank == rep.span_rank == rep.commutant_dim
-    assert cert.rows_used <= cert.rows_total
+    assert cert.rows_used <= cert.rows_assembled
 
 
 def commutator_rows(gens, dim: int) -> list[dict]:

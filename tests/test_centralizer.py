@@ -1,16 +1,20 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import assert_certified, commutator_rows, dense_nullity
+from qschur import osp as osp_mod
+from qschur import qgl
 from qschur.centralizer import (MembershipError, _glq_generator_mats,
-                                _osp_generator_mats, certify_nullity,
-                                check_membership, commutant_dim_gl_classical,
-                                commutant_dim_glq, commutant_dim_osp,
-                                commutant_nullity, commutant_nullity_exact_qq,
-                                fft_report, least_nullity, relation_check,
-                                span_rank)
-from qschur.functor import BudgetError, image_basis, make_context
+                                _osp_generator_mats, assemble_commutant_rows,
+                                certify_nullity, check_membership,
+                                commutant_dim_gl_classical, commutant_dim_glq,
+                                commutant_dim_osp, commutant_nullity,
+                                commutant_nullity_exact_qq, fft_report,
+                                least_nullity, relation_check, span_rank)
+from qschur.functor import (BudgetError, diagram_generators, image_basis,
+                            make_context)
 from qschur.qgl import act_tensor, generator_names, natural_rep
 from qschur.rootdata import distinguished
 from qschur.scalar import Q, RatFunc, qint
@@ -225,7 +229,7 @@ def test_certified_and_exact_nullities_match_dense_oracle():
         assert commutant_nullity(gens, dim) == want
         cert = certify_nullity(gens, dim, want, point)
         assert cert is not None and cert.survivors - cert.rank == want
-        assert cert.rows_used <= cert.rows_total
+        assert cert.rows_used <= cert.rows_assembled
         assert cert.prime == PRIME
 
 
@@ -261,3 +265,114 @@ def test_budget_guards():
         commutant_dim_osp(3, 2, 3, budget=10)
     with pytest.raises(BudgetError):
         fft_report("osp", 3, 1, 2, budget=10)
+
+
+def test_relation_check_bmw_takes_two_strands_and_no_budget():
+    # the spectral model has no strands: r = 2 only, and no tensor power is
+    # built, so the dim(V)^r budget does not apply
+    for r in (3, 5, 9):
+        with pytest.raises(ValueError, match="spectral model"):
+            relation_check("bmw", 3, 1, r=r)
+    assert relation_check("bmw", 3, 1, r=2, budget=1).all_zero
+
+
+# ---------------------------------------------------------------------------
+# Membership on diagram generators.
+
+def test_diagram_generators_and_image_counts():
+    gl21 = make_context("glq", datum=distinguished("gl", 2, 1))
+    osp31 = make_context("osp_classical", m=3, n=1)
+    cases = [
+        ("hecke", gl21, 3, 0, 6, ["X+ at strand 1", "X+ at strand 2"]),
+        ("brauer", osp31, 3, 0, 15, ["s1", "e1", "s2", "e2"]),
+        ("walled", gl21, 2, 1, 6,
+         ["X+ at strand 1", "X- at strand 1", "wall turnback"]),
+    ]
+    for kind, ctx, r, s, n_images, names in cases:
+        assert len(image_basis(kind, ctx, r, s)) == n_images, kind
+        assert list(diagram_generators(kind, ctx, r, s)) == names, kind
+    # one strand: the identity is the only image, and no generator is placed
+    assert diagram_generators("hecke", gl21, 1) == {}
+    assert diagram_generators("brauer", osp31, 1) == {}
+
+
+def _ungraded_flip(V, W):
+    """v (x) w -> w (x) v without the Koszul sign: not a module map."""
+    return SparseMat(V.tensor(W), W.tensor(V),
+                     {(w * V.dim + v, v * W.dim + w): 1
+                      for v in range(V.dim) for w in range(W.dim)})
+
+
+@pytest.fixture
+def ungraded_tau(monkeypatch):
+    monkeypatch.setattr(osp_mod, "tau", _ungraded_flip)
+    osp_mod.brauer_rep.cache_clear()
+    yield
+    osp_mod.brauer_rep.cache_clear()
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 1)])
+def test_membership_catches_an_ungraded_brauer_flip(ungraded_tau, m, n):
+    with pytest.raises(MembershipError, match="diagram generator s1"):
+        fft_report("osp", m, n, 2)
+
+
+@pytest.mark.parametrize("m, n, r, s", [(2, 1, 2, 0), (1, 1, 2, 1)])
+def test_membership_catches_an_ungraded_gl_braiding(monkeypatch, m, n, r, s):
+    def flip(datum):
+        V = qgl.natural_space(datum)
+        return _ungraded_flip(V, V)
+    monkeypatch.setattr(qgl, "braiding", flip)
+    monkeypatch.setattr(qgl, "braiding_inverse", flip)
+    with pytest.raises(MembershipError, match="diagram generator X"):
+        fft_report("gl", m, n, r, s)
+
+
+def test_membership_names_the_failing_image_of_a_list():
+    d = distinguished("gl", 1, 1)
+    rep = natural_rep(d)
+    gens = [act_tensor(rep, g, 2) for g in generator_names(d)]
+    ident = SparseMat.identity(gens[0].src)
+    with pytest.raises(MembershipError, match="image 1 "):
+        check_membership([ident, act_tensor(rep, "e1", 2)], gens)
+
+
+# ---------------------------------------------------------------------------
+# Commutant rows assembled one generator at a time.
+
+def test_per_generator_batches_concatenate_to_the_full_assembly():
+    pt = DEFAULT_POINTS[0]
+    glq = _glq_generator_mats(distinguished("gl", 2, 1), 2)
+    for gens in (_osp_generator_mats(3, 1, 2), [g.specialize(pt) for g in glq]):
+        dim = gens[0].rows
+        diag = [g for g in gens if all(i == j for (i, j) in g.entries)]
+        other = [g for g in gens if g not in diag]
+        assert diag and other
+        survivors, rows = assemble_commutant_rows(gens, dim)
+        batched = []
+        for P in other:
+            batch_survivors, batch = assemble_commutant_rows(diag + [P], dim)
+            assert batch_survivors == survivors
+            batched += batch
+        assert batched == rows
+
+
+def test_certificate_rows_match_the_full_assembly_order():
+    # rows_used as recorded when every row was assembled before elimination
+    osp_cells = [(m, n, r) for (m, n) in [(1, 1), (2, 1), (3, 1), (4, 1),
+                                          (3, 2)] for r in (1, 2, 3)]
+    used = assembled = 0
+    for (m, n, r) in osp_cells:
+        dim, cert = commutant_dim_osp(m, n, r,
+                                      lower_bound=math.prod(range(1, 2 * r, 2)))
+        assert cert is not None and cert.rows_used <= cert.rows_assembled
+        if (m, n, r) == (3, 1, 3):
+            assert cert.rows_used == 1176 and cert.rows_assembled == 1476
+        if (m, n, r) == (4, 1, 3):
+            assert cert.rows_used == 3020 and cert.rows_assembled == 3600
+        used += cert.rows_used
+        assembled += cert.rows_assembled
+    # of the 70,680 rows that full assembly builds on these 15 cells
+    assert (used, assembled) == (11406, 13812)
+    _, cert = commutant_dim_glq(distinguished("gl", 2, 1), 4, lower_bound=24)
+    assert (cert.rows_used, cert.rows_assembled) == (1587, 1824)

@@ -225,13 +225,27 @@ def test_budget_is_not_an_option_where_nothing_is_bounded(capsys, command):
 
 @pytest.mark.parametrize("argv", [
     ["relations", "gl", "2|1", "--kind", "hecke", "-r", "3", "--budget", "26"],
-    ["relations", "osp", "3|2", "--kind", "bmw", "-r", "3", "--budget", "124"],
+    ["relations", "osp", "3|2", "--kind", "brauer", "-r", "3", "--budget",
+     "124"],
     ["brauer", "-r", "3", "osp", "3|2", "--budget", "124"],
 ])
 def test_relations_and_brauer_honour_the_budget(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and err.startswith("budget exceeded")
     assert run(capsys, *argv[:-1], "125")[0] == 0
+
+
+@pytest.mark.parametrize("r", ["3", "5", "9"])
+def test_bmw_takes_two_strands_only(capsys, r):
+    code, out, err = run(capsys, "relations", "osp", "3|2", "--kind", "bmw",
+                         "-r", r)
+    assert code == 2 and out == "" and "spectral model" in err
+
+
+def test_bmw_builds_no_tensor_power_and_ignores_the_budget(capsys):
+    code, out, _ = run(capsys, "relations", "osp", "3|2", "--kind", "bmw",
+                       "--budget", "1")
+    assert code == 0 and "all zero: True" in out
 
 
 @pytest.mark.parametrize("argv", [
