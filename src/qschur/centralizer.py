@@ -12,19 +12,29 @@ an elimination order for the full honest system, not a reduction of it.
 product of the diagram generators (`functor.diagram_generators`: placed
 crossings, turnbacks, s_i and e_i), and each of those is verified exactly
 to commute with every symmetry generator; so every image does, and its span
-rank (at a point, or over Q for osp) is a lower bound for the commutant
-dimension.  Specialising q, or reducing mod a prime p, can only lower the
-rank of the constraint rows, so survivors - rank_p(any prefix of the rows)
-is an upper bound.  The commutant rows are therefore assembled one
-symmetry generator at a time and fed to the F_p `Echelon` until the two
-bounds meet; no rows are built past that stop, which proves `equal` and is
-recorded as a `Certificate` (prime, point, rows used of rows assembled,
-survivors, rank).  If the bounds never meet, or a denominator vanishes
-mod p, the fallback is logged and the exact path decides: one nullity over
-Q for osp, or for quantum gl the least of the exact nullities at the
-rational points, each of which is an upper bound for the nullity over Q(q)
-(`least_nullity`).  Gap verdicts therefore always come from exact
-arithmetic.  span_rank <= commutant_dim is asserted in every case.
+rank is a lower bound for the commutant dimension.  For osp that rank is
+exact over Q.  For quantum gl the images are reduced at each point q = a
+straight to residues mod p and ranked in the F_p `Echelon`; reduction mod
+p and specialisation can only lower a rank, so
+
+    rank_p(span at a) <= rank_Q(span at a) <= generic span rank
+                      <= commutant dim <= survivors - rank_p(rows),
+
+where rank_p(rows) is the rank mod p of any prefix of the commutant rows.
+The commutant rows are therefore assembled one symmetry generator at a
+time and fed to the F_p `Echelon` until the two ends of the chain meet; no
+rows are built past that stop, which proves `equal` and is recorded as a
+`Certificate` (prime, point, rows used of rows assembled, survivors, rank).
+Then every gl point whose rank mod p meets the bound has that exact rank
+too, and only a point short of it is ranked exactly, so `agreement`
+compares exact ranks.  If the bounds never meet, or a denominator
+vanishes mod p, the fallback is logged and the exact path decides: one
+nullity over Q for osp, or for quantum gl the least of the exact nullities
+at the rational points, each of which is an upper bound for the nullity
+over Q(q) (`least_nullity`), against exact gl span ranks at every point of
+images rebuilt by an exact walled closure.  Gap verdicts therefore always
+come from exact arithmetic.  span_rank <= commutant_dim is asserted in
+every case.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from .functor import (BudgetError, EvalContext, diagram_generators, evaluate,
                       image_basis, make_context)
 from .rootdata import RootDatum, distinguished
 from .scalar import RatFunc, qint
-from .superspace import (DEFAULT_POINTS, PRIME, Echelon, SparseMat,
+from .superspace import (DEFAULT_POINTS, Echelon, SparseMat,
                          UnluckyPrime, int_rank, kron_chain, log_fallback,
                          ranks_at, vectorize)
 
@@ -171,7 +181,7 @@ def certify_nullity(gens: list[SparseMat], dim: int, lower_bound: int,
                      "exact fallback", survivors - ech.rank, assembled,
                      lower_bound)
         return None
-    return Certificate(PRIME, None if point is None else str(point), used,
+    return Certificate(ech.prime, None if point is None else str(point), used,
                        assembled, survivors, ech.rank)
 
 
@@ -386,15 +396,41 @@ class FftReport:
 
 def _glq_span_ranks(datum: RootDatum, r: int, s: int, points,
                     budget: int) -> list[int]:
-    """Ranks at the points of the Hecke (walled if s > 0) images, after
-    checking exactly that every diagram generator, and so every image,
-    centralises every symmetry generator."""
+    """Ranks mod p at the points of the Hecke (walled if s > 0) images,
+    after checking exactly that every diagram generator, and so every image,
+    centralises every symmetry generator.
+
+    Each rank is a proved lower bound for the exact rank at its point; a
+    point where a denominator vanishes mod p counts 0.
+    """
     ctx = make_context("glq", datum=datum, budget=max(budget, 4096))
     kind = "hecke" if s == 0 else "walled"
     check_membership(diagram_generators(kind, ctx, r, s),
                      _glq_generator_mats(datum, r, s))
     images = image_basis(kind, ctx, r, s, points=points)
-    return ranks_at([vectorize(img) for img in images], points)
+    ranks = []
+    for point in points:
+        ech = Echelon()
+        try:
+            for img in images:
+                ech.add(vectorize(img.residues(point)))
+            ranks.append(ech.rank)
+        except UnluckyPrime as exc:
+            log_fallback(__name__, "span rank at q = %s: %s; exact rank",
+                         point, exc)
+            ranks.append(0)
+    return ranks
+
+
+def _glq_exact_ranks(datum: RootDatum, r: int, s: int, points, budget: int,
+                     at, exact: bool = False) -> list[int]:
+    """Exact ranks at the points `at` of the images, rebuilt as
+    `_glq_span_ranks` built them (the walled closure runs at points[0]),
+    or with `exact` from a walled closure tested by exact re-ranks."""
+    ctx = make_context("glq", datum=datum, budget=max(budget, 4096))
+    kind = "hecke" if s == 0 else "walled"
+    images = image_basis(kind, ctx, r, s, points=points, exact=exact)
+    return ranks_at([vectorize(img) for img in images], at)
 
 
 def _osp_span_rank(m: int, n: int, r: int, budget: int) -> int:
@@ -407,6 +443,26 @@ def _osp_span_rank(m: int, n: int, r: int, budget: int) -> int:
     return int_rank([vectorize(img) for img in images])
 
 
+def _check_cell(flavor: str, r: int, s: int, points) -> None:
+    """Reject a malformed cell before any work starts."""
+    if flavor not in ("gl", "osp"):
+        raise ValueError(f"unknown fft flavor {flavor!r}")
+    if r < 1:
+        raise ValueError(f"tensor power r must be at least 1, got {r}")
+    if s < 0:
+        raise ValueError(f"dual tensor factors s must be at least 0, got {s}")
+    if flavor == "osp" and s:
+        raise ValueError("dual tensor factors s apply to gl only; the osp "
+                         "natural module is self-dual")
+    values = [Fraction(p) for p in points]
+    if not values:
+        raise ValueError("at least one specialisation point is required")
+    if len(set(values)) != len(values):
+        raise ValueError(f"specialisation points repeat a point: {values}")
+    if {0, 1, -1} & set(values):
+        raise ValueError("specialisation points must avoid 0, 1 and -1")
+
+
 def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
                points=DEFAULT_POINTS,
                budget: int = DEFAULT_UNKNOWN_BUDGET) -> FftReport:
@@ -416,20 +472,33 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     flavor "osp": classical osp(m|2n) with the sigma-extended pair and
     Brauer images; for even m the spanning bound 2r < m(2n+1) is recorded.
     The span rank is computed first and bounds the commutant elimination
-    from below (see the module docstring).
+    from below (see the module docstring).  A malformed cell (r < 1, s < 0,
+    s > 0 for osp, or points that are empty, repeated, or among 0 and +-1)
+    raises ValueError before any work starts.
     """
     t0 = time.monotonic()
     points = list(points)
+    _check_cell(flavor, r, s, points)
     if flavor == "gl":
         datum = distinguished("gl", m, n)
         _check_unknowns(qgl.natural_space(datum).dim ** (r + s), budget)
         ranks = _glq_span_ranks(datum, r, s, points, budget)
         srank = max(ranks)
-        agreement = len(set(ranks)) == 1
         cdim, cert = commutant_dim_glq(datum, r, points, s=s, budget=budget,
                                        lower_bound=srank)
+        if cert is None:
+            ranks = _glq_exact_ranks(datum, r, s, points, budget, points,
+                                     exact=True)
+            srank = max(ranks)
+        elif len(set(ranks)) > 1:
+            # rank_p <= rank_Q <= srank at every point, so only the points
+            # short of srank need an exact rank
+            short = [a for a, rk in zip(points, ranks) if rk != srank]
+            exact = iter(_glq_exact_ranks(datum, r, s, points, budget, short))
+            ranks = [rk if rk == srank else next(exact) for rk in ranks]
+        agreement = len(set(ranks)) == 1
         bound = bound_lhs = bound_ok = None
-    elif flavor == "osp":
+    else:
         _check_unknowns(osp_mod.natural_space(m, n).dim ** r, budget)
         srank = _osp_span_rank(m, n, r, budget)
         agreement = True
@@ -440,8 +509,6 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
             bound_ok = bound_lhs < bound
         else:
             bound = bound_lhs = bound_ok = None
-    else:
-        raise ValueError(f"unknown fft flavor {flavor!r}")
     if srank > cdim:
         raise MembershipError(
             f"span rank {srank} exceeds commutant dimension {cdim}; "

@@ -260,24 +260,30 @@ def _walled_generators(ctx: EvalContext, r: int,
     return out
 
 
-def _walled_images(ctx: EvalContext, r: int, s: int,
-                   points) -> list[SparseMat]:
+def _walled_images(ctx: EvalContext, r: int, s: int, points,
+                   exact: bool = False) -> list[SparseMat]:
     """Span closure of the walled generator algebra (contains the identity).
 
-    Candidates g @ b are kept when their specialisation at the first point
-    is independent of the kept ones.  The test runs incrementally mod p
-    (independence mod p implies independence over Q, so every kept image
-    is new); if a denominator vanishes mod p, the closure is redone with
-    exact re-ranks.
+    A candidate g @ b is kept when its value at the first point is
+    independent of the kept images' values.  The test runs on residues mod
+    p: residue(g) o residue(b) is reduced incrementally against the kept
+    ones, and only a kept candidate is multiplied out over Q(q).
+    Independence mod p implies independence over Q, so every kept image is
+    new, but a candidate independent over Q may be dropped.  If a
+    denominator vanishes mod p, or with `exact`, the closure is redone with
+    exact re-ranks of the specialised images instead.
     """
     gens = list(diagram_generators("walled", ctx, r, s).values())
     ident = SparseMat.identity(ctx.space_of(("+",) * r + ("-",) * s))
     point = list(points)[0]
     cap = math.factorial(r + s)
-    try:
-        return _span_closure(ident, gens, point, cap, Echelon().add)
-    except UnluckyPrime as exc:
-        log_fallback(__name__, "walled closure: %s; exact re-ranks", exc)
+    if not exact:
+        try:
+            return _span_closure(ident, gens, cap,
+                                 lambda mat: mat.residues(point),
+                                 SparseMat.matmul_mod, Echelon().add)
+        except UnluckyPrime as exc:
+            log_fallback(__name__, "walled closure: %s; exact re-ranks", exc)
     rows = []
 
     def exact_add(row):
@@ -286,23 +292,32 @@ def _walled_images(ctx: EvalContext, r: int, s: int,
             return True
         return False
 
-    return _span_closure(ident, gens, point, cap, exact_add)
+    return _span_closure(ident, gens, cap, lambda mat: mat.specialize(point),
+                         SparseMat.__matmul__, exact_add)
 
 
-def _span_closure(ident, gens, point, cap, add) -> list[SparseMat]:
-    """Breadth-first products of gens on ident, kept where `add` accepts
-    the row specialised at `point`, until `cap` images are kept."""
-    add(vectorize(ident.specialize(point)))
+def _span_closure(ident, gens, cap, value, mul, add) -> list[SparseMat]:
+    """Breadth-first products of gens on ident, until `cap` are kept.
+
+    `value` maps an image over Q(q) to its value at the point (residues or
+    a specialisation), and mul(value(g), value(b)) is the value of g @ b.
+    The candidate is kept, and only then multiplied out over Q(q), where
+    `add` accepts the row of its value.
+    """
+    gen_values = [(g, value(g)) for g in gens]
+    ident_value = value(ident)
+    add(vectorize(ident_value))
     basis = [ident]
-    frontier = [ident]
+    frontier = [(ident, ident_value)]
     while frontier and len(basis) < cap:
         new_frontier = []
-        for b in frontier:
-            for g in gens:
-                cand = g @ b
-                if add(vectorize(cand.specialize(point))):
+        for b, b_value in frontier:
+            for g, g_value in gen_values:
+                c_value = mul(g_value, b_value)
+                if add(vectorize(c_value)):
+                    cand = g @ b
                     basis.append(cand)
-                    new_frontier.append(cand)
+                    new_frontier.append((cand, c_value))
                     if len(basis) >= cap:
                         return basis
         frontier = new_frontier
@@ -345,10 +360,14 @@ def diagram_generators(kind: str, ctx: EvalContext, r: int,
 
 
 def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
-                points=None) -> list[SparseMat]:
+                points=None, exact: bool = False) -> list[SparseMat]:
     """Spanning set of diagram images on the r-th (mixed) tensor power, each
     a product of the matrices `diagram_generators` returns (Brauer images
-    through the same cached `osp.brauer_rep`)."""
+    through the same cached `osp.brauer_rep`).
+
+    The walled set is a span closure at the first point, tested mod p
+    unless `exact` (see `_walled_images`); other kinds ignore `exact`.
+    """
     _check_kind(kind, ctx, r, s)
     if kind == "hecke":
         if math.factorial(r) > 5000:
@@ -356,4 +375,4 @@ def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
         return hecke_word_matrices(ctx, r)
     if kind == "brauer":
         return [brauer_diagram_matrix(d, *ctx.mn) for d in brauer_basis(r)]
-    return _walled_images(ctx, r, s, points or DEFAULT_POINTS)
+    return _walled_images(ctx, r, s, points or DEFAULT_POINTS, exact)

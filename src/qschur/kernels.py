@@ -23,7 +23,11 @@ def _reduce_content(row):
 
 
 def rank_of_int_rows(rows):
-    """Rank over Q of the span of integer rows (iterable of col->int dicts)."""
+    """Rank over Q of the span of integer rows (iterable of col->int dicts).
+
+    Through `superspace.int_rank` it ranks the osp span and serves the exact
+    fallbacks; the certified paths eliminate mod p in `superspace.Echelon`.
+    """
     pivots = {}
     rank = 0
     for row in sorted(rows, key=len):

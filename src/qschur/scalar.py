@@ -19,11 +19,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-__all__ = ["RatFunc", "PoleError", "ZERO", "ONE", "Q", "qint", "qpow", "parse"]
+__all__ = ["RatFunc", "PoleError", "UnluckyPrime", "ZERO", "ONE", "Q",
+           "qint", "qpow", "parse", "rational_residue"]
 
 
 class PoleError(ArithmeticError):
     """Specialisation point is a pole of the rational function."""
+
+
+class UnluckyPrime(ArithmeticError):
+    """A denominator vanishes mod the working prime; use exact arithmetic."""
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +70,35 @@ def _pshift(a, s):
     return {e + s: c for e, c in a.items()}
 
 
-def _peval(a, x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for e, c in a.items():
-        out += c * x**e
-    return out
+def _horner(a, u, v, lo, hi):
+    """a(u/v) * u^-lo * v^hi, the int sum c_e u^(e-lo) v^(hi-e) over the
+    terms of a, by Horner's rule."""
+    acc, vpow = 0, 1
+    for e in range(hi, lo - 1, -1):
+        acc *= u
+        c = a.get(e)
+        if c:
+            acc += c * vpow
+        vpow *= v
+    return acc
+
+
+def _horner_mod(a, x, lo, hi, p):
+    """a(x) * x^-lo mod p, by Horner's rule."""
+    acc = 0
+    for e in range(hi, lo - 1, -1):
+        acc = (acc * x + a.get(e, 0)) % p
+    return acc
+
+
+def rational_residue(x, p: int) -> int:
+    """The residue mod p of an int or Fraction; UnluckyPrime if its
+    denominator vanishes mod p."""
+    if isinstance(x, int):
+        return x % p
+    if x.denominator % p == 0:
+        raise UnluckyPrime(f"denominator of {x} vanishes mod {p}")
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 # List form (ordinary polynomials, index = exponent) for gcd work.
@@ -298,14 +327,57 @@ class RatFunc:
     # -- specialisation -------------------------------------------------
 
     def specialize(self, point) -> Fraction:
-        """Exact value at q = point (a nonzero rational, not a pole)."""
+        """Exact value at q = point (a nonzero rational, not a pole).
+
+        Numerator and denominator are evaluated at point = u/v by Horner's
+        rule on ints; one Fraction is built at the end.
+        """
         point = Fraction(point)
         if point == 0:
             raise ValueError("cannot specialise at q = 0")
-        dv = _peval(self._d, point)
+        u, v = point.numerator, point.denominator
+        n, d = self._n, self._d
+        dhi = max(d)  # d is an ordinary polynomial: its lowest exponent is 0
+        dv = _horner(d, u, v, 0, dhi)
         if dv == 0:
             raise PoleError(f"q = {point} is a pole")
-        return _peval(self._n, point) / dv
+        if not n:
+            return Fraction(0)
+        nlo, nhi = min(n), max(n)
+        nv = _horner(n, u, v, nlo, nhi)
+        # n(a) / d(a) = nv u^nlo v^-nhi / (dv v^-dhi)
+        if nlo > 0:
+            nv *= u ** nlo
+        elif nlo < 0:
+            dv *= u ** -nlo
+        if dhi > nhi:
+            nv *= v ** (dhi - nhi)
+        elif nhi > dhi:
+            dv *= v ** (nhi - dhi)
+        return Fraction(nv, dv)
+
+    def residue(self, point, p: int) -> int:
+        """specialize(point) mod p for an int or Fraction point, computed in
+        F_p without building a Fraction.
+
+        UnluckyPrime if the point or the denominator vanishes mod p; the
+        exact `specialize` then decides whether the point is a pole.
+        """
+        x = rational_residue(point, p)
+        if not x:
+            raise UnluckyPrime(f"q = {point} vanishes mod {p}")
+        d = _horner_mod(self._d, x, 0, max(self._d), p)
+        if not d:
+            raise UnluckyPrime(f"denominator {_poly_str(self._d)} vanishes "
+                               f"mod {p} at q = {point}")
+        n = self._n
+        if not n:
+            return 0
+        lo = min(n)
+        nv = _horner_mod(n, x, lo, max(n), p)
+        if lo:
+            nv *= pow(x, lo, p)
+        return nv * pow(d, -1, p) % p
 
     # -- rendering -------------------------------------------------------
 

@@ -18,7 +18,9 @@ Rank and nullity are exact: entries are specialised at rational points
 (RatFunc) or taken as-is (Fraction/int), rows are cleared to integers and
 handed to the elimination kernel.  `Echelon` is the incremental companion
 over F_p: reduction mod p can only lower a rank, so its rank is a proved
-lower bound for the rank over Q.
+lower bound for the rank over Q.  `SparseMat.residues` reduces a matrix
+over Q(q) at q = a straight to F_p, without a Fraction, and
+`SparseMat.matmul_mod` multiplies such residue matrices.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from heapq import heapify, heappop, heappush
 from math import lcm
 
 from .kernels import rank_of_int_rows
-from .scalar import RatFunc
+from .scalar import RatFunc, UnluckyPrime, rational_residue
 
 __all__ = [
     "SuperSpace", "SparseMat", "unit_space", "tau", "graded_kron",
@@ -148,8 +150,8 @@ class SparseMat:
             res.entries = {k: s * v for k, v in self.entries.items()}
         return res
 
-    def __matmul__(self, other: "SparseMat") -> "SparseMat":
-        """Composition self o other (other acts first)."""
+    def _product_sums(self, other: "SparseMat") -> dict:
+        """Entries of self o other, zeros included."""
         if other.dst.dim != self.src.dim:
             raise ValueError(
                 f"dimension mismatch: {self.cols} != {other.rows} in product")
@@ -158,18 +160,23 @@ class SparseMat:
             rows_of_other.setdefault(k, []).append((j, v))
         out = {}
         for (i, k), a in self.entries.items():
-            rw = rows_of_other.get(k)
-            if not rw:
-                continue
-            for j, b in rw:
+            for j, b in rows_of_other.get(k, ()):
                 key = (i, j)
-                w = out.get(key, 0) + a * b
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + a * b
+        return out
+
+    def __matmul__(self, other: "SparseMat") -> "SparseMat":
+        """Composition self o other (other acts first)."""
         res = SparseMat(other.src, self.dst)
-        res.entries = out
+        res.entries = {k: w for k, w in self._product_sums(other).items() if w}
+        return res
+
+    def matmul_mod(self, other: "SparseMat") -> "SparseMat":
+        """self o other over F_p, p = PRIME, for matrices of residues."""
+        p = PRIME
+        res = SparseMat(other.src, self.dst)
+        res.entries = {k: w for k, v in self._product_sums(other).items()
+                       if (w := v % p)}
         return res
 
     def __pow__(self, k: int) -> "SparseMat":
@@ -197,6 +204,18 @@ class SparseMat:
         """Evaluate RatFunc entries at q = point (exact; raises on poles)."""
         return self.map_values(
             lambda v: v.specialize(point) if isinstance(v, RatFunc) else v)
+
+    def residues(self, point) -> "SparseMat":
+        """Entries at q = point reduced mod p = PRIME, as ints in [0, p).
+
+        Built without a Fraction; UnluckyPrime if the point or a
+        denominator vanishes mod p.
+        """
+        p = PRIME
+        x = rational_residue(Fraction(point), p)
+        return self.map_values(
+            lambda v: v.residue(x, p) if isinstance(v, RatFunc)
+            else rational_residue(v, p))
 
     # -- graded operations ------------------------------------------------
 
@@ -355,12 +374,21 @@ def _specialize_row(row, point):
 
 
 def int_rank(rows) -> int:
-    """Exact rank over Q of Fraction/int rows."""
+    """Exact rank over Q of Fraction/int rows.
+
+    It ranks the osp span (Brauer images have int entries) and serves the
+    exact fallbacks; the gl span is ranked mod p through `Echelon`.
+    """
     return rank_of_int_rows([_int_row(r) for r in rows])
 
 
 def ranks_at(mat_or_rows, points) -> list[int]:
-    """Exact rank of the specialised matrix at each point, in order."""
+    """Exact rank of the specialised matrix at each point, in order.
+
+    `fft_report` ranks the gl span mod p from residues (`SparseMat.residues`)
+    and calls this only at a point whose rank mod p falls short, or when the
+    commutant certificate fails.
+    """
     points = list(points)
     if not points:
         raise ValueError("at least one specialisation point is required")
@@ -389,10 +417,6 @@ def rank_at(mat_or_rows, points=DEFAULT_POINTS) -> int:
 PRIME = 2 ** 61 - 1
 
 
-class UnluckyPrime(ArithmeticError):
-    """A denominator vanishes mod the working prime; use exact arithmetic."""
-
-
 def log_fallback(logger: str, msg: str, *args) -> None:
     """Log, at INFO on the named logger, that a fast path fell back.
 
@@ -404,7 +428,7 @@ def log_fallback(logger: str, msg: str, *args) -> None:
 
 
 class Echelon:
-    """Incremental sparse row echelon form over F_p, p = PRIME.
+    """Incremental sparse row echelon form over F_p, p = PRIME when built.
 
     `add(row)` reduces an int/Fraction row mod p against the pivots kept so
     far and keeps it as a new pivot if anything is left.  Reduction mod p
@@ -415,20 +439,16 @@ class Echelon:
     """
 
     def __init__(self):
+        self.prime = PRIME
         self.rank = 0
         self._pivots: dict[int, dict[int, int]] = {}  # col -> row, pivot 1 implied
 
     def add(self, row: dict) -> bool:
         """Reduce `row` (column -> int/Fraction); True if it raised the rank."""
-        p, pivots = PRIME, self._pivots
+        p, pivots = self.prime, self._pivots
         red = {}
         for k, v in row.items():
-            if isinstance(v, Fraction):
-                if v.denominator % p == 0:
-                    raise UnluckyPrime(f"denominator of {v} vanishes mod {p}")
-                v = v.numerator * pow(v.denominator, -1, p)
-            v %= p
-            if v:
+            if v := rational_residue(v, p):
                 red[k] = v
         # Entries are reduced mod p only when their column comes up, so
         # they may grow past p meanwhile.  A column is queued exactly once:

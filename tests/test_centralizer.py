@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import assert_certified, commutator_rows, dense_nullity
+from qschur import centralizer
 from qschur import osp as osp_mod
-from qschur import qgl
+from qschur import qgl, superspace
 from qschur.centralizer import (MembershipError, _glq_generator_mats,
                                 _osp_generator_mats, assemble_commutant_rows,
                                 certify_nullity, check_membership,
@@ -265,6 +266,42 @@ def test_budget_guards():
         commutant_dim_osp(3, 2, 3, budget=10)
     with pytest.raises(BudgetError):
         fft_report("osp", 3, 1, 2, budget=10)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    (("gl", 1, 1, 0), {}),
+    (("osp", 3, 1, 0), {}),
+    (("osp", 3, 1, 2), {"s": 1}),
+    (("gl", 1, 1, 2), {"s": -1}),
+    (("gl", 1, 1, 2), {"points": []}),
+    (("gl", 1, 1, 2), {"points": [7, 7]}),
+    (("gl", 1, 1, 2), {"points": [Fraction(7, 5), "7/5"]}),
+    (("gl", 1, 1, 2), {"points": [1]}),
+    (("gl", 1, 1, 2), {"points": [Fraction(7, 5), -1]}),
+    (("gl", 1, 1, 2), {"points": [0]}),
+    (("sl", 1, 1, 2), {}),
+])
+def test_fft_report_rejects_malformed_cells(monkeypatch, args, kwargs):
+    def no_work(*a, **k):
+        raise AssertionError("work started before the cell was checked")
+
+    monkeypatch.setattr(centralizer, "distinguished", no_work)
+    monkeypatch.setattr(centralizer, "_osp_span_rank", no_work)
+    with pytest.raises(ValueError):
+        fft_report(*args, **kwargs)
+
+
+@pytest.mark.parametrize("prime", [5, 7, 11, 37, 101])
+def test_fallbacks_keep_the_bytes_at_a_small_prime(monkeypatch, prime):
+    # 5 and 7 divide the default point 7/5; at 37 the walled closure mod p
+    # drops candidates that are independent over Q, so the certificate
+    # fails and the exact closure must decide
+    cells = [("gl", 1, 1, 2, 1), ("gl", 2, 1, 1, 1), ("gl", 2, 1, 3, 0),
+             ("osp", 3, 1, 2, 0)]
+    want = [fft_report(f, m, n, r, s=s).to_json() for f, m, n, r, s in cells]
+    monkeypatch.setattr(superspace, "PRIME", prime)
+    got = [fft_report(f, m, n, r, s=s).to_json() for f, m, n, r, s in cells]
+    assert got == want
 
 
 def test_relation_check_bmw_takes_two_strands_and_no_budget():

@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from qschur.scalar import ONE, Q, ZERO, PoleError, RatFunc, parse, qint, qpow
+from qschur.scalar import (ONE, Q, ZERO, PoleError, RatFunc, UnluckyPrime,
+                           parse, qint, qpow)
+from qschur.superspace import PRIME
 
 
 def test_qint_small_values():
@@ -121,3 +125,64 @@ def test_powers():
     assert Q**0 == ONE
     assert Q**-2 == (Q**2).inverse()
     assert (qint(3)) ** 2 == qint(3) * qint(3)
+
+
+def _termwise(f: RatFunc, x: Fraction) -> Fraction:
+    """The oracle: num(x) / den(x), each a Fraction sum term by term."""
+    def value(poly):
+        return sum((c * x ** e for e, c in poly.items()), Fraction(0))
+
+    den = value(f.den)
+    if den == 0:
+        raise PoleError(f"q = {x} is a pole")
+    return value(f.num) / den
+
+
+laurent = st.dictionaries(st.integers(-6, 6), st.integers(-20, 20),
+                          max_size=5)
+points = st.builds(Fraction, st.integers(-40, 40).filter(bool),
+                   st.integers(1, 40))
+
+
+@given(laurent, laurent, points)
+def test_horner_specialize_matches_the_termwise_sum(num, den, x):
+    assume(any(den.values()))
+    f = RatFunc(num, den)
+    try:
+        want = _termwise(f, x)
+    except PoleError:
+        with pytest.raises(PoleError):
+            f.specialize(x)
+        return
+    got = f.specialize(x)
+    assert type(got) is Fraction and got == want
+
+
+@given(laurent, laurent, points, st.sampled_from([PRIME, 101, 7]))
+def test_residue_is_the_specialisation_mod_p(num, den, x, p):
+    assume(any(den.values()))
+    f = RatFunc(num, den)
+    try:
+        want = f.specialize(x)
+        got = f.residue(x, p)
+    except (PoleError, UnluckyPrime):
+        return
+    assert got == want.numerator * pow(want.denominator, -1, p) % p
+
+
+def test_residue_raises_unlucky_prime_and_specialize_finds_poles():
+    f = ONE / (Q - 2)
+    # 1/(q - 2) at q = PRIME + 2 is 1/PRIME: no pole, but unlucky mod PRIME
+    assert f.specialize(PRIME + 2) == Fraction(1, PRIME)
+    with pytest.raises(UnluckyPrime):
+        f.residue(PRIME + 2, PRIME)
+    with pytest.raises(UnluckyPrime):
+        Q.residue(Fraction(3, PRIME), PRIME)  # the point itself is 1/0
+    with pytest.raises(UnluckyPrime):
+        Q.residue(PRIME, PRIME)  # the point is 0 mod p
+    # a genuine pole is unlucky mod p too; only the exact value names it
+    with pytest.raises(UnluckyPrime):
+        f.residue(2, PRIME)
+    with pytest.raises(PoleError):
+        f.specialize(2)
+    assert f.residue(3, PRIME) == 1 and (Q ** -2).residue(2, 7) == 2

@@ -201,6 +201,23 @@ def test_echelon_fraction_rows_and_unlucky_prime():
         ech.add({0: Fraction(1, 2 * PRIME)})
 
 
+def test_residues_are_a_ring_map_to_f_p():
+    from qschur import qgl
+    g = qgl.braiding(distinguished("gl", 2, 1))
+    mixed = g.scale(Fraction(3, 4)) + SparseMat.identity(g.src)
+    pt = DEFAULT_POINTS[1]
+    prod = g @ mixed
+    res = prod.residues(pt)
+    assert g.residues(pt).matmul_mod(mixed.residues(pt)) == res
+    assert all(0 < v < PRIME for v in res.entries.values())
+    spec = prod.specialize(pt)
+    assert res.entries == {
+        k: v.numerator * pow(v.denominator, -1, PRIME) % PRIME
+        for k, v in spec.entries.items()}
+    with pytest.raises(UnluckyPrime):
+        g.residues(Fraction(7, PRIME))
+
+
 def test_dump_format():
     V = _space([0, 1])
     m = SparseMat(V, V, {(0, 1): Q})
