@@ -280,6 +280,11 @@ def commutant_dim_glq(datum: RootDatum, r: int, points=DEFAULT_POINTS,
     gens = _glq_generator_mats(datum, r, s)
     if lower_bound is None:
         return least_nullity(gens, d, points)
+    return _glq_commutant(gens, d, points, lower_bound)
+
+
+def _glq_commutant(gens, d: int, points, lower_bound: int):
+    """(dim, certificate) for the quantum gl symmetry generators `gens`."""
     point = list(points)[0]
     cert = certify_nullity([g.specialize(point) for g in gens], d,
                            lower_bound, point)
@@ -302,6 +307,11 @@ def commutant_dim_osp(m: int, n: int, r: int,
     gens = _osp_generator_mats(m, n, r)
     if lower_bound is None:
         return commutant_nullity(gens, d)
+    return _osp_commutant(gens, d, lower_bound)
+
+
+def _osp_commutant(gens, d: int, lower_bound: int):
+    """(dim, certificate) for the osp symmetry generators `gens`."""
     cert = certify_nullity(gens, d, lower_bound)
     if cert is None:
         return commutant_nullity(gens, d), None
@@ -391,22 +401,17 @@ class FftReport:
         return json.dumps(self.to_dict(with_timing), sort_keys=True)
 
 
-# The diagram side of a cell lives in its own function so that the images
-# are freed before the commutant elimination, which sets the peak memory.
+# The images of a cell live only inside these functions, so that they are
+# freed before the symmetry generators are built and the commutant
+# elimination runs: the images or the elimination set the peak memory.
 
-def _glq_span_ranks(datum: RootDatum, r: int, s: int, points,
-                    budget: int) -> list[int]:
-    """Ranks mod p at the points of the Hecke (walled if s > 0) images,
-    after checking exactly that every diagram generator, and so every image,
-    centralises every symmetry generator.
+def _glq_span_ranks(ctx: EvalContext, kind: str, r: int, s: int,
+                    points) -> list[int]:
+    """Ranks mod p at the points of the Hecke or walled images.
 
-    Each rank is a proved lower bound for the exact rank at its point; a
-    point where a denominator vanishes mod p counts 0.
+    Each rank is a lower bound for the exact rank at its point; a point
+    where a denominator vanishes mod p counts 0.
     """
-    ctx = make_context("glq", datum=datum, budget=max(budget, 4096))
-    kind = "hecke" if s == 0 else "walled"
-    check_membership(diagram_generators(kind, ctx, r, s),
-                     _glq_generator_mats(datum, r, s))
     images = image_basis(kind, ctx, r, s, points=points)
     ranks = []
     for point in points:
@@ -422,23 +427,17 @@ def _glq_span_ranks(datum: RootDatum, r: int, s: int, points,
     return ranks
 
 
-def _glq_exact_ranks(datum: RootDatum, r: int, s: int, points, budget: int,
+def _glq_exact_ranks(ctx: EvalContext, kind: str, r: int, s: int, points,
                      at, exact: bool = False) -> list[int]:
     """Exact ranks at the points `at` of the images, rebuilt as
     `_glq_span_ranks` built them (the walled closure runs at points[0]),
     or with `exact` from a walled closure tested by exact re-ranks."""
-    ctx = make_context("glq", datum=datum, budget=max(budget, 4096))
-    kind = "hecke" if s == 0 else "walled"
     images = image_basis(kind, ctx, r, s, points=points, exact=exact)
     return ranks_at([vectorize(img) for img in images], at)
 
 
-def _osp_span_rank(m: int, n: int, r: int, budget: int) -> int:
-    """Rank over Q of the Brauer images, after checking exactly that every
-    s_i and e_i, and so every image, centralises every symmetry generator."""
-    ctx = make_context("osp_classical", m=m, n=n, budget=max(budget, 4096))
-    check_membership(diagram_generators("brauer", ctx, r),
-                     _osp_generator_mats(m, n, r))
+def _osp_span_rank(ctx: EvalContext, r: int) -> int:
+    """Rank over Q of the Brauer images."""
     images = image_basis("brauer", ctx, r)
     return int_rank([vectorize(img) for img in images])
 
@@ -458,7 +457,8 @@ def _check_cell(flavor: str, r: int, s: int, points) -> None:
     if not values:
         raise ValueError("at least one specialisation point is required")
     if len(set(values)) != len(values):
-        raise ValueError(f"specialisation points repeat a point: {values}")
+        raise ValueError("specialisation points repeat a point: "
+                         + ", ".join(map(str, values)))
     if {0, 1, -1} & set(values):
         raise ValueError("specialisation points must avoid 0, 1 and -1")
 
@@ -479,31 +479,42 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     t0 = time.monotonic()
     points = list(points)
     _check_cell(flavor, r, s, points)
+    # Every image is a product of the diagram generators, so once those are
+    # checked to centralise the symmetry generators, the span rank is a
+    # lower bound for the commutant dimension.
     if flavor == "gl":
         datum = distinguished("gl", m, n)
-        _check_unknowns(qgl.natural_space(datum).dim ** (r + s), budget)
-        ranks = _glq_span_ranks(datum, r, s, points, budget)
+        d = qgl.natural_space(datum).dim ** (r + s)
+        _check_unknowns(d, budget)
+        ctx = make_context("glq", datum=datum, budget=max(budget, 4096))
+        kind = "hecke" if s == 0 else "walled"
+        ranks = _glq_span_ranks(ctx, kind, r, s, points)
+        gens = _glq_generator_mats(datum, r, s)
+        check_membership(diagram_generators(kind, ctx, r, s), gens)
         srank = max(ranks)
-        cdim, cert = commutant_dim_glq(datum, r, points, s=s, budget=budget,
-                                       lower_bound=srank)
+        cdim, cert = _glq_commutant(gens, d, points, srank)
         if cert is None:
-            ranks = _glq_exact_ranks(datum, r, s, points, budget, points,
+            ranks = _glq_exact_ranks(ctx, kind, r, s, points, points,
                                      exact=True)
             srank = max(ranks)
         elif len(set(ranks)) > 1:
             # rank_p <= rank_Q <= srank at every point, so only the points
             # short of srank need an exact rank
             short = [a for a, rk in zip(points, ranks) if rk != srank]
-            exact = iter(_glq_exact_ranks(datum, r, s, points, budget, short))
+            exact = iter(_glq_exact_ranks(ctx, kind, r, s, points, short))
             ranks = [rk if rk == srank else next(exact) for rk in ranks]
         agreement = len(set(ranks)) == 1
         bound = bound_lhs = bound_ok = None
     else:
-        _check_unknowns(osp_mod.natural_space(m, n).dim ** r, budget)
-        srank = _osp_span_rank(m, n, r, budget)
+        d = osp_mod.natural_space(m, n).dim ** r
+        _check_unknowns(d, budget)
+        ctx = make_context("osp_classical", m=m, n=n,
+                           budget=max(budget, 4096))
+        srank = _osp_span_rank(ctx, r)
+        gens = _osp_generator_mats(m, n, r)
+        check_membership(diagram_generators("brauer", ctx, r), gens)
         agreement = True
-        cdim, cert = commutant_dim_osp(m, n, r, budget=budget,
-                                       lower_bound=srank)
+        cdim, cert = _osp_commutant(gens, d, srank)
         if m % 2 == 0:
             bound, bound_lhs = m * (2 * n + 1), 2 * r
             bound_ok = bound_lhs < bound

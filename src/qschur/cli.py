@@ -100,17 +100,12 @@ def _at_least(low: int):
 
 
 def _parse_points(text: str):
-    """Distinct rational points away from 0 and +-1, where q-integers and
-    the K_a degenerate and no specialised rank can be generic."""
+    """Comma-separated rationals; `fft_report` rejects repeated points and
+    points among 0 and +-1."""
     try:
-        points = tuple(Fraction(tok.strip()) for tok in text.split(","))
+        return tuple(Fraction(tok.strip()) for tok in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --points {text!r}: {exc}") from exc
-    if len(set(points)) != len(points):
-        raise UsageError(f"--points {text!r} repeats a point")
-    if {0, 1, -1} & set(points):
-        raise UsageError("specialisation points must avoid 0, 1 and -1")
-    return points
 
 
 def _parse_powers(text: str) -> list[int]:
@@ -198,11 +193,6 @@ def cmd_fft(args) -> int:
     datum = parse_datum(args.algebra, args.order)
     if not datum.is_distinguished():
         raise UsageError("fft reports run on the distinguished ordering")
-    if datum.algebra == "osp" and args.s:
-        raise UsageError("mixed tensor factors (-s) apply to gl only; the "
-                         "osp natural module is self-dual")
-    if args.s < 0:
-        raise UsageError("dual tensor factors -s must be at least 0")
     points = _parse_points(args.points) if args.points else DEFAULT_POINTS
     rs = _parse_powers(args.r or "2")
     reports = []

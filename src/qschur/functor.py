@@ -31,7 +31,7 @@ from . import qgl
 from .diagrams import (BraidWord, BrauerDiagram, RibbonWord, brauer_basis,
                        closure, diagram_factor, perm_word)
 from .rootdata import RootDatum
-from .scalar import RatFunc
+from .scalar import RatFunc, qpow
 from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, SuperSpace,
                          UnluckyPrime, kron_chain, log_fallback, rank_at,
                          unit_space, vectorize)
@@ -251,8 +251,13 @@ def _walled_generators(ctx: EvalContext, r: int,
         out["wall turnback"] = kron_chain([iV] * (r - 1) + [turn]
                                           + [iVd] * (s - 1))
     if s >= 2:
+        # the dual braiding obeys the Hecke quadratic of the V-side one,
+        # so its inverse is gd - (q - q^-1), as in qgl.braiding_inverse
         gd = dual_braiding(ctx)
-        gd_inv = gd.inverse()
+        ident = SparseMat.identity(gd.src)
+        gd_inv = gd - ident.scale(qpow(1) - qpow(-1))
+        if gd @ gd_inv != ident:
+            raise AssertionError("the dual braiding fails the Hecke quadratic")
         for j in range(1, s):
             for tok, mat in (("X+", gd), ("X-", gd_inv)):
                 out[f"dual {tok} at strand {r + j}"] = kron_chain(

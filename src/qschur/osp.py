@@ -12,15 +12,15 @@ form; its basis is built orbitwise in closed form (two matrix positions
 per element), so Cartan elements come out diagonal and every element is
 weight homogeneous.
 
-Everything here is exact over Q; entries are ints or Fractions.  The
-quantum side of osp enters only through the spectral/BMW parameter data,
-modelled on the orthogonal idempotents of the tensor-square decomposition.
+Everything here is exact over Q: the form, the Lie superalgebra basis, sigma
+and the Brauer images all have int entries.  The quantum side of osp enters
+only through the spectral/BMW parameter data, modelled on the orthogonal
+idempotents of the tensor-square decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -101,9 +101,10 @@ def osp_basis(m: int, n: int) -> tuple[SparseMat, ...]:
             px = (par[r] + par[s]) % 2
             # contravariance at (b,c) = (s, r') couples exactly the two
             # positions (r,s) and (s',r'):
-            #   X[r,s] = -(-1)^{[s] px} (J[s,s']/J[r,r']) X[s',r']
+            #   X[r,s] = -(-1)^{[s] px} (J[s,s']/J[r,r']) X[s',r'],
+            # and J[r,r'] = +-1 is its own inverse
             sign = -1 if (par[s] and px) else 1
-            coef = Fraction(-sign * jval(s), jval(r))
+            coef = -sign * jval(s) * jval(r)
             if (r, s) == (s2, r2):
                 if coef == 1:
                     out.append(SparseMat(V, V, {(r, s): 1}))
@@ -142,14 +143,20 @@ def sigma(m: int, n: int) -> SparseMat:
 
 @lru_cache(maxsize=None)
 def cupcap_maps(m: int, n: int) -> tuple[SparseMat, SparseMat]:
-    """(c-hat, c-check): the form V (x) V -> Q and its snake-inverse Q -> V (x) V."""
+    """(c-hat, c-check): the form V (x) V -> Q and its snake-inverse Q -> V (x) V.
+
+    J is a signed permutation matrix, so its inverse is its transpose.
+    """
     V = natural_space(m, n)
     J = osp_form(m, n)
     one = unit_space()
     d = V.dim
     chat = SparseMat(V.tensor(V), one,
                      {(0, a * d + b): v for (a, b), v in J.entries.items()})
-    Jinv = J.inverse()
+    Jinv = J.transpose()
+    if J @ Jinv != SparseMat.identity(V):
+        raise AssertionError(f"osp({m}|{2 * n}) Gram matrix is not a signed "
+                             "permutation")
     ccheck = SparseMat(one, V.tensor(V),
                        {(a * d + b, 0): v for (a, b), v in Jinv.entries.items()})
     return chat, ccheck

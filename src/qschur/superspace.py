@@ -236,34 +236,6 @@ class SparseMat:
             raise ValueError("not a scalar (1x1) matrix")
         return self.entries.get((0, 0), 0)
 
-    # -- inverse (small matrices; exact field elimination) ----------------
-
-    def inverse(self) -> "SparseMat":
-        n = self.src.dim
-        if n != self.dst.dim:
-            raise ValueError("inverse of a non-square matrix")
-        aug = [[self.entries.get((r, c), 0) for c in range(n)]
-               + [1 if c == r else 0 for c in range(n)] for r in range(n)]
-        aug = [[_as_field(v) for v in row] for row in aug]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col]), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = _field_inv(aug[col][col])
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        res = SparseMat(self.dst, self.src)
-        for r in range(n):
-            for c in range(n):
-                v = aug[r][n + c]
-                if v:
-                    res.entries[(r, c)] = v
-        return res
-
     # -- dump format --------------------------------------------------------
 
     def dump(self) -> str:
@@ -276,20 +248,6 @@ class SparseMat:
 
     def __repr__(self):
         return f"SparseMat({self.rows}x{self.cols}, nnz={len(self.entries)})"
-
-
-def _as_field(v):
-    if isinstance(v, RatFunc):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    raise TypeError(f"unsupported scalar {v!r}")
-
-
-def _field_inv(v):
-    if isinstance(v, RatFunc):
-        return v.inverse()
-    return 1 / v
 
 
 def graded_kron(a: SparseMat, b: SparseMat) -> SparseMat:
@@ -431,11 +389,16 @@ class Echelon:
     """Incremental sparse row echelon form over F_p, p = PRIME when built.
 
     `add(row)` reduces an int/Fraction row mod p against the pivots kept so
-    far and keeps it as a new pivot if anything is left.  Reduction mod p
-    can only lower a rank, so a row that `add` keeps is independent of the
-    earlier rows over Q as well, and `rank` never exceeds the rank over Q
-    of the rows added.  A denominator divisible by p raises `UnluckyPrime`
-    rather than guessing a residue.
+    far and keeps it as a new pivot if anything is left.  A kept row is
+    stored fully reduced: normalised at its first free column and cleared at
+    every later column that already has a pivot, so later rows meet fewer
+    entries on their way down (structured Gaussian elimination).  Clearing
+    a kept row by earlier pivots does not change the span, so `rank` after
+    each row is the same as without it.  Reduction mod p can only lower a
+    rank, so a row that `add` keeps is independent of the earlier rows over
+    Q as well, and `rank` never exceeds the rank over Q of the rows added.
+    A denominator divisible by p raises `UnluckyPrime` rather than guessing
+    a residue.
     """
 
     def __init__(self):
@@ -456,6 +419,8 @@ class Echelon:
         # left of the column being cleared is ever touched again.
         heap = list(red)
         heapify(heap)
+        lead = lead_value = None
+        tail = {}  # the free columns right of `lead`, reduced mod p
         while heap:
             c = heappop(heap)
             b = red.pop(c) % p
@@ -463,10 +428,11 @@ class Echelon:
                 continue
             piv = pivots.get(c)
             if piv is None:
-                inv = pow(b, -1, p)
-                pivots[c] = {k: w for k, v in red.items() if (w := v * inv % p)}
-                self.rank += 1
-                return True
+                if lead is None:
+                    lead, lead_value = c, b
+                else:
+                    tail[c] = b
+                continue
             for k, v in piv.items():
                 w = red.get(k)
                 if w is None:
@@ -474,7 +440,12 @@ class Echelon:
                     heappush(heap, k)
                 else:
                     red[k] = w - b * v
-        return False
+        if lead is None:
+            return False
+        inv = pow(lead_value, -1, p)
+        pivots[lead] = {k: v * inv % p for k, v in tail.items()}
+        self.rank += 1
+        return True
 
 
 def nullspace_dim_at(constraint: SparseMat) -> int:

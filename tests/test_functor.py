@@ -224,7 +224,7 @@ def test_image_basis_argument_checks():
 
 
 def test_dual_braiding_is_a_braiding():
-    for (m, n) in [(1, 1), (2, 1)]:
+    for (m, n) in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
         d = distinguished("gl", m, n)
         ctx = make_context("glq", datum=d)
         gd = dual_braiding(ctx)

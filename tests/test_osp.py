@@ -28,7 +28,8 @@ def test_osp_form_supersymmetric():
             for w in range(V.dim):
                 sign = -1 if V.parities[v] and V.parities[w] else 1
                 assert J.entries.get((v, w), 0) == sign * J.entries.get((w, v), 0)
-        assert J.inverse() is not None  # non-degenerate
+        # non-degenerate: a signed permutation, inverted by its transpose
+        assert J @ J.transpose() == SparseMat.identity(V)
 
 
 def test_osp_basis_dimensions():
@@ -132,6 +133,18 @@ def test_brauer_images_commute_with_symmetries():
         for img in rep.values():
             for gen in gens:
                 assert img @ gen == gen @ img
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (3, 1), (4, 1), (3, 2)])
+def test_osp_cells_have_int_entries(m, n):
+    # the fft-osp pairs: J is a signed permutation, so no Fraction arises
+    from qschur.centralizer import _osp_generator_mats
+    from qschur.functor import image_basis, make_context
+    ctx = make_context("osp_classical", m=m, n=n, budget=4096)
+    for r in (1, 2):
+        mats = (_osp_generator_mats(m, n, r) + list(brauer_rep(m, n, r).values())
+                + image_basis("brauer", ctx, r))
+        assert all(type(v) is int for mat in mats for v in mat.entries.values())
 
 
 def test_span_rank_id_tau_e():

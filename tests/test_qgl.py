@@ -166,7 +166,7 @@ def test_dual_rep_properties():
         P = SparseMat(V, V, {(i, i): -1 if V.parities[i] else 1
                              for i in range(dim)})
         D = k2rho(d) @ P
-        Dinv = D.inverse()
+        Dinv = SparseMat(V, V, {k: v.inverse() for k, v in D.entries.items()})
         for gen in rep.mats:
             want = D @ rep.mat(gen) @ Dinv
             got = SparseMat(V, V, dict(ddr.mat(gen).entries))

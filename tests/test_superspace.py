@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_nullity, dense_rank, random_homogeneous, random_space
+from qschur import superspace
 from qschur.rootdata import distinguished
 from qschur.scalar import ONE, Q, RatFunc
 from qschur.superspace import (DEFAULT_POINTS, PRIME, Echelon, SparseMat,
@@ -201,6 +204,68 @@ def test_echelon_fraction_rows_and_unlucky_prime():
         ech.add({0: Fraction(1, 2 * PRIME)})
 
 
+def _dense_ranks_mod(rows, ncols: int, p: int) -> list[int]:
+    """Rank mod p of each prefix of the rows: dense, one row at a time."""
+    basis, ranks = {}, []  # pivot column -> dense row normalised there
+    for row in rows:
+        dense = [0] * ncols
+        for c, v in row.items():
+            v = Fraction(v)
+            dense[c] = v.numerator * pow(v.denominator, -1, p) % p
+        for c, piv in basis.items():
+            if dense[c]:
+                f = dense[c]
+                dense = [(a - f * b) % p for a, b in zip(dense, piv)]
+        lead = next((c for c, v in enumerate(dense) if v), None)
+        if lead is not None:
+            inv = pow(dense[lead], -1, p)
+            basis[lead] = [v * inv % p for v in dense]
+        ranks.append(len(basis))
+    return ranks
+
+
+_ENTRIES = st.one_of(st.integers(-30, 30),
+                     st.fractions(min_value=-6, max_value=6, max_denominator=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(prime=st.sampled_from([5, 7, 11, PRIME]),
+       ncols=st.integers(1, 9),
+       base=st.lists(st.dictionaries(st.integers(0, 8), _ENTRIES, max_size=6),
+                     max_size=8),
+       combos=st.lists(st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+                       max_size=5),
+       order=st.randoms(use_true_random=False))
+def test_echelon_matches_dense_mod_p(prime, ncols, base, combos, order):
+    rows = [{c % ncols: v for c, v in row.items() if v} for row in base]
+    # duplicates and linear combinations of the rows drawn so far
+    for coeffs in combos:
+        combo = {}
+        for k, row in zip(coeffs, rows):
+            for c, v in row.items():
+                combo[c] = combo.get(c, 0) + k * v
+        rows.append({c: v for c, v in combo.items() if v})
+    if rows:
+        rows.append(dict(order.choice(rows)))
+    order.shuffle(rows)
+    try:
+        superspace.PRIME = prime
+        ech = Echelon()
+    finally:
+        superspace.PRIME = PRIME
+    assert ech.prime == prime
+    want, before = _dense_ranks_mod(rows, ncols, prime), 0
+    for row, rank in zip(rows, want):
+        assert ech.add(row) == (rank > before)
+        assert ech.rank == rank
+        before = rank
+    # every stored pivot row is clear of the pivots stored before it
+    seen = set()
+    for col, row in ech._pivots.items():
+        assert min(row, default=col + 1) > col and not seen & row.keys()
+        seen.add(col)
+
+
 def test_residues_are_a_ring_map_to_f_p():
     from qschur import qgl
     g = qgl.braiding(distinguished("gl", 2, 1))
@@ -231,12 +296,3 @@ def test_dimension_mismatch_raises():
     V, W = _space([0, 0]), _space([0, 0, 0])
     with pytest.raises(ValueError):
         SparseMat.identity(V) @ SparseMat.identity(W)
-
-
-def test_matrix_inverse():
-    V = _space([0, 1])
-    m = SparseMat(V, V, {(0, 0): Q, (0, 1): ONE, (1, 1): Q**-1})
-    inv = m.inverse()
-    assert m @ inv == SparseMat.identity(V)
-    with pytest.raises(ZeroDivisionError):
-        SparseMat(V, V, {(0, 0): ONE}).inverse()
