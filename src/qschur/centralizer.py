@@ -47,26 +47,22 @@ from fractions import Fraction
 from . import osp as osp_mod
 from . import qgl
 from .diagrams import quotient_relations
-from .functor import (BudgetError, EvalContext, diagram_generators, evaluate,
-                      image_basis, make_context)
+from .errors import MembershipError, UnluckyPrime, check_power
+from .functor import (EvalContext, diagram_generators, evaluate, image_basis,
+                      make_context)
 from .rootdata import RootDatum, distinguished
 from .scalar import RatFunc, qint
-from .superspace import (DEFAULT_POINTS, Echelon, SparseMat,
-                         UnluckyPrime, int_rank, kron_chain, log_fallback,
-                         ranks_at, vectorize)
+from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, int_rank,
+                         kron_chain, log_fallback, ranks_at, vectorize)
 
 __all__ = [
     "FftReport", "fft_report", "commutant_dim_glq", "commutant_dim_osp",
-    "commutant_dim_gl_classical", "span_rank", "check_membership",
-    "RelationReport", "relation_check", "RELATION_ALGEBRA", "MembershipError",
-    "commutant_nullity", "least_nullity", "Certificate", "certify_nullity",
+    "check_membership", "RelationReport", "relation_check",
+    "RELATION_ALGEBRA", "MembershipError", "commutant_nullity",
+    "least_nullity", "Certificate", "certify_nullity",
 ]
 
 DEFAULT_UNKNOWN_BUDGET = 150_000  # max d**2 unknowns for a commutant cell
-
-
-class MembershipError(AssertionError):
-    """A diagram image fails to commute with a symmetry generator."""
 
 
 # ---------------------------------------------------------------------------
@@ -185,60 +181,13 @@ def certify_nullity(gens: list[SparseMat], dim: int, lower_bound: int,
                        assembled, survivors, ech.rank)
 
 
-def _ratfunc_rank(rows) -> int:
-    """Field elimination over Q(q); the exact fallback for small systems."""
-    pivots: dict[int, dict] = {}
-    rank = 0
-    for row in sorted((dict(r) for r in rows), key=len):
-        row = {k: (v if isinstance(v, RatFunc) else RatFunc(
-            Fraction(v).numerator) / Fraction(v).denominator)
-            for k, v in row.items()}
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                inv = row[c].inverse()
-                pivots[c] = {k: v * inv for k, v in row.items()}
-                rank += 1
-                break
-            b = row.pop(c)
-            for k, v in piv.items():
-                if k == c:
-                    continue
-                w = row.get(k, RatFunc(0)) - b * v
-                if w:
-                    row[k] = w
-                else:
-                    row.pop(k, None)
-    return rank
-
-
-def commutant_nullity_exact_qq(gens: list[SparseMat], dim: int) -> int:
-    """Nullity of the commutant system over Q(q) itself (small systems only)."""
-    if dim * dim > 4096:
-        raise ValueError("exact Q(q) elimination is capped at 64^2 unknowns")
-    rows = []
-    for P in gens:
-        row_map: dict[tuple[int, int], dict] = {}
-        for (i, k), v in P.entries.items():
-            for j in range(dim):
-                row_map.setdefault((i, j), {}).setdefault(k * dim + j, RatFunc(0))
-                row_map[(i, j)][k * dim + j] += v
-        for (k, j), v in P.entries.items():
-            for i in range(dim):
-                row_map.setdefault((i, j), {}).setdefault(i * dim + k, RatFunc(0))
-                row_map[(i, j)][i * dim + k] -= v
-        rows.extend({k: v for k, v in r.items() if v} for r in row_map.values())
-    return dim * dim - _ratfunc_rank(rows)
-
-
 # ---------------------------------------------------------------------------
 # Commutant dimensions.
 
-def _check_unknowns(d: int, budget: int) -> None:
-    if d * d > budget:
-        raise BudgetError(f"commutant system of {d * d} unknowns exceeds "
-                          f"budget {budget}")
+def _check_unknowns(dim_v: int, factors: int, budget: int) -> int:
+    """d = dim_v^factors, once the d^2 commutant unknowns fit the budget."""
+    check_power(dim_v, 2 * factors, budget, "commutant unknowns")
+    return dim_v ** factors
 
 
 def _glq_generator_mats(datum: RootDatum, r: int, s: int = 0):
@@ -275,8 +224,7 @@ def commutant_dim_glq(datum: RootDatum, r: int, points=DEFAULT_POINTS,
     are eliminated mod p until the bound is met, and the certificate is
     None where `least_nullity` decided instead.
     """
-    d = qgl.natural_space(datum).dim ** (r + s)
-    _check_unknowns(d, budget)
+    d = _check_unknowns(qgl.natural_space(datum).dim, r + s, budget)
     gens = _glq_generator_mats(datum, r, s)
     if lower_bound is None:
         return least_nullity(gens, d, points)
@@ -302,8 +250,7 @@ def commutant_dim_osp(m: int, n: int, r: int,
     are eliminated mod p until the bound is met, and the certificate is
     None where the exact nullity over Q decided instead.
     """
-    d = osp_mod.natural_space(m, n).dim ** r
-    _check_unknowns(d, budget)
+    d = _check_unknowns(osp_mod.natural_space(m, n).dim, r, budget)
     gens = _osp_generator_mats(m, n, r)
     if lower_bound is None:
         return commutant_nullity(gens, d)
@@ -318,25 +265,8 @@ def _osp_commutant(gens, d: int, lower_bound: int):
     return lower_bound, cert
 
 
-def commutant_dim_gl_classical(m: int, n: int, r: int) -> int:
-    """Classical gl(m|n) commutant (Leibniz action of all matrix units)."""
-    V = qgl.natural_space(distinguished("gl", m, n))
-    d = V.dim
-    gens = []
-    for a in range(d):
-        for b in range(d):
-            gens.append(osp_mod.leibniz_tensor(SparseMat(V, V, {(a, b): 1}), r))
-    return commutant_nullity(gens, d ** r)
-
-
 # ---------------------------------------------------------------------------
-# Spans and membership.
-
-def span_rank(images, points=DEFAULT_POINTS) -> int:
-    """Rank of the vectorized images (row-major), max over the points."""
-    ranks = ranks_at([vectorize(img) for img in images], points)
-    return max(ranks)
-
+# Membership.
 
 def check_membership(images, gens) -> None:
     """Every image must commute with every generator, exactly.
@@ -484,9 +414,8 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     # lower bound for the commutant dimension.
     if flavor == "gl":
         datum = distinguished("gl", m, n)
-        d = qgl.natural_space(datum).dim ** (r + s)
-        _check_unknowns(d, budget)
-        ctx = make_context("glq", datum=datum, budget=max(budget, 4096))
+        d = _check_unknowns(qgl.natural_space(datum).dim, r + s, budget)
+        ctx = make_context("glq", datum=datum, budget=budget)
         kind = "hecke" if s == 0 else "walled"
         ranks = _glq_span_ranks(ctx, kind, r, s, points)
         gens = _glq_generator_mats(datum, r, s)
@@ -506,10 +435,8 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
         agreement = len(set(ranks)) == 1
         bound = bound_lhs = bound_ok = None
     else:
-        d = osp_mod.natural_space(m, n).dim ** r
-        _check_unknowns(d, budget)
-        ctx = make_context("osp_classical", m=m, n=n,
-                           budget=max(budget, 4096))
+        d = _check_unknowns(osp_mod.natural_space(m, n).dim, r, budget)
+        ctx = make_context("osp_classical", m=m, n=n, budget=budget)
         srank = _osp_span_rank(ctx, r)
         gens = _osp_generator_mats(m, n, r)
         check_membership(diagram_generators("brauer", ctx, r), gens)
@@ -587,9 +514,8 @@ def relation_check(kind: str, m: int, n: int, r: int = 2,
         raise ValueError(f"the bmw family is checked in the spectral model, "
                          f"which has no strands; r must be 2, got {r}")
     d = m + n if RELATION_ALGEBRA[kind] == "gl" else m + 2 * n
-    if kind != "bmw" and d ** r > budget:
-        raise BudgetError(f"V^(x){r} has dimension {d ** r}, over budget "
-                          f"{budget}")
+    if kind != "bmw":
+        check_power(d, r, budget, "dimension of V^(x)r")
     items = []
     if kind == "hecke":
         datum = distinguished("gl", m, n)

@@ -13,10 +13,11 @@ bmw and brauer on osp.  bmw is checked in a spectral model with no strands,
 so it takes -r 2 only and no budget applies.  Only commands that build
 tensor powers take --budget.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (also a
-malformed --ribbon-json, a tensor power -r below 1, or below 2 for
-relations and a brauer check, -r other than 2 for bmw, a relation family
-on the wrong algebra, and a --budget below 1), 3 budget exceeded.
+Exit codes follow the error's type (`qschur.errors`): 0 success, 1
+verification failure (also a failed internal identity check), 2 usage
+error (also a malformed or too deeply nested --ribbon-json or --z, an -r
+out of range for the command, a relation family on the wrong algebra, a
+--budget below 1), 3 budget exceeded (also an -r or -s too large).
 """
 
 from __future__ import annotations
@@ -29,17 +30,13 @@ from fractions import Fraction
 
 from . import centralizer, functor, qgl
 from .diagrams import brauer_basis, parse_braid
+from .errors import QschurError, UsageError
 from .rootdata import RootDatum, admissible_orderings, distinguished, sdim_q
 from .superspace import DEFAULT_POINTS
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
-EXIT_BUDGET = 3
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _parse_symbols(text: str):
@@ -347,18 +344,12 @@ def main(argv=None) -> int:
         if getattr(args, "algebra_required", False) and not args.algebra:
             raise UsageError("an algebra spec is required, e.g. gl 2|1")
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except functor.BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    except QschurError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except centralizer.MembershipError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
 
 
 def entry() -> None:

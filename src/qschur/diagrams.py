@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .errors import VerificationError
 from .scalar import RatFunc, qpow
 
 __all__ = [
@@ -255,7 +256,7 @@ def diagram_factor(d: BrauerDiagram):
     rebuilt, loops = compose_brauer(permutation_diagram(alpha_t), mkd, 1)
     rebuilt, loops2 = compose_brauer(rebuilt, permutation_diagram(beta_t), 1)
     if rebuilt != d or loops != 1 or loops2 != 1:
-        raise AssertionError("Brauer factorisation failed to recompose")
+        raise VerificationError("Brauer factorisation failed to recompose")
     return alpha_t, k, beta_t
 
 
@@ -413,7 +414,10 @@ class RibbonWord:
     def from_json(cls, text: str) -> "RibbonWord":
         """Parse {"mode": str, "layers": [[token, ...], ...]}; ValueError
         for malformed JSON or any other shape."""
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("the ribbon word JSON nests too deeply") from None
         if not isinstance(data, dict):
             data = {}
         mode, layers = data.get("mode"), data.get("layers")
@@ -456,7 +460,7 @@ def closure(w: BraidWord) -> RibbonWord:
         layers.append(("I+",) * k + ("Om-",) + ("I-",) * k)
     word = RibbonWord("directed", tuple(layers))
     if word.source != () or word.target != ():
-        raise AssertionError("closure failed to produce a closed graph")
+        raise VerificationError("closure failed to produce a closed graph")
     return word
 
 

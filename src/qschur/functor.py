@@ -30,10 +30,11 @@ from . import osp as osp_mod
 from . import qgl
 from .diagrams import (BraidWord, BrauerDiagram, RibbonWord, brauer_basis,
                        closure, diagram_factor, perm_word)
+from .errors import BudgetError, VerificationError, check_power
 from .rootdata import RootDatum
 from .scalar import RatFunc, qpow
 from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, SuperSpace,
-                         UnluckyPrime, kron_chain, log_fallback, rank_at,
+                         UnluckyPrime, kron_chain, log_fallback, rank_at, tau,
                          unit_space, vectorize)
 
 __all__ = [
@@ -43,10 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 625  # max dimension of any space met during evaluation
-
-
-class BudgetError(RuntimeError):
-    """A composite space exceeds the configured dimension budget."""
+IMAGE_CAP = 5000  # max number of Hecke or walled images, r! or (r+s)!
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,16 +74,9 @@ class EvalContext:
 
 def make_context(flavor: str, datum: RootDatum | None = None,
                  m: int | None = None, n: int | None = None,
-                 mode: str | None = None,
                  budget: int = DEFAULT_BUDGET) -> EvalContext:
+    """glq: directed words (V is not self-dual); osp_classical: non-directed."""
     if flavor == "glq":
-        if mode is None:
-            mode = "directed"
-        if mode != "directed":
-            # thm of the non-directed functor needs a self-dual module and
-            # the gl natural module is not self-dual
-            raise ValueError("unsupported flavor/mode combination: "
-                             "glq supports directed mode only")
         if datum is None or datum.algebra != "gl":
             raise ValueError("glq context needs a gl root datum")
         V = qgl.natural_space(datum)
@@ -102,17 +93,11 @@ def make_context(flavor: str, datum: RootDatum | None = None,
         }
         return EvalContext("glq", "directed", V, images, budget, datum=datum)
     if flavor == "osp_classical":
-        if mode is None:
-            mode = "nondirected"
-        if mode != "nondirected":
-            raise ValueError("unsupported flavor/mode combination: "
-                             "osp_classical supports nondirected mode only")
         if m is None or n is None:
             raise ValueError("osp_classical context needs m and n")
         V = osp_mod.natural_space(m, n)
         chat, ccheck = osp_mod.cupcap_maps(m, n)
-        from .superspace import tau as _tau
-        t = _tau(V, V)
+        t = tau(V, V)
         images = {
             "I": SparseMat.identity(V),
             "X+": t,
@@ -145,9 +130,15 @@ def evaluate(word: RibbonWord, ctx: EvalContext) -> SparseMat:
 
 
 def invariant(w: BraidWord, ctx: EvalContext) -> RatFunc:
-    """Framed invariant of the trace closure of a braid word."""
+    """Framed invariant of the trace closure of a braid word.
+
+    The closure passes through V^{(x) r} (x) V*^{(x) r}, so BudgetError is
+    raised before it is built when dim(V)^{2r} exceeds the budget.
+    """
     if ctx.flavor != "glq":
         raise ValueError("link invariants use the directed glq context")
+    check_power(ctx.V.dim, 2 * w.strands, ctx.budget,
+                "the closure's dimension")
     value = evaluate(closure(w), ctx).scalar_value()
     return value if isinstance(value, RatFunc) else RatFunc(value)
 
@@ -257,7 +248,8 @@ def _walled_generators(ctx: EvalContext, r: int,
         ident = SparseMat.identity(gd.src)
         gd_inv = gd - ident.scale(qpow(1) - qpow(-1))
         if gd @ gd_inv != ident:
-            raise AssertionError("the dual braiding fails the Hecke quadratic")
+            raise VerificationError("the dual braiding fails the Hecke "
+                                    "quadratic")
         for j in range(1, s):
             for tok, mat in (("X+", gd), ("X-", gd_inv)):
                 out[f"dual {tok} at strand {r + j}"] = kron_chain(
@@ -339,9 +331,7 @@ def _check_kind(kind: str, ctx: EvalContext, r: int, s: int) -> None:
     if ctx.flavor != _IMAGE_FLAVOR[kind]:
         raise ValueError(f"{kind} images live in the {_IMAGE_FLAVOR[kind]} "
                          "context")
-    if ctx.V.dim ** (r + s) > ctx.budget:
-        raise BudgetError(f"V^(x){r} (x) V*^(x){s} exceeds budget "
-                          f"{ctx.budget}")
+    check_power(ctx.V.dim, r + s, ctx.budget, "dimension of the images")
 
 
 def diagram_generators(kind: str, ctx: EvalContext, r: int,
@@ -374,9 +364,13 @@ def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
     unless `exact` (see `_walled_images`); other kinds ignore `exact`.
     """
     _check_kind(kind, ctx, r, s)
+    if kind != "brauer":
+        count = 1
+        for k in range(2, r + s + 1):  # stops as soon as k! > IMAGE_CAP
+            count *= k
+            if count > IMAGE_CAP:
+                raise BudgetError(f"{r + s}! {kind} images exceed {IMAGE_CAP}")
     if kind == "hecke":
-        if math.factorial(r) > 5000:
-            raise BudgetError("Hecke word count r! exceeds budget")
         return hecke_word_matrices(ctx, r)
     if kind == "brauer":
         return [brauer_diagram_matrix(d, *ctx.mn) for d in brauer_basis(r)]

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
+from .errors import VerificationError
 from .rootdata import distinguished
 from .scalar import ONE, RatFunc, qint, qpow
 from .superspace import SparseMat, SuperSpace, kron_chain, tau, unit_space
@@ -113,7 +114,7 @@ def osp_basis(m: int, n: int) -> tuple[SparseMat, ...]:
                 out.append(SparseMat(V, V, {(s2, r2): 1, (r, s): coef}))
     expected = m * (m - 1) // 2 + n * (2 * n + 1) + 2 * m * n
     if len(out) != expected:
-        raise AssertionError(
+        raise VerificationError(
             f"osp({m}|{2 * n}) basis has {len(out)} elements, expected {expected}")
     return tuple(out)
 
@@ -155,7 +156,7 @@ def cupcap_maps(m: int, n: int) -> tuple[SparseMat, SparseMat]:
                      {(0, a * d + b): v for (a, b), v in J.entries.items()})
     Jinv = J.transpose()
     if J @ Jinv != SparseMat.identity(V):
-        raise AssertionError(f"osp({m}|{2 * n}) Gram matrix is not a signed "
+        raise VerificationError(f"osp({m}|{2 * n}) Gram matrix is not a signed "
                              "permutation")
     ccheck = SparseMat(one, V.tensor(V),
                        {(a * d + b, 0): v for (a, b), v in Jinv.entries.items()})

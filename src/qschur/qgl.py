@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import VerificationError
 from .rootdata import RootDatum
 from .scalar import ONE, RatFunc, qpow
 from .superspace import (SparseMat, SuperSpace, graded_kron, kron_chain, tau,
@@ -119,7 +120,7 @@ def natural_rep(datum: RootDatum) -> GlqRep:
                 found = f
                 break
         if found is None:
-            raise AssertionError(f"no sign makes the e{i}/f{i} relation hold")
+            raise VerificationError(f"no sign makes the e{i}/f{i} relation hold")
         mats[f"f{i}"] = found
     rep = GlqRep(datum, V, mats)
     check_defining_relations(rep)
@@ -132,15 +133,15 @@ def check_defining_relations(rep: GlqRep) -> None:
     for a in range(1, d + 1):
         K, Kinv = rep.mat(f"K{a}"), rep.mat(f"Kinv{a}")
         if K @ Kinv != SparseMat.identity(V):
-            raise AssertionError(f"K{a} not invertible")
+            raise VerificationError(f"K{a} not invertible")
         wa = datum.weight_of(datum.ordering[a - 1])
         for i in range(1, d):
             alpha = _simple_root(datum, i)
             scale = qpow(datum.form(wa, alpha))
             if K @ rep.mat(f"e{i}") @ Kinv != rep.mat(f"e{i}").scale(scale):
-                raise AssertionError(f"K{a} e{i} conjugation fails")
+                raise VerificationError(f"K{a} e{i} conjugation fails")
             if K @ rep.mat(f"f{i}") @ Kinv != rep.mat(f"f{i}").scale(scale.inverse()):
-                raise AssertionError(f"K{a} f{i} conjugation fails")
+                raise VerificationError(f"K{a} f{i} conjugation fails")
     for i in range(1, d):
         for j in range(1, d):
             e, f = rep.mat(f"e{i}"), rep.mat(f"f{j}")
@@ -154,13 +155,13 @@ def check_defining_relations(rep: GlqRep) -> None:
             else:
                 ok = lhs.is_zero()
             if not ok:
-                raise AssertionError(f"e{i}/f{j} relation fails")
+                raise VerificationError(f"e{i}/f{j} relation fails")
         alpha = _simple_root(datum, i)
         if datum.form(alpha, alpha) == 0:
             if not (rep.mat(f"e{i}") @ rep.mat(f"e{i}")).is_zero():
-                raise AssertionError(f"(e{i})^2 != 0 at isotropic root")
+                raise VerificationError(f"(e{i})^2 != 0 at isotropic root")
             if not (rep.mat(f"f{i}") @ rep.mat(f"f{i}")).is_zero():
-                raise AssertionError(f"(f{i})^2 != 0 at isotropic root")
+                raise VerificationError(f"(f{i})^2 != 0 at isotropic root")
 
 
 # ---------------------------------------------------------------------------
@@ -379,5 +380,5 @@ def twist_scalar(datum: RootDatum) -> RatFunc:
     N = partial_supertrace_last(M, V, V)
     theta = N.entries.get((0, 0), RatFunc(0))
     if N != SparseMat.identity(V).scale(theta):
-        raise AssertionError("partial quantum trace of the braiding is not scalar")
+        raise VerificationError("partial quantum trace of the braiding is not scalar")
     return theta if isinstance(theta, RatFunc) else RatFunc(theta)

@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import VerificationError
 from .scalar import ONE, RatFunc, qint, qpow
 
 __all__ = [
@@ -294,7 +295,7 @@ def odd_reflection(datum: RootDatum, s: int) -> RootDatum:
     # 2 rho' = 2 rho + 2 alpha_s; cheap, so always certified
     want = tuple(a + 2 * b for a, b in zip(datum.rho2(), alpha))
     if out.rho2() != want:
-        raise AssertionError("odd reflection failed the 2 rho shift check")
+        raise VerificationError("odd reflection failed the 2 rho shift check")
     return out
 
 

@@ -19,16 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import PoleError, UnluckyPrime
+
 __all__ = ["RatFunc", "PoleError", "UnluckyPrime", "ZERO", "ONE", "Q",
            "qint", "qpow", "parse", "rational_residue"]
-
-
-class PoleError(ArithmeticError):
-    """Specialisation point is a pole of the rational function."""
-
-
-class UnluckyPrime(ArithmeticError):
-    """A denominator vanishes mod the working prime; use exact arithmetic."""
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +526,10 @@ def parse(text: str) -> RatFunc:
                 v = v - term()
         return v
 
-    out = expr()
+    try:
+        out = expr()
+    except RecursionError:
+        raise ValueError("Q(q) expression nests too deeply") from None
     if pos != len(toks):
         raise ValueError(f"trailing input in Q(q) expression {text!r}")
     return out

@@ -35,7 +35,7 @@ from .scalar import RatFunc, UnluckyPrime, rational_residue
 
 __all__ = [
     "SuperSpace", "SparseMat", "unit_space", "tau", "graded_kron",
-    "rank_at", "ranks_at", "nullspace_dim_at", "vectorize",
+    "rank_at", "ranks_at", "vectorize",
     "DEFAULT_POINTS", "Echelon", "PRIME", "UnluckyPrime",
 ]
 
@@ -446,12 +446,3 @@ class Echelon:
         pivots[lead] = {k: v * inv % p for k, v in tail.items()}
         self.rank += 1
         return True
-
-
-def nullspace_dim_at(constraint: SparseMat) -> int:
-    """Exact nullity over Q of a constraint matrix with Fraction/int entries."""
-    for v in constraint.entries.values():
-        if isinstance(v, RatFunc):
-            raise TypeError("nullspace_dim_at expects a matrix over Q; "
-                            "specialise first")
-    return constraint.cols - int_rank(_rows_of(constraint))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from qschur.scalar import RatFunc
 from qschur.superspace import SparseMat, SuperSpace
 
 
@@ -43,6 +44,30 @@ def dense_rank(rows, ncols: int) -> int:
 
 def dense_nullity(rows, ncols: int) -> int:
     return ncols - dense_rank(rows, ncols)
+
+
+def ratfunc_rank(rows) -> int:
+    """Rank over Q(q) itself of sparse rows (column -> RatFunc, Fraction or
+    int): field elimination with RatFunc pivots, no specialisation."""
+    pivots = {}
+    for row in sorted(rows, key=len):
+        row = {c: v if isinstance(v, RatFunc) else RatFunc.from_fraction(v)
+               for c, v in row.items()}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                inv = row[c].inverse()
+                pivots[c] = {k: v * inv for k, v in row.items()}
+                break
+            b = row.pop(c)
+            for k, v in pivots[c].items():
+                if k != c:
+                    w = row.get(k, 0) - b * v
+                    if w:
+                        row[k] = w
+                    else:
+                        row.pop(k)
+    return len(pivots)
 
 
 def assert_certified(rep) -> None:

@@ -3,23 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_certified, commutator_rows, dense_nullity
+from conftest import (assert_certified, commutator_rows, dense_nullity,
+                      ratfunc_rank)
 from qschur import centralizer
 from qschur import osp as osp_mod
 from qschur import qgl, superspace
 from qschur.centralizer import (MembershipError, _glq_generator_mats,
                                 _osp_generator_mats, assemble_commutant_rows,
                                 certify_nullity, check_membership,
-                                commutant_dim_gl_classical, commutant_dim_glq,
-                                commutant_dim_osp, commutant_nullity,
-                                commutant_nullity_exact_qq, fft_report,
-                                least_nullity, relation_check, span_rank)
+                                commutant_dim_glq, commutant_dim_osp,
+                                commutant_nullity, fft_report, least_nullity,
+                                relation_check)
 from qschur.functor import (BudgetError, diagram_generators, image_basis,
                             make_context)
 from qschur.qgl import act_tensor, generator_names, natural_rep
 from qschur.rootdata import distinguished
 from qschur.scalar import Q, RatFunc, qint
-from qschur.superspace import DEFAULT_POINTS, PRIME, SparseMat, SuperSpace
+from qschur.superspace import (DEFAULT_POINTS, PRIME, SparseMat, SuperSpace,
+                               ranks_at, vectorize)
 
 # Oracle-produced commutant dimensions, frozen (brute-force nullspace at the
 # default points; cross-checked against the dense oracle on the small cells).
@@ -52,7 +53,8 @@ def test_commutant_glq_exact_mode_agrees():
     for (m, n, r) in [(1, 1, 1), (1, 1, 2), (2, 1, 2), (1, 2, 2), (1, 1, 3)]:
         d = distinguished("gl", m, n)
         gens = _glq_generator_mats(d, r)
-        exact = commutant_nullity_exact_qq(gens, gens[0].rows)
+        dim = gens[0].rows
+        exact = dim * dim - ratfunc_rank(commutator_rows(gens, dim))
         assert exact == GLQ_DIMS[(m, n, r)]
 
 
@@ -73,18 +75,21 @@ def test_commutant_osp_frozen_dims():
 
 
 def test_classical_quantum_dimension_match():
+    # the classical gl(m|n) commutant: Leibniz action of all matrix units
     for (m, n, r) in [(1, 1, 2), (2, 1, 2), (1, 1, 3), (2, 1, 3)]:
-        got = commutant_dim_gl_classical(m, n, r)
-        assert got == GLQ_DIMS[(m, n, r)]
+        V = qgl.natural_space(distinguished("gl", m, n))
+        gens = [osp_mod.leibniz_tensor(SparseMat(V, V, {(a, b): 1}), r)
+                for a in range(V.dim) for b in range(V.dim)]
+        assert commutant_nullity(gens, V.dim ** r) == GLQ_DIMS[(m, n, r)]
 
 
 def test_span_rank_examples():
     d = distinguished("gl", 1, 1)
     ctx = make_context("glq", datum=d)
     ident = SparseMat.identity(ctx.V.tensor(ctx.V))
-    assert span_rank([ident]) == 1
+    assert max(ranks_at([vectorize(ident)], DEFAULT_POINTS)) == 1
     images = image_basis("hecke", ctx, 2)
-    assert span_rank(images) == 2
+    assert max(ranks_at([vectorize(i) for i in images], DEFAULT_POINTS)) == 2
 
 
 def test_membership_detects_non_centralizing():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from qschur import osp as osp_mod
 from qschur.cli import main, parse_datum, UsageError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -113,6 +114,39 @@ def test_fft_budget_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["fft", "gl", "1|1", "-r", "20000"],
+    ["fft", "gl", "1|1", "-r", "99999999999"],
+    ["fft", "gl", "1|0", "-r", "99999999999"],  # r! images, dim V = 1
+    ["fft", "gl", "1|0", "-r", "2", "-s", "3000"],  # (r+s)! walled images
+    ["fft", "gl", "1|1", "-r", "3", "-s", "20000"],
+    ["relations", "gl", "1|1", "--kind", "hecke", "-r", "20000"],
+    ["invariant", "gl", "1|1", "-r", "1000", "--braid", "s1"],
+])
+def test_oversized_powers_are_budget_errors(capsys, argv):
+    # each size is decided without building the power or the factorial
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.startswith("budget exceeded:")
+
+
+def test_failed_identity_check_is_a_verification_failure(capsys,
+                                                         monkeypatch):
+    # a Gram matrix 2J is not a signed permutation, which the osp duality
+    # maps check before any cell work
+    form = osp_mod.osp_form
+    caches = (osp_mod.cupcap_maps, osp_mod.e_map, osp_mod.brauer_rep)
+    monkeypatch.setattr(osp_mod, "osp_form", lambda m, n: form(m, n).scale(2))
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        code, out, err = run(capsys, "fft", "osp", "3|2", "-r", "2")
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert code == 1 and out == ""
+    assert err.startswith("verification failure:") and "signed" in err
+
+
 def test_fft_json_deterministic(capsys):
     code, out1, _ = run(capsys, "fft", "gl", "1|1", "-r", "2", "--json")
     code, out2, _ = run(capsys, "fft", "gl", "1|1", "-r", "2", "--json")
@@ -191,6 +225,9 @@ def test_relations_bad_z_is_usage_error(capsys):
     code, _, err = run(capsys, "relations", "gl", "1|1", "--kind",
                        "walledbmw", "--z", "q +")
     assert code == 2
+    code, _, err = run(capsys, "relations", "gl", "1|1", "--kind",
+                       "walledbmw", "--z", "(" * 5000 + "q" + ")" * 5000)
+    assert code == 2 and err.startswith("error:") and "nests" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -286,6 +323,7 @@ def test_closed_stdout_is_not_a_traceback():
     '{"mode": "directed", "layers": ["U+"]}', 'not json',
     '{"mode": "nondirected", "layers": [["Z"]]}',
     '{"mode": "nondirected", "layers": [["U"], ["Om"]]}',
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000"),
 ])
 def test_malformed_ribbon_json_is_usage_error(capsys, ribbon):
     code, out, err = run(capsys, "invariant", "gl", "1|1", "--ribbon-json",

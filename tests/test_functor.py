@@ -50,10 +50,6 @@ def test_evaluate_nondirected_words():
 
 def test_unsupported_mode_combinations():
     with pytest.raises(ValueError):
-        make_context("glq", datum=distinguished("gl", 1, 1), mode="nondirected")
-    with pytest.raises(ValueError):
-        make_context("osp_classical", m=3, n=1, mode="directed")
-    with pytest.raises(ValueError):
         make_context("mystery")
 
 
