@@ -8,14 +8,16 @@ differ, which partitions the indices into classes; the remaining
 commutator rows are assembled only over the surviving unknowns.  This is
 an elimination order for the full honest system, not a reduction of it.
 
-`fft_report` computes the diagram side first.  Every spanning image is a
-product of the diagram generators (`functor.diagram_generators`: placed
-crossings, turnbacks, s_i and e_i), and each of those is verified exactly
-to commute with every symmetry generator; so every image does, and its span
-rank is a lower bound for the commutant dimension.  For osp that rank is
-exact over Q.  For quantum gl the images are reduced at each point q = a
-straight to residues mod p and ranked in the F_p `Echelon`; reduction mod
-p and specialisation can only lower a rank, so
+`fft_report` runs both flavors through one sequence of stages: span ranks,
+symmetry generators, membership, then the commutant (`commutant_dim_glq` /
+`commutant_dim_osp`, over the generators the cell built).  Every spanning
+image is a product of the diagram generators (`functor.diagram_generators`:
+placed crossings, turnbacks, s_i and e_i), and each of those is verified
+exactly to commute with every symmetry generator; so every image does, and
+its span rank is a lower bound for the commutant dimension.  For osp that
+rank is exact over Q.  For quantum gl the images are reduced at each point
+q = a straight to residues mod p and ranked in the F_p `Echelon`;
+reduction mod p and specialisation can only lower a rank, so
 
     rank_p(span at a) <= rank_Q(span at a) <= generic span rank
                       <= commutant dim <= survivors - rank_p(rows),
@@ -25,16 +27,16 @@ The commutant rows are therefore assembled one symmetry generator at a
 time and fed to the F_p `Echelon` until the two ends of the chain meet; no
 rows are built past that stop, which proves `equal` and is recorded as a
 `Certificate` (prime, point, rows used of rows assembled, survivors, rank).
-Then every gl point whose rank mod p meets the bound has that exact rank
-too, and only a point short of it is ranked exactly, so `agreement`
-compares exact ranks.  If the bounds never meet, or a denominator
-vanishes mod p, the fallback is logged and the exact path decides: one
-nullity over Q for osp, or for quantum gl the least of the exact nullities
-at the rational points, each of which is an upper bound for the nullity
-over Q(q) (`least_nullity`), against exact gl span ranks at every point of
-images rebuilt by an exact walled closure.  Gap verdicts therefore always
-come from exact arithmetic.  span_rank <= commutant_dim is asserted in
-every case.
+If the bounds never meet, or a denominator vanishes mod p, the fallback
+is logged and the exact path decides: one nullity over Q for osp, or for
+quantum gl the least of the exact nullities at the rational points, each
+of which is an upper bound for the nullity over Q(q) (`least_nullity`).
+The gl cell then has one exact re-rank step: with a certificate, every
+point whose rank mod p meets the bound has that exact rank too, and only
+the points short of it are ranked exactly; without one, every point is,
+of images rebuilt by an exact walled closure.  So `agreement` compares
+exact ranks, and gap verdicts always come from exact arithmetic.
+span_rank <= commutant_dim is asserted in every case.
 """
 
 from __future__ import annotations
@@ -214,26 +216,14 @@ def least_nullity(gens, d, points) -> int:
                for p in points)
 
 
-def commutant_dim_glq(datum: RootDatum, r: int, points=DEFAULT_POINTS,
-                      s: int = 0, budget: int = DEFAULT_UNKNOWN_BUDGET,
-                      lower_bound: int | None = None):
-    """dim End_{U_q}(V^{(x) r} (x) V*^{(x) s}) via specialised nullspaces.
+def commutant_dim_glq(gens, d: int, points, lower_bound: int):
+    """(dim, certificate) for the quantum gl symmetry generators `gens`.
 
-    With `lower_bound` (a proved lower bound such as the span rank) the
-    result is a pair (dim, certificate): the rows specialised at points[0]
-    are eliminated mod p until the bound is met, and the certificate is
-    None where `least_nullity` decided instead.
+    dim End_{U_q} of the d-dimensional module: the rows specialised at
+    points[0] are eliminated mod p until the proved `lower_bound` (the span
+    rank) is met; the certificate is None where `least_nullity` decided.
     """
-    d = _check_unknowns(qgl.natural_space(datum).dim, r + s, budget)
-    gens = _glq_generator_mats(datum, r, s)
-    if lower_bound is None:
-        return least_nullity(gens, d, points)
-    return _glq_commutant(gens, d, points, lower_bound)
-
-
-def _glq_commutant(gens, d: int, points, lower_bound: int):
-    """(dim, certificate) for the quantum gl symmetry generators `gens`."""
-    point = list(points)[0]
+    point = points[0]
     cert = certify_nullity([g.specialize(point) for g in gens], d,
                            lower_bound, point)
     if cert is None:
@@ -241,24 +231,13 @@ def _glq_commutant(gens, d: int, points, lower_bound: int):
     return lower_bound, cert
 
 
-def commutant_dim_osp(m: int, n: int, r: int,
-                      budget: int = DEFAULT_UNKNOWN_BUDGET,
-                      lower_bound: int | None = None):
-    """dim End of the Harish-Chandra pair action on V^{(x) r}, exact over Q.
+def commutant_dim_osp(gens, d: int, lower_bound: int):
+    """(dim, certificate) for the osp symmetry generators `gens`.
 
-    With `lower_bound` the result is a pair (dim, certificate): the rows
-    are eliminated mod p until the bound is met, and the certificate is
-    None where the exact nullity over Q decided instead.
+    dim End of the Harish-Chandra pair action on the d-dimensional module:
+    the rows are eliminated mod p until `lower_bound` is met; the
+    certificate is None where the exact nullity over Q decided.
     """
-    d = _check_unknowns(osp_mod.natural_space(m, n).dim, r, budget)
-    gens = _osp_generator_mats(m, n, r)
-    if lower_bound is None:
-        return commutant_nullity(gens, d)
-    return _osp_commutant(gens, d, lower_bound)
-
-
-def _osp_commutant(gens, d: int, lower_bound: int):
-    """(dim, certificate) for the osp symmetry generators `gens`."""
     cert = certify_nullity(gens, d, lower_bound)
     if cert is None:
         return commutant_nullity(gens, d), None
@@ -409,9 +388,6 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     t0 = time.monotonic()
     points = list(points)
     _check_cell(flavor, r, s, points)
-    # Every image is a product of the diagram generators, so once those are
-    # checked to centralise the symmetry generators, the span rank is a
-    # lower bound for the commutant dimension.
     if flavor == "gl":
         datum = distinguished("gl", m, n)
         d = _check_unknowns(qgl.natural_space(datum).dim, r + s, budget)
@@ -419,34 +395,36 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
         kind = "hecke" if s == 0 else "walled"
         ranks = _glq_span_ranks(ctx, kind, r, s, points)
         gens = _glq_generator_mats(datum, r, s)
-        check_membership(diagram_generators(kind, ctx, r, s), gens)
-        srank = max(ranks)
-        cdim, cert = _glq_commutant(gens, d, points, srank)
-        if cert is None:
-            ranks = _glq_exact_ranks(ctx, kind, r, s, points, points,
-                                     exact=True)
-            srank = max(ranks)
-        elif len(set(ranks)) > 1:
-            # rank_p <= rank_Q <= srank at every point, so only the points
-            # short of srank need an exact rank
-            short = [a for a, rk in zip(points, ranks) if rk != srank]
-            exact = iter(_glq_exact_ranks(ctx, kind, r, s, points, short))
-            ranks = [rk if rk == srank else next(exact) for rk in ranks]
-        agreement = len(set(ranks)) == 1
-        bound = bound_lhs = bound_ok = None
     else:
         d = _check_unknowns(osp_mod.natural_space(m, n).dim, r, budget)
         ctx = make_context("osp_classical", m=m, n=n, budget=budget)
-        srank = _osp_span_rank(ctx, r)
+        kind = "brauer"
+        ranks = [_osp_span_rank(ctx, r)]
         gens = _osp_generator_mats(m, n, r)
-        check_membership(diagram_generators("brauer", ctx, r), gens)
-        agreement = True
-        cdim, cert = _osp_commutant(gens, d, srank)
-        if m % 2 == 0:
-            bound, bound_lhs = m * (2 * n + 1), 2 * r
-            bound_ok = bound_lhs < bound
-        else:
-            bound = bound_lhs = bound_ok = None
+    # Every image is a product of the diagram generators, so once those are
+    # checked to centralise the symmetry generators, the span rank is a
+    # lower bound for the commutant dimension.
+    check_membership(diagram_generators(kind, ctx, r, s), gens)
+    srank = max(ranks)
+    if flavor == "gl":
+        cdim, cert = commutant_dim_glq(gens, d, points, srank)
+        # Once certified, rank_p <= rank_Q <= srank at every point, so only
+        # the points short of srank need an exact rank; without a
+        # certificate every point does, on images from the exact closure.
+        short = [a for a, rk in zip(points, ranks)
+                 if cert is None or rk < srank]
+        if short:
+            exact = dict(zip(short, _glq_exact_ranks(
+                ctx, kind, r, s, points, short, exact=cert is None)))
+            ranks = [exact.get(a, rk) for a, rk in zip(points, ranks)]
+            srank = max(ranks)
+    else:
+        cdim, cert = commutant_dim_osp(gens, d, srank)
+    agreement = len(set(ranks)) == 1
+    bound = bound_lhs = bound_ok = None
+    if flavor == "osp" and m % 2 == 0:
+        bound, bound_lhs = m * (2 * n + 1), 2 * r
+        bound_ok = bound_lhs < bound
     if srank > cdim:
         raise MembershipError(
             f"span rank {srank} exceeds commutant dimension {cdim}; "
@@ -517,21 +495,12 @@ def relation_check(kind: str, m: int, n: int, r: int = 2,
     if kind != "bmw":
         check_power(d, r, budget, "dimension of V^(x)r")
     items = []
-    if kind == "hecke":
-        datum = distinguished("gl", m, n)
-        ctx = make_context("glq", datum=datum, budget=budget)
-        (rel,) = quotient_relations("hecke")
-        for i in range(1, r):
-            res = _placed_sum(ctx, rel, r, i)
-            items.append((f"{rel.name} at position {i}", res.is_zero(),
-                          f"nnz={len(res.entries)}"))
-    elif kind == "walledbmw":
-        datum = distinguished("gl", m, n)
-        ctx = make_context("glq", datum=datum, budget=budget)
-        if z is None:
-            z = qint(m - n)
-        rels = quotient_relations("walledbmw", {"z": z})
-        for rel in rels:
+    if kind in ("hecke", "walledbmw"):
+        ctx = make_context("glq", datum=distinguished("gl", m, n),
+                           budget=budget)
+        # the hecke family ignores the walled loop parameter z
+        z = qint(m - n) if z is None else z
+        for rel in quotient_relations(kind, {"z": z}):
             if rel.model == "word":
                 for i in range(1, r):
                     res = _placed_sum(ctx, rel, r, i)

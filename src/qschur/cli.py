@@ -4,9 +4,9 @@ Subcommands: rmatrix | sdim | invariant | fft | relations | brauer.
 
 The algebra is given positionally as in "gl 2|1" or "osp 3|2" (for osp the
 second number is the full odd dimension 2n and must be even), optionally
-followed by "order=e1,d1,e2" or the --order flag.  Output is a text table
-by default and machine JSON with --json; JSON is byte-deterministic for a
-fixed configuration (timings only appear with --timing).
+followed by "order=e1,d1,e2"; there is no flag form.  Output is a text
+table by default and machine JSON with --json; JSON is byte-deterministic
+for a fixed configuration (timings only appear with --timing).
 
 Relations run in the distinguished ordering, hecke and walledbmw on gl,
 bmw and brauer on osp.  bmw is checked in a spectral model with no strands,
@@ -49,7 +49,7 @@ def _parse_symbols(text: str):
     return tuple(out)
 
 
-def parse_datum(tokens: list[str], order: str | None) -> RootDatum:
+def parse_datum(tokens: list[str]) -> RootDatum:
     """Root datum literal: 'gl 2|1 [order=e1,d1,e2]' / 'osp 3|2 [order=d1,e1]'."""
     if len(tokens) < 2:
         raise UsageError("algebra spec needs a type and a size, e.g. gl 2|1")
@@ -70,8 +70,9 @@ def parse_datum(tokens: list[str], order: str | None) -> RootDatum:
         n = second // 2
     else:
         n = second
+    order = None
     for extra in tokens[2:]:
-        if extra.startswith("order="):
+        if extra.startswith("order=") and order is None:
             order = extra[len("order="):]
         else:
             raise UsageError(f"unexpected token {extra!r}")
@@ -126,7 +127,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def cmd_rmatrix(args) -> int:
-    datum = parse_datum(args.algebra, args.order)
+    datum = parse_datum(args.algebra)
     if datum.algebra != "gl":
         raise UsageError("rmatrix is defined for gl data")
     mat = qgl.braiding(datum) if args.braiding else qgl.rmatrix_vv(datum)
@@ -142,7 +143,7 @@ def cmd_rmatrix(args) -> int:
 
 
 def cmd_sdim(args) -> int:
-    datum = parse_datum(args.algebra, args.order)
+    datum = parse_datum(args.algebra)
     value = sdim_q(datum)
     payload = {"command": "sdim", "datum": datum.describe(), "sdim": str(value)}
     lines = [str(value)]
@@ -158,7 +159,7 @@ def cmd_sdim(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    datum = parse_datum(args.algebra, args.order)
+    datum = parse_datum(args.algebra)
     if datum.algebra != "gl":
         raise UsageError("link invariants use the gl flavor")
     ctx = functor.make_context("glq", datum=datum, budget=args.budget)
@@ -187,7 +188,7 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_fft(args) -> int:
-    datum = parse_datum(args.algebra, args.order)
+    datum = parse_datum(args.algebra)
     if not datum.is_distinguished():
         raise UsageError("fft reports run on the distinguished ordering")
     points = _parse_points(args.points) if args.points else DEFAULT_POINTS
@@ -213,7 +214,7 @@ def cmd_fft(args) -> int:
 
 def _relation_datum(args, kind: str) -> RootDatum:
     """The algebra of a relation check: of the family's type, distinguished."""
-    datum = parse_datum(args.algebra, args.order)
+    datum = parse_datum(args.algebra)
     want = centralizer.RELATION_ALGEBRA[kind]
     if datum.algebra != want:
         raise UsageError(f"{kind} relations are checked on {want} algebras, "
@@ -232,7 +233,7 @@ def cmd_relations(args) -> int:
         try:
             z = parse_scalar(args.z)
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad --z {args.z!r}: {exc}") from exc
+            raise UsageError(f"bad --z: {exc}") from exc
     report = centralizer.relation_check(kind, datum.m, datum.n, r=args.r, z=z,
                                         budget=args.budget)
     payload = {"command": "relations", "datum": datum.describe(),
@@ -272,9 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, algebra_required=True, budget=None):
         p.add_argument("algebra", nargs="*",
                        help="algebra spec, e.g. 'gl 2|1' or 'osp 3|2 order=d1,e1'")
-        p.add_argument("--algebra", dest="algebra_flag", metavar="SPEC",
-                       help="algebra spec as one string, e.g. --algebra 'gl 2|1'")
-        p.add_argument("--order", help="ordering, e.g. e1,d1,e2")
         p.set_defaults(algebra_required=algebra_required)
         p.add_argument("--json", action="store_true", help="emit JSON")
         if budget is not None:
@@ -336,11 +334,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if getattr(args, "algebra_flag", None):
-            if args.algebra:
-                raise UsageError("give the algebra positionally or via "
-                                 "--algebra, not both")
-            args.algebra = args.algebra_flag.split()
         if getattr(args, "algebra_required", False) and not args.algebra:
             raise UsageError("an algebra spec is required, e.g. gl 2|1")
         return args.func(args)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import VerificationError
+from .errors import BudgetError, VerificationError
 from .scalar import RatFunc, qpow
 
 __all__ = [
@@ -173,7 +173,7 @@ def compose_brauer(upper: BrauerDiagram, lower: BrauerDiagram, delta):
 def brauer_basis(r: int) -> list[BrauerDiagram]:
     """All (2r-1)!! diagrams on r strands."""
     if r > 6:
-        raise ValueError("diagram enumeration capped at r = 6")
+        raise BudgetError("diagram enumeration capped at r = 6")
     out = []
 
     def extend(matched, pairs):

@@ -99,10 +99,6 @@ class SparseMat:
     def identity(cls, space: SuperSpace) -> "SparseMat":
         return cls(space, space, {(i, i): 1 for i in range(space.dim)})
 
-    @classmethod
-    def zero(cls, src: SuperSpace, dst: SuperSpace) -> "SparseMat":
-        return cls(src, dst)
-
     # -- ring structure ---------------------------------------------------
 
     @property

@@ -13,8 +13,7 @@ import time
 from fractions import Fraction
 
 from conftest import assert_certified
-from qschur.centralizer import (commutant_dim_glq, commutant_dim_osp,
-                                fft_report, relation_check)
+from qschur.centralizer import fft_report, relation_check
 from qschur.diagrams import (BraidWord, braid_to_ribbon, brauer_basis,
                              compose_brauer, parse_braid)
 from qschur.functor import (brauer_diagram_matrix, evaluate, image_basis,

@@ -38,14 +38,23 @@ OSP_DIMS = {
 }
 
 
+def glq_exact_dim(m, n, r):
+    gens = _glq_generator_mats(distinguished("gl", m, n), r)
+    return least_nullity(gens, (m + n) ** r, DEFAULT_POINTS)
+
+
+def osp_exact_dim(m, n, r):
+    return commutant_nullity(_osp_generator_mats(m, n, r), (m + 2 * n) ** r)
+
+
 def test_commutant_glq_schur():
-    assert commutant_dim_glq(distinguished("gl", 1, 1), 1) == 1
-    assert commutant_dim_glq(distinguished("gl", 2, 1), 1) == 1
+    assert glq_exact_dim(1, 1, 1) == 1
+    assert glq_exact_dim(2, 1, 1) == 1
 
 
 def test_commutant_glq_frozen_dims():
     for (m, n, r), want in GLQ_DIMS.items():
-        assert commutant_dim_glq(distinguished("gl", m, n), r) == want
+        assert glq_exact_dim(m, n, r) == want
 
 
 def test_commutant_glq_exact_mode_agrees():
@@ -69,9 +78,9 @@ def test_commutant_against_dense_oracle():
 
 
 def test_commutant_osp_frozen_dims():
-    assert commutant_dim_osp(3, 1, 1) == 1
+    assert osp_exact_dim(3, 1, 1) == 1
     for (m, n, r), want in OSP_DIMS.items():
-        assert commutant_dim_osp(m, n, r) == want
+        assert osp_exact_dim(m, n, r) == want
 
 
 def test_classical_quantum_dimension_match():
@@ -248,10 +257,11 @@ def test_unmet_lower_bound_takes_the_exact_path(caplog):
         assert certify_nullity(jordan, 2, 1) is None
     assert "exact fallback" in caplog.text
     assert commutant_nullity(jordan, 2) == 2
-    assert commutant_dim_osp(1, 1, 2, lower_bound=1) == (3, None)
-    assert commutant_dim_glq(distinguished("gl", 1, 1), 2,
-                             lower_bound=1) == (2, None)
-    dim, cert = commutant_dim_osp(1, 1, 2, lower_bound=3)
+    osp_gens = _osp_generator_mats(1, 1, 2)
+    assert commutant_dim_osp(osp_gens, 9, 1) == (3, None)
+    gl_gens = _glq_generator_mats(distinguished("gl", 1, 1), 2)
+    assert commutant_dim_glq(gl_gens, 4, DEFAULT_POINTS, 1) == (2, None)
+    dim, cert = commutant_dim_osp(osp_gens, 9, 3)
     assert dim == 3 and cert.survivors - cert.rank == 3
 
 
@@ -266,9 +276,9 @@ def test_denominator_divisible_by_prime_takes_the_exact_path(caplog):
 
 def test_budget_guards():
     with pytest.raises(BudgetError):
-        commutant_dim_glq(distinguished("gl", 2, 2), 3, budget=10)
+        fft_report("gl", 2, 2, 3, budget=10)
     with pytest.raises(BudgetError):
-        commutant_dim_osp(3, 2, 3, budget=10)
+        fft_report("gl", 1, 1, 1, s=2, budget=10)
     with pytest.raises(BudgetError):
         fft_report("osp", 3, 1, 2, budget=10)
 
@@ -296,17 +306,32 @@ def test_fft_report_rejects_malformed_cells(monkeypatch, args, kwargs):
         fft_report(*args, **kwargs)
 
 
-@pytest.mark.parametrize("prime", [5, 7, 11, 37, 101])
+@pytest.mark.parametrize("prime", [5, 7, 11, 13, 17, 37, 101])
 def test_fallbacks_keep_the_bytes_at_a_small_prime(monkeypatch, prime):
-    # 5 and 7 divide the default point 7/5; at 37 the walled closure mod p
-    # drops candidates that are independent over Q, so the certificate
-    # fails and the exact closure must decide
+    # 5 and 7 divide the default point 7/5; 13 and 17 divide the later
+    # points 13/9 and 23/17, so a certified gl cell has a point short of
+    # the span rank that only an exact re-rank settles; at 37 the walled
+    # closure mod p drops candidates that are independent over Q, so the
+    # certificate fails and the exact closure must decide
     cells = [("gl", 1, 1, 2, 1), ("gl", 2, 1, 1, 1), ("gl", 2, 1, 3, 0),
              ("osp", 3, 1, 2, 0)]
     want = [fft_report(f, m, n, r, s=s).to_json() for f, m, n, r, s in cells]
     monkeypatch.setattr(superspace, "PRIME", prime)
     got = [fft_report(f, m, n, r, s=s).to_json() for f, m, n, r, s in cells]
     assert got == want
+
+
+def test_fft_report_calls_each_commutant_once_per_cell(monkeypatch):
+    calls = []
+    for name in ("commutant_dim_osp", "commutant_dim_glq"):
+        def spy(*args, _name=name, _fn=getattr(centralizer, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(centralizer, name, spy)
+    fft_report("osp", 3, 1, 2)
+    assert calls == ["commutant_dim_osp"]
+    fft_report("gl", 2, 1, 1, s=1)
+    assert calls == ["commutant_dim_osp", "commutant_dim_glq"]
 
 
 def test_relation_check_bmw_takes_two_strands_and_no_budget():
@@ -405,8 +430,9 @@ def test_certificate_rows_match_the_full_assembly_order():
                                           (3, 2)] for r in (1, 2, 3)]
     used = assembled = 0
     for (m, n, r) in osp_cells:
-        dim, cert = commutant_dim_osp(m, n, r,
-                                      lower_bound=math.prod(range(1, 2 * r, 2)))
+        dim, cert = commutant_dim_osp(_osp_generator_mats(m, n, r),
+                                      (m + 2 * n) ** r,
+                                      math.prod(range(1, 2 * r, 2)))
         assert cert is not None and cert.rows_used <= cert.rows_assembled
         if (m, n, r) == (3, 1, 3):
             assert cert.rows_used == 1176 and cert.rows_assembled == 1476
@@ -416,5 +442,6 @@ def test_certificate_rows_match_the_full_assembly_order():
         assembled += cert.rows_assembled
     # of the 70,680 rows that full assembly builds on these 15 cells
     assert (used, assembled) == (11406, 13812)
-    _, cert = commutant_dim_glq(distinguished("gl", 2, 1), 4, lower_bound=24)
+    gens = _glq_generator_mats(distinguished("gl", 2, 1), 4)
+    _, cert = commutant_dim_glq(gens, 81, DEFAULT_POINTS, 24)
     assert (cert.rows_used, cert.rows_assembled) == (1587, 1824)

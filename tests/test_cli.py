@@ -19,18 +19,20 @@ def run(capsys, *argv):
 
 
 def test_parse_datum_literals():
-    d = parse_datum(["gl", "2|1"], None)
+    d = parse_datum(["gl", "2|1"])
     assert d.describe() == "gl 2|1 order=e1,e2,d1"
-    d2 = parse_datum(["gl", "2|1", "order=e1,d1,e2"], None)
+    d2 = parse_datum(["gl", "2|1", "order=e1,d1,e2"])
     assert d2.ordering == (("e", 1), ("d", 1), ("e", 2))
-    d3 = parse_datum(["osp", "3|2", "order=d1,e1"], None)
+    d3 = parse_datum(["osp", "3|2", "order=d1,e1"])
     assert d3.m == 3 and d3.n == 1
     with pytest.raises(UsageError):
-        parse_datum(["osp", "3|3"], None)  # odd part must be even
+        parse_datum(["osp", "3|3"])  # odd part must be even
     with pytest.raises(UsageError):
-        parse_datum(["gl"], None)
+        parse_datum(["gl"])
     with pytest.raises(UsageError):
-        parse_datum(["su", "2|1"], None)
+        parse_datum(["su", "2|1"])
+    with pytest.raises(UsageError, match="unexpected token"):
+        parse_datum(["gl", "2|1", "order=e1,d1,e2", "order=e1,e2,d1"])
 
 
 def test_rmatrix_command(capsys):
@@ -59,11 +61,16 @@ def test_rmatrix_rejects_bad_spec(capsys):
     assert code == 2
 
 
-def test_algebra_flag_variant(capsys):
-    code, out, _ = run(capsys, "sdim", "--algebra", "gl 3|1")
-    assert code == 0 and out.strip() == "q + q^-1"
-    code, _, _ = run(capsys, "sdim", "gl", "3|1", "--algebra", "gl 2|1")
-    assert code == 2  # both forms at once is ambiguous
+@pytest.mark.parametrize("argv", [
+    ["sdim", "--algebra", "gl 3|1"],
+    ["sdim", "gl", "3|1", "--algebra", "gl 2|1"],
+    ["sdim", "gl", "2|1", "--order", "e1,e2,d1"],
+    ["sdim", "gl", "2|1", "order=e1,d1,e2", "--order", "e1,e2,d1", "--json"],
+])
+def test_algebra_and_order_flags_are_usage_errors(capsys, argv):
+    # the positional "gl 2|1 [order=...]" form is the only way to name it
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""
 
 
 def test_sdim_command(capsys):
@@ -122,6 +129,10 @@ def test_fft_budget_exit_code(capsys):
     ["fft", "gl", "1|1", "-r", "3", "-s", "20000"],
     ["relations", "gl", "1|1", "--kind", "hecke", "-r", "20000"],
     ["invariant", "gl", "1|1", "-r", "1000", "--braid", "s1"],
+    ["fft", "gl", "1|0", "-r", "8"],  # 8! Hecke images
+    ["fft", "osp", "1|0", "-r", "7"],  # Brauer diagrams past r = 6
+    ["brauer", "-r", "7"],
+    ["brauer", "-r", "7", "osp", "1|0"],
 ])
 def test_oversized_powers_are_budget_errors(capsys, argv):
     # each size is decided without building the power or the factorial
@@ -228,6 +239,7 @@ def test_relations_bad_z_is_usage_error(capsys):
     code, _, err = run(capsys, "relations", "gl", "1|1", "--kind",
                        "walledbmw", "--z", "(" * 5000 + "q" + ")" * 5000)
     assert code == 2 and err.startswith("error:") and "nests" in err
+    assert len(err) < 200  # the input is not echoed back
 
 
 @pytest.mark.parametrize("argv", [

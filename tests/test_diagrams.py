@@ -9,6 +9,7 @@ from qschur.diagrams import (BraidWord, BrauerDiagram, RibbonWord,
                              identity_diagram, parse_braid, perm_word,
                              permutation_diagram, quotient_relations,
                              transposition_diagram)
+from qschur.errors import BudgetError
 from qschur.scalar import RatFunc, qint, qpow
 
 
@@ -40,7 +41,7 @@ def test_basis_counts():
     assert len(brauer_basis(2)) == 3
     assert len(brauer_basis(3)) == 15
     assert len(brauer_basis(5)) == 945
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetError):
         brauer_basis(7)
 
 

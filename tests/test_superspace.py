@@ -106,7 +106,7 @@ def test_supertrace_multiplicative_on_kron():
 
 def test_rank_examples():
     V = _space([0, 0, 0])
-    zero = SparseMat.zero(V, V)
+    zero = SparseMat(V, V)
     assert rank_at(zero, DEFAULT_POINTS) == 0
     assert rank_at(SparseMat.identity(V), DEFAULT_POINTS) == 3
     # nu_2(C Sym_2) basis {id, tau} on gl(1|1), vectorized -> rank 2
@@ -141,7 +141,7 @@ def test_rank_reports_disagreement_and_pole():
 def test_nullspace_examples():
     V = _space([0] * 4)
     W = _space([0] * 3)
-    zero = SparseMat.zero(V, W)  # 3x4 zero matrix: nullity = 4
+    zero = SparseMat(V, W)  # 3x4 zero matrix: nullity = 4
     for mat, nullity in ((zero, 4), (SparseMat.identity(V), 0)):
         assert mat.cols - int_rank(superspace._rows_of(mat)) == nullity
 
