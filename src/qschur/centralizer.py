@@ -196,7 +196,7 @@ def _glq_generator_mats(datum: RootDatum, r: int, s: int = 0):
     rep = qgl.natural_rep(datum)
     signs = (1,) * r + (-1,) * s
     return [qgl.act_on_signs(rep, gen, signs)
-            for gen in qgl.generator_names(datum, with_inverses=True)]
+            for gen in qgl.generator_names(datum)]
 
 
 def _osp_generator_mats(m: int, n: int, r: int):
@@ -452,9 +452,6 @@ class RelationReport:
         return {"kind": self.kind, "all_zero": self.all_zero,
                 "items": [{"name": nm, "zero": ok, "residual": res}
                           for nm, ok, res in self.items]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _placed_sum(ctx: EvalContext, relation, r: int, i: int) -> SparseMat:

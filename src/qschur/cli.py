@@ -10,14 +10,15 @@ for a fixed configuration (timings only appear with --timing).
 
 Relations run in the distinguished ordering, hecke and walledbmw on gl,
 bmw and brauer on osp.  bmw is checked in a spectral model with no strands,
-so it takes -r 2 only and no budget applies.  Only commands that build
-tensor powers take --budget.
+so it takes -r 2 only and no budget applies; --z applies to walledbmw only.
+Only commands that build tensor powers take --budget.
 
 Exit codes follow the error's type (`qschur.errors`): 0 success, 1
 verification failure (also a failed internal identity check), 2 usage
-error (also a malformed or too deeply nested --ribbon-json or --z, an -r
-out of range for the command, a relation family on the wrong algebra, a
---budget below 1), 3 budget exceeded (also an -r or -s too large).
+error (also a malformed or too deeply nested --ribbon-json or --z, an
+empty order=, an -r out of range for the command, a relation family on the
+wrong algebra, --z without walledbmw, a --budget below 1), 3 budget
+exceeded (also an -r or -s too large).
 """
 
 from __future__ import annotations
@@ -78,11 +79,9 @@ def parse_datum(tokens: list[str]) -> RootDatum:
             raise UsageError(f"unexpected token {extra!r}")
     if m + n < 1 or m < 0 or n < 0:
         raise UsageError("need m, n >= 0 and m + n >= 1")
-    if order:
-        datum = RootDatum(algebra, m, n, _parse_symbols(order))
-    else:
-        datum = distinguished(algebra, m, n)
-    return datum
+    if order is None:
+        return distinguished(algebra, m, n)
+    return RootDatum(algebra, m, n, _parse_symbols(order))
 
 
 def _at_least(low: int):
@@ -228,7 +227,10 @@ def cmd_relations(args) -> int:
     kind = args.kind
     datum = _relation_datum(args, kind)
     z = None
-    if args.z:
+    if args.z is not None:
+        if kind != "walledbmw":
+            raise UsageError("--z is the walled loop parameter; it applies "
+                             "to --kind walledbmw only")
         from .scalar import parse as parse_scalar
         try:
             z = parse_scalar(args.z)

@@ -3,8 +3,9 @@
 A Brauer diagram on r strands is a perfect matching of 2r points, numbered
 0..r-1 along the bottom and r..2r-1 along the top (top point r+i sits
 above bottom point i).  Composition stacks `upper` on top of `lower`,
-removes closed loops and reports their count; the matrix model multiplies
-in the same order, nu(upper) @ nu(lower).
+follows each strand through the glued middle row and reports the closed
+loops left there; the matrix model multiplies in the same order,
+nu(upper) @ nu(lower).
 
 Ribbon graphs are layered words of generator tokens read bottom to top.
 Directed tokens: I+ I- X+ X- Om+ Om- U+ U- with signed source/target
@@ -12,6 +13,11 @@ sequences (+ is the module V, - its dual); non-directed tokens: I X+ X-
 Om U with arities.  Words validate by matching each layer's target to the
 next layer's source.  Equality of words is not decided; words are only
 compared through their functor images.
+
+Quotient relations are formal records of small ribbon words (the Hecke
+skein relation and the walled loop values) that the centralizer module
+pushes through the functor; the bmw family has no record here, since it
+is checked in the spectral model of `osp`.
 """
 
 from __future__ import annotations
@@ -24,8 +30,7 @@ from .scalar import RatFunc, qpow
 
 __all__ = [
     "BrauerDiagram", "compose_brauer", "brauer_basis", "identity_diagram",
-    "transposition_diagram", "cupcap_diagram", "permutation_diagram",
-    "diagram_factor", "perm_word",
+    "permutation_diagram", "diagram_factor", "perm_word",
     "BraidWord", "parse_braid", "braid_to_ribbon", "closure",
     "RibbonWord", "Relation", "quotient_relations",
     "DIRECTED_TOKENS", "NONDIRECTED_TOKENS",
@@ -82,91 +87,39 @@ def permutation_diagram(perm) -> BrauerDiagram:
     return BrauerDiagram(tuple(match))
 
 
-def transposition_diagram(r: int, i: int) -> BrauerDiagram:
-    """s_i as a diagram, 1 <= i <= r-1."""
-    perm = list(range(r))
-    perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    return permutation_diagram(tuple(perm))
-
-
-def cupcap_diagram(r: int, i: int) -> BrauerDiagram:
-    """e_i as a diagram: bottom (i-1,i) and top (i-1,i) joined, rest through."""
-    match = [0] * (2 * r)
-    for j in range(r):
-        match[j] = r + j
-        match[r + j] = j
-    a, b = i - 1, i
-    match[a], match[b] = b, a
-    match[r + a], match[r + b] = r + b, r + a
-    return BrauerDiagram(tuple(match))
-
-
 def compose_brauer(upper: BrauerDiagram, lower: BrauerDiagram, delta):
     """Stack upper on top of lower; returns (diagram, delta**loops).
 
+    Each strand is followed from an outer point through the middle row
+    (lower top j glued to upper bottom j) until it leaves at another outer
+    point; the middle points no strand crossed lie on closed loops.
     Matches the matrix model: nu(result) * delta**loops == nu(upper) @ nu(lower).
     """
     r = upper.strands
     if lower.strands != r:
         raise ValueError("strand-count mismatch in Brauer composition")
-    # Node ids: result bottom ("b", i) = lower bottom, result top ("t", i) =
-    # upper top; middles ("m", j) glue lower top j to upper bottom j.
-    adj: dict[tuple, list] = {}
-
-    def link(a, b):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-
-    for i in range(r):
-        j = lower.match[i]
-        link(("b", i), ("m", j - r) if j >= r else ("b", j))
-    for i in range(r, 2 * r):
-        j = lower.match[i]
-        if j >= r and i < j:
-            link(("m", i - r), ("m", j - r))
-    for i in range(r):
-        j = upper.match[i]
-        link(("m", i), ("t", j - r) if j >= r else ("m", j))
-    for i in range(r, 2 * r):
-        j = upper.match[i]
-        if j >= r and i < j:
-            link(("t", i - r), ("t", j - r))
-    # each endpoint occurs in exactly one edge pair; walk to its partner
-    ends = [("b", i) for i in range(r)] + [("t", i) for i in range(r)]
-    seen = set()
-    pairing = {}
-    for start in ends:
-        if start in seen:
+    match = [-1] * (2 * r)  # result bottom i = lower i, top i = upper r + i
+    crossed = [False] * r
+    for start in range(2 * r):
+        if match[start] >= 0:
             continue
-        seen.add(start)
-        prev, cur = start, adj[start][0]
-        while cur[0] == "m":
-            seen.add(cur)
-            nxt = [x for x in adj[cur] if x != prev]
-            prev, cur = cur, nxt[0]
-        seen.add(cur)
-        pairing[start] = cur
-        pairing[cur] = start
-    # untouched middles form closed loops; each contributes one delta factor
+        below, k = start < r, start  # below: k is a point of lower
+        while True:
+            k = (lower if below else upper).match[k]
+            if (k < r) == below:
+                break  # out at the bottom of lower or the top of upper
+            j = k - r if below else k
+            crossed[j] = True
+            below, k = not below, (j if below else r + j)
+        match[start], match[k] = k, start
     loops = 0
-    for i in range(r):
-        node = ("m", i)
-        if node in seen:
-            continue
-        loops += 1
-        stack = [node]
-        seen.add(node)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    match = [0] * (2 * r)
-    for a, b in pairing.items():
-        ia = a[1] if a[0] == "b" else r + a[1]
-        ib = b[1] if b[0] == "b" else r + b[1]
-        match[ia] = ib
+    for j in range(r):
+        if not crossed[j]:
+            loops += 1
+            while not crossed[j]:
+                k = upper.match[j]
+                crossed[j] = crossed[k] = True
+                j = lower.match[r + k] - r
     return BrauerDiagram(tuple(match)), delta ** loops
 
 
@@ -469,43 +422,36 @@ def closure(w: BraidWord) -> RibbonWord:
 
 @dataclass(frozen=True)
 class Relation:
-    """Formal linear combination of small ribbon words (or a named spectral
-    identity when model == "spectral")."""
+    """Formal linear combination of small ribbon words.
+
+    model "word": the terms are maps V (x) V -> V (x) V, to be placed on
+    adjacent strands; model "scalar": closed words, with None standing for
+    the empty word (a bare scalar term).
+    """
 
     name: str
-    model: str  # "word", "scalar" or "spectral"
-    terms: tuple = ()  # (coefficient, RibbonWord) pairs for word/scalar models
+    model: str  # "word" or "scalar"
+    terms: tuple  # (coefficient, RibbonWord or None) pairs
 
 
 def quotient_relations(kind: str, params: dict | None = None) -> list[Relation]:
-    params = dict(params or {})
+    """The "hecke" or "walledbmw" relations; walledbmw needs params["z"]."""
+    if kind not in ("hecke", "walledbmw"):
+        raise ValueError(f"unknown relation family {kind!r}")
+    coeff = qpow(1) - qpow(-1)
+    out = [Relation(
+        "X+ - X- - (q - q^-1) I", "word",
+        ((RatFunc(1), RibbonWord("directed", (("X+",),))),
+         (RatFunc(-1), RibbonWord("directed", (("X-",),))),
+         (-coeff, RibbonWord("directed", (("I+", "I+"),)))))]
     if kind == "hecke":
-        coeff = qpow(1) - qpow(-1)
-        return [Relation(
-            "X+ - X- - (q - q^-1) I", "word",
-            ((RatFunc(1), RibbonWord("directed", (("X+",),))),
-             (RatFunc(-1), RibbonWord("directed", (("X-",),))),
-             (-coeff, RibbonWord("directed", (("I+", "I+"),)))))]
-    if kind == "walledbmw":
-        z = params.get("z")
-        if z is None:
-            raise ValueError("walledbmw relations need the loop parameter z")
-        coeff = qpow(1) - qpow(-1)
-        loop_plus = RibbonWord("directed", (("U+",), ("Om-",)))
-        loop_minus = RibbonWord("directed", (("U-",), ("Om+",)))
-        return [
-            Relation("X+ - X- - (q - q^-1) I", "word",
-                     ((RatFunc(1), RibbonWord("directed", (("X+",),))),
-                      (RatFunc(-1), RibbonWord("directed", (("X-",),))),
-                      (-coeff, RibbonWord("directed", (("I+", "I+"),))))),
-            Relation("Om- U+ - z", "scalar", ((RatFunc(1), loop_plus), (-z, None))),
-            Relation("Om+ U- - z", "scalar", ((RatFunc(1), loop_minus), (-z, None))),
-        ]
-    if kind == "bmw":
-        names = ["g*ginv = 1", "g from eliminated form", "ginv from eliminated form",
-                 "skein g - ginv = (q-q^-1)(1-e)", "e^2 = sdim e",
-                 "e g = q^{-omega} e", "g e = q^{-omega} e",
-                 "(g-q)(g+q^-1)(g-q^{chi_0}) = 0", "y = q^{-omega_V}",
-                 "chi_0 = -m+2n+1"]
-        return [Relation(nm, "spectral") for nm in names]
-    raise ValueError(f"unknown relation family {kind!r}")
+        return out
+    z = (params or {}).get("z")
+    if z is None:
+        raise ValueError("walledbmw relations need the loop parameter z")
+    loop_plus = RibbonWord("directed", (("U+",), ("Om-",)))
+    loop_minus = RibbonWord("directed", (("U-",), ("Om+",)))
+    return out + [
+        Relation("Om- U+ - z", "scalar", ((RatFunc(1), loop_plus), (-z, None))),
+        Relation("Om+ U- - z", "scalar", ((RatFunc(1), loop_minus), (-z, None))),
+    ]

@@ -57,19 +57,15 @@ class EvalContext:
     datum: RootDatum | None = None  # glq only
     mn: tuple[int, int] | None = None  # osp only
 
-    def space_of(self, sig) -> SuperSpace:
-        """Tensor space of a directed sign tuple or a non-directed arity."""
-        if self.mode == "directed":
-            if not sig:
-                return unit_space()
-            out = None
-            for s in sig:
-                sp = self.V if s == "+" else self.V.dual()
-                out = sp if out is None else out.tensor(sp)
-            return out
-        if sig == 0:
+    def space_of(self, signs) -> SuperSpace:
+        """Tensor space of a directed sign tuple (+ is V, - is V*)."""
+        if not signs:
             return unit_space()
-        return self.V.tensor_power(sig)
+        out = None
+        for s in signs:
+            sp = self.V if s == "+" else self.V.dual()
+            out = sp if out is None else out.tensor(sp)
+        return out
 
 
 def make_context(flavor: str, datum: RootDatum | None = None,
@@ -119,8 +115,7 @@ def evaluate(word: RibbonWord, ctx: EvalContext) -> SparseMat:
     total = None
     for layer in word.layers:
         mats = [ctx.images[tok] for tok in layer]
-        lm = kron_chain(mats) if mats else SparseMat.identity(ctx.space_of(
-            () if ctx.mode == "directed" else 0))
+        lm = kron_chain(mats) if mats else SparseMat.identity(unit_space())
         if lm.src.dim > ctx.budget or lm.dst.dim > ctx.budget:
             raise BudgetError(
                 f"layer dimension {max(lm.src.dim, lm.dst.dim)} exceeds "
@@ -183,34 +178,12 @@ def brauer_diagram_matrix(d: BrauerDiagram, m: int, n: int) -> SparseMat:
     return perm_mat(alpha) @ mid @ perm_mat(beta)
 
 
-def mixed_crossings(ctx: EvalContext) -> tuple[SparseMat, SparseMat]:
-    """(c_{V*,V}, c_{V,V*}): the braiding on mixed sign pairs.
-
-    Transported through the duality maps: dualising the first argument uses
-    the left duality and the inverse crossing, dualising the second uses the
-    induced right duality and the positive crossing.  Both are certified
-    natural by the test suite.
-    """
-    if ctx.flavor != "glq":
-        raise ValueError("mixed crossings live in the glq context")
-    V, Vd = ctx.V, ctx.V.dual()
-    iV, iVd = SparseMat.identity(V), SparseMat.identity(Vd)
-    om, up = ctx.images["Om+"], ctx.images["U+"]
-    omp, upp = ctx.images["Om-"], ctx.images["U-"]
-    # c_{V*,V} = (Om (x) 1 (x) 1)(1 (x) c^{-1}_{V,V} (x) 1)(1 (x) 1 (x) U)
-    c_vd_v = (kron_chain([om, iV, iVd])
-              @ kron_chain([iVd, ctx.images["X-"], iVd])
-              @ kron_chain([iVd, iV, up]))
-    # c_{V,V*} = (1 (x) 1 (x) Om')(1 (x) c_{V,V} (x) 1)(U' (x) 1 (x) 1)
-    c_v_vd = (kron_chain([iVd, iV, omp])
-              @ kron_chain([iVd, ctx.images["X+"], iVd])
-              @ kron_chain([upp, iV, iVd]))
-    return c_vd_v, c_v_vd
-
-
 def dual_braiding(ctx: EvalContext) -> SparseMat:
     """The positive braiding on V* (x) V*, transported through right duality.
 
+    One right-duality sandwich turns c_{V,V} into the mixed crossing
+    c_{V,V*} = (1 (x) 1 (x) Om')(1 (x) c_{V,V} (x) 1)(U' (x) 1 (x) 1),
+    and a second turns that into
     c_{V*,V*} = (1 (x) 1 (x) Om')(1 (x) c_{V,V*} (x) 1)(U' (x) 1 (x) 1).
     The left-duality sandwich with the inverse middle yields the opposite
     handedness (it satisfies the inverse Hecke quadratic); this one matches
@@ -218,10 +191,11 @@ def dual_braiding(ctx: EvalContext) -> SparseMat:
     """
     if ctx.flavor != "glq":
         raise ValueError("dual braiding lives in the glq context")
-    Vd = ctx.V.dual()
-    iVd = SparseMat.identity(Vd)
+    iV, iVd = SparseMat.identity(ctx.V), SparseMat.identity(ctx.V.dual())
     omp, upp = ctx.images["Om-"], ctx.images["U-"]
-    _, c_v_vd = mixed_crossings(ctx)
+    c_v_vd = (kron_chain([iVd, iV, omp])
+              @ kron_chain([iVd, ctx.images["X+"], iVd])
+              @ kron_chain([upp, iV, iVd]))
     return (kron_chain([iVd, iVd, omp])
             @ kron_chain([iVd, c_v_vd, iVd])
             @ kron_chain([upp, iVd, iVd]))

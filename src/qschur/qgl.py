@@ -27,7 +27,7 @@ from .superspace import (SparseMat, SuperSpace, graded_kron, kron_chain, tau,
 
 __all__ = [
     "GlqRep", "natural_rep", "natural_space", "act_tensor", "act_on_signs",
-    "act_tensor_op", "rmatrix_vv", "braiding", "braiding_inverse", "k2rho",
+    "rmatrix_vv", "braiding", "braiding_inverse", "k2rho",
     "dual_rep", "DualityMaps", "duality_maps", "twist_scalar",
     "check_defining_relations", "generator_names",
 ]
@@ -64,14 +64,17 @@ class GlqRep:
         return 0
 
 
-def generator_names(datum: RootDatum, with_inverses: bool = False) -> list[str]:
-    """The centralizer generator set: all e_i, f_i and K_a (opt. K_a^-1)."""
+def generator_names(datum: RootDatum) -> list[str]:
+    """The centralizer generator set: all e_i, f_i and K_a.
+
+    The K_a^-1 are left out: a map that commutes with K_a commutes with its
+    inverse, and on a tensor power K_a^-1 is diagonal with the same level
+    sets as K_a, so it would split the commutant unknowns the same way and
+    add no constraint row.
+    """
     d = len(datum.module_weights())
     names = [f"e{i}" for i in range(1, d)] + [f"f{i}" for i in range(1, d)]
-    names += [f"K{a}" for a in range(1, d + 1)]
-    if with_inverses:
-        names += [f"Kinv{a}" for a in range(1, d + 1)]
-    return names
+    return names + [f"K{a}" for a in range(1, d + 1)]
 
 
 def _diag(space: SuperSpace, values) -> SparseMat:
@@ -207,23 +210,6 @@ def act_tensor(rep: GlqRep, gen: str, r: int) -> SparseMat:
     if gen not in rep.mats and gen != "I":
         raise KeyError(f"unknown generator {gen!r}")
     return act_on_signs(rep, gen, (1,) * r)
-
-
-def act_tensor_op(rep: GlqRep, gen: str, r: int) -> SparseMat:
-    """Opposite-coproduct action (legs reversed, with Koszul signs even)."""
-    if gen.startswith("K"):
-        return act_tensor(rep, gen, r)
-    i = gen[1:]
-    out = None
-    for p in range(r):
-        if gen[0] == "e":
-            leg = [f"k{i}"] * p + [gen] + ["I"] * (r - 1 - p)
-        else:
-            leg = ["I"] * p + [gen] + [f"kinv{i}"] * (r - 1 - p)
-        mats = [_slot_mat(rep, None, nm, 1) for nm in leg]
-        term = kron_chain(mats)
-        out = term if out is None else out + term
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -176,17 +176,6 @@ class RootDatum:
             tail = tuple(2 * x for x in last)
         return diffs + [tail]
 
-    def indecomposable_positive_roots(self) -> list[WeightVec]:
-        """Positive roots that are not sums of two positive roots."""
-        pos = self.positive_roots()
-        posset = set(pos)
-        out = []
-        for r in pos:
-            if not any(tuple(x - y for x, y in zip(r, s)) in posset
-                       for s in pos if s != r):
-                out.append(r)
-        return out
-
     def rho2(self) -> WeightVec:
         """Sum of even positive roots minus sum of odd positive roots."""
         tot = [0] * self.rank
@@ -195,11 +184,6 @@ class RootDatum:
             for i, c in enumerate(r):
                 tot[i] += sign * c
         return tuple(tot)
-
-    def casimir_eigenvalue(self, lam: WeightVec) -> int:
-        """(lam + 2 rho, lam)."""
-        r2 = self.rho2()
-        return self.form(tuple(a + b for a, b in zip(lam, r2)), lam)
 
     # -- natural module ----------------------------------------------------
 
@@ -226,12 +210,6 @@ class RootDatum:
         for j in range(n - 1, -1, -1):
             out.append((unit(k + j, -1), 1))
         return out
-
-    def natural_highest_weight(self) -> WeightVec:
-        return self.weight_of(self.ordering[0])
-
-    def natural_casimir(self) -> int:
-        return self.casimir_eigenvalue(self.natural_highest_weight())
 
     def describe(self) -> str:
         order = ",".join(_sym_str(s) for s in self.ordering)

@@ -175,14 +175,6 @@ class SparseMat:
                        if (w := v % p)}
         return res
 
-    def __pow__(self, k: int) -> "SparseMat":
-        if self.src.dim != self.dst.dim:
-            raise ValueError("power of a non-square matrix")
-        out = SparseMat.identity(self.src)
-        for _ in range(k):
-            out = self @ out
-        return out
-
     def transpose(self) -> "SparseMat":
         res = SparseMat(self.dst, self.src)
         res.entries = {(c, r): v for (r, c), v in self.entries.items()}
@@ -354,17 +346,13 @@ def ranks_at(mat_or_rows, points) -> list[int]:
 
 
 def rank_at(mat_or_rows, points=DEFAULT_POINTS) -> int:
-    """Max specialised rank over the given points.
+    """Max exact rank over the points: `max(ranks_at(...))`.
 
     Specialisation can only drop rank, so the max is a lower bound for the
-    generic rank that is tight at generic points.  Disagreements between
-    points are reported as warnings; use `ranks_at` to inspect them.
+    generic rank that is tight at generic points.  The exact walled closure
+    calls it at one point.
     """
-    ranks = ranks_at(mat_or_rows, points)
-    if len(set(ranks)) != 1:
-        import warnings
-        warnings.warn(f"specialised ranks disagree across points: {ranks}")
-    return max(ranks)
+    return max(ranks_at(mat_or_rows, points))
 
 
 #: The working prime of `Echelon`: 2^61 - 1, so residues are machine-size.

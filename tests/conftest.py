@@ -70,6 +70,11 @@ def ratfunc_rank(rows) -> int:
     return len(pivots)
 
 
+def casimir(datum, lam) -> int:
+    """The Casimir eigenvalue (lam + 2 rho, lam) on highest weight lam."""
+    return datum.form(tuple(a + b for a, b in zip(lam, datum.rho2())), lam)
+
+
 def assert_certified(rep) -> None:
     """An `equal` report carries a certificate whose bound meets the span."""
     cert = rep.certificate

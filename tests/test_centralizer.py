@@ -73,7 +73,7 @@ def test_commutant_against_dense_oracle():
     rep = natural_rep(d)
     pt = Fraction(7, 5)
     gens = [act_tensor(rep, gen, 2).specialize(pt)
-            for gen in generator_names(d, with_inverses=True)]
+            for gen in generator_names(d)]
     assert dense_nullity(commutator_rows(gens, 4), 16) == GLQ_DIMS[(1, 1, 2)]
 
 

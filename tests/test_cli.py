@@ -229,6 +229,19 @@ def test_fft_rejects_degenerate_input(capsys, argv):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sdim", "gl", "2|1", "order="],
+    ["fft", "gl", "1|1", "order="],
+    ["relations", "osp", "3|2", "--kind", "bmw", "--z", "q"],
+    ["relations", "gl", "2|1", "--kind", "hecke", "--z", "q"],
+    ["relations", "gl", "2|1", "--kind", "walledbmw", "--z="],
+])
+def test_input_that_would_be_ignored_is_a_usage_error(capsys, argv):
+    # an empty ordering, and a loop parameter that the family does not read
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_relations_bad_z_is_usage_error(capsys):
     code, _, err = run(capsys, "relations", "gl", "1|1", "--kind",
                        "walledbmw", "--z", "1/(q-q)")

@@ -5,23 +5,31 @@ import pytest
 
 from qschur.diagrams import (BraidWord, BrauerDiagram, RibbonWord,
                              braid_to_ribbon, brauer_basis, closure,
-                             compose_brauer, cupcap_diagram, diagram_factor,
-                             identity_diagram, parse_braid, perm_word,
-                             permutation_diagram, quotient_relations,
-                             transposition_diagram)
+                             compose_brauer, diagram_factor, identity_diagram,
+                             parse_braid, perm_word, permutation_diagram,
+                             quotient_relations)
 from qschur.errors import BudgetError
 from qschur.scalar import RatFunc, qint, qpow
 
 
+def _transposition(r, i):
+    """s_i on r strands, 1 <= i <= r-1."""
+    perm = list(range(r))
+    perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return permutation_diagram(tuple(perm))
+
+
 def test_compose_examples():
-    e = cupcap_diagram(2, 1)
+    e = BrauerDiagram((1, 0, 3, 2))  # e_1 on two strands
     assert compose_brauer(e, e, 7) == (e, 7)  # one loop
     ident = identity_diagram(2)
     for d in brauer_basis(2):
         assert compose_brauer(ident, d, 7) == (d, 1)
         assert compose_brauer(d, ident, 7) == (d, 1)
-    s = transposition_diagram(2, 1)
+    s = _transposition(2, 1)
     assert compose_brauer(s, s, 7) == (ident, 1)
+    e1e3 = BrauerDiagram((1, 0, 3, 2, 5, 4, 7, 6))
+    assert compose_brauer(e1e3, e1e3, 7) == (e1e3, 49)  # two loops
 
 
 def test_compose_associative_exhaustive():
@@ -57,7 +65,7 @@ def test_perm_word_rebuilds_permutation():
         for p in itertools.permutations(range(r)):
             d = identity_diagram(r)
             for i in perm_word(p):
-                d, sc = compose_brauer(transposition_diagram(r, i), d, 1)
+                d, sc = compose_brauer(_transposition(r, i), d, 1)
                 assert sc == 1
             assert d == permutation_diagram(p)
 
@@ -81,6 +89,17 @@ def test_matrix_model_is_algebra_homomorphism():
             for d1, d2 in itertools.product(basis, repeat=2):
                 dd, sc = compose_brauer(d1, d2, delta)
                 assert mats[d1] @ mats[d2] == mats[dd].scale(sc), (m, n, r)
+    # osp(0|2), delta = -2: the pairs at r = 4 that close two loops, where
+    # a wrong loop count changes the scalar
+    basis = brauer_basis(4)
+    mats = {d: brauer_diagram_matrix(d, 0, 1) for d in basis}
+    pairs = [(d1, d2) for d1, d2 in itertools.product(basis, repeat=2)
+             if compose_brauer(d1, d2, 2)[1] == 4]
+    assert len(pairs) == 27
+    for d1, d2 in pairs:
+        dd, sc = compose_brauer(d1, d2, Fraction(-2))
+        assert sc == 4
+        assert mats[d1] @ mats[d2] == mats[dd].scale(sc)
 
 
 def test_braid_word_parsing():
@@ -177,8 +196,8 @@ def test_quotient_relations():
     walled = quotient_relations("walledbmw", {"z": qint(1)})
     assert [r.name for r in walled] == [
         "X+ - X- - (q - q^-1) I", "Om- U+ - z", "Om+ U- - z"]
-    bmw = quotient_relations("bmw")
-    assert all(r.model == "spectral" for r in bmw)
+    with pytest.raises(ValueError):
+        quotient_relations("bmw")  # checked in the osp spectral model
     with pytest.raises(ValueError):
         quotient_relations("walledbmw")
     with pytest.raises(ValueError):

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from qschur.qgl import (act_on_signs, act_tensor, act_tensor_op, braiding,
+from conftest import casimir
+from qschur.qgl import (act_on_signs, act_tensor, braiding,
                         braiding_inverse, check_defining_relations, dual_rep,
                         duality_maps, generator_names, k2rho, natural_rep,
                         natural_space, partial_supertrace_last, rmatrix_vv,
@@ -93,9 +94,11 @@ def test_intertwiner_property():
         d = distinguished("gl", m, n)
         rep = natural_rep(d)
         R = rmatrix_vv(d)
+        t = tau(rep.space, rep.space)
         for gen in generator_names(d):
-            assert (R @ act_tensor(rep, gen, 2)
-                    == act_tensor_op(rep, gen, 2) @ R), (m, n, gen)
+            # R Delta(x) = Delta^op(x) R, with Delta^op = tau Delta tau
+            x = act_tensor(rep, gen, 2)
+            assert R @ x == t @ x @ t @ R, (m, n, gen)
 
 
 def test_hecke_quadratic_relation():
@@ -214,7 +217,7 @@ def test_twist_scalar():
     for (m, n) in GL_PAIRS_4:
         d = distinguished("gl", m, n)
         th = twist_scalar(d)
-        assert th == qpow(d.natural_casimir()), (m, n)
+        assert th == qpow(casimir(d, d.weight_of(d.ordering[0]))), (m, n)
         assert th.specialize(1) in (1, -1)
 
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from conftest import casimir
 from qschur.rootdata import (RootDatum, admissible_orderings, distinguished,
                              odd_reflection, sdim_q, sdim_q_osp_closed_form)
 from qschur.scalar import ONE, RatFunc, qint
@@ -46,8 +47,11 @@ def test_simple_roots_are_indecomposables():
     data += admissible_orderings("osp", 3, 2)
     data += [distinguished("gl", 2, 1), distinguished("gl", 2, 2)]
     for d in data:
-        assert sorted(d.simple_roots()) == sorted(
-            d.indecomposable_positive_roots()), d.describe()
+        pos = set(d.positive_roots())
+        # the positive roots that are not a sum of two positive roots
+        indecomposable = [a for a in pos if not any(
+            tuple(x - y for x, y in zip(a, b)) in pos for b in pos if b != a)]
+        assert sorted(d.simple_roots()) == sorted(indecomposable), d.describe()
 
 
 def test_rho2_examples():
@@ -74,9 +78,11 @@ def test_rho2_orthogonal_to_isotropic_simples():
 def test_casimir_examples():
     d = distinguished("gl", 2, 1)
     zero = (0,) * d.rank
-    assert d.casimir_eigenvalue(zero) == 0
+    assert casimir(d, zero) == 0
     for (m, n) in OSP_PAIRS:
-        assert distinguished("osp", m, n).natural_casimir() == m - 2 * n - 1
+        datum = distinguished("osp", m, n)
+        assert casimir(datum, datum.weight_of(datum.ordering[0])) \
+            == m - 2 * n - 1
     # chi_s - chi_a = 2 on the gl natural tensor square
     for (m, n) in [(2, 1), (1, 2), (2, 2), (3, 1)]:
         datum = distinguished("gl", m, n)
@@ -88,9 +94,9 @@ def test_casimir_examples():
             lam_a = tuple(a + b for a, b in
                           zip(e1, datum.weight_of(("d", 1))))
         lam_s = tuple(2 * a for a in e1)
-        omega_v = datum.natural_casimir()
-        chi_s = datum.casimir_eigenvalue(lam_s) // 2 - omega_v
-        chi_a = datum.casimir_eigenvalue(lam_a) // 2 - omega_v
+        omega_v = casimir(datum, e1)
+        chi_s = casimir(datum, lam_s) // 2 - omega_v
+        chi_a = casimir(datum, lam_a) // 2 - omega_v
         assert chi_s == 1 and chi_a == -1
 
 
