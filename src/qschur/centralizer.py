@@ -10,11 +10,12 @@ an elimination order for the full honest system, not a reduction of it.
 
 `fft_report` runs both flavors through one sequence of stages: span ranks,
 symmetry generators, membership, then the commutant (`commutant_dim_glq` /
-`commutant_dim_osp`, over the generators the cell built).  Every spanning
-image is a product of the diagram generators (`functor.diagram_generators`:
-placed crossings, turnbacks, s_i and e_i), and each of those is verified
-exactly to commute with every symmetry generator; so every image does, and
-its span rank is a lower bound for the commutant dimension.  For osp that
+`commutant_dim_osp`, over the generators the cell built).  One span
+closure (`functor.image_basis`) multiplies every spanning image out of the
+diagram generators (`functor.diagram_generators`: placed crossings,
+turnbacks, s_i and e_i), and each of those is verified exactly to commute
+with every symmetry generator; so every image does, and its span rank is
+a lower bound for the commutant dimension.  For osp that
 rank is exact over Q.  For quantum gl the images are reduced at each point
 q = a straight to residues mod p and ranked in the F_p `Echelon`;
 reduction mod p and specialisation can only lower a rank, so
@@ -41,7 +42,6 @@ span_rank <= commutant_dim is asserted in every case.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +49,7 @@ from fractions import Fraction
 from . import osp as osp_mod
 from . import qgl
 from .diagrams import quotient_relations
-from .errors import MembershipError, UnluckyPrime, check_power
+from .errors import MembershipError, UnluckyPrime, UsageError, check_power
 from .functor import (EvalContext, diagram_generators, evaluate, image_basis,
                       make_context)
 from .rootdata import RootDatum, distinguished
@@ -306,9 +306,6 @@ class FftReport:
             out["wall_clock_ms"] = self.wall_clock_ms
         return out
 
-    def to_json(self, with_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(with_timing), sort_keys=True)
-
 
 # The images of a cell live only inside these functions, so that they are
 # freed before the symmetry generators are built and the commutant
@@ -477,12 +474,17 @@ def relation_check(kind: str, m: int, n: int, r: int = 2,
 
     V is the natural module of the family's algebra (RELATION_ALGEBRA).
     Relations are placed on r >= 2 strands, and BudgetError is raised
-    before anything is built when dim(V)^r exceeds the budget.  The bmw
-    family is checked in the spectral model, which has no strands and
-    builds no tensor power: it takes only r = 2 and no budget applies.
+    before anything is built when dim(V)^r exceeds the budget.  `z` is the
+    walled loop parameter (default [m-n]_q): UsageError for any family but
+    walledbmw.  The bmw family is checked in the spectral model, which has
+    no strands and builds no tensor power: it takes only r = 2 and no
+    budget applies.
     """
     if kind not in RELATION_ALGEBRA:
         raise ValueError(f"unknown relation family {kind!r}")
+    if z is not None and kind != "walledbmw":
+        raise UsageError("z is the walled loop parameter; it applies to the "
+                         "walledbmw family only")
     if r < 2:
         raise ValueError(f"a relation spans two strands; got r = {r}")
     if kind == "bmw" and r != 2:
@@ -495,7 +497,6 @@ def relation_check(kind: str, m: int, n: int, r: int = 2,
     if kind in ("hecke", "walledbmw"):
         ctx = make_context("glq", datum=distinguished("gl", m, n),
                            budget=budget)
-        # the hecke family ignores the walled loop parameter z
         z = qint(m - n) if z is None else z
         for rel in quotient_relations(kind, {"z": z}):
             if rel.model == "word":

@@ -30,7 +30,7 @@ from .scalar import RatFunc, qpow
 
 __all__ = [
     "BrauerDiagram", "compose_brauer", "brauer_basis", "identity_diagram",
-    "permutation_diagram", "diagram_factor", "perm_word",
+    "elementary_diagram",
     "BraidWord", "parse_braid", "braid_to_ribbon", "closure",
     "RibbonWord", "Relation", "quotient_relations",
     "DIRECTED_TOKENS", "NONDIRECTED_TOKENS",
@@ -58,32 +58,22 @@ class BrauerDiagram:
     def strands(self) -> int:
         return len(self.match) // 2
 
-    def bottom_arcs(self):
-        r = self.strands
-        return [(i, self.match[i]) for i in range(r)
-                if i < self.match[i] < r]
-
-    def top_arcs(self):
-        r = self.strands
-        return [(i - r, self.match[i] - r) for i in range(r, 2 * r)
-                if r <= self.match[i] and i < self.match[i]]
-
-    def through_pairs(self):
-        r = self.strands
-        return [(i, self.match[i] - r) for i in range(r) if self.match[i] >= r]
-
 
 def identity_diagram(r: int) -> BrauerDiagram:
     return BrauerDiagram(tuple(list(range(r, 2 * r)) + list(range(r))))
 
 
-def permutation_diagram(perm) -> BrauerDiagram:
-    """Bottom i joined to top perm[i] (perm is a 0-based image tuple)."""
-    r = len(perm)
-    match = [0] * (2 * r)
-    for i, p in enumerate(perm):
-        match[i] = r + p
-        match[r + p] = i
+def elementary_diagram(letter: str, i: int, r: int) -> BrauerDiagram:
+    """s_i (letter "s", strands i and i+1 crossed) or e_i ("e", a cap on
+    bottom points i, i+1 under a cup on the top ones) on r strands."""
+    if letter not in ("s", "e") or not 1 <= i < r:
+        raise ValueError(f"no Brauer generator {letter}{i} on {r} strands")
+    match = list(range(r, 2 * r)) + list(range(r))
+    a, b = i - 1, i
+    if letter == "s":
+        match[a], match[b], match[r + a], match[r + b] = r + b, r + a, b, a
+    else:
+        match[a], match[b], match[r + a], match[r + b] = b, a, r + b, r + a
     return BrauerDiagram(tuple(match))
 
 
@@ -143,74 +133,6 @@ def brauer_basis(r: int) -> list[BrauerDiagram]:
 
     extend(frozenset(), [])
     return out
-
-
-def perm_word(perm) -> list[int]:
-    """Reduced word [i_1..i_k] with s_{i_k} o ... o s_{i_1} = perm.
-
-    Bubble sort records right-multiplications p o t_1 o ... o t_k = id, so
-    p = t_k o ... o t_1 with t_1 applied first; the recorded order is
-    already the apply-first order used by the diagram and matrix builders.
-    """
-    p = list(perm)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(p) - 1):
-            if p[i] > p[i + 1]:
-                p[i], p[i + 1] = p[i + 1], p[i]
-                word.append(i + 1)
-                changed = True
-    return word
-
-
-def diagram_factor(d: BrauerDiagram):
-    """Factor d as alpha o M_k o beta with permutations alpha, beta.
-
-    Returns (alpha, k, beta) where M_k has bottom and top arcs at positions
-    (1,2), ..., (2k-1,2k) and straight strands elsewhere; certified by
-    recomposition inside this function.
-    """
-    r = d.strands
-    bots = sorted(d.bottom_arcs())
-    tops = sorted(d.top_arcs())
-    through = d.through_pairs()
-    k = len(bots)
-    # beta: route bottom arcs to (2t-2, 2t-1), through bottoms to 2k..r-1
-    beta_inv = [0] * r
-    slot = 2 * k
-    bmap = {}
-    for t, (a, b) in enumerate(bots):
-        beta_inv[2 * t] = a
-        beta_inv[2 * t + 1] = b
-    for u, _ in through:
-        beta_inv[slot] = u
-        bmap[u] = slot
-        slot += 1
-    beta = [0] * r
-    for pos, src in enumerate(beta_inv):
-        beta[src] = pos
-    # alpha: send (2t-2, 2t-1) to the t-th top arc, slot 2k+j to through top
-    alpha = [0] * r
-    for t, (a, b) in enumerate(tops):
-        alpha[2 * t] = a
-        alpha[2 * t + 1] = b
-    for u, v in through:
-        alpha[bmap[u]] = v
-    mid = identity_diagram(r).match
-    mk = list(mid)
-    for t in range(k):
-        a, b = 2 * t, 2 * t + 1
-        mk[a], mk[b] = b, a
-        mk[r + a], mk[r + b] = r + b, r + a
-    mkd = BrauerDiagram(tuple(mk))
-    alpha_t, beta_t = tuple(alpha), tuple(beta)
-    rebuilt, loops = compose_brauer(permutation_diagram(alpha_t), mkd, 1)
-    rebuilt, loops2 = compose_brauer(rebuilt, permutation_diagram(beta_t), 1)
-    if rebuilt != d or loops != 1 or loops2 != 1:
-        raise VerificationError("Brauer factorisation failed to recompose")
-    return alpha_t, k, beta_t
 
 
 # ---------------------------------------------------------------------------

@@ -12,24 +12,26 @@ closure of a braid word, a framed link invariant; the empty braid closes
 to sdim_q per strand.
 
 image_basis() produces the spanning sets the centralizer comparisons use:
-Hecke (braiding lifts of reduced permutation words), Brauer (classical
-diagram images via the certified diagram factorisation), and walled (the
-algebra generated by V-side crossings, dualised V*-side crossings and the
-wall turnback on V^{(x) r} (x) V*^{(x) s}).  Each set is multiplied out of
-the placed elementary tangles that diagram_generators() returns, so every
-image is a product of those generators.
+Hecke (positive braid lifts of the permutations), Brauer (the classical
+diagram images) and walled (the algebra generated by V-side crossings,
+dualised V*-side crossings and the wall turnback on
+V^{(x) r} (x) V*^{(x) s}).  One breadth-first span closure builds all
+three out of the placed elementary tangles that diagram_generators()
+returns, so every image is a product of those generators: it multiplies a
+candidate g @ b out only when its key is new.  A Hecke or Brauer key is
+the product's Brauer diagram (diagram_images() returns that map); a
+walled key is the candidate's residue row, new when it is independent
+mod p of the kept ones.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 from . import osp as osp_mod
 from . import qgl
-from .diagrams import (BraidWord, BrauerDiagram, RibbonWord, brauer_basis,
-                       closure, diagram_factor, perm_word)
+from .diagrams import (BraidWord, BrauerDiagram, RibbonWord, closure,
+                       compose_brauer, elementary_diagram, identity_diagram)
 from .errors import BudgetError, VerificationError, check_power
 from .rootdata import RootDatum
 from .scalar import RatFunc, qpow
@@ -39,12 +41,12 @@ from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, SuperSpace,
 
 __all__ = [
     "EvalContext", "make_context", "evaluate", "invariant", "image_basis",
-    "diagram_generators", "BudgetError", "brauer_diagram_matrix",
-    "hecke_word_matrices", "dual_braiding",
+    "diagram_images", "diagram_generators", "BudgetError", "dual_braiding",
 ]
 
 DEFAULT_BUDGET = 625  # max dimension of any space met during evaluation
 IMAGE_CAP = 5000  # max number of Hecke or walled images, r! or (r+s)!
+BRAUER_IMAGE_CAP = 10395  # max number of Brauer images, (2r-1)!! at r = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,11 +117,14 @@ def evaluate(word: RibbonWord, ctx: EvalContext) -> SparseMat:
     total = None
     for layer in word.layers:
         mats = [ctx.images[tok] for tok in layer]
+        for side in ("src", "dst"):  # before the layer is built
+            dim = 1
+            for mat in mats:
+                dim *= getattr(mat, side).dim
+                if dim > ctx.budget:
+                    raise BudgetError(f"a layer's dimension reaches {dim}, "
+                                      f"past the budget {ctx.budget}")
         lm = kron_chain(mats) if mats else SparseMat.identity(unit_space())
-        if lm.src.dim > ctx.budget or lm.dst.dim > ctx.budget:
-            raise BudgetError(
-                f"layer dimension {max(lm.src.dim, lm.dst.dim)} exceeds "
-                f"budget {ctx.budget}")
         total = lm if total is None else lm @ total
     return total
 
@@ -140,43 +145,6 @@ def invariant(w: BraidWord, ctx: EvalContext) -> RatFunc:
 
 # ---------------------------------------------------------------------------
 # Spanning sets.
-
-def _placed(ctx: EvalContext, mat: SparseMat, i: int, r: int) -> SparseMat:
-    iV = SparseMat.identity(ctx.V)
-    return kron_chain([iV] * (i - 1) + [mat] + [iV] * (r - i - 1))
-
-
-def hecke_word_matrices(ctx: EvalContext, r: int) -> list[SparseMat]:
-    """Images of positive braid lifts of reduced words, one per permutation."""
-    gi = [None] + list(diagram_generators("hecke", ctx, r).values())
-    out = []
-    for perm in itertools.permutations(range(r)):
-        mat = SparseMat.identity(ctx.V.tensor_power(r))
-        for i in perm_word(perm):
-            mat = gi[i] @ mat
-        out.append(mat)
-    return out
-
-
-def brauer_diagram_matrix(d: BrauerDiagram, m: int, n: int) -> SparseMat:
-    """nu(d) through the certified factorisation d = alpha o M_k o beta."""
-    r = d.strands
-    rep = osp_mod.brauer_rep(m, n, r)
-    V = osp_mod.natural_space(m, n)
-    ident = SparseMat.identity(V.tensor_power(r))
-
-    def perm_mat(perm):
-        mat = ident
-        for i in perm_word(perm):
-            mat = rep[("s", i)] @ mat
-        return mat
-
-    alpha, k, beta = diagram_factor(d)
-    mid = ident
-    for t in range(k):
-        mid = rep[("e", 2 * t + 1)] @ mid
-    return perm_mat(alpha) @ mid @ perm_mat(beta)
-
 
 def dual_braiding(ctx: EvalContext) -> SparseMat:
     """The positive braiding on V* (x) V*, transported through right duality.
@@ -244,55 +212,97 @@ def _walled_images(ctx: EvalContext, r: int, s: int, points,
     denominator vanishes mod p, or with `exact`, the closure is redone with
     exact re-ranks of the specialised images instead.
     """
+    _check_kind("walled", ctx, r, s)
+    cap = _image_count("walled", r, s)
     gens = list(diagram_generators("walled", ctx, r, s).values())
     ident = SparseMat.identity(ctx.space_of(("+",) * r + ("-",) * s))
     point = list(points)[0]
-    cap = math.factorial(r + s)
+
+    def kept_images(value, mul, keep):
+        kept = _span_closure([(value(g), g) for g in gens],
+                             (value(ident), ident), cap, mul, keep)
+        return [img for _, img in kept]
+
     if not exact:
         try:
-            return _span_closure(ident, gens, cap,
-                                 lambda mat: mat.residues(point),
-                                 SparseMat.matmul_mod, Echelon().add)
+            ech = Echelon()
+            return kept_images(lambda mat: mat.residues(point),
+                               SparseMat.matmul_mod,
+                               lambda value: ech.add(vectorize(value)))
         except UnluckyPrime as exc:
             log_fallback(__name__, "walled closure: %s; exact re-ranks", exc)
     rows = []
 
-    def exact_add(row):
+    def exact_add(value):
+        row = vectorize(value)
         if rank_at(rows + [row], [point]) > len(rows):
             rows.append(row)
             return True
         return False
 
-    return _span_closure(ident, gens, cap, lambda mat: mat.specialize(point),
-                         SparseMat.__matmul__, exact_add)
+    return kept_images(lambda mat: mat.specialize(point),
+                       SparseMat.__matmul__, exact_add)
 
 
-def _span_closure(ident, gens, cap, value, mul, add) -> list[SparseMat]:
-    """Breadth-first products of gens on ident, until `cap` are kept.
+def _loop_free(upper: BrauerDiagram, lower: BrauerDiagram):
+    """upper o lower, or None where stacking them closes a loop."""
+    d, weight = compose_brauer(upper, lower, 0)  # 0 ** loops
+    return d if weight else None
 
-    `value` maps an image over Q(q) to its value at the point (residues or
-    a specialisation), and mul(value(g), value(b)) is the value of g @ b.
-    The candidate is kept, and only then multiplied out over Q(q), where
-    `add` accepts the row of its value.
+
+def diagram_images(kind: str, ctx: EvalContext,
+                   r: int) -> dict[BrauerDiagram, SparseMat]:
+    """nu(d) for every Brauer diagram d on r strands (kind "brauer"), or the
+    positive braid lift of every permutation diagram ("hecke").
+
+    The span closure keys each image by its diagram: g @ b is new when
+    diagram(g) o d(b) is, and a product that closes a loop is skipped, so
+    each image is nu(g) nu(b) = nu(diagram(g) o d(b)).  The closure runs
+    level by level, so a new permutation comes from a length-increasing
+    product, and its Hecke image is the lift of a reduced word, which is
+    well defined by Matsumoto's theorem.
     """
-    gen_values = [(g, value(g)) for g in gens]
-    ident_value = value(ident)
-    add(vectorize(ident_value))
-    basis = [ident]
-    frontier = [(ident, ident_value)]
-    while frontier and len(basis) < cap:
-        new_frontier = []
-        for b, b_value in frontier:
-            for g, g_value in gen_values:
-                c_value = mul(g_value, b_value)
-                if add(vectorize(c_value)):
-                    cand = g @ b
-                    basis.append(cand)
-                    new_frontier.append((cand, c_value))
-                    if len(basis) >= cap:
-                        return basis
-        frontier = new_frontier
-    return basis
+    if kind == "walled":
+        raise ValueError("walled images have no diagram keys")
+    _check_kind(kind, ctx, r, 0)
+    cap = _image_count(kind, r, 0)
+    gens = diagram_generators(kind, ctx, r).values()
+    letters = (osp_mod.brauer_rep(*ctx.mn, r) if kind == "brauer"
+               else [("s", i) for i in range(1, r)])
+    keys = [elementary_diagram(letter, i, r) for letter, i in letters]
+    seen = set()
+
+    def is_new(d):
+        if d in seen:
+            return False
+        seen.add(d)
+        return True
+
+    ident = SparseMat.identity(ctx.V.tensor_power(r))
+    return dict(_span_closure(list(zip(keys, gens)),
+                              (identity_diagram(r), ident), cap, _loop_free,
+                              is_new))
+
+
+def _span_closure(gens, ident, cap, mul, keep) -> list:
+    """Breadth-first products g @ b of gens on ident.
+
+    `ident` and each of `gens` is a (key, image) pair; mul(key(g), key(b))
+    is the key of g @ b, or None to skip it, and keep(key) accepts a new
+    key.  Only an accepted candidate is multiplied out over Q(q).  Returns
+    the kept (key, image) pairs in the order found, which is level by
+    level, stopping once `cap` are kept.
+    """
+    keep(ident[0])
+    kept = [ident]
+    for b_key, b in kept:  # a queue: kept grows while it is walked
+        for g_key, g in gens:
+            c_key = mul(g_key, b_key)
+            if c_key is not None and keep(c_key):
+                kept.append((c_key, g @ b))
+                if len(kept) >= cap:
+                    return kept
+    return kept
 
 
 #: The context flavor each kind of spanning set lives in.
@@ -320,7 +330,9 @@ def diagram_generators(kind: str, ctx: EvalContext, r: int,
     """
     _check_kind(kind, ctx, r, s)
     if kind == "hecke":
-        return {f"X+ at strand {i}": _placed(ctx, ctx.images["X+"], i, r)
+        iV = SparseMat.identity(ctx.V)
+        return {f"X+ at strand {i}": kron_chain(
+                    [iV] * (i - 1) + [ctx.images["X+"]] + [iV] * (r - i - 1))
                 for i in range(1, r)}
     if kind == "brauer":
         return {f"{g}{i}": mat
@@ -328,24 +340,28 @@ def diagram_generators(kind: str, ctx: EvalContext, r: int,
     return _walled_generators(ctx, r, s)
 
 
+def _image_count(kind: str, r: int, s: int) -> int:
+    """(r+s)! Hecke or walled images, or (2r-1)!! Brauer images; BudgetError
+    as soon as the product passes the kind's cap."""
+    cap = BRAUER_IMAGE_CAP if kind == "brauer" else IMAGE_CAP
+    factors = range(3, 2 * r, 2) if kind == "brauer" else range(2, r + s + 1)
+    count = 1
+    for k in factors:
+        count *= k
+        if count > cap:
+            raise BudgetError(f"the {kind} images on {r + s} strands exceed "
+                              f"{cap}")
+    return count
+
+
 def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
                 points=None, exact: bool = False) -> list[SparseMat]:
     """Spanning set of diagram images on the r-th (mixed) tensor power, each
-    a product of the matrices `diagram_generators` returns (Brauer images
-    through the same cached `osp.brauer_rep`).
-
-    The walled set is a span closure at the first point, tested mod p
+    a product of the matrices `diagram_generators` returns, built by one
+    breadth-first span closure: the values of `diagram_images` for Hecke
+    and Brauer, and for walled a closure at the first point, tested mod p
     unless `exact` (see `_walled_images`); other kinds ignore `exact`.
     """
-    _check_kind(kind, ctx, r, s)
-    if kind != "brauer":
-        count = 1
-        for k in range(2, r + s + 1):  # stops as soon as k! > IMAGE_CAP
-            count *= k
-            if count > IMAGE_CAP:
-                raise BudgetError(f"{r + s}! {kind} images exceed {IMAGE_CAP}")
-    if kind == "hecke":
-        return hecke_word_matrices(ctx, r)
-    if kind == "brauer":
-        return [brauer_diagram_matrix(d, *ctx.mn) for d in brauer_basis(r)]
-    return _walled_images(ctx, r, s, points or DEFAULT_POINTS, exact)
+    if kind == "walled":
+        return _walled_images(ctx, r, s, points or DEFAULT_POINTS, exact)
+    return list(diagram_images(kind, ctx, r).values())

@@ -26,7 +26,7 @@ from .superspace import (SparseMat, SuperSpace, graded_kron, kron_chain, tau,
                          unit_space)
 
 __all__ = [
-    "GlqRep", "natural_rep", "natural_space", "act_tensor", "act_on_signs",
+    "GlqRep", "natural_rep", "natural_space", "act_on_signs",
     "rmatrix_vv", "braiding", "braiding_inverse", "k2rho",
     "dual_rep", "DualityMaps", "duality_maps", "twist_scalar",
     "check_defining_relations", "generator_names",
@@ -201,15 +201,6 @@ def act_on_signs(rep: GlqRep, gen: str, signs) -> SparseMat:
         term = kron_chain(mats)
         total = term if total is None else total + term
     return total
-
-
-def act_tensor(rep: GlqRep, gen: str, r: int) -> SparseMat:
-    """Matrix of the (r-1)-fold coproduct of a generator on V^{(x) r}."""
-    if r < 1:
-        raise ValueError("tensor power must be >= 1")
-    if gen not in rep.mats and gen != "I":
-        raise KeyError(f"unknown generator {gen!r}")
-    return act_on_signs(rep, gen, (1,) * r)
 
 
 # ---------------------------------------------------------------------------

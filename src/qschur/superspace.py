@@ -305,15 +305,6 @@ def _int_row(row: dict) -> dict:
     return out
 
 
-def _rows_of(mat_or_rows):
-    if isinstance(mat_or_rows, SparseMat):
-        grouped = {}
-        for (r, c), v in mat_or_rows.entries.items():
-            grouped.setdefault(r, {})[c] = v
-        return list(grouped.values())
-    return list(mat_or_rows)
-
-
 def _specialize_row(row, point):
     return {k: (v.specialize(point) if isinstance(v, RatFunc) else v)
             for k, v in row.items()}
@@ -328,8 +319,8 @@ def int_rank(rows) -> int:
     return rank_of_int_rows([_int_row(r) for r in rows])
 
 
-def ranks_at(mat_or_rows, points) -> list[int]:
-    """Exact rank of the specialised matrix at each point, in order.
+def ranks_at(rows, points) -> list[int]:
+    """Exact rank of the specialised rows at each point, in order.
 
     `fft_report` ranks the gl span mod p from residues (`SparseMat.residues`)
     and calls this only at a point whose rank mod p falls short, or when the
@@ -338,21 +329,21 @@ def ranks_at(mat_or_rows, points) -> list[int]:
     points = list(points)
     if not points:
         raise ValueError("at least one specialisation point is required")
-    rows = _rows_of(mat_or_rows)
+    rows = list(rows)
     needs_points = any(isinstance(v, RatFunc) for r in rows for v in r.values())
     if not needs_points:
         return [int_rank(rows)] * len(points)
     return [int_rank([_specialize_row(r, p) for r in rows]) for p in points]
 
 
-def rank_at(mat_or_rows, points=DEFAULT_POINTS) -> int:
+def rank_at(rows, points=DEFAULT_POINTS) -> int:
     """Max exact rank over the points: `max(ranks_at(...))`.
 
     Specialisation can only drop rank, so the max is a lower bound for the
     generic rank that is tight at generic points.  The exact walled closure
     calls it at one point.
     """
-    return max(ranks_at(mat_or_rows, points))
+    return max(ranks_at(rows, points))
 
 
 #: The working prime of `Echelon`: 2^61 - 1, so residues are machine-size.

@@ -16,7 +16,7 @@ from conftest import assert_certified
 from qschur.centralizer import fft_report, relation_check
 from qschur.diagrams import (BraidWord, braid_to_ribbon, brauer_basis,
                              compose_brauer, parse_braid)
-from qschur.functor import (brauer_diagram_matrix, evaluate, image_basis,
+from qschur.functor import (diagram_images, evaluate, image_basis,
                             invariant, make_context)
 from qschur.osp import quantum_g_spectral
 from qschur.qgl import (braiding, braiding_inverse, duality_maps,
@@ -136,9 +136,10 @@ def test_criterion_07_brauer_representation():
             assert relation_check("brauer", m, n, r=r).all_zero, (m, n, r)
         delta = Fraction(m - 2 * n)
         for r in (2, 3):
-            basis = brauer_basis(r)
-            mats = {dg: brauer_diagram_matrix(dg, m, n) for dg in basis}
-            for d1, d2 in itertools.product(basis, repeat=2):
+            ctx = make_context("osp_classical", m=m, n=n)
+            mats = diagram_images("brauer", ctx, r)
+            assert set(mats) == set(brauer_basis(r)), (m, n, r)
+            for d1, d2 in itertools.product(mats, repeat=2):
                 dd, sc = compose_brauer(d1, d2, delta)
                 assert mats[d1] @ mats[d2] == mats[dd].scale(sc), (m, n, r)
     _report(7, f"Brauer relations and the diagram-composition homomorphism "

@@ -14,9 +14,10 @@ from qschur.centralizer import (MembershipError, _glq_generator_mats,
                                 commutant_dim_glq, commutant_dim_osp,
                                 commutant_nullity, fft_report, least_nullity,
                                 relation_check)
+from qschur.errors import UsageError
 from qschur.functor import (BudgetError, diagram_generators, image_basis,
                             make_context)
-from qschur.qgl import act_tensor, generator_names, natural_rep
+from qschur.qgl import act_on_signs, generator_names, natural_rep
 from qschur.rootdata import distinguished
 from qschur.scalar import Q, RatFunc, qint
 from qschur.superspace import (DEFAULT_POINTS, PRIME, SparseMat, SuperSpace,
@@ -72,7 +73,7 @@ def test_commutant_against_dense_oracle():
     d = distinguished("gl", 1, 1)
     rep = natural_rep(d)
     pt = Fraction(7, 5)
-    gens = [act_tensor(rep, gen, 2).specialize(pt)
+    gens = [act_on_signs(rep, gen, (1, 1)).specialize(pt)
             for gen in generator_names(d)]
     assert dense_nullity(commutator_rows(gens, 4), 16) == GLQ_DIMS[(1, 1, 2)]
 
@@ -104,8 +105,8 @@ def test_span_rank_examples():
 def test_membership_detects_non_centralizing():
     d = distinguished("gl", 1, 1)
     rep = natural_rep(d)
-    gens = [act_tensor(rep, g, 2) for g in generator_names(d)]
-    bad = act_tensor(rep, "e1", 2)  # not central
+    gens = [act_on_signs(rep, g, (1, 1)) for g in generator_names(d)]
+    bad = act_on_signs(rep, "e1", (1, 1))  # not central
     with pytest.raises(MembershipError):
         check_membership([bad], gens)
 
@@ -183,6 +184,13 @@ def test_relation_check_bmw_and_brauer():
     assert relation_check("brauer", 3, 1, r=3).all_zero
     with pytest.raises(ValueError):
         relation_check("mystery", 1, 1)
+
+
+@pytest.mark.parametrize("kind", ["hecke", "bmw", "brauer"])
+def test_relation_check_rejects_z_outside_walledbmw(kind):
+    # the loop parameter is rejected, not ignored: it used to leave all_zero
+    with pytest.raises(UsageError, match="walledbmw family only"):
+        relation_check(kind, 3, 1, z=qint(5))
 
 
 @pytest.mark.parametrize("kind", ["hecke", "walledbmw", "bmw", "brauer"])
@@ -315,9 +323,9 @@ def test_fallbacks_keep_the_bytes_at_a_small_prime(monkeypatch, prime):
     # certificate fails and the exact closure must decide
     cells = [("gl", 1, 1, 2, 1), ("gl", 2, 1, 1, 1), ("gl", 2, 1, 3, 0),
              ("osp", 3, 1, 2, 0)]
-    want = [fft_report(f, m, n, r, s=s).to_json() for f, m, n, r, s in cells]
+    want = [fft_report(f, m, n, r, s=s).to_dict() for f, m, n, r, s in cells]
     monkeypatch.setattr(superspace, "PRIME", prime)
-    got = [fft_report(f, m, n, r, s=s).to_json() for f, m, n, r, s in cells]
+    got = [fft_report(f, m, n, r, s=s).to_dict() for f, m, n, r, s in cells]
     assert got == want
 
 
@@ -398,10 +406,10 @@ def test_membership_catches_an_ungraded_gl_braiding(monkeypatch, m, n, r, s):
 def test_membership_names_the_failing_image_of_a_list():
     d = distinguished("gl", 1, 1)
     rep = natural_rep(d)
-    gens = [act_tensor(rep, g, 2) for g in generator_names(d)]
+    gens = [act_on_signs(rep, g, (1, 1)) for g in generator_names(d)]
     ident = SparseMat.identity(gens[0].src)
     with pytest.raises(MembershipError, match="image 1 "):
-        check_membership([ident, act_tensor(rep, "e1", 2)], gens)
+        check_membership([ident, act_on_signs(rep, "e1", (1, 1))], gens)
 
 
 # ---------------------------------------------------------------------------

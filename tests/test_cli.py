@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -215,6 +216,16 @@ def test_invariant_budget_exit(capsys):
                        "--braid", "s1 s2 s1", "--budget", "100")
     assert code == 3
     assert "budget" in err
+
+
+def test_invariant_budget_exit_before_a_wide_layer_is_built(capsys):
+    # eight side-by-side cups: one layer of dimension 9^8, capped at once
+    word = json.dumps({"mode": "directed",
+                       "layers": [["U+"] * 8, ["Om-"] * 8]})
+    t0 = time.monotonic()
+    code, _, err = run(capsys, "invariant", "gl", "2|1", "--ribbon-json", word)
+    assert code == 3 and "budget" in err
+    assert time.monotonic() - t0 < 1.0
 
 
 @pytest.mark.parametrize("argv", [

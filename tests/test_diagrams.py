@@ -5,18 +5,11 @@ import pytest
 
 from qschur.diagrams import (BraidWord, BrauerDiagram, RibbonWord,
                              braid_to_ribbon, brauer_basis, closure,
-                             compose_brauer, diagram_factor, identity_diagram,
-                             parse_braid, perm_word, permutation_diagram,
+                             compose_brauer, elementary_diagram,
+                             identity_diagram, parse_braid,
                              quotient_relations)
 from qschur.errors import BudgetError
 from qschur.scalar import RatFunc, qint, qpow
-
-
-def _transposition(r, i):
-    """s_i on r strands, 1 <= i <= r-1."""
-    perm = list(range(r))
-    perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    return permutation_diagram(tuple(perm))
 
 
 def test_compose_examples():
@@ -26,7 +19,7 @@ def test_compose_examples():
     for d in brauer_basis(2):
         assert compose_brauer(ident, d, 7) == (d, 1)
         assert compose_brauer(d, ident, 7) == (d, 1)
-    s = _transposition(2, 1)
+    s = elementary_diagram("s", 1, 2)
     assert compose_brauer(s, s, 7) == (ident, 1)
     e1e3 = BrauerDiagram((1, 0, 3, 2, 5, 4, 7, 6))
     assert compose_brauer(e1e3, e1e3, 7) == (e1e3, 49)  # two loops
@@ -60,40 +53,31 @@ def test_diagram_validation():
         BrauerDiagram((0, 1, 3, 2))  # fixed point
 
 
-def test_perm_word_rebuilds_permutation():
-    for r in (2, 3, 4):
-        for p in itertools.permutations(range(r)):
-            d = identity_diagram(r)
-            for i in perm_word(p):
-                d, sc = compose_brauer(_transposition(r, i), d, 1)
-                assert sc == 1
-            assert d == permutation_diagram(p)
-
-
-def test_diagram_factor_certified():
-    for r in (2, 3, 4):
-        for d in brauer_basis(r):
-            alpha, k, beta = diagram_factor(d)
-            assert 2 * k == sum(1 for i, j in enumerate(d.match)
-                                if i < j < d.strands) * 2
+def test_elementary_diagrams():
+    assert elementary_diagram("s", 1, 2) == BrauerDiagram((3, 2, 1, 0))
+    assert elementary_diagram("e", 1, 2) == BrauerDiagram((1, 0, 3, 2))
+    s2 = elementary_diagram("s", 2, 3)
+    assert compose_brauer(s2, s2, 7) == (identity_diagram(3), 1)
+    for bad in (("s", 0, 3), ("s", 3, 3), ("x", 1, 3)):
+        with pytest.raises(ValueError):
+            elementary_diagram(*bad)
 
 
 def test_matrix_model_is_algebra_homomorphism():
     # compose_brauer matches matrix products in the osp model, delta = m - 2n
-    from qschur.functor import brauer_diagram_matrix
+    from qschur.functor import diagram_images, make_context
     for (m, n) in [(3, 1), (2, 1)]:
         delta = Fraction(m - 2 * n)
         for r in (2, 3):
-            basis = brauer_basis(r)
-            mats = {d: brauer_diagram_matrix(d, m, n) for d in basis}
-            for d1, d2 in itertools.product(basis, repeat=2):
+            ctx = make_context("osp_classical", m=m, n=n)
+            mats = diagram_images("brauer", ctx, r)
+            for d1, d2 in itertools.product(mats, repeat=2):
                 dd, sc = compose_brauer(d1, d2, delta)
                 assert mats[d1] @ mats[d2] == mats[dd].scale(sc), (m, n, r)
     # osp(0|2), delta = -2: the pairs at r = 4 that close two loops, where
     # a wrong loop count changes the scalar
-    basis = brauer_basis(4)
-    mats = {d: brauer_diagram_matrix(d, 0, 1) for d in basis}
-    pairs = [(d1, d2) for d1, d2 in itertools.product(basis, repeat=2)
+    mats = diagram_images("brauer", make_context("osp_classical", m=0, n=1), 4)
+    pairs = [(d1, d2) for d1, d2 in itertools.product(mats, repeat=2)
              if compose_brauer(d1, d2, 2)[1] == 4]
     assert len(pairs) == 27
     for d1, d2 in pairs:

@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 
-from qschur.diagrams import (BraidWord, RibbonWord, braid_to_ribbon, closure,
+from qschur.diagrams import (BraidWord, BrauerDiagram, RibbonWord,
+                             braid_to_ribbon, brauer_basis, closure,
                              parse_braid)
-from qschur.functor import (BudgetError, dual_braiding, evaluate,
-                            hecke_word_matrices, image_basis, invariant,
+from qschur.functor import (BudgetError, diagram_generators, diagram_images,
+                            dual_braiding, evaluate, image_basis, invariant,
                             make_context)
 from qschur.osp import e_map
 from qschur.qgl import braiding, natural_space, twist_scalar
@@ -207,6 +209,43 @@ def test_walled_closure_exact_path_keeps_the_same_images(monkeypatch):
     monkeypatch.setattr(functor, "Echelon", Unlucky)
     exact = image_basis("walled", ctx, 2, 1)
     assert len(fast) == 6 and exact == fast
+
+
+def _permutation_diagrams(r):
+    """Bottom i joined to top perm[i], for every permutation of r strands."""
+    out = set()
+    for perm in itertools.permutations(range(r)):
+        match = [0] * (2 * r)
+        for i, p in enumerate(perm):
+            match[i], match[r + p] = r + p, i
+        out.add(BrauerDiagram(tuple(match)))
+    return out
+
+
+def test_closure_keys_every_brauer_diagram():
+    # delta = 1, 0 and -2: a product that closes a loop is skipped, and the
+    # loop-free products still reach every diagram
+    for (m, n), top in (((1, 1), 5), ((2, 1), 4), ((0, 1), 4)):
+        ctx = make_context("osp_classical", m=m, n=n)
+        for r in range(1, top + 1):
+            images = diagram_images("brauer", ctx, r)
+            assert set(images) == set(brauer_basis(r)), (m, n, r)
+            assert list(images.values()) == image_basis("brauer", ctx, r)
+
+
+def test_closure_keys_every_permutation():
+    ctx = make_context("glq", datum=distinguished("gl", 2, 1))
+    for r in (1, 2, 3, 4):
+        images = diagram_images("hecke", ctx, r)
+        assert set(images) == _permutation_diagrams(r), r
+        assert list(images.values()) == image_basis("hecke", ctx, r)
+    # the braid relation: the lifts of both reduced words of the longest
+    # element of S_3 are one image
+    g1, g2 = diagram_generators("hecke", ctx, 3).values()
+    longest = BrauerDiagram((5, 4, 3, 2, 1, 0))
+    assert diagram_images("hecke", ctx, 3)[longest] == g1 @ g2 @ g1
+    with pytest.raises(ValueError):
+        diagram_images("walled", ctx, 2)
 
 
 def test_image_basis_argument_checks():

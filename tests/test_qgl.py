@@ -3,11 +3,10 @@ import itertools
 import pytest
 
 from conftest import casimir
-from qschur.qgl import (act_on_signs, act_tensor, braiding,
-                        braiding_inverse, check_defining_relations, dual_rep,
-                        duality_maps, generator_names, k2rho, natural_rep,
-                        natural_space, partial_supertrace_last, rmatrix_vv,
-                        twist_scalar)
+from qschur.qgl import (act_on_signs, braiding, braiding_inverse,
+                        check_defining_relations, dual_rep, duality_maps,
+                        generator_names, k2rho, natural_rep, natural_space,
+                        partial_supertrace_last, rmatrix_vv, twist_scalar)
 from qschur.rootdata import RootDatum, admissible_orderings, distinguished, sdim_q
 from qschur.scalar import ONE, Q, RatFunc, qint, qpow
 from qschur.superspace import SparseMat, graded_kron, tau, unit_space
@@ -50,20 +49,18 @@ def test_f_sign_convention_frozen():
 def test_act_tensor_examples():
     d = distinguished("gl", 1, 1)
     rep = natural_rep(d)
-    assert act_tensor(rep, "e1", 1) == rep.mat("e1")
+    assert act_on_signs(rep, "e1", (1,)) == rep.mat("e1")
     # K is group-like
-    K2 = act_tensor(rep, "K1", 2)
+    K2 = act_on_signs(rep, "K1", (1, 1))
     assert K2 == graded_kron(rep.mat("K1"), rep.mat("K1"))
     # explicit 4x4 coproduct of e1: e1 (x) k1 + 1 (x) e1
-    E = act_tensor(rep, "e1", 2)
+    E = act_on_signs(rep, "e1", (1, 1))
     manual = (graded_kron(rep.mat("e1"), rep.mat("k1"))
               + graded_kron(SparseMat.identity(rep.space), rep.mat("e1")))
     assert E == manual
     assert E.entries == {(0, 1): ONE, (0, 2): Q, (1, 3): Q, (2, 3): -ONE}
     with pytest.raises(KeyError):
-        act_tensor(rep, "x9", 2)
-    with pytest.raises(ValueError):
-        act_tensor(rep, "e1", 0)
+        act_on_signs(rep, "x9", (1, 1))
 
 
 def test_rmatrix_examples():
@@ -97,7 +94,7 @@ def test_intertwiner_property():
         t = tau(rep.space, rep.space)
         for gen in generator_names(d):
             # R Delta(x) = Delta^op(x) R, with Delta^op = tau Delta tau
-            x = act_tensor(rep, gen, 2)
+            x = act_on_signs(rep, gen, (1, 1))
             assert R @ x == t @ x @ t @ R, (m, n, gen)
 
 

@@ -104,11 +104,19 @@ def test_supertrace_multiplicative_on_kron():
         assert graded_kron(A, B).supertrace() == A.supertrace() * B.supertrace()
 
 
+def _rows(mat):
+    """The nonzero rows of a matrix, as the rank functions take them."""
+    grouped = {}
+    for (r, c), v in mat.entries.items():
+        grouped.setdefault(r, {})[c] = v
+    return list(grouped.values())
+
+
 def test_rank_examples():
     V = _space([0, 0, 0])
     zero = SparseMat(V, V)
-    assert rank_at(zero, DEFAULT_POINTS) == 0
-    assert rank_at(SparseMat.identity(V), DEFAULT_POINTS) == 3
+    assert rank_at(_rows(zero), DEFAULT_POINTS) == 0
+    assert rank_at(_rows(SparseMat.identity(V)), DEFAULT_POINTS) == 3
     # nu_2(C Sym_2) basis {id, tau} on gl(1|1), vectorized -> rank 2
     W = _space([0, 1])
     rows = [vectorize(SparseMat.identity(W.tensor(W))), vectorize(tau(W, W))]
@@ -119,9 +127,9 @@ def test_rank_examples():
 def test_rank_agreement_and_ratfunc_entries():
     V = _space([0, 0])
     m = SparseMat(V, V, {(0, 0): Q + 1, (1, 1): Q - Q**-1, (0, 1): ONE})
-    assert ranks_at(m, DEFAULT_POINTS) == [2, 2, 2]
+    assert ranks_at(_rows(m), DEFAULT_POINTS) == [2, 2, 2]
     with pytest.raises(ValueError):
-        ranks_at(m, [])
+        ranks_at(_rows(m), [])
 
 
 def test_rank_reports_disagreement_and_pole():
@@ -130,11 +138,11 @@ def test_rank_reports_disagreement_and_pole():
     V = _space([0])
     # q - 7/5 vanishes at the first default point only
     m = SparseMat(V, V, {(0, 0): Q - RatFunc({0: 7}, {0: 5})})
-    assert ranks_at(m, DEFAULT_POINTS) == [0, 1, 1]
-    assert rank_at(m, DEFAULT_POINTS) == 1  # the max over the points
+    assert ranks_at(_rows(m), DEFAULT_POINTS) == [0, 1, 1]
+    assert rank_at(_rows(m), DEFAULT_POINTS) == 1  # the max over the points
     pole = SparseMat(V, V, {(0, 0): ONE / (Q - RatFunc({0: 7}, {0: 5}))})
     with pytest.raises(PoleError):
-        ranks_at(pole, DEFAULT_POINTS)
+        ranks_at(_rows(pole), DEFAULT_POINTS)
 
 
 def test_nullspace_examples():
@@ -142,7 +150,7 @@ def test_nullspace_examples():
     W = _space([0] * 3)
     zero = SparseMat(V, W)  # 3x4 zero matrix: nullity = 4
     for mat, nullity in ((zero, 4), (SparseMat.identity(V), 0)):
-        assert mat.cols - int_rank(superspace._rows_of(mat)) == nullity
+        assert mat.cols - int_rank(_rows(mat)) == nullity
 
 
 def test_nullspace_schur_oracle_gl11_r1():
