@@ -21,17 +21,39 @@ q = a straight to residues mod p and ranked in the F_p `Echelon`;
 reduction mod p and specialisation can only lower a rank, so
 
     rank_p(span at a) <= rank_Q(span at a) <= generic span rank
-                      <= commutant dim <= survivors - rank_p(rows),
+                      <= commutant dim <= nullity_p(rows) <= sum k_lam^2,
 
-where rank_p(rows) is the rank mod p of any prefix of the commutant rows.
-The commutant rows are therefore assembled one symmetry generator at a
-time and fed to the F_p `Echelon` until the two ends of the chain meet; no
-rows are built past that stop, which proves `equal` and is recorded as a
-`Certificate` (prime, point, rows used of rows assembled, survivors, rank).
-If the bounds never meet, or a denominator vanishes mod p, the fallback
-is logged and the exact path decides: one nullity over Q for osp, or for
-quantum gl the least of the exact nullities at the rational points, each
-of which is an upper bound for the nullity over Q(q) (`least_nullity`).
+where nullity_p(rows) is the commutant dimension of the module reduced mod
+p (at q = a for quantum gl).  The upper end comes from the primitive
+vectors (`certify_primitive`).  The module mod p splits into the weight
+classes of the diagonal generators; every other generator must map each
+class into one class, and a linear functional on the root-datum weights
+(`module_heights`) orients it as raising or lowering.  In class lam, P_lam
+is the space of vectors that every raising generator kills, and k_lam is
+its dimension.  If, from the top class down, P_lam and the lowering images
+of the classes above span each class, then the P_lam generate the module.
+A commuting map keeps each P_lam and is fixed by what it does there, so
+its dimension is at most sum k_lam^2.  For even-m osp sigma is not
+diagonal: the functional vanishes on eps_l, sigma must square to 1 and
+map each P_lam into the P of its image class, and the sum runs over the
+sigma-orbits: k^2 for a pair of classes that sigma swaps, a^2 + b^2 for a
+class it fixes (a, b: the dimensions of its +-1 eigenspaces on P_lam).
+When the sum meets the span rank, `equal` is proved and recorded as a
+`PrimitiveCertificate` (prime, point, blocks, generation rank); only
+vectors of length d are reduced, and no d^2 system is built.
+
+If a check fails, generation stops short, or the sum misses the span
+rank, the fallback is logged and the rows decide: survivors - rank_p(rows)
+bounds nullity_p(rows) from above for any prefix of the commutant rows, so
+the rows are assembled one symmetry generator at a time and fed to the
+F_p `Echelon` until the two ends of the chain meet; no rows are built past
+that stop, which proves `equal` and is recorded as a `Certificate` (prime,
+point, rows used of rows assembled, survivors, rank).  If the bounds never
+meet, or a denominator vanishes mod p, the fallback is logged again and
+the exact path decides: one nullity over Q for osp, or for quantum gl the
+least of the exact nullities at the rational points, each of which is an
+upper bound for the nullity over Q(q) (`least_nullity`).  Both
+certificates are tried inside the one commutant call of a cell.
 The gl cell then has one exact re-rank step: with a certificate, every
 point whose rank mod p meets the bound has that exact rank too, and only
 the points short of it are ranked exactly; without one, every point is,
@@ -47,13 +69,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import osp as osp_mod
-from . import qgl
+from . import qgl, superspace
 from .diagrams import quotient_relations
 from .errors import MembershipError, UnluckyPrime, UsageError, check_power
 from .functor import (EvalContext, diagram_generators, evaluate, image_basis,
                       make_context)
 from .rootdata import RootDatum, distinguished
-from .scalar import RatFunc, qint
+from .scalar import RatFunc, qint, rational_residue
 from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, int_rank,
                          kron_chain, log_fallback, ranks_at, vectorize)
 
@@ -62,6 +84,7 @@ __all__ = [
     "check_membership", "RelationReport", "relation_check",
     "RELATION_ALGEBRA", "MembershipError", "commutant_nullity",
     "least_nullity", "Certificate", "certify_nullity",
+    "PrimitiveCertificate", "certify_primitive", "module_heights",
 ]
 
 DEFAULT_UNKNOWN_BUDGET = 150_000  # max d**2 unknowns for a commutant cell
@@ -80,6 +103,16 @@ def _split_diagonal(gens: list[SparseMat], dim: int):
     return diag, other
 
 
+def _profile_classes(diag: list[SparseMat], dim: int) -> list[list[int]]:
+    """The basis indices grouped by their diagonal profile (the joint
+    eigenspaces of the diagonal generators), in first-seen order."""
+    profiles = {}
+    for i in range(dim):
+        profiles.setdefault(
+            tuple(g.entries.get((i, i), 0) for g in diag), []).append(i)
+    return list(profiles.values())
+
+
 def assemble_commutant_rows(gens: list[SparseMat], dim: int):
     """(survivor count, constraint rows) for the system [M, P] = 0.
 
@@ -89,15 +122,12 @@ def assemble_commutant_rows(gens: list[SparseMat], dim: int):
     generator by generator in the given order.
     """
     diag, other = _split_diagonal(gens, dim)
-    profiles = {}
-    for i in range(dim):
-        profiles.setdefault(
-            tuple(g.entries.get((i, i), 0) for g in diag), []).append(i)
+    classes = _profile_classes(diag, dim)
     classmates = {}
-    for members in profiles.values():
+    for members in classes:
         for i in members:
             classmates[i] = members
-    survivors = sum(len(members) ** 2 for members in profiles.values())
+    survivors = sum(len(members) ** 2 for members in classes)
     rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
 
     def add(key, unknown, value):
@@ -184,6 +214,240 @@ def certify_nullity(gens: list[SparseMat], dim: int, lower_bound: int,
 
 
 # ---------------------------------------------------------------------------
+# The primitive-vector certificate.
+
+@dataclass(frozen=True)
+class PrimitiveCertificate:
+    """Proof of a commutant dimension from the module's primitive vectors.
+
+    Mod `prime` (at q = `point` for quantum gl, None for osp), the weight
+    classes of the `dim`-dimensional module and their primitive spaces
+    P_lam, killed by every raising generator, span the module under the
+    lowering generators: `generation_rank` = `dim`.  So a commuting map is
+    fixed by the maps P_lam -> P_lam it restricts to, and the commutant
+    dimension is at most `bound`, the sum of the squares of `blocks`: one
+    k_lam = dim P_lam per class, or with sigma one k per swapped pair of
+    classes and the dimensions a, b of the sigma = +-1 eigenspaces on the
+    P_lam of a fixed class.
+    """
+    prime: int
+    point: str | None
+    blocks: tuple[int, ...]
+    generation_rank: int
+    dim: int
+
+    @property
+    def bound(self) -> int:
+        return sum(k * k for k in self.blocks)
+
+
+class _NotPrimitive(Exception):
+    """A check of the primitive certificate failed; the message says which."""
+
+
+def _columns(mat: SparseMat) -> dict[int, list[tuple[int, int]]]:
+    cols = {}
+    for (i, k), v in mat.entries.items():
+        cols.setdefault(k, []).append((i, v))
+    return cols
+
+
+def _apply(cols, vec: dict, p: int) -> dict:
+    """The operator with columns `cols` applied to `vec`, mod p."""
+    out = {}
+    for k, x in vec.items():
+        for i, v in cols.get(k, ()):
+            out[i] = (out.get(i, 0) + v * x) % p
+    return {i: v for i, v in out.items() if v}
+
+
+def _rank(vectors) -> int:
+    ech = Echelon()
+    for vec in vectors:
+        ech.add(vec)
+    return ech.rank
+
+
+def _functional(datum: RootDatum) -> list[int]:
+    """Powers of 3 read along the datum's ordering.
+
+    A root's coefficients lie in [-2, 2], so its first nonzero one decides
+    the sign: the functional is positive exactly on the positive roots.
+    For even-m osp the coefficient of eps_l is 0, so that sigma, which
+    negates eps_l, keeps every value.
+    """
+    even_osp = datum.algebra == "osp" and datum.m % 2 == 0
+    f = [0] * datum.rank
+    count = len(datum.ordering)
+    for pos, sym in enumerate(datum.ordering):
+        if not (even_osp and sym == ("e", datum.eps_count)):
+            f[datum.weight_of(sym).index(1)] = 3 ** (count - 1 - pos)
+    return f
+
+
+def module_heights(datum: RootDatum, signs) -> tuple[int, ...]:
+    """The functional of `_functional` on the weight of each basis vector of
+    V^{s_1} (x) ... (x) V^{s_k}, s_j = +-1 (V* carries minus the weights)."""
+    f = _functional(datum)
+    base = [sum(a * b for a, b in zip(f, w)) for w, _ in datum.module_weights()]
+    out = [0]
+    for sign in signs:
+        out = [h + sign * b for h in out for b in base]
+    return tuple(out)
+
+
+def _orient(other, heights, cls):
+    """(raising, lowering, sigma) column maps of the non-diagonal residue
+    generators, with sigma's map of classes.
+
+    Each generator must map every weight class into one class, and move
+    the height by one amount: raising if positive, lowering if negative.
+    At most one generator moves no height; it is sigma.
+    """
+    raising, lowering, sigma = [], [], None
+    for j, g in enumerate(other):
+        shifts = {heights[i] - heights[k] for (i, k) in g.entries}
+        target = {}
+        for (i, k) in g.entries:
+            if target.setdefault(cls[k], cls[i]) != cls[i]:
+                raise _NotPrimitive(f"generator {j} splits a weight class")
+        if len(shifts) != 1:
+            raise _NotPrimitive(f"generator {j} is not weight-homogeneous")
+        shift = shifts.pop()
+        if shift > 0:
+            raising.append(_columns(g))
+        elif shift < 0:
+            lowering.append(_columns(g))
+        elif sigma is None:
+            sigma = (g, target)
+        else:
+            raise _NotPrimitive("two generators keep every height")
+    return raising, lowering, sigma
+
+
+def _primitive_spaces(classes, raising, dim: int) -> list[list[dict]]:
+    """A basis of P_lam per class: the rows [E(v) for E raising | v] of the
+    class's basis vectors v, eliminated with the E-part first; the kept
+    rows that vanish there give the kernel."""
+    off = len(raising) * dim
+    spaces = []
+    for members in classes:
+        ech = Echelon()
+        for k in members:
+            row = {off + k: 1}
+            for t, cols in enumerate(raising):
+                for i, v in cols.get(k, ()):
+                    row[t * dim + i] = v
+            ech.add(row)
+        spaces.append([{c - off: v for c, v in row.items()}
+                       for row in ech.rows_from(off)])
+    return spaces
+
+
+def _generation_rank(classes, heights, cls, prim, lowering) -> int:
+    """Check, from the top class down, that each class is spanned by its
+    P_lam and the lowering images of the classes above; the total rank."""
+    images = [[] for _ in classes]
+    for cols in lowering:
+        for col in cols.values():
+            images[cls[col[0][0]]].append(dict(col))
+    total = 0
+    for c in sorted(range(len(classes)), key=lambda c: -heights[classes[c][0]]):
+        size = len(classes[c])
+        ech = Echelon()
+        for vec in prim[c] + images[c]:
+            if ech.rank == size:
+                break
+            ech.add(vec)
+        if ech.rank < size:
+            raise _NotPrimitive(
+                f"generation stops at a weight class of size {size} (height "
+                f"{heights[classes[c][0]]}) at rank {ech.rank}")
+        total += size
+    return total
+
+
+def _sigma_blocks(sigma, prim, raising, p: int) -> list[int]:
+    """Block sizes of the sigma-orbit sum, after checking sigma^2 = 1 and
+    that sigma maps each P_lam into the P of its image class."""
+    g, target = sigma
+    if g.matmul_mod(g) != SparseMat.identity(g.src):
+        raise _NotPrimitive("sigma^2 != 1")
+    # sigma^2 = 1 makes sigma a bijection, so `target` is an involution of
+    # the classes and sigma maps each P_lam onto the P of its image
+    cols = _columns(g)
+    blocks = []
+    for c, basis in enumerate(prim):
+        image = [_apply(cols, v, p) for v in basis]
+        if any(_apply(e, w, p) for w in image for e in raising):
+            raise _NotPrimitive("sigma does not map primitive vectors to "
+                                "primitive vectors")
+        if target[c] != c:
+            if c < target[c]:
+                blocks.append(len(basis))
+            continue
+        a = _rank({i: w.get(i, 0) + v.get(i, 0) for i in w.keys() | v}
+                  for v, w in zip(basis, image))
+        b = _rank({i: w.get(i, 0) - v.get(i, 0) for i in w.keys() | v}
+                  for v, w in zip(basis, image))
+        if a + b != len(basis):
+            raise _NotPrimitive("sigma is not diagonalisable on a fixed P")
+        blocks += [a, b]
+    return blocks
+
+
+def certify_primitive(gens: list[SparseMat], heights, lower_bound: int,
+                      point=None) -> PrimitiveCertificate | None:
+    """Certificate that the commutant of `gens` has dimension `lower_bound`,
+    from the primitive vectors of the module mod p.
+
+    `gens` have int/Fraction entries (osp), or RatFunc entries reduced at
+    q = `point` (quantum gl); `heights` gives each basis vector's weight
+    under a functional that orients the generators (`module_heights`).
+    The weight classes are the joint eigenspaces of the diagonal generators
+    mod p.  None, with the failed check logged, if a denominator vanishes
+    mod p, the diagonal generators do not separate the heights, a
+    generator is not homogeneous, generation or a sigma check fails, or
+    the bound misses `lower_bound`; the caller then takes the row
+    certificate.  Only vectors of length dim are reduced; no d^2 system is
+    built.
+    """
+    p = superspace.PRIME
+    dim = len(heights)
+    try:
+        mats = [g.map_values(lambda v: rational_residue(v, p))
+                if point is None else g.residues(point) for g in gens]
+        diag, other = _split_diagonal(mats, dim)
+        classes = _profile_classes(diag, dim)
+        if any(heights[i] != heights[members[0]]
+               for members in classes for i in members):
+            raise _NotPrimitive("the diagonal generators do not separate the "
+                                "heights mod p")
+        cls = [0] * dim
+        for c, members in enumerate(classes):
+            for i in members:
+                cls[i] = c
+        raising, lowering, sigma = _orient(other, heights, cls)
+        prim = _primitive_spaces(classes, raising, dim)
+        generated = _generation_rank(classes, heights, cls, prim, lowering)
+        blocks = ([len(basis) for basis in prim] if sigma is None
+                  else _sigma_blocks(sigma, prim, raising, p))
+    except (UnluckyPrime, _NotPrimitive) as exc:
+        log_fallback(__name__, "primitive certificate: %s; row certificate",
+                     exc)
+        return None
+    cert = PrimitiveCertificate(p, None if point is None else str(point),
+                                tuple(sorted((k for k in blocks if k),
+                                             reverse=True)), generated, dim)
+    if cert.bound != lower_bound:
+        log_fallback(__name__, "primitive certificate: bound %d does not "
+                     "meet the lower bound %d; row certificate", cert.bound,
+                     lower_bound)
+        return None
+    return cert
+
+
+# ---------------------------------------------------------------------------
 # Commutant dimensions.
 
 def _check_unknowns(dim_v: int, factors: int, budget: int) -> int:
@@ -216,29 +480,35 @@ def least_nullity(gens, d, points) -> int:
                for p in points)
 
 
-def commutant_dim_glq(gens, d: int, points, lower_bound: int):
+def commutant_dim_glq(gens, d: int, points, lower_bound: int, heights):
     """(dim, certificate) for the quantum gl symmetry generators `gens`.
 
-    dim End_{U_q} of the d-dimensional module: the rows specialised at
-    points[0] are eliminated mod p until the proved `lower_bound` (the span
-    rank) is met; the certificate is None where `least_nullity` decided.
+    dim End_{U_q} of the d-dimensional module whose basis vectors have the
+    given `heights` (`module_heights`): at points[0] the primitive
+    certificate is tried first, then the rows are eliminated mod p until
+    the proved `lower_bound` (the span rank) is met; the certificate is
+    None where `least_nullity` decided.
     """
     point = points[0]
-    cert = certify_nullity([g.specialize(point) for g in gens], d,
-                           lower_bound, point)
+    cert = (certify_primitive(gens, heights, lower_bound, point)
+            or certify_nullity([g.specialize(point) for g in gens], d,
+                               lower_bound, point))
     if cert is None:
         return least_nullity(gens, d, points), None
     return lower_bound, cert
 
 
-def commutant_dim_osp(gens, d: int, lower_bound: int):
+def commutant_dim_osp(gens, d: int, lower_bound: int, heights):
     """(dim, certificate) for the osp symmetry generators `gens`.
 
-    dim End of the Harish-Chandra pair action on the d-dimensional module:
-    the rows are eliminated mod p until `lower_bound` is met; the
-    certificate is None where the exact nullity over Q decided.
+    dim End of the Harish-Chandra pair action on the d-dimensional module
+    whose basis vectors have the given `heights`: the primitive
+    certificate is tried first, then the rows are eliminated mod p until
+    `lower_bound` is met; the certificate is None where the exact nullity
+    over Q decided.
     """
-    cert = certify_nullity(gens, d, lower_bound)
+    cert = (certify_primitive(gens, heights, lower_bound)
+            or certify_nullity(gens, d, lower_bound))
     if cert is None:
         return commutant_nullity(gens, d), None
     return lower_bound, cert
@@ -284,7 +554,7 @@ class FftReport:
     bound_ok: bool | None = None
     wall_clock_ms: int | None = None
     #: proof of `equal`; None where the exact fallback decided (not in JSON)
-    certificate: Certificate | None = None
+    certificate: PrimitiveCertificate | Certificate | None = None
 
     @property
     def equal(self) -> bool:
@@ -392,19 +662,21 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
         kind = "hecke" if s == 0 else "walled"
         ranks = _glq_span_ranks(ctx, kind, r, s, points)
         gens = _glq_generator_mats(datum, r, s)
+        heights = module_heights(datum, (1,) * r + (-1,) * s)
     else:
         d = _check_unknowns(osp_mod.natural_space(m, n).dim, r, budget)
         ctx = make_context("osp_classical", m=m, n=n, budget=budget)
         kind = "brauer"
         ranks = [_osp_span_rank(ctx, r)]
         gens = _osp_generator_mats(m, n, r)
+        heights = module_heights(distinguished("osp", m, n), (1,) * r)
     # Every image is a product of the diagram generators, so once those are
     # checked to centralise the symmetry generators, the span rank is a
     # lower bound for the commutant dimension.
     check_membership(diagram_generators(kind, ctx, r, s), gens)
     srank = max(ranks)
     if flavor == "gl":
-        cdim, cert = commutant_dim_glq(gens, d, points, srank)
+        cdim, cert = commutant_dim_glq(gens, d, points, srank, heights)
         # Once certified, rank_p <= rank_Q <= srank at every point, so only
         # the points short of srank need an exact rank; without a
         # certificate every point does, on images from the exact closure.
@@ -416,7 +688,7 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
             ranks = [exact.get(a, rk) for a, rk in zip(points, ranks)]
             srank = max(ranks)
     else:
-        cdim, cert = commutant_dim_osp(gens, d, srank)
+        cdim, cert = commutant_dim_osp(gens, d, srank, heights)
     agreement = len(set(ranks)) == 1
     bound = bound_lhs = bound_ok = None
     if flavor == "osp" and m % 2 == 0:

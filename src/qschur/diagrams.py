@@ -29,7 +29,8 @@ from .errors import BudgetError, VerificationError
 from .scalar import RatFunc, qpow
 
 __all__ = [
-    "BrauerDiagram", "compose_brauer", "brauer_basis", "identity_diagram",
+    "BrauerDiagram", "compose_brauer", "brauer_basis", "brauer_count",
+    "BRAUER_CAP", "identity_diagram",
     "elementary_diagram",
     "BraidWord", "parse_braid", "braid_to_ribbon", "closure",
     "RibbonWord", "Relation", "quotient_relations",
@@ -113,10 +114,26 @@ def compose_brauer(upper: BrauerDiagram, lower: BrauerDiagram, delta):
     return BrauerDiagram(tuple(match)), delta ** loops
 
 
+#: Most Brauer diagrams built on r strands, for `brauer` and `fft`:
+#: (2r-1)!! at r = 6.
+BRAUER_CAP = 10395
+
+
+def brauer_count(r: int) -> int:
+    """(2r-1)!!, the number of Brauer diagrams on r strands; BudgetError as
+    soon as the product passes BRAUER_CAP."""
+    count = 1
+    for k in range(3, 2 * r, 2):
+        count *= k
+        if count > BRAUER_CAP:
+            raise BudgetError(f"the Brauer diagrams on {r} strands exceed "
+                              f"{BRAUER_CAP}")
+    return count
+
+
 def brauer_basis(r: int) -> list[BrauerDiagram]:
-    """All (2r-1)!! diagrams on r strands."""
-    if r > 6:
-        raise BudgetError("diagram enumeration capped at r = 6")
+    """All (2r-1)!! diagrams on r strands, within BRAUER_CAP."""
+    brauer_count(r)
     out = []
 
     def extend(matched, pairs):

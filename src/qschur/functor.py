@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 from . import osp as osp_mod
 from . import qgl
-from .diagrams import (BraidWord, BrauerDiagram, RibbonWord, closure,
-                       compose_brauer, elementary_diagram, identity_diagram)
+from .diagrams import (BraidWord, BrauerDiagram, RibbonWord, brauer_count,
+                       closure, compose_brauer, elementary_diagram,
+                       identity_diagram)
 from .errors import BudgetError, VerificationError, check_power
 from .rootdata import RootDatum
 from .scalar import RatFunc, qpow
@@ -46,7 +47,6 @@ __all__ = [
 
 DEFAULT_BUDGET = 625  # max dimension of any space met during evaluation
 IMAGE_CAP = 5000  # max number of Hecke or walled images, r! or (r+s)!
-BRAUER_IMAGE_CAP = 10395  # max number of Brauer images, (2r-1)!! at r = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,14 +343,14 @@ def diagram_generators(kind: str, ctx: EvalContext, r: int,
 def _image_count(kind: str, r: int, s: int) -> int:
     """(r+s)! Hecke or walled images, or (2r-1)!! Brauer images; BudgetError
     as soon as the product passes the kind's cap."""
-    cap = BRAUER_IMAGE_CAP if kind == "brauer" else IMAGE_CAP
-    factors = range(3, 2 * r, 2) if kind == "brauer" else range(2, r + s + 1)
+    if kind == "brauer":
+        return brauer_count(r)
     count = 1
-    for k in factors:
+    for k in range(2, r + s + 1):
         count *= k
-        if count > cap:
+        if count > IMAGE_CAP:
             raise BudgetError(f"the {kind} images on {r + s} strands exceed "
-                              f"{cap}")
+                              f"{IMAGE_CAP}")
     return count
 
 

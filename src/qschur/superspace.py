@@ -421,3 +421,8 @@ class Echelon:
         pivots[lead] = {k: v * inv % p for k, v in tail.items()}
         self.rank += 1
         return True
+
+    def rows_from(self, col: int) -> list[dict[int, int]]:
+        """The kept rows whose pivot is at `col` or right of it, pivot 1
+        included: a basis of the span's vectors that vanish left of `col`."""
+        return [{c: 1, **row} for c, row in self._pivots.items() if c >= col]

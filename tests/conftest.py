@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from qschur.centralizer import PrimitiveCertificate
 from qschur.scalar import RatFunc
 from qschur.superspace import SparseMat, SuperSpace
 
@@ -76,9 +77,17 @@ def casimir(datum, lam) -> int:
 
 
 def assert_certified(rep) -> None:
-    """An `equal` report carries a certificate whose bound meets the span."""
+    """An `equal` report carries a certificate whose bound meets the span:
+    a primitive one generated on all d basis vectors, or a row one."""
     cert = rep.certificate
     assert cert is not None, (rep.flavor, rep.m, rep.n, rep.r, rep.s)
+    if isinstance(cert, PrimitiveCertificate):
+        dim_v = rep.m + rep.n if rep.flavor == "gl" else rep.m + 2 * rep.n
+        d = dim_v ** (rep.r + rep.s)
+        assert cert.bound == rep.span_rank == rep.commutant_dim
+        assert cert.generation_rank == cert.dim == d
+        assert all(k > 0 for k in cert.blocks) and sum(cert.blocks) <= d
+        return
     assert cert.survivors - cert.rank == rep.span_rank == rep.commutant_dim
     assert cert.rows_used <= cert.rows_assembled
 

@@ -8,12 +8,13 @@ from conftest import (assert_certified, commutator_rows, dense_nullity,
 from qschur import centralizer
 from qschur import osp as osp_mod
 from qschur import qgl, superspace
-from qschur.centralizer import (MembershipError, _glq_generator_mats,
-                                _osp_generator_mats, assemble_commutant_rows,
-                                certify_nullity, check_membership,
+from qschur.centralizer import (MembershipError, PrimitiveCertificate,
+                                _glq_generator_mats, _osp_generator_mats,
+                                assemble_commutant_rows, certify_nullity,
+                                certify_primitive, check_membership,
                                 commutant_dim_glq, commutant_dim_osp,
                                 commutant_nullity, fft_report, least_nullity,
-                                relation_check)
+                                module_heights, relation_check)
 from qschur.errors import UsageError
 from qschur.functor import (BudgetError, diagram_generators, image_basis,
                             make_context)
@@ -266,11 +267,18 @@ def test_unmet_lower_bound_takes_the_exact_path(caplog):
     assert "exact fallback" in caplog.text
     assert commutant_nullity(jordan, 2) == 2
     osp_gens = _osp_generator_mats(1, 1, 2)
-    assert commutant_dim_osp(osp_gens, 9, 1) == (3, None)
-    gl_gens = _glq_generator_mats(distinguished("gl", 1, 1), 2)
-    assert commutant_dim_glq(gl_gens, 4, DEFAULT_POINTS, 1) == (2, None)
-    dim, cert = commutant_dim_osp(osp_gens, 9, 3)
-    assert dim == 3 and cert.survivors - cert.rank == 3
+    osp_heights = module_heights(distinguished("osp", 1, 1), (1, 1))
+    with caplog.at_level("INFO", logger="qschur.centralizer"):
+        assert commutant_dim_osp(osp_gens, 9, 1, osp_heights) == (3, None)
+    assert "bound 3 does not meet the lower bound 1" in caplog.text
+    gl = distinguished("gl", 1, 1)
+    gl_gens = _glq_generator_mats(gl, 2)
+    assert commutant_dim_glq(gl_gens, 4, DEFAULT_POINTS, 1,
+                             module_heights(gl, (1, 1))) == (2, None)
+    dim, cert = commutant_dim_osp(osp_gens, 9, 3, osp_heights)
+    assert dim == 3 and cert.bound == 3
+    cert = certify_nullity(osp_gens, 9, 3)
+    assert cert.survivors - cert.rank == 3
 
 
 def test_denominator_divisible_by_prime_takes_the_exact_path(caplog):
@@ -438,9 +446,8 @@ def test_certificate_rows_match_the_full_assembly_order():
                                           (3, 2)] for r in (1, 2, 3)]
     used = assembled = 0
     for (m, n, r) in osp_cells:
-        dim, cert = commutant_dim_osp(_osp_generator_mats(m, n, r),
-                                      (m + 2 * n) ** r,
-                                      math.prod(range(1, 2 * r, 2)))
+        cert = certify_nullity(_osp_generator_mats(m, n, r), (m + 2 * n) ** r,
+                               math.prod(range(1, 2 * r, 2)))
         assert cert is not None and cert.rows_used <= cert.rows_assembled
         if (m, n, r) == (3, 1, 3):
             assert cert.rows_used == 1176 and cert.rows_assembled == 1476
@@ -450,6 +457,175 @@ def test_certificate_rows_match_the_full_assembly_order():
         assembled += cert.rows_assembled
     # of the 70,680 rows that full assembly builds on these 15 cells
     assert (used, assembled) == (11406, 13812)
+    pt = DEFAULT_POINTS[0]
     gens = _glq_generator_mats(distinguished("gl", 2, 1), 4)
-    _, cert = commutant_dim_glq(gens, 81, DEFAULT_POINTS, 24)
+    cert = certify_nullity([g.specialize(pt) for g in gens], 81, 24, pt)
     assert (cert.rows_used, cert.rows_assembled) == (1587, 1824)
+
+
+# ---------------------------------------------------------------------------
+# The primitive-vector certificate.
+
+# The 24 benchmark cells, (flavor, m, n, r, s) as fft_report takes them: 22
+# carry the primitive certificate, given by its blocks; osp(2|2) r=2 and
+# osp(3|2) r=3 are not generated by their primitive vectors and carry the
+# row certificate, given by (rows used, rows assembled).
+BENCHMARK_CERTIFICATES = {
+    ("osp", 1, 1, 1, 0): (1,), ("osp", 1, 1, 2, 0): (1, 1, 1),
+    ("osp", 1, 1, 3, 0): (3, 2, 1, 1),
+    ("osp", 2, 1, 1, 0): (1,), ("osp", 2, 1, 2, 0): ("rows", 60, 72),
+    ("osp", 2, 1, 3, 0): (3, 2, 1, 1),
+    ("osp", 3, 1, 1, 0): (1,), ("osp", 3, 1, 2, 0): (1, 1, 1),
+    ("osp", 3, 1, 3, 0): ("rows", 1176, 1476),
+    ("osp", 4, 1, 1, 0): (1,), ("osp", 4, 1, 2, 0): (1, 1, 1),
+    ("osp", 4, 1, 3, 0): (3, 2, 1, 1),
+    ("osp", 3, 2, 1, 0): (1,), ("osp", 3, 2, 2, 0): (1, 1, 1),
+    ("osp", 3, 2, 3, 0): (3, 2, 1, 1),
+    ("gl", 2, 1, 4, 0): (3, 3, 2, 1, 1), ("gl", 1, 1, 3, 2): (6, 4, 4, 1, 1),
+    ("gl", 1, 1, 2, 0): (1, 1), ("gl", 1, 1, 3, 0): (2, 1, 1),
+    ("gl", 2, 1, 2, 0): (1, 1), ("gl", 2, 1, 3, 0): (2, 1, 1),
+    ("gl", 1, 2, 2, 0): (1, 1), ("gl", 2, 2, 2, 0): (1, 1),
+    ("gl", 2, 1, 1, 1): (1, 1),
+}
+
+
+def test_certificate_kind_per_benchmark_cell():
+    for (flavor, m, n, r, s), want in BENCHMARK_CERTIFICATES.items():
+        rep = fft_report(flavor, m, n, r, s=s)
+        assert rep.equal, (flavor, m, n, r, s)
+        assert_certified(rep)
+        cert = rep.certificate
+        if want[0] == "rows":
+            assert isinstance(cert, centralizer.Certificate), (m, n, r)
+            assert ("rows", cert.rows_used, cert.rows_assembled) == want
+        else:
+            assert isinstance(cert, PrimitiveCertificate), (m, n, r, s)
+            assert cert.blocks == want and cert.prime == PRIME
+            assert cert.point == (None if flavor == "osp" else "7/5")
+        assert "certificate" not in rep.to_dict()
+
+
+@pytest.mark.parametrize("m, n, r", [(2, 0, 1), (2, 0, 2), (4, 0, 2),
+                                     (4, 0, 3), (2, 1, 3), (0, 1, 3)])
+def test_sigma_orbit_bound_is_the_exact_commutant(m, n, r):
+    # osp(2|0), osp(4|0), osp(2|2) and osp(0|2): the orbit sum over the
+    # sigma-stable positive system meets the exact sigma-extended nullity
+    gens = _osp_generator_mats(m, n, r)
+    d = (m + 2 * n) ** r
+    exact = commutant_nullity(gens, d)
+    heights = module_heights(distinguished("osp", m, n), (1,) * r)
+    cert = certify_primitive(gens, heights, exact)
+    assert cert is not None and cert.bound == exact
+    assert cert.generation_rank == d
+
+
+def _partitions(r, largest=None):
+    largest = r if largest is None else largest
+    if r == 0:
+        yield ()
+    for k in range(min(r, largest), 0, -1):
+        for rest in _partitions(r - k, k):
+            yield (k,) + rest
+
+
+def _hook_length_count(lam) -> int:
+    """f^lam, the number of standard tableaux, by the hook-length formula."""
+    conj = [sum(1 for row in lam if row > j) for j in range(lam[0])]
+    hooks = math.prod(row - j + conj[j] - i - 1
+                      for i, row in enumerate(lam) for j in range(row))
+    return math.factorial(sum(lam)) // hooks
+
+
+def _hook_sum(m, n, r) -> int:
+    """Sum of (f^lam)^2 over the partitions of r in the (m, n)-hook
+    (lam_{m+1} <= n): dim End of the gl(m|n) tensor power (Berele-Regev)."""
+    return sum(_hook_length_count(lam) ** 2 for lam in _partitions(r)
+               if len(lam) <= m or lam[m] <= n)
+
+
+@pytest.mark.parametrize("m, n, r_max", [(2, 1, 6), (1, 1, 5), (2, 2, 4)])
+def test_gl_bound_is_the_hook_formula(m, n, r_max):
+    datum = distinguished("gl", m, n)
+    for r in range(1, r_max + 1):
+        want = _hook_sum(m, n, r)
+        cert = certify_primitive(_glq_generator_mats(datum, r),
+                                 module_heights(datum, (1,) * r), want,
+                                 DEFAULT_POINTS[0])
+        assert cert is not None and cert.bound == want, (m, n, r)
+    assert _hook_sum(2, 1, 6) == 695
+
+
+def test_a_lower_bound_one_short_gets_no_primitive_certificate(caplog):
+    gl = distinguished("gl", 2, 1)
+    gl_gens = _glq_generator_mats(gl, 3)
+    gl_heights = module_heights(gl, (1, 1, 1))
+    osp_gens = _osp_generator_mats(3, 1, 2)
+    osp_heights = module_heights(distinguished("osp", 3, 1), (1, 1))
+    with caplog.at_level("INFO", logger="qschur.centralizer"):
+        assert certify_primitive(gl_gens, gl_heights, 5,
+                                 DEFAULT_POINTS[0]) is None
+        assert certify_primitive(osp_gens, osp_heights, 2) is None
+        # the same verdicts as the exact path gives
+        assert commutant_dim_glq(gl_gens, 27, DEFAULT_POINTS, 5,
+                                 gl_heights) == (6, None)
+        assert commutant_dim_osp(osp_gens, 25, 2, osp_heights) == (3, None)
+    assert "bound 6 does not meet the lower bound 5" in caplog.text
+    assert "bound 3 does not meet the lower bound 2" in caplog.text
+
+
+def test_a_module_not_generated_takes_the_row_certificate(caplog):
+    # osp(3|2) r=3: the primitive vectors do not generate the module
+    gens = _osp_generator_mats(3, 1, 3)
+    heights = module_heights(distinguished("osp", 3, 1), (1, 1, 1))
+    with caplog.at_level("INFO", logger="qschur.centralizer"):
+        assert certify_primitive(gens, heights, 15) is None
+        dim, cert = commutant_dim_osp(gens, 125, 15, heights)
+    assert "generation stops at a weight class of size" in caplog.text
+    assert dim == 15 and isinstance(cert, centralizer.Certificate)
+    assert (cert.rows_used, cert.rows_assembled) == (1176, 1476)
+
+
+def test_each_failed_check_falls_back(caplog):
+    gl = distinguished("gl", 2, 1)
+    gens = _glq_generator_mats(gl, 2)
+    heights = module_heights(gl, (1, 1))
+    e1, f1 = gens[0], gens[2]
+    one = _glq_generator_mats(gl, 1)
+    osp_gens = _osp_generator_mats(2, 0, 2)
+    sigma = osp_gens[-1]
+    # on four weight classes: E raises v1 to v0, F lowers v0 to v1, and an
+    # involution that keeps the heights swaps v1 with the primitive v2
+    V = SuperSpace((0, 0, 0, 0))
+    swap = [SparseMat(V, V, {(i, i): i + 1 for i in range(4)}),
+            SparseMat(V, V, {(0, 1): 1}), SparseMat(V, V, {(1, 0): 1}),
+            SparseMat(V, V, {(0, 0): 1, (1, 2): 1, (2, 1): 1, (3, 3): 1})]
+    cases = [
+        # a generator that both raises and lowers
+        (gens + [e1 + f1], heights, 2, DEFAULT_POINTS[0],
+         "generator 4 splits a weight class"),
+        # on one strand e1 + e2 keeps the classes apart but moves the
+        # heights by two amounts
+        (one + [one[0] + one[1]], module_heights(gl, (1,)), 1,
+         DEFAULT_POINTS[0], "generator 4 is not weight-homogeneous"),
+        # heights that the diagonal generators do not separate
+        (gens, heights[:1] + (heights[1] + 1,) + heights[2:], 2,
+         DEFAULT_POINTS[0], "do not separate"),
+        # a sigma that is not an involution, or one that is doubled
+        (osp_gens[:-1] + [sigma.scale(2)],
+         module_heights(distinguished("osp", 2, 0), (1, 1)), 3, None,
+         "sigma^2 != 1"),
+        (osp_gens + [sigma], module_heights(distinguished("osp", 2, 0),
+                                            (1, 1)), 3, None,
+         "two generators keep every height"),
+        # a functional that does not vanish on eps_1: sigma swaps the
+        # heights 20 and -20 and fixes 0, so it moves heights by two amounts
+        (osp_gens, (20, 0, 0, -20), 3, None,
+         "generator 0 is not weight-homogeneous"),
+        (swap, (1, 0, 0, -5), 3, None,
+         "sigma does not map primitive vectors to primitive vectors"),
+    ]
+    for gen_list, hts, bound, point, reason in cases:
+        caplog.clear()
+        with caplog.at_level("INFO", logger="qschur.centralizer"):
+            assert certify_primitive(gen_list, hts, bound, point) is None
+        assert reason in caplog.text, reason

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from qschur import diagrams
 from qschur.diagrams import (BraidWord, BrauerDiagram, RibbonWord,
-                             braid_to_ribbon, brauer_basis, closure,
-                             parse_braid)
+                             braid_to_ribbon, brauer_basis, brauer_count,
+                             closure, parse_braid)
 from qschur.functor import (BudgetError, diagram_generators, diagram_images,
                             dual_braiding, evaluate, image_basis, invariant,
                             make_context)
@@ -231,6 +232,16 @@ def test_closure_keys_every_brauer_diagram():
             images = diagram_images("brauer", ctx, r)
             assert set(images) == set(brauer_basis(r)), (m, n, r)
             assert list(images.values()) == image_basis("brauer", ctx, r)
+
+
+def test_one_brauer_cap_bounds_the_diagrams_and_the_images(monkeypatch):
+    assert brauer_count(6) == diagrams.BRAUER_CAP == 10395
+    ctx = make_context("osp_classical", m=1, n=0)
+    monkeypatch.setattr(diagrams, "BRAUER_CAP", 15)
+    assert len(brauer_basis(3)) == len(image_basis("brauer", ctx, 3)) == 15
+    for build in (brauer_basis, lambda r: image_basis("brauer", ctx, r)):
+        with pytest.raises(BudgetError, match="exceed 15"):
+            build(4)
 
 
 def test_closure_keys_every_permutation():
