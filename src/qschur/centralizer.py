@@ -1,8 +1,13 @@
 """Centralizer dimensions versus diagram-image spans, exactly.
 
 The commutant of a generator set on a tensor power is the nullspace of the
-linear system [M, pi(x)] = 0 over all generators x.  Diagonal generators
-(the K_a at a rational point, Cartan elements of osp, sigma = -1) are
+linear system [M, pi(x)] = 0 over all generators x; a map commuting with a
+set that generates the algebra commutes with all of it.  For quantum gl
+the set is e_i, f_i and K_a; for osp it is `osp.osp_generators`: the
+Cartan elements and the simple root vectors, whose superbrackets are
+checked to span the whole Lie superalgebra, and sigma for even m >= 2
+(for other m, sigma acts on each tensor power by a scalar).  Diagonal
+generators (the K_a at a rational point, the Cartan elements of osp) are
 processed first: each kills the unknowns M[i, j] whose diagonal profiles
 differ, which partitions the indices into classes; the remaining
 commutator rows are assembled only over the surviving unknowns.  This is
@@ -30,8 +35,10 @@ classes of the diagonal generators; every other generator must map each
 class into one class, and a linear functional on the root-datum weights
 (`module_heights`) orients it as raising or lowering.  In class lam, P_lam
 is the space of vectors that every raising generator kills, and k_lam is
-its dimension.  If, from the top class down, P_lam and the lowering images
-of the classes above span each class, then the P_lam generate the module.
+its dimension; the raising generators are the simple e_i, whose joint
+kernel is that of every positive root vector they generate.  If, from the
+top class down, P_lam and the lowering images of the classes above span
+each class, then the P_lam generate the module.
 A commuting map keeps each P_lam and is fixed by what it does there, so
 its dimension is at most sum k_lam^2.  For even-m osp sigma is not
 diagonal: the functional vanishes on eps_l, sigma must square to 1 and
@@ -464,8 +471,10 @@ def _glq_generator_mats(datum: RootDatum, r: int, s: int = 0):
 
 
 def _osp_generator_mats(m: int, n: int, r: int):
-    gens = [osp_mod.leibniz_tensor(X, r) for X in osp_mod.osp_basis(m, n)]
-    gens.append(kron_chain([osp_mod.sigma(m, n)] * r))
+    lie, group = osp_mod.osp_generators(m, n)
+    gens = [osp_mod.leibniz_tensor(X, r) for X in lie]
+    if group is not None:
+        gens.append(kron_chain([group] * r))
     return gens
 
 

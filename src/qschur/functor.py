@@ -171,31 +171,35 @@ def dual_braiding(ctx: EvalContext) -> SparseMat:
 
 def _walled_generators(ctx: EvalContext, r: int,
                        s: int) -> dict[str, SparseMat]:
+    """X+ at each V-side strand, the wall turnback and X+ at each V*-side
+    strand, as the walled closure multiplies them out.
+
+    No X- is placed: either braiding obeys the Hecke quadratic, so
+    X- = X+ - (q - q^-1) lies in the span of X+ and the identity, and the
+    algebra the closure spans, which contains the identity, is the same.
+    """
     V, Vd = ctx.V, ctx.V.dual()
     iV, iVd = SparseMat.identity(V), SparseMat.identity(Vd)
     out = {}
     for i in range(1, r):
-        for tok in ("X+", "X-"):
-            out[f"{tok} at strand {i}"] = kron_chain(
-                [iV] * (i - 1) + [ctx.images[tok]] + [iV] * (r - i - 1)
-                + [iVd] * s)
+        out[f"X+ at strand {i}"] = kron_chain(
+            [iV] * (i - 1) + [ctx.images["X+"]] + [iV] * (r - i - 1)
+            + [iVd] * s)
     if r >= 1 and s >= 1:
         turn = ctx.images["U+"] @ ctx.images["Om-"]  # V (x) V* -> V (x) V*
         out["wall turnback"] = kron_chain([iV] * (r - 1) + [turn]
                                           + [iVd] * (s - 1))
     if s >= 2:
-        # the dual braiding obeys the Hecke quadratic of the V-side one,
-        # so its inverse is gd - (q - q^-1), as in qgl.braiding_inverse
+        # the dual braiding must obey the Hecke quadratic of the V-side one,
+        # with inverse gd - (q - q^-1) as in qgl.braiding_inverse
         gd = dual_braiding(ctx)
         ident = SparseMat.identity(gd.src)
-        gd_inv = gd - ident.scale(qpow(1) - qpow(-1))
-        if gd @ gd_inv != ident:
+        if gd @ (gd - ident.scale(qpow(1) - qpow(-1))) != ident:
             raise VerificationError("the dual braiding fails the Hecke "
                                     "quadratic")
         for j in range(1, s):
-            for tok, mat in (("X+", gd), ("X-", gd_inv)):
-                out[f"dual {tok} at strand {r + j}"] = kron_chain(
-                    [iV] * r + [iVd] * (j - 1) + [mat] + [iVd] * (s - j - 1))
+            out[f"dual X+ at strand {r + j}"] = kron_chain(
+                [iV] * r + [iVd] * (j - 1) + [gd] + [iVd] * (s - j - 1))
     return out
 
 
@@ -323,10 +327,11 @@ def diagram_generators(kind: str, ctx: EvalContext, r: int,
     """The placed elementary tangles that image_basis multiplies out, by name.
 
     Hecke: the braiding X+ at strands i, i+1 for i = 1..r-1.  Brauer: the
-    `osp.brauer_rep` images s_i and e_i.  Walled: X+ and X- on the V side,
-    the wall turnback, and X+ and X- on the V* side.  Every image of the
-    same kind is a product of these (the identity is the empty product), so
-    a map that commutes with all of them commutes with the whole span.
+    `osp.brauer_rep` images s_i and e_i.  Walled: X+ on the V side, the
+    wall turnback, and the dual X+ on the V* side (X- adds nothing; see
+    `_walled_generators`).  Every image of the same kind is a product of
+    these (the identity is the empty product), so a map that commutes with
+    all of them commutes with the whole span.
     """
     _check_kind(kind, ctx, r, s)
     if kind == "hecke":

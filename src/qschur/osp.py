@@ -27,10 +27,12 @@ from types import MappingProxyType
 from .errors import VerificationError
 from .rootdata import distinguished
 from .scalar import ONE, RatFunc, qint, qpow
-from .superspace import SparseMat, SuperSpace, kron_chain, tau, unit_space
+from .superspace import (SparseMat, SuperSpace, int_rank, kron_chain, tau,
+                         unit_space, vectorize)
 
 __all__ = [
-    "natural_space", "osp_form", "osp_basis", "sigma", "cupcap_maps", "e_map",
+    "natural_space", "osp_form", "osp_basis", "osp_generators", "sigma",
+    "cupcap_maps", "e_map",
     "brauer_rep", "leibniz_tensor", "BmwParameters", "bmw_parameters",
     "SpectralElement", "spectral_g", "spectral_e", "quantum_g_spectral",
 ]
@@ -117,6 +119,64 @@ def osp_basis(m: int, n: int) -> tuple[SparseMat, ...]:
         raise VerificationError(
             f"osp({m}|{2 * n}) basis has {len(out)} elements, expected {expected}")
     return tuple(out)
+
+
+def _superbracket(X: SparseMat, Y: SparseMat, par) -> SparseMat:
+    """[X, Y] = XY - (-1)^{|X||Y|} YX of two homogeneous elements."""
+    odd = [(par[r] + par[s]) % 2 for (r, s) in (next(iter(X.entries)),
+                                                next(iter(Y.entries)))]
+    return X @ Y + Y @ X if all(odd) else X @ Y - Y @ X
+
+
+@lru_cache(maxsize=None)
+def osp_generators(m: int, n: int) -> tuple[tuple[SparseMat, ...],
+                                            SparseMat | None]:
+    """(Lie generators, group generator) of the Harish-Chandra pair.
+
+    The Lie generators are the elements of `osp_basis` of weight 0 (the
+    Cartan elements) or of weight +-alpha for a simple root alpha of
+    `distinguished("osp", m, n)`, in basis order; a basic classical Lie
+    superalgebra is generated by them (Kac 1977), and that is verified
+    here: their iterated superbrackets must span all of `osp_basis`.  The
+    group generator is sigma for even m >= 2 and None otherwise, where
+    sigma = -id (odd m) or id (m = 0) acts on every tensor power by a
+    scalar.
+    """
+    V = natural_space(m, n)
+    weights = _weights(m, n)
+    roots = {tuple(sign * x for x in alpha) for sign in (1, -1)
+             for alpha in distinguished("osp", m, n).simple_roots()}
+    basis = osp_basis(m, n)
+    lie = []
+    for X in basis:
+        r, s = next(iter(X.entries))
+        weight = tuple(a - b for a, b in zip(weights[r], weights[s]))
+        if not any(weight) or weight in roots:
+            lie.append(X)
+    rows = []
+
+    def is_new(X):
+        row = vectorize(X)
+        if int_rank(rows + [row]) > len(rows):
+            rows.append(row)
+            return True
+        return False
+
+    span = [X for X in lie if is_new(X)]
+    for Y in span:  # a queue: span grows while it is walked
+        for X in lie:
+            Z = _superbracket(X, Y, V.parities)
+            if is_new(Z):
+                span.append(Z)
+    # the spans are equal when adding the basis raises neither rank
+    if not len(rows) == len(basis) == int_rank(
+            rows + [vectorize(X) for X in basis]):
+        raise VerificationError(
+            f"the Cartan and simple root vectors of osp({m}|{2 * n}) "
+            f"generate {len(rows)} dimensions, not the {len(basis)} of "
+            "its basis")
+    group = sigma(m, n) if m % 2 == 0 and m >= 2 else None
+    return tuple(lie), group
 
 
 @lru_cache(maxsize=None)

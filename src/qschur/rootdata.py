@@ -159,8 +159,8 @@ class RootDatum:
             wa = self.weight_of(self.ordering[a])
             wb = self.weight_of(self.ordering[a + 1])
             diffs.append(tuple(x - y for x, y in zip(wa, wb)))
-        if self.algebra == "gl":
-            return diffs
+        if self.algebra == "gl" or not self.ordering:
+            return diffs  # osp(1|0) has no roots
         last = self.weight_of(self.ordering[-1])
         if self.m % 2 == 1:
             # B-type tail: E_{l+n}

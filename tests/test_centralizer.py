@@ -15,14 +15,14 @@ from qschur.centralizer import (MembershipError, PrimitiveCertificate,
                                 commutant_dim_glq, commutant_dim_osp,
                                 commutant_nullity, fft_report, least_nullity,
                                 module_heights, relation_check)
-from qschur.errors import UsageError
+from qschur.errors import UsageError, VerificationError
 from qschur.functor import (BudgetError, diagram_generators, image_basis,
                             make_context)
 from qschur.qgl import act_on_signs, generator_names, natural_rep
 from qschur.rootdata import distinguished
 from qschur.scalar import Q, RatFunc, qint
 from qschur.superspace import (DEFAULT_POINTS, PRIME, SparseMat, SuperSpace,
-                               ranks_at, vectorize)
+                               kron_chain, ranks_at, vectorize)
 
 # Oracle-produced commutant dimensions, frozen (brute-force nullspace at the
 # default points; cross-checked against the dense oracle on the small cells).
@@ -47,6 +47,13 @@ def glq_exact_dim(m, n, r):
 
 def osp_exact_dim(m, n, r):
     return commutant_nullity(_osp_generator_mats(m, n, r), (m + 2 * n) ** r)
+
+
+def _whole_osp_basis_mats(m, n, r):
+    """Every element of osp_basis and sigma^{(x) r} on V^{(x) r}."""
+    gens = [osp_mod.leibniz_tensor(X, r) for X in osp_mod.osp_basis(m, n)]
+    gens.append(kron_chain([osp_mod.sigma(m, n)] * r))
+    return gens
 
 
 def test_commutant_glq_schur():
@@ -368,8 +375,7 @@ def test_diagram_generators_and_image_counts():
     cases = [
         ("hecke", gl21, 3, 0, 6, ["X+ at strand 1", "X+ at strand 2"]),
         ("brauer", osp31, 3, 0, 15, ["s1", "e1", "s2", "e2"]),
-        ("walled", gl21, 2, 1, 6,
-         ["X+ at strand 1", "X- at strand 1", "wall turnback"]),
+        ("walled", gl21, 2, 1, 6, ["X+ at strand 1", "wall turnback"]),
     ]
     for kind, ctx, r, s, n_images, names in cases:
         assert len(image_basis(kind, ctx, r, s)) == n_images, kind
@@ -377,6 +383,46 @@ def test_diagram_generators_and_image_counts():
     # one strand: the identity is the only image, and no generator is placed
     assert diagram_generators("hecke", gl21, 1) == {}
     assert diagram_generators("brauer", osp31, 1) == {}
+
+
+def _inverse_walled_generators(ctx, r, s):
+    """X- at each V-side strand and the inverse dual braiding at each V*-side
+    strand, placed as the walled closure places X+."""
+    from qschur.functor import dual_braiding
+    iV, iVd = SparseMat.identity(ctx.V), SparseMat.identity(ctx.V.dual())
+    out = {}
+    for i in range(1, r):
+        out[f"X- at strand {i}"] = kron_chain(
+            [iV] * (i - 1) + [ctx.images["X-"]] + [iV] * (r - i - 1)
+            + [iVd] * s)
+    if s >= 2:
+        gd = dual_braiding(ctx)
+        ident = SparseMat.identity(gd.src)
+        gd_inv = gd - ident.scale(Q - Q.inverse())
+        assert gd @ gd_inv == ident
+        for j in range(1, s):
+            out[f"dual X- at strand {r + j}"] = kron_chain(
+                [iV] * r + [iVd] * (j - 1) + [gd_inv] + [iVd] * (s - j - 1))
+    return out
+
+
+@pytest.mark.parametrize("m, n, r, s", [(1, 1, 2, 1), (2, 1, 1, 2),
+                                        (1, 1, 2, 2)])
+def test_walled_closure_without_x_minus_loses_nothing(monkeypatch, m, n, r, s):
+    import qschur.functor as functor
+    datum = distinguished("gl", m, n)
+    ctx = make_context("glq", datum=datum)
+    inverses = _inverse_walled_generators(ctx, r, s)
+    assert inverses
+    check_membership(inverses, _glq_generator_mats(datum, r, s))
+    plus = image_basis("walled", ctx, r, s)
+    plain = functor._walled_generators
+    monkeypatch.setattr(functor, "_walled_generators",
+                        lambda *a: {**plain(*a), **inverses})
+    both = image_basis("walled", ctx, r, s)
+    assert len(both) == len(plus)
+    assert (ranks_at([vectorize(img) for img in both], DEFAULT_POINTS)
+            == ranks_at([vectorize(img) for img in plus], DEFAULT_POINTS))
 
 
 def _ungraded_flip(V, W):
@@ -441,13 +487,15 @@ def test_per_generator_batches_concatenate_to_the_full_assembly():
 
 
 def test_certificate_rows_match_the_full_assembly_order():
-    # rows_used as recorded when every row was assembled before elimination
+    # rows_used as recorded when every row was assembled before elimination,
+    # over the whole osp basis and sigma, so that the pins test the row
+    # order of certify_nullity rather than a cell's generator set
     osp_cells = [(m, n, r) for (m, n) in [(1, 1), (2, 1), (3, 1), (4, 1),
                                           (3, 2)] for r in (1, 2, 3)]
     used = assembled = 0
     for (m, n, r) in osp_cells:
-        cert = certify_nullity(_osp_generator_mats(m, n, r), (m + 2 * n) ** r,
-                               math.prod(range(1, 2 * r, 2)))
+        cert = certify_nullity(_whole_osp_basis_mats(m, n, r),
+                               (m + 2 * n) ** r, math.prod(range(1, 2 * r, 2)))
         assert cert is not None and cert.rows_used <= cert.rows_assembled
         if (m, n, r) == (3, 1, 3):
             assert cert.rows_used == 1176 and cert.rows_assembled == 1476
@@ -517,6 +565,39 @@ def test_sigma_orbit_bound_is_the_exact_commutant(m, n, r):
     cert = certify_primitive(gens, heights, exact)
     assert cert is not None and cert.bound == exact
     assert cert.generation_rank == d
+
+
+@pytest.mark.parametrize("m, n, r", [(1, 1, 1), (1, 1, 2), (1, 1, 3),
+                                     (2, 1, 2), (2, 1, 3), (3, 1, 2),
+                                     (2, 0, 2), (4, 0, 2), (0, 1, 3)])
+def test_generator_set_keeps_the_whole_basis_commutant(m, n, r):
+    # the Cartan and simple root vectors (and sigma for even m >= 2) have
+    # the commutant of every element of osp_basis and sigma^{(x) r}
+    d = (m + 2 * n) ** r
+    assert (commutant_nullity(_osp_generator_mats(m, n, r), d)
+            == commutant_nullity(_whole_osp_basis_mats(m, n, r), d))
+
+
+def test_generator_set_sizes():
+    # osp(3|4): 3 Cartan elements and 6 simple root vectors of its 25;
+    # osp(4|2): 3 and 6 of its 17, and sigma
+    assert len(_osp_generator_mats(3, 2, 1)) == 9
+    assert len(_whole_osp_basis_mats(3, 2, 1)) == 26
+    assert len(_osp_generator_mats(4, 1, 1)) == 10
+    assert len(_whole_osp_basis_mats(4, 1, 1)) == 18
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 1), (4, 1), (3, 2), (0, 2)])
+def test_a_set_short_of_a_simple_root_is_rejected(monkeypatch, m, n):
+    from qschur.rootdata import RootDatum
+    full = RootDatum.simple_roots
+    for k in range(distinguished("osp", m, n).rank):
+        # a failed build is not cached, so only the cached full set goes
+        osp_mod.osp_generators.cache_clear()
+        monkeypatch.setattr(RootDatum, "simple_roots", lambda self, k=k:
+                            full(self)[:k] + full(self)[k + 1:])
+        with pytest.raises(VerificationError, match="generate"):
+            osp_mod.osp_generators(m, n)
 
 
 def _partitions(r, largest=None):
