@@ -22,8 +22,16 @@ turnbacks, s_i and e_i), and each of those is verified exactly to commute
 with every symmetry generator; so every image does, and its span rank is
 a lower bound for the commutant dimension.  For osp that
 rank is exact over Q.  For quantum gl the images are reduced at each point
-q = a straight to residues mod p and ranked in the F_p `Echelon`;
-reduction mod p and specialisation can only lower a rank, so
+q = a straight to residues mod p and ranked in the F_p `Echelon`.  Only
+the first point whose rank reaches the number N of images is ranked on
+the full rows; every later point reduces and ranks only the image entries
+in that point's N pivot columns, since dropping columns can only lower a
+rank and no rank exceeds N:
+
+    N = rank_p(pivot columns at a) <= rank_p(span at a) <= N.
+
+A later point short of N there is ranked on its full rows.  Reduction mod
+p and specialisation can only lower a rank, so
 
     rank_p(span at a) <= rank_Q(span at a) <= generic span rank
                       <= commutant dim <= nullity_p(rows) <= sum k_lam^2,
@@ -72,6 +80,7 @@ span_rank <= commutant_dim is asserted in every case.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -189,20 +198,31 @@ def certify_nullity(gens: list[SparseMat], dim: int, lower_bound: int,
     ones, which fix the survivors) are assembled and fed to the F_p
     echelon, in the order `assemble_commutant_rows(gens, dim)` gives them,
     until survivors - rank meets the bound; no further rows are built.
+    The echelon pivots on the rarest columns first (Markowitz order): the
+    columns are relabelled by how often they occur in the first batch's
+    rows, ties by column, and a column first seen later is appended as it
+    appears.  A column permutation keeps the rank of every row prefix, so
+    the stop and the certificate are the same; only the fill-in shrinks.
     None, with the reason logged, if the bound is never met or a
     denominator vanishes mod p; the caller then takes the exact path.
     """
     diag, other = _split_diagonal(gens, dim)
     ech = Echelon()
     used = assembled = 0
+    label = None  # column -> its place in the rarest-first order
     try:
         for batch in [diag + [P] for P in other] or [diag]:
             survivors, rows = assemble_commutant_rows(batch, dim)
             assembled += len(rows)
+            if label is None:
+                counts = Counter(k for row in rows for k in row)
+                label = {k: i for i, k in enumerate(
+                    sorted(counts, key=lambda k: (counts[k], k)))}
             for row in rows:
                 if survivors - ech.rank <= lower_bound:
                     break
-                ech.add(row)
+                ech.add({label.setdefault(k, len(label)): v
+                         for k, v in row.items()})
                 used += 1
             if survivors - ech.rank <= lower_bound:
                 break
@@ -595,20 +615,46 @@ def _glq_span_ranks(ctx: EvalContext, kind: str, r: int, s: int,
     """Ranks mod p at the points of the Hecke or walled images.
 
     Each rank is a lower bound for the exact rank at its point; a point
-    where a denominator vanishes mod p counts 0.
+    where a denominator vanishes mod p counts 0.  The first point whose
+    residue rows reach N = len(images) is ranked on the full rows, and its
+    pivot columns carry an N x N minor that is nonsingular mod p.  Every
+    later point reduces only the image entries in those columns: dropping
+    columns can only lower a rank, and no rank exceeds N, so
+
+        N = rank_p(pivot columns at a) <= rank_p(rows at a) <= N
+
+    and the restricted rank is the rank at a.  A later point that falls
+    short of N there, or meets a denominator that vanishes mod p, is
+    logged and ranked on its full rows.
     """
     images = image_basis(kind, ctx, r, s, points=points)
+    keys = None  # the (row, col) entries in the first full point's pivots
     ranks = []
     for point in points:
+        if keys is not None:
+            try:
+                rank = _rank(vectorize(img.residues(point, keys))
+                             for img in images)
+                if rank == len(images):
+                    ranks.append(rank)
+                    continue
+                why = f"rank {rank} of {len(images)}"
+            except UnluckyPrime as exc:
+                why = exc
+            log_fallback(__name__, "span rank at q = %s on %d pivot columns: "
+                         "%s; full rows", point, len(keys), why)
         ech = Echelon()
         try:
             for img in images:
                 ech.add(vectorize(img.residues(point)))
-            ranks.append(ech.rank)
         except UnluckyPrime as exc:
             log_fallback(__name__, "span rank at q = %s: %s; exact rank",
                          point, exc)
             ranks.append(0)
+            continue
+        ranks.append(ech.rank)
+        if keys is None and ech.rank == len(images):
+            keys = [divmod(c, images[0].cols) for c in ech.pivot_columns]
     return ranks
 
 

@@ -166,9 +166,10 @@ class RootDatum:
             # B-type tail: E_{l+n}
             return diffs + [last]
         if self.rank == 1:
-            # degenerate D/C tail with a single symbol
-            tail = last if self.ordering[-1][0] == "e" else tuple(2 * x for x in last)
-            return diffs + [tail]
+            # a single symbol: so(2) has no roots, sp(2) has 2 delta_1
+            if self.ordering[-1][0] == "e":
+                return diffs
+            return diffs + [tuple(2 * x for x in last)]
         prev = self.weight_of(self.ordering[-2])
         if self.ordering[-1][0] == "e":
             tail = tuple(x + y for x, y in zip(prev, last))

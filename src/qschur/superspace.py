@@ -193,15 +193,19 @@ class SparseMat:
         return self.map_values(
             lambda v: v.specialize(point) if isinstance(v, RatFunc) else v)
 
-    def residues(self, point) -> "SparseMat":
-        """Entries at q = point reduced mod p = PRIME, as ints in [0, p).
+    def residues(self, point, keys=None) -> "SparseMat":
+        """Entries at q = point reduced mod p = PRIME, as ints in [0, p);
+        with `keys`, only the entries at those (row, col) positions.
 
-        Built without a Fraction; UnluckyPrime if the point or a
-        denominator vanishes mod p.
+        Built without a Fraction; UnluckyPrime if the point or a reduced
+        entry's denominator vanishes mod p.
         """
         p = PRIME
         x = rational_residue(Fraction(point), p)
-        return self.map_values(
+        mat = self if keys is None else SparseMat(
+            self.src, self.dst,
+            {k: self.entries[k] for k in keys if k in self.entries})
+        return mat.map_values(
             lambda v: v.residue(x, p) if isinstance(v, RatFunc)
             else rational_residue(v, p))
 
@@ -421,6 +425,13 @@ class Echelon:
         pivots[lead] = {k: v * inv % p for k, v in tail.items()}
         self.rank += 1
         return True
+
+    @property
+    def pivot_columns(self) -> tuple[int, ...]:
+        """The pivot column of each kept row, in the order kept.  On these
+        columns alone the rows added so far still have rank `rank`: the
+        kept rows restricted to them are unit triangular."""
+        return tuple(self._pivots)
 
     def rows_from(self, col: int) -> list[dict[int, int]]:
         """The kept rows whose pivot is at `col` or right of it, pivot 1

@@ -21,8 +21,8 @@ from qschur.functor import (BudgetError, diagram_generators, image_basis,
 from qschur.qgl import act_on_signs, generator_names, natural_rep
 from qschur.rootdata import distinguished
 from qschur.scalar import Q, RatFunc, qint
-from qschur.superspace import (DEFAULT_POINTS, PRIME, SparseMat, SuperSpace,
-                               kron_chain, ranks_at, vectorize)
+from qschur.superspace import (DEFAULT_POINTS, PRIME, Echelon, SparseMat,
+                               SuperSpace, kron_chain, ranks_at, vectorize)
 
 # Oracle-produced commutant dimensions, frozen (brute-force nullspace at the
 # default points; cross-checked against the dense oracle on the small cells).
@@ -710,3 +710,71 @@ def test_each_failed_check_falls_back(caplog):
         with caplog.at_level("INFO", logger="qschur.centralizer"):
             assert certify_primitive(gen_list, hts, bound, point) is None
         assert reason in caplog.text, reason
+
+
+# ---------------------------------------------------------------------------
+# Gl span ranks on the first full point's pivot columns.
+
+SPAN_CELLS = [(2, 1, 4, 0), (1, 1, 3, 2), (2, 1, 2, 2), (1, 1, 4, 0)]
+
+
+def _span_args(m, n, r, s):
+    ctx = make_context("glq", datum=distinguished("gl", m, n))
+    return ctx, "hecke" if s == 0 else "walled", r, s, DEFAULT_POINTS
+
+
+def _full_row_ranks(ctx, kind, r, s, points):
+    # the oracle: every point ranked on all residue rows
+    images = image_basis(kind, ctx, r, s, points=points)
+    ranks = []
+    for point in points:
+        ech = Echelon()
+        for img in images:
+            ech.add(vectorize(img.residues(point)))
+        ranks.append(ech.rank)
+    return ranks
+
+
+@pytest.mark.parametrize("cell", SPAN_CELLS)
+def test_span_ranks_on_pivot_columns_match_full_rows(cell):
+    args = _span_args(*cell)
+    assert centralizer._glq_span_ranks(*args) == _full_row_ranks(*args)
+
+
+def _spy_residues(monkeypatch):
+    keys_seen = []
+    residues = SparseMat.residues
+
+    def spy(self, point, keys=None):
+        keys_seen.append(keys)
+        return residues(self, point, keys)
+    monkeypatch.setattr(SparseMat, "residues", spy)
+    return keys_seen
+
+
+def test_span_ranks_restrict_the_later_points_of_a_faithful_cell(monkeypatch):
+    keys_seen = _spy_residues(monkeypatch)
+    assert centralizer._glq_span_ranks(*_span_args(2, 1, 4, 0)) == [24] * 3
+    # 24 images at three points: full rows at the first, 24 entries after
+    assert keys_seen[:24] == [None] * 24
+    assert len(keys_seen) == 72
+    assert all(len(keys) == 24 for keys in keys_seen[24:])
+
+
+def test_a_point_short_on_the_pivot_columns_takes_full_rows(monkeypatch,
+                                                            caplog):
+    args = _span_args(2, 1, 4, 0)
+    want = _full_row_ranks(*args)
+    monkeypatch.setattr(Echelon, "pivot_columns",
+                        property(lambda self: tuple(self._pivots)[:1]))
+    with caplog.at_level("INFO", logger="qschur.centralizer"):
+        assert centralizer._glq_span_ranks(*args) == want
+    assert "on 1 pivot columns: rank 1 of 24; full rows" in caplog.text
+
+
+def test_a_non_faithful_cell_ranks_every_point_on_full_rows(monkeypatch):
+    # gl(1|1) r=4: the first point stays below the 24 Hecke images
+    keys_seen = _spy_residues(monkeypatch)
+    ranks = centralizer._glq_span_ranks(*_span_args(1, 1, 4, 0))
+    assert max(ranks) < 24
+    assert keys_seen and all(keys is None for keys in keys_seen)

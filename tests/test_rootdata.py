@@ -54,6 +54,19 @@ def test_simple_roots_are_indecomposables():
         assert sorted(d.simple_roots()) == sorted(indecomposable), d.describe()
 
 
+def test_simple_roots_are_roots():
+    # so(2) has no roots, so osp(2|0) has no simple root
+    for algebra in ("gl", "osp"):
+        for m in range(7):
+            for n in range(7 - m):
+                if m + n:
+                    datum = distinguished(algebra, m, n)
+                    roots = set(datum.all_roots())
+                    for alpha in datum.simple_roots():
+                        assert alpha in roots, (datum.describe(), alpha)
+    assert distinguished("osp", 2, 0).simple_roots() == []
+
+
 def test_rho2_examples():
     d = distinguished("gl", 1, 1)
     assert d.rho2() == (-1, 1)  # -(e1 - d1): the single positive root is odd
