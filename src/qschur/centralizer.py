@@ -22,16 +22,13 @@ turnbacks, s_i and e_i), and each of those is verified exactly to commute
 with every symmetry generator; so every image does, and its span rank is
 a lower bound for the commutant dimension.  For osp that
 rank is exact over Q.  For quantum gl the images are reduced at each point
-q = a straight to residues mod p and ranked in the F_p `Echelon`.  Only
-the first point whose rank reaches the number N of images is ranked on
-the full rows; every later point reduces and ranks only the image entries
-in that point's N pivot columns, since dropping columns can only lower a
-rank and no rank exceeds N:
-
-    N = rank_p(pivot columns at a) <= rank_p(span at a) <= N.
-
-A later point short of N there is ranked on its full rows.  Reduction mod
-p and specialisation can only lower a rank, so
+q = a straight to residues mod p and ranked in the F_p `Echelon`.  The
+first point at which they reduce is ranked on the full rows and keeps the
+R images that raised its rank, with their R pivot columns; every later
+point reduces and ranks only those images' entries in those columns.
+Dropping images or columns can only lower a rank, so no point ranks above
+R, and a later point short of R is left to the exact re-rank step below.
+Reduction mod p and specialisation can only lower a rank, so
 
     rank_p(span at a) <= rank_Q(span at a) <= generic span rank
                       <= commutant dim <= nullity_p(rows) <= sum k_lam^2,
@@ -614,47 +611,43 @@ def _glq_span_ranks(ctx: EvalContext, kind: str, r: int, s: int,
                     points) -> list[int]:
     """Ranks mod p at the points of the Hecke or walled images.
 
-    Each rank is a lower bound for the exact rank at its point; a point
-    where a denominator vanishes mod p counts 0.  The first point whose
-    residue rows reach N = len(images) is ranked on the full rows, and its
-    pivot columns carry an N x N minor that is nonsingular mod p.  Every
-    later point reduces only the image entries in those columns: dropping
-    columns can only lower a rank, and no rank exceeds N, so
+    The first point at which the images reduce mod p is ranked on their
+    full residue rows; only the R images that raised its rank are kept,
+    together with their R pivot columns, on which those images carry an
+    R x R minor that is nonsingular mod p.  Every later point b reduces
+    only the kept images' entries in those columns.  Dropping images or
+    columns can only lower a rank, so each rank is a lower bound for the
+    exact rank at its point and none exceeds R.  Once the commutant
+    dimension is certified to be R,
 
-        N = rank_p(pivot columns at a) <= rank_p(rows at a) <= N
+        rank_p(minor at b) <= rank_p(span at b) <= rank_Q(span at b)
+                           <= generic span rank <= commutant dim = R,
 
-    and the restricted rank is the rank at a.  A later point that falls
-    short of N there, or meets a denominator that vanishes mod p, is
-    logged and ranked on its full rows.
+    so a later point that reaches R has the exact rank R.  A later point
+    short of R, or one whose denominators vanish mod p (counted 0), is
+    logged and left to the exact re-rank step of `fft_report`.
     """
     images = image_basis(kind, ctx, r, s, points=points)
-    keys = None  # the (row, col) entries in the first full point's pivots
+    keys = None  # the (row, col) entries in the first ranked point's pivots
     ranks = []
     for point in points:
-        if keys is not None:
-            try:
-                rank = _rank(vectorize(img.residues(point, keys))
-                             for img in images)
-                if rank == len(images):
-                    ranks.append(rank)
-                    continue
-                why = f"rank {rank} of {len(images)}"
-            except UnluckyPrime as exc:
-                why = exc
-            log_fallback(__name__, "span rank at q = %s on %d pivot columns: "
-                         "%s; full rows", point, len(keys), why)
         ech = Echelon()
         try:
-            for img in images:
-                ech.add(vectorize(img.residues(point)))
+            kept = [img for img in images
+                    if ech.add(vectorize(img.residues(point, keys)))]
         except UnluckyPrime as exc:
             log_fallback(__name__, "span rank at q = %s: %s; exact rank",
                          point, exc)
             ranks.append(0)
             continue
         ranks.append(ech.rank)
-        if keys is None and ech.rank == len(images):
+        if keys is None:
             keys = [divmod(c, images[0].cols) for c in ech.pivot_columns]
+            images = kept
+        elif ech.rank < len(images):
+            log_fallback(__name__, "span rank at q = %s on %d pivot columns: "
+                         "rank %d of %d; exact rank", point, len(keys),
+                         ech.rank, len(images))
     return ranks
 
 

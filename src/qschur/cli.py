@@ -165,6 +165,9 @@ def cmd_invariant(args) -> int:
     if args.ribbon_json:
         if args.braid:
             raise UsageError("give either --braid or --ribbon-json, not both")
+        if args.r is not None:
+            raise UsageError("-r applies to --braid; a ribbon word fixes "
+                             "its own strands")
         from .diagrams import RibbonWord
         word = RibbonWord.from_json(args.ribbon_json)
         if word.source or word.target:

@@ -239,15 +239,15 @@ class RibbonWord:
         """(source, target) of one layer: sign tuples or arities."""
         table = self._token_table()
         if self.mode == "directed":
-            src: tuple = ()
-            dst: tuple = ()
+            src: list = []
+            dst: list = []
             for tok in layer:
                 if tok not in table:
                     raise ValueError(f"unknown directed token {tok!r}")
                 s, t = table[tok]
                 src += s
                 dst += t
-            return src, dst
+            return tuple(src), tuple(dst)
         arity_in = arity_out = 0
         for tok in layer:
             if tok not in table:

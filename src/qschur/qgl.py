@@ -81,14 +81,7 @@ def _diag(space: SuperSpace, values) -> SparseMat:
     return SparseMat(space, space, {(i, i): v for i, v in enumerate(values) if v})
 
 
-def _simple_root(datum: RootDatum, i: int):
-    wa = datum.weight_of(datum.ordering[i - 1])
-    wb = datum.weight_of(datum.ordering[i])
-    return tuple(x - y for x, y in zip(wa, wb))
-
-
-def _d_i(datum: RootDatum, i: int) -> int:
-    alpha = _simple_root(datum, i)
+def _d_i(datum: RootDatum, alpha) -> int:
     norm = datum.form(alpha, alpha)
     return norm // 2 if norm else 1
 
@@ -105,13 +98,12 @@ def natural_rep(datum: RootDatum) -> GlqRep:
         diag = [qpow(datum.form(wts[a - 1], wts[b])) for b in range(d)]
         mats[f"K{a}"] = _diag(V, diag)
         mats[f"Kinv{a}"] = _diag(V, [v.inverse() for v in diag])
-    for i in range(1, d):
-        alpha = _simple_root(datum, i)
+    for i, alpha in enumerate(datum.simple_roots(), 1):
         kdiag = [qpow(datum.form(alpha, wts[b])) for b in range(d)]
         mats[f"k{i}"] = _diag(V, kdiag)
         mats[f"kinv{i}"] = _diag(V, [v.inverse() for v in kdiag])
         mats[f"e{i}"] = SparseMat(V, V, {(i - 1, i): ONE})
-        qi = qpow(_d_i(datum, i))
+        qi = qpow(_d_i(datum, alpha))
         rhs = _diag(V, [(kv - kv.inverse()) / (qi - qi.inverse()) for kv in kdiag])
         par = (V.parities[i - 1] + V.parities[i]) % 2
         found = None
@@ -133,25 +125,25 @@ def natural_rep(datum: RootDatum) -> GlqRep:
 def check_defining_relations(rep: GlqRep) -> None:
     """Quadratic block of the defining relations, as exact matrix identities."""
     datum, V, d = rep.datum, rep.space, rep.dim
+    simple = datum.simple_roots()
     for a in range(1, d + 1):
         K, Kinv = rep.mat(f"K{a}"), rep.mat(f"Kinv{a}")
         if K @ Kinv != SparseMat.identity(V):
             raise VerificationError(f"K{a} not invertible")
         wa = datum.weight_of(datum.ordering[a - 1])
-        for i in range(1, d):
-            alpha = _simple_root(datum, i)
+        for i, alpha in enumerate(simple, 1):
             scale = qpow(datum.form(wa, alpha))
             if K @ rep.mat(f"e{i}") @ Kinv != rep.mat(f"e{i}").scale(scale):
                 raise VerificationError(f"K{a} e{i} conjugation fails")
             if K @ rep.mat(f"f{i}") @ Kinv != rep.mat(f"f{i}").scale(scale.inverse()):
                 raise VerificationError(f"K{a} f{i} conjugation fails")
-    for i in range(1, d):
+    for i, alpha in enumerate(simple, 1):
         for j in range(1, d):
             e, f = rep.mat(f"e{i}"), rep.mat(f"f{j}")
             sign = -1 if rep.gen_parity(f"e{i}") and rep.gen_parity(f"f{j}") else 1
             lhs = (e @ f) - (f @ e).scale(sign)
             if i == j:
-                qi = qpow(_d_i(datum, i))
+                qi = qpow(_d_i(datum, alpha))
                 k = rep.mat(f"k{i}")
                 rhs = (k - rep.mat(f"kinv{i}")).scale((qi - qi.inverse()).inverse())
                 ok = lhs == rhs
@@ -159,7 +151,6 @@ def check_defining_relations(rep: GlqRep) -> None:
                 ok = lhs.is_zero()
             if not ok:
                 raise VerificationError(f"e{i}/f{j} relation fails")
-        alpha = _simple_root(datum, i)
         if datum.form(alpha, alpha) == 0:
             if not (rep.mat(f"e{i}") @ rep.mat(f"e{i}")).is_zero():
                 raise VerificationError(f"(e{i})^2 != 0 at isotropic root")

@@ -430,7 +430,9 @@ class Echelon:
     def pivot_columns(self) -> tuple[int, ...]:
         """The pivot column of each kept row, in the order kept.  On these
         columns alone the rows added so far still have rank `rank`: the
-        kept rows restricted to them are unit triangular."""
+        kept rows restricted to them are unit triangular, and the rows
+        that raised the rank are an invertible triangular combination of
+        the kept rows."""
         return tuple(self._pivots)
 
     def rows_from(self, col: int) -> list[dict[int, int]]:

@@ -713,7 +713,7 @@ def test_each_failed_check_falls_back(caplog):
 
 
 # ---------------------------------------------------------------------------
-# Gl span ranks on the first full point's pivot columns.
+# Gl span ranks on the first ranked point's pivot columns.
 
 SPAN_CELLS = [(2, 1, 4, 0), (1, 1, 3, 2), (2, 1, 2, 2), (1, 1, 4, 0)]
 
@@ -761,20 +761,32 @@ def test_span_ranks_restrict_the_later_points_of_a_faithful_cell(monkeypatch):
     assert all(len(keys) == 24 for keys in keys_seen[24:])
 
 
-def test_a_point_short_on_the_pivot_columns_takes_full_rows(monkeypatch,
-                                                            caplog):
-    args = _span_args(2, 1, 4, 0)
+@pytest.mark.parametrize("r, images, kept", [(4, 24, 20), (5, 120, 70)])
+def test_a_non_faithful_cell_ranks_the_kept_images_on_their_pivots(
+        monkeypatch, r, images, kept):
+    # gl(1|1): the Hecke algebra is not faithful on V^{(x) r} for r >= 4, so
+    # the first point keeps only the images that raised its rank
+    args = _span_args(1, 1, r, 0)
     want = _full_row_ranks(*args)
+    keys_seen = _spy_residues(monkeypatch)
+    assert centralizer._glq_span_ranks(*args) == want == [kept] * 3
+    assert keys_seen[:images] == [None] * images
+    assert len(keys_seen) == images + 2 * kept
+    assert all(len(keys) == kept for keys in keys_seen[images:])
+
+
+def test_a_point_short_on_the_pivot_columns_is_ranked_exactly(monkeypatch,
+                                                              caplog):
+    want = fft_report("gl", 2, 1, 4).to_dict()
+    at_seen = []
+
+    def spy(rows, at):
+        at_seen.append(list(at))
+        return ranks_at(rows, at)
+    monkeypatch.setattr(centralizer, "ranks_at", spy)
     monkeypatch.setattr(Echelon, "pivot_columns",
                         property(lambda self: tuple(self._pivots)[:1]))
     with caplog.at_level("INFO", logger="qschur.centralizer"):
-        assert centralizer._glq_span_ranks(*args) == want
-    assert "on 1 pivot columns: rank 1 of 24; full rows" in caplog.text
-
-
-def test_a_non_faithful_cell_ranks_every_point_on_full_rows(monkeypatch):
-    # gl(1|1) r=4: the first point stays below the 24 Hecke images
-    keys_seen = _spy_residues(monkeypatch)
-    ranks = centralizer._glq_span_ranks(*_span_args(1, 1, 4, 0))
-    assert max(ranks) < 24
-    assert keys_seen and all(keys is None for keys in keys_seen)
+        assert fft_report("gl", 2, 1, 4).to_dict() == want
+    assert "on 1 pivot columns: rank 1 of 24; exact rank" in caplog.text
+    assert at_seen == [list(DEFAULT_POINTS[1:])]

@@ -105,6 +105,14 @@ def test_invariant_ribbon_json(capsys):
     assert code == 2
 
 
+def test_strand_count_with_a_ribbon_word_is_usage_error(capsys):
+    word = '{"mode": "directed", "layers": [["U+"], ["Om-"]]}'
+    code, out, err = run(capsys, "invariant", "gl", "2|1", "--ribbon-json",
+                         word, "-r", "5")
+    assert code == 2 and out == ""
+    assert "-r applies to --braid" in err
+
+
 def test_fft_command(capsys):
     code, out, _ = run(capsys, "fft", "gl", "1|1", "-r", "2", "--json")
     assert code == 0
