@@ -21,13 +21,13 @@ diagram generators (`functor.diagram_generators`: placed crossings,
 turnbacks, s_i and e_i), and each of those is verified exactly to commute
 with every symmetry generator; so every image does, and its span rank is
 a lower bound for the commutant dimension.  For osp that
-rank is exact over Q.  For quantum gl the images are reduced at each point
-q = a straight to residues mod p and ranked in the F_p `Echelon`.  The
-first point at which they reduce is ranked on the full rows and keeps the
-R images that raised its rank, with their R pivot columns; every later
-point reduces and ranks only those images' entries in those columns.
-Dropping images or columns can only lower a rank, so no point ranks above
-R, and a later point short of R is left to the exact re-rank step below.
+rank is exact over Q.  For quantum gl the closure is its own first point:
+it keeps only the R images whose residues mod p at points[0] raise the
+rank of an F_p `Echelon`, and that echelon hands over R and its R pivot
+columns; every later point reduces and ranks only those images' entries
+in those columns.  Dropping columns can only lower a rank, so no point
+ranks above R, and a later point short of R is left to the exact re-rank
+step below.
 Reduction mod p and specialisation can only lower a rank, so
 
     rank_p(span at a) <= rank_Q(span at a) <= generic span rank
@@ -68,8 +68,9 @@ upper bound for the nullity over Q(q) (`least_nullity`).  Both
 certificates are tried inside the one commutant call of a cell.
 The gl cell then has one exact re-rank step: with a certificate, every
 point whose rank mod p meets the bound has that exact rank too, and only
-the points short of it are ranked exactly; without one, every point is,
-of images rebuilt by an exact walled closure.  So `agreement` compares
+the points short of it are ranked exactly, on the images the closure
+keeps mod p; without one, every point is, on images rebuilt by the
+closure with exact re-ranks.  So `agreement` compares
 exact ranks, and gap verdicts always come from exact arithmetic.
 span_rank <= commutant_dim is asserted in every case.
 """
@@ -611,53 +612,48 @@ def _glq_span_ranks(ctx: EvalContext, kind: str, r: int, s: int,
                     points) -> list[int]:
     """Ranks mod p at the points of the Hecke or walled images.
 
-    The first point at which the images reduce mod p is ranked on their
-    full residue rows; only the R images that raised its rank are kept,
-    together with their R pivot columns, on which those images carry an
-    R x R minor that is nonsingular mod p.  Every later point b reduces
-    only the kept images' entries in those columns.  Dropping images or
-    columns can only lower a rank, so each rank is a lower bound for the
-    exact rank at its point and none exceeds R.  Once the commutant
-    dimension is certified to be R,
+    The closure (`image_basis`) keeps, at points[0], the R images that
+    raise the rank of its `Echelon`; that echelon gives R and the R pivot
+    columns, on which the kept images carry an R x R minor that is
+    nonsingular mod p.  Every later point b reduces only the kept images'
+    entries in those columns.  Dropping columns can only lower a rank, so
+    each rank is a lower bound for the exact rank at its point and none
+    exceeds R.  Once the commutant dimension is certified to be R,
 
         rank_p(minor at b) <= rank_p(span at b) <= rank_Q(span at b)
                            <= generic span rank <= commutant dim = R,
 
     so a later point that reaches R has the exact rank R.  A later point
     short of R, or one whose denominators vanish mod p (counted 0), is
-    logged and left to the exact re-rank step of `fft_report`.
+    logged and left to the exact re-rank step of `fft_report`.  If they
+    vanish at points[0], every point counts 0: no certificate can then
+    meet the span rank, and the exact path decides.
     """
-    images = image_basis(kind, ctx, r, s, points=points)
-    keys = None  # the (row, col) entries in the first ranked point's pivots
-    ranks = []
-    for point in points:
+    ech = Echelon()
+    try:
+        images = image_basis(kind, ctx, r, s, points, ech)
+    except UnluckyPrime as exc:
+        log_fallback(__name__, "span closure at q = %s: %s; exact path",
+                     points[0], exc)
+        return [0] * len(points)
+    keys = [divmod(c, images[0].cols) for c in ech.pivot_columns]
+    ranks = [ech.rank]
+    for point in points[1:]:
         ech = Echelon()
         try:
-            kept = [img for img in images
-                    if ech.add(vectorize(img.residues(point, keys)))]
+            for img in images:
+                ech.add(vectorize(img.residues(point, keys)))
         except UnluckyPrime as exc:
             log_fallback(__name__, "span rank at q = %s: %s; exact rank",
                          point, exc)
             ranks.append(0)
             continue
         ranks.append(ech.rank)
-        if keys is None:
-            keys = [divmod(c, images[0].cols) for c in ech.pivot_columns]
-            images = kept
-        elif ech.rank < len(images):
+        if ech.rank < len(images):
             log_fallback(__name__, "span rank at q = %s on %d pivot columns: "
                          "rank %d of %d; exact rank", point, len(keys),
                          ech.rank, len(images))
     return ranks
-
-
-def _glq_exact_ranks(ctx: EvalContext, kind: str, r: int, s: int, points,
-                     at, exact: bool = False) -> list[int]:
-    """Exact ranks at the points `at` of the images, rebuilt as
-    `_glq_span_ranks` built them (the walled closure runs at points[0]),
-    or with `exact` from a walled closure tested by exact re-ranks."""
-    images = image_basis(kind, ctx, r, s, points=points, exact=exact)
-    return ranks_at([vectorize(img) for img in images], at)
 
 
 def _osp_span_rank(ctx: EvalContext, r: int) -> int:
@@ -726,13 +722,16 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     if flavor == "gl":
         cdim, cert = commutant_dim_glq(gens, d, points, srank, heights)
         # Once certified, rank_p <= rank_Q <= srank at every point, so only
-        # the points short of srank need an exact rank; without a
-        # certificate every point does, on images from the exact closure.
+        # the points short of srank need an exact rank, of the images the
+        # closure keeps mod p; without a certificate every point does, on
+        # images from the exact closure.
         short = [a for a, rk in zip(points, ranks)
                  if cert is None or rk < srank]
         if short:
-            exact = dict(zip(short, _glq_exact_ranks(
-                ctx, kind, r, s, points, short, exact=cert is None)))
+            images = image_basis(kind, ctx, r, s, points,
+                                 None if cert is None else Echelon())
+            exact = dict(zip(short, ranks_at(
+                [vectorize(img) for img in images], short)))
             ranks = [exact.get(a, rk) for a, rk in zip(points, ranks)]
             srank = max(ranks)
     else:

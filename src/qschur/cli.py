@@ -193,8 +193,9 @@ def cmd_fft(args) -> int:
     datum = parse_datum(args.algebra)
     if not datum.is_distinguished():
         raise UsageError("fft reports run on the distinguished ordering")
-    points = _parse_points(args.points) if args.points else DEFAULT_POINTS
-    rs = _parse_powers(args.r or "2")
+    points = (DEFAULT_POINTS if args.points is None
+              else _parse_points(args.points))
+    rs = _parse_powers(args.r)
     reports = []
     for r in rs:
         reports.append(centralizer.fft_report(

@@ -18,10 +18,12 @@ dualised V*-side crossings and the wall turnback on
 V^{(x) r} (x) V*^{(x) s}).  One breadth-first span closure builds all
 three out of the placed elementary tangles that diagram_generators()
 returns, so every image is a product of those generators: it multiplies a
-candidate g @ b out only when its key is new.  A Hecke or Brauer key is
-the product's Brauer diagram (diagram_images() returns that map); a
-walled key is the candidate's residue row, new when it is independent
-mod p of the kept ones.
+candidate g @ b out only when it keeps it.  A Brauer candidate is kept
+when its diagram is new (diagram_images() returns that map).  The gl
+closure (Hecke and walled) is its own first point: a candidate is kept
+when its value at that point raises the rank of the kept ones, mod p in
+the caller's `Echelon` or exactly, and a Hecke candidate is tried only
+when it lengthens its permutation to one not tried before.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ from .errors import BudgetError, VerificationError, check_power
 from .rootdata import RootDatum
 from .scalar import RatFunc, qpow
 from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, SuperSpace,
-                         UnluckyPrime, kron_chain, log_fallback, rank_at, tau,
-                         unit_space, vectorize)
+                         kron_chain, rank_at, tau, unit_space, vectorize)
 
 __all__ = [
     "EvalContext", "make_context", "evaluate", "invariant", "image_basis",
@@ -52,7 +53,6 @@ IMAGE_CAP = 5000  # max number of Hecke or walled images, r! or (r+s)!
 @dataclass(frozen=True, eq=False)
 class EvalContext:
     flavor: str                    # "glq" or "osp_classical"
-    mode: str                      # "directed" or "nondirected"
     V: SuperSpace
     images: dict                   # token -> SparseMat
     budget: int = DEFAULT_BUDGET
@@ -89,7 +89,7 @@ def make_context(flavor: str, datum: RootDatum | None = None,
             "U+": dm.upsilon,
             "U-": dm.upsilon_p,
         }
-        return EvalContext("glq", "directed", V, images, budget, datum=datum)
+        return EvalContext("glq", V, images, budget, datum=datum)
     if flavor == "osp_classical":
         if m is None or n is None:
             raise ValueError("osp_classical context needs m and n")
@@ -103,16 +103,16 @@ def make_context(flavor: str, datum: RootDatum | None = None,
             "Om": chat,
             "U": ccheck,
         }
-        return EvalContext("osp_classical", "nondirected", V, images, budget,
-                           mn=(m, n))
+        return EvalContext("osp_classical", V, images, budget, mn=(m, n))
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
 def evaluate(word: RibbonWord, ctx: EvalContext) -> SparseMat:
     """Layer-wise graded Kronecker products, multiplied bottom to top."""
-    if word.mode != ctx.mode:
+    mode = "directed" if ctx.flavor == "glq" else "nondirected"
+    if word.mode != mode:
         raise ValueError(f"word mode {word.mode!r} does not fit context "
-                         f"mode {ctx.mode!r}")
+                         f"mode {mode!r}")
     word.validate()
     total = None
     for layer in word.layers:
@@ -203,49 +203,64 @@ def _walled_generators(ctx: EvalContext, r: int,
     return out
 
 
-def _walled_images(ctx: EvalContext, r: int, s: int, points,
-                   exact: bool = False) -> list[SparseMat]:
-    """Span closure of the walled generator algebra (contains the identity).
+def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
+               echelon: Echelon | None) -> list[SparseMat]:
+    """Span closure of the Hecke or walled generators at q = `point`.
 
-    A candidate g @ b is kept when its value at the first point is
-    independent of the kept images' values.  The test runs on residues mod
-    p: residue(g) o residue(b) is reduced incrementally against the kept
-    ones, and only a kept candidate is multiplied out over Q(q).
-    Independence mod p implies independence over Q, so every kept image is
-    new, but a candidate independent over Q may be dropped.  If a
-    denominator vanishes mod p, or with `exact`, the closure is redone with
-    exact re-ranks of the specialised images instead.
+    A candidate g @ b is tested by its value at the point, the product of
+    the kept values, and kept only when it raises the rank there: mod p in
+    `echelon` (residues multiplied by `matmul_mod`), or with no echelon
+    exactly, by `rank_at` on specialised values.  Only a kept candidate is
+    multiplied out over Q(q).  A Hecke candidate X_i @ b is tried only when
+    X_i lengthens b's permutation to one not tried before, so every kept
+    image is the lift T_w of a reduced word of its permutation w, well
+    defined by Matsumoto's theorem.  The span stays complete: by induction
+    on the length, the images kept up to length l span every T_w with
+    l(w) <= l, since X_i T_v is either a lift that was tried (and is in the
+    span of the images kept by then) or (q - q^-1) T_v + T_{s_i v} with
+    s_i v shorter.  Independence at the point implies independence over
+    Q(q), so every kept image is new; UnluckyPrime if a denominator
+    vanishes mod p.
     """
-    _check_kind("walled", ctx, r, s)
-    cap = _image_count("walled", r, s)
-    gens = list(diagram_generators("walled", ctx, r, s).values())
+    _check_kind(kind, ctx, r, s)
+    cap = 1  # (r+s)!, checked against IMAGE_CAP as it grows
+    for k in range(2, r + s + 1):
+        cap *= k
+        if cap > IMAGE_CAP:
+            raise BudgetError(f"the {kind} images on {r + s} strands exceed "
+                              f"{IMAGE_CAP}")
+    gens = diagram_generators(kind, ctx, r, s).values()
     ident = SparseMat.identity(ctx.space_of(("+",) * r + ("-",) * s))
-    point = list(points)[0]
+    if echelon is None:
+        rows = []
 
-    def kept_images(value, mul, keep):
-        kept = _span_closure([(value(g), g) for g in gens],
-                             (value(ident), ident), cap, mul, keep)
-        return [img for _, img in kept]
+        def raises(row):
+            if rank_at(rows + [row], [point]) > len(rows):
+                rows.append(row)
+                return True
+            return False
+        value, product = SparseMat.specialize, SparseMat.__matmul__
+    else:
+        raises = echelon.add
+        value, product = SparseMat.residues, SparseMat.matmul_mod
+    seen = {tuple(range(r))}  # permutations tried: bottom strand at each top
 
-    if not exact:
-        try:
-            ech = Echelon()
-            return kept_images(lambda mat: mat.residues(point),
-                               SparseMat.matmul_mod,
-                               lambda value: ech.add(vectorize(value)))
-        except UnluckyPrime as exc:
-            log_fallback(__name__, "walled closure: %s; exact re-ranks", exc)
-    rows = []
+    def mul(g_key, b_key):
+        (i, g), (perm, b) = g_key, b_key
+        if kind == "hecke":
+            if perm[i - 1] > perm[i]:  # X_i would shorten the permutation
+                return None
+            perm = perm[:i - 1] + (perm[i], perm[i - 1]) + perm[i + 1:]
+            if perm in seen:
+                return None
+            seen.add(perm)
+        return perm, product(g, b)
 
-    def exact_add(value):
-        row = vectorize(value)
-        if rank_at(rows + [row], [point]) > len(rows):
-            rows.append(row)
-            return True
-        return False
-
-    return kept_images(lambda mat: mat.specialize(point),
-                       SparseMat.__matmul__, exact_add)
+    kept = _span_closure(
+        [((i, value(g, point)), g) for i, g in enumerate(gens, 1)],
+        ((tuple(range(r)), value(ident, point)), ident), cap, mul,
+        lambda key: raises(vectorize(key[1])))
+    return [img for _, img in kept]
 
 
 def _loop_free(upper: BrauerDiagram, lower: BrauerDiagram):
@@ -254,26 +269,18 @@ def _loop_free(upper: BrauerDiagram, lower: BrauerDiagram):
     return d if weight else None
 
 
-def diagram_images(kind: str, ctx: EvalContext,
-                   r: int) -> dict[BrauerDiagram, SparseMat]:
-    """nu(d) for every Brauer diagram d on r strands (kind "brauer"), or the
-    positive braid lift of every permutation diagram ("hecke").
+def diagram_images(ctx: EvalContext, r: int) -> dict[BrauerDiagram, SparseMat]:
+    """nu(d) for every Brauer diagram d on r strands.
 
     The span closure keys each image by its diagram: g @ b is new when
     diagram(g) o d(b) is, and a product that closes a loop is skipped, so
-    each image is nu(g) nu(b) = nu(diagram(g) o d(b)).  The closure runs
-    level by level, so a new permutation comes from a length-increasing
-    product, and its Hecke image is the lift of a reduced word, which is
-    well defined by Matsumoto's theorem.
+    each image is nu(g) nu(b) = nu(diagram(g) o d(b)).
     """
-    if kind == "walled":
-        raise ValueError("walled images have no diagram keys")
-    _check_kind(kind, ctx, r, 0)
-    cap = _image_count(kind, r, 0)
-    gens = diagram_generators(kind, ctx, r).values()
-    letters = (osp_mod.brauer_rep(*ctx.mn, r) if kind == "brauer"
-               else [("s", i) for i in range(1, r)])
-    keys = [elementary_diagram(letter, i, r) for letter, i in letters]
+    _check_kind("brauer", ctx, r, 0)
+    cap = brauer_count(r)
+    gens = diagram_generators("brauer", ctx, r).values()
+    keys = [elementary_diagram(letter, i, r)
+            for letter, i in osp_mod.brauer_rep(*ctx.mn, r)]
     seen = set()
 
     def is_new(d):
@@ -345,28 +352,17 @@ def diagram_generators(kind: str, ctx: EvalContext, r: int,
     return _walled_generators(ctx, r, s)
 
 
-def _image_count(kind: str, r: int, s: int) -> int:
-    """(r+s)! Hecke or walled images, or (2r-1)!! Brauer images; BudgetError
-    as soon as the product passes the kind's cap."""
-    if kind == "brauer":
-        return brauer_count(r)
-    count = 1
-    for k in range(2, r + s + 1):
-        count *= k
-        if count > IMAGE_CAP:
-            raise BudgetError(f"the {kind} images on {r + s} strands exceed "
-                              f"{IMAGE_CAP}")
-    return count
-
-
 def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
-                points=None, exact: bool = False) -> list[SparseMat]:
+                points=None,
+                echelon: Echelon | None = None) -> list[SparseMat]:
     """Spanning set of diagram images on the r-th (mixed) tensor power, each
-    a product of the matrices `diagram_generators` returns, built by one
-    breadth-first span closure: the values of `diagram_images` for Hecke
-    and Brauer, and for walled a closure at the first point, tested mod p
-    unless `exact` (see `_walled_images`); other kinds ignore `exact`.
+    a product of the matrices `diagram_generators` returns: the values of
+    `diagram_images` for Brauer, and for Hecke and walled the images that
+    `_gl_images` keeps at the first of `points`, mod p into `echelon`, or
+    exactly when it is None.  A Hecke or walled caller reads the first
+    point's rank and pivot columns from `echelon`.
     """
-    if kind == "walled":
-        return _walled_images(ctx, r, s, points or DEFAULT_POINTS, exact)
-    return list(diagram_images(kind, ctx, r).values())
+    if kind == "brauer":
+        return list(diagram_images(ctx, r).values())
+    return _gl_images(kind, ctx, r, s, list(points or DEFAULT_POINTS)[0],
+                      echelon)

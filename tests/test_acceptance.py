@@ -137,7 +137,7 @@ def test_criterion_07_brauer_representation():
         delta = Fraction(m - 2 * n)
         for r in (2, 3):
             ctx = make_context("osp_classical", m=m, n=n)
-            mats = diagram_images("brauer", ctx, r)
+            mats = diagram_images(ctx, r)
             assert set(mats) == set(brauer_basis(r)), (m, n, r)
             for d1, d2 in itertools.product(mats, repeat=2):
                 dd, sc = compose_brauer(d1, d2, delta)

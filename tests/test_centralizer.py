@@ -725,7 +725,7 @@ def _span_args(m, n, r, s):
 
 def _full_row_ranks(ctx, kind, r, s, points):
     # the oracle: every point ranked on all residue rows
-    images = image_basis(kind, ctx, r, s, points=points)
+    images = image_basis(kind, ctx, r, s, points=points, echelon=Echelon())
     ranks = []
     for point in points:
         ech = Echelon()
@@ -741,38 +741,46 @@ def test_span_ranks_on_pivot_columns_match_full_rows(cell):
     assert centralizer._glq_span_ranks(*args) == _full_row_ranks(*args)
 
 
-def _spy_residues(monkeypatch):
+def _spy_residues_after_the_closure(monkeypatch):
+    # the keys of every residue taken once the span closure has returned
     keys_seen = []
-    residues = SparseMat.residues
+    residues, closure = SparseMat.residues, centralizer.image_basis
 
     def spy(self, point, keys=None):
         keys_seen.append(keys)
         return residues(self, point, keys)
-    monkeypatch.setattr(SparseMat, "residues", spy)
+
+    def image_basis(*args):
+        images = closure(*args)
+        monkeypatch.setattr(SparseMat, "residues", spy)
+        return images
+    monkeypatch.setattr(centralizer, "image_basis", image_basis)
     return keys_seen
 
 
-def test_span_ranks_restrict_the_later_points_of_a_faithful_cell(monkeypatch):
-    keys_seen = _spy_residues(monkeypatch)
-    assert centralizer._glq_span_ranks(*_span_args(2, 1, 4, 0)) == [24] * 3
-    # 24 images at three points: full rows at the first, 24 entries after
-    assert keys_seen[:24] == [None] * 24
-    assert len(keys_seen) == 72
-    assert all(len(keys) == 24 for keys in keys_seen[24:])
-
-
-@pytest.mark.parametrize("r, images, kept", [(4, 24, 20), (5, 120, 70)])
-def test_a_non_faithful_cell_ranks_the_kept_images_on_their_pivots(
-        monkeypatch, r, images, kept):
-    # gl(1|1): the Hecke algebra is not faithful on V^{(x) r} for r >= 4, so
-    # the first point keeps only the images that raised its rank
-    args = _span_args(1, 1, r, 0)
+@pytest.mark.parametrize("m, n, r, kept", [(2, 1, 4, 24), (1, 1, 4, 20),
+                                           (1, 1, 5, 70)])
+def test_span_ranks_reduce_no_image_at_the_first_point(monkeypatch, m, n, r,
+                                                       kept):
+    # the closure ranks the first point itself; each later point reduces
+    # only the kept images' entries on its pivot columns (gl(1|1) r >= 4 is
+    # not faithful: 20 of 24 and 70 of 120 permutations)
+    args = _span_args(m, n, r, 0)
     want = _full_row_ranks(*args)
-    keys_seen = _spy_residues(monkeypatch)
+    keys_seen = _spy_residues_after_the_closure(monkeypatch)
     assert centralizer._glq_span_ranks(*args) == want == [kept] * 3
-    assert keys_seen[:images] == [None] * images
-    assert len(keys_seen) == images + 2 * kept
-    assert all(len(keys) == kept for keys in keys_seen[images:])
+    assert len(keys_seen) == 2 * kept
+    assert all(keys is not None and len(keys) == kept for keys in keys_seen)
+
+
+def test_an_unlucky_first_point_counts_zero_at_every_point(monkeypatch,
+                                                          caplog):
+    # 5 divides the denominator of the first point 7/5: the closure stops,
+    # and no certificate can meet a span rank of 0
+    monkeypatch.setattr(superspace, "PRIME", 5)
+    with caplog.at_level("INFO", logger="qschur.centralizer"):
+        assert centralizer._glq_span_ranks(*_span_args(1, 1, 2, 1)) == [0] * 3
+    assert caplog.text.count("span closure at q = 7/5") == 1
 
 
 def test_a_point_short_on_the_pivot_columns_is_ranked_exactly(monkeypatch,

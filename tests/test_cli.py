@@ -254,9 +254,12 @@ def test_fft_rejects_degenerate_input(capsys, argv):
     ["relations", "osp", "3|2", "--kind", "bmw", "--z", "q"],
     ["relations", "gl", "2|1", "--kind", "hecke", "--z", "q"],
     ["relations", "gl", "2|1", "--kind", "walledbmw", "--z="],
+    ["fft", "gl", "1|1", "-r", "", "--json"],
+    ["fft", "gl", "1|1", "--points", "", "--json"],
 ])
 def test_input_that_would_be_ignored_is_a_usage_error(capsys, argv):
-    # an empty ordering, and a loop parameter that the family does not read
+    # an empty ordering, a loop parameter that the family does not read,
+    # and an empty -r or --points, which must not fall back to the defaults
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")
 

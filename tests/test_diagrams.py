@@ -70,13 +70,13 @@ def test_matrix_model_is_algebra_homomorphism():
         delta = Fraction(m - 2 * n)
         for r in (2, 3):
             ctx = make_context("osp_classical", m=m, n=n)
-            mats = diagram_images("brauer", ctx, r)
+            mats = diagram_images(ctx, r)
             for d1, d2 in itertools.product(mats, repeat=2):
                 dd, sc = compose_brauer(d1, d2, delta)
                 assert mats[d1] @ mats[d2] == mats[dd].scale(sc), (m, n, r)
     # osp(0|2), delta = -2: the pairs at r = 4 that close two loops, where
     # a wrong loop count changes the scalar
-    mats = diagram_images("brauer", make_context("osp_classical", m=0, n=1), 4)
+    mats = diagram_images(make_context("osp_classical", m=0, n=1), 4)
     pairs = [(d1, d2) for d1, d2 in itertools.product(mats, repeat=2)
              if compose_brauer(d1, d2, 2)[1] == 4]
     assert len(pairs) == 27

@@ -1,10 +1,12 @@
+import functools
 import itertools
+import math
 import random
 
 import pytest
 
 from qschur import diagrams
-from qschur.diagrams import (BraidWord, BrauerDiagram, RibbonWord,
+from qschur.diagrams import (BraidWord, RibbonWord,
                              braid_to_ribbon, brauer_basis, brauer_count,
                              closure, parse_braid)
 from qschur.functor import (BudgetError, diagram_generators, diagram_images,
@@ -14,8 +16,8 @@ from qschur.osp import e_map
 from qschur.qgl import braiding, natural_space, twist_scalar
 from qschur.rootdata import distinguished, sdim_q
 from qschur.scalar import ONE, Q, RatFunc, qint
-from qschur.superspace import (DEFAULT_POINTS, SparseMat, graded_kron,
-                               int_rank, rank_at, tau, vectorize)
+from qschur.superspace import (DEFAULT_POINTS, Echelon, SparseMat,
+                               graded_kron, int_rank, rank_at, tau, vectorize)
 
 
 def test_make_context_glq():
@@ -197,30 +199,14 @@ def test_image_basis_walled_11():
     assert any(im == turn for im in images)
 
 
-def test_walled_closure_exact_path_keeps_the_same_images(monkeypatch):
-    import qschur.functor as functor
-    from qschur.superspace import UnluckyPrime
-
-    class Unlucky:
-        def add(self, row):
-            raise UnluckyPrime("forced")
-
-    ctx = make_context("glq", datum=distinguished("gl", 1, 1))
-    fast = image_basis("walled", ctx, 2, 1)
-    monkeypatch.setattr(functor, "Echelon", Unlucky)
-    exact = image_basis("walled", ctx, 2, 1)
-    assert len(fast) == 6 and exact == fast
-
-
-def _permutation_diagrams(r):
-    """Bottom i joined to top perm[i], for every permutation of r strands."""
-    out = set()
-    for perm in itertools.permutations(range(r)):
-        match = [0] * (2 * r)
-        for i, p in enumerate(perm):
-            match[i], match[r + p] = r + p, i
-        out.add(BrauerDiagram(tuple(match)))
-    return out
+@pytest.mark.parametrize("kind, m, n, r, s", [("walled", 1, 1, 2, 1),
+                                              ("hecke", 2, 1, 3, 0)])
+def test_exact_and_mod_p_closures_keep_the_same_images(kind, m, n, r, s):
+    ctx = make_context("glq", datum=distinguished("gl", m, n))
+    ech = Echelon()
+    mod_p = image_basis(kind, ctx, r, s, echelon=ech)
+    assert len(mod_p) == ech.rank == 6
+    assert image_basis(kind, ctx, r, s) == mod_p
 
 
 def test_closure_keys_every_brauer_diagram():
@@ -229,7 +215,7 @@ def test_closure_keys_every_brauer_diagram():
     for (m, n), top in (((1, 1), 5), ((2, 1), 4), ((0, 1), 4)):
         ctx = make_context("osp_classical", m=m, n=n)
         for r in range(1, top + 1):
-            images = diagram_images("brauer", ctx, r)
+            images = diagram_images(ctx, r)
             assert set(images) == set(brauer_basis(r)), (m, n, r)
             assert list(images.values()) == image_basis("brauer", ctx, r)
 
@@ -244,19 +230,48 @@ def test_one_brauer_cap_bounds_the_diagrams_and_the_images(monkeypatch):
             build(4)
 
 
-def test_closure_keys_every_permutation():
+def test_hecke_closure_keeps_one_lift_per_permutation_of_a_faithful_cell():
     ctx = make_context("glq", datum=distinguished("gl", 2, 1))
     for r in (1, 2, 3, 4):
-        images = diagram_images("hecke", ctx, r)
-        assert set(images) == _permutation_diagrams(r), r
-        assert list(images.values()) == image_basis("hecke", ctx, r)
-    # the braid relation: the lifts of both reduced words of the longest
-    # element of S_3 are one image
+        ech = Echelon()
+        assert (len(image_basis("hecke", ctx, r, echelon=ech)) == ech.rank
+                == math.factorial(r)), r
+    # the longest element of S_3 comes last; the lifts of both of its
+    # reduced words are one image (the braid relation)
     g1, g2 = diagram_generators("hecke", ctx, 3).values()
-    longest = BrauerDiagram((5, 4, 3, 2, 1, 0))
-    assert diagram_images("hecke", ctx, 3)[longest] == g1 @ g2 @ g1
-    with pytest.raises(ValueError):
-        diagram_images("walled", ctx, 2)
+    assert image_basis("hecke", ctx, 3, echelon=Echelon())[-1] == g1 @ g2 @ g1
+
+
+def _reduced_word(perm):
+    """The adjacent swaps (1-based) that bubble-sort `perm`: a reduced word."""
+    perm, word = list(perm), []
+    while True:
+        i = next((i for i in range(len(perm) - 1) if perm[i] > perm[i + 1]),
+                 None)
+        if i is None:
+            return word
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        word.append(i + 1)
+
+
+@pytest.mark.parametrize("m, n, r", [(1, 1, 4), (1, 1, 5), (1, 0, 4)])
+def test_hecke_closure_spans_every_reduced_word_lift(m, n, r):
+    # not faithful: the kept images are fewer than r!, and each default
+    # point ranks all r! lifts, built here as plain products of X+, to as
+    # many
+    ctx = make_context("glq", datum=distinguished("gl", m, n))
+    gens = list(diagram_generators("hecke", ctx, r).values())
+    ident = SparseMat.identity(ctx.V.tensor_power(r))
+    lifts = [functools.reduce(lambda b, i: gens[i - 1] @ b,
+                              _reduced_word(perm), ident)
+             for perm in itertools.permutations(range(r))]
+    kept = image_basis("hecke", ctx, r, echelon=Echelon())
+    assert len(kept) < len(lifts) == math.factorial(r)
+    for point in DEFAULT_POINTS:
+        ech = Echelon()
+        for lift in lifts:
+            ech.add(vectorize(lift.residues(point)))
+        assert ech.rank == len(kept), point
 
 
 def test_image_basis_argument_checks():
