@@ -13,21 +13,18 @@ differ, which partitions the indices into classes; the remaining
 commutator rows are assembled only over the surviving unknowns.  This is
 an elimination order for the full honest system, not a reduction of it.
 
-`fft_report` runs both flavors through one sequence of stages: span ranks,
-symmetry generators, membership, then the commutant (`commutant_dim_glq` /
-`commutant_dim_osp`, over the generators the cell built).  One span
-closure (`functor.image_basis`) multiplies every spanning image out of the
+`fft_report` runs both flavors through one sequence of stages: the span
+closure, symmetry generators, membership, the commutant
+(`commutant_dim_glq` / `commutant_dim_osp`, over the generators the cell
+built), then the later gl points.  One span closure
+(`functor.image_basis`) multiplies every spanning image out of the
 diagram generators (`functor.diagram_generators`: placed crossings,
 turnbacks, s_i and e_i), and each of those is verified exactly to commute
 with every symmetry generator; so every image does, and its span rank is
-a lower bound for the commutant dimension.  For osp that
-rank is exact over Q.  For quantum gl the closure is its own first point:
-it keeps only the R images whose residues mod p at points[0] raise the
-rank of an F_p `Echelon`, and that echelon hands over R and its R pivot
-columns; every later point reduces and ranks only those images' entries
-in those columns.  Dropping columns can only lower a rank, so no point
-ranks above R, and a later point short of R is left to the exact re-rank
-step below.
+a lower bound for the commutant dimension.  For osp that rank is exact
+over Q.  For quantum gl the closure is its own first point: it keeps only
+the R images whose residues mod p at points[0] raise the rank of an F_p
+`Echelon`, and the commutant is certified against R.
 Reduction mod p and specialisation can only lower a rank, so
 
     rank_p(span at a) <= rank_Q(span at a) <= generic span rank
@@ -66,12 +63,14 @@ the exact path decides: one nullity over Q for osp, or for quantum gl the
 least of the exact nullities at the rational points, each of which is an
 upper bound for the nullity over Q(q) (`least_nullity`).  Both
 certificates are tried inside the one commutant call of a cell.
-The gl cell then has one exact re-rank step: with a certificate, every
-point whose rank mod p meets the bound has that exact rank too, and only
-the points short of it are ranked exactly, on the images the closure
-keeps mod p; without one, every point is, on images rebuilt by the
-closure with exact re-ranks.  So `agreement` compares
-exact ranks, and gap verdicts always come from exact arithmetic.
+Only then are the later gl points ranked.  With a certificate, each
+reduces only the kept images' entries in the R pivot columns of the
+echelon; dropping columns can only lower a rank, so a point that reaches
+R has the exact rank R, and the points short of it are ranked exactly on
+the same images.  Without one, the closure is run again with exact ranks:
+its image count is the exact rank at points[0], and every later point is
+ranked exactly on its images.  So `agreement` compares exact ranks, and
+gap verdicts always come from exact arithmetic.
 span_rank <= commutant_dim is asserted in every case.
 """
 
@@ -544,21 +543,17 @@ def commutant_dim_osp(gens, d: int, lower_bound: int, heights):
 # ---------------------------------------------------------------------------
 # Membership.
 
-def check_membership(images, gens) -> None:
+def check_membership(images: dict, gens) -> None:
     """Every image must commute with every generator, exactly.
 
-    `images` is a list, or a dict from names to images (such as
-    `diagram_generators` returns); the error names the failing one.
+    `images` maps names to images, as `diagram_generators` returns them;
+    the error names the failing one.
     """
-    if isinstance(images, dict):
-        named = {f"diagram generator {k}": v for k, v in images.items()}
-    else:
-        named = {f"image {idx}": v for idx, v in enumerate(images)}
-    for name, img in named.items():
+    for name, img in images.items():
         for j, gen in enumerate(gens):
             if (img @ gen) != (gen @ img):
-                raise MembershipError(
-                    f"{name} does not centralise symmetry generator {j}")
+                raise MembershipError(f"diagram generator {name} does not "
+                                      f"centralise symmetry generator {j}")
 
 
 # ---------------------------------------------------------------------------
@@ -604,38 +599,28 @@ class FftReport:
         return out
 
 
-# The images of a cell live only inside these functions, so that they are
-# freed before the symmetry generators are built and the commutant
-# elimination runs: the images or the elimination set the peak memory.
+# A gl cell keeps the images its closure kept mod p through the commutant
+# stage, to rank its later points on them; the closure itself, not the
+# commutant, sets the peak memory of the heavy cells.
 
-def _glq_span_ranks(ctx: EvalContext, kind: str, r: int, s: int,
-                    points) -> list[int]:
-    """Ranks mod p at the points of the Hecke or walled images.
+def _pivot_ranks(images, ech: Echelon, points) -> list[int]:
+    """Ranks mod p at the points of the images the gl closure kept in `ech`.
 
     The closure (`image_basis`) keeps, at points[0], the R images that
-    raise the rank of its `Echelon`; that echelon gives R and the R pivot
-    columns, on which the kept images carry an R x R minor that is
-    nonsingular mod p.  Every later point b reduces only the kept images'
-    entries in those columns.  Dropping columns can only lower a rank, so
-    each rank is a lower bound for the exact rank at its point and none
-    exceeds R.  Once the commutant dimension is certified to be R,
+    raise the rank of `ech`; that echelon gives R and the R pivot columns,
+    on which the kept images carry an R x R minor that is nonsingular mod
+    p.  Every later point b reduces only the kept images' entries in those
+    columns.  Dropping columns can only lower a rank, so each rank is a
+    lower bound for the exact rank at its point and none exceeds R.  Once
+    the commutant dimension is certified to be R,
 
         rank_p(minor at b) <= rank_p(span at b) <= rank_Q(span at b)
                            <= generic span rank <= commutant dim = R,
 
     so a later point that reaches R has the exact rank R.  A later point
     short of R, or one whose denominators vanish mod p (counted 0), is
-    logged and left to the exact re-rank step of `fft_report`.  If they
-    vanish at points[0], every point counts 0: no certificate can then
-    meet the span rank, and the exact path decides.
+    logged, and `fft_report` ranks it exactly on the same images.
     """
-    ech = Echelon()
-    try:
-        images = image_basis(kind, ctx, r, s, points, ech)
-    except UnluckyPrime as exc:
-        log_fallback(__name__, "span closure at q = %s: %s; exact path",
-                     points[0], exc)
-        return [0] * len(points)
     keys = [divmod(c, images[0].cols) for c in ech.pivot_columns]
     ranks = [ech.rank]
     for point in points[1:]:
@@ -691,10 +676,11 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     flavor "gl": quantum gl(m|n), Hecke images (walled when s > 0).
     flavor "osp": classical osp(m|2n) with the sigma-extended pair and
     Brauer images; for even m the spanning bound 2r < m(2n+1) is recorded.
-    The span rank is computed first and bounds the commutant elimination
-    from below (see the module docstring).  A malformed cell (r < 1, s < 0,
-    s > 0 for osp, or points that are empty, repeated, or among 0 and +-1)
-    raises ValueError before any work starts.
+    The stages run in order: the span closure, the symmetry generators,
+    membership, the commutant certified against the first point's span
+    rank, then the later gl points (see the module docstring).  A malformed
+    cell (r < 1, s < 0, s > 0 for osp, or points that are empty, repeated,
+    or among 0 and +-1) raises ValueError before any work starts.
     """
     t0 = time.monotonic()
     points = list(points)
@@ -704,7 +690,15 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
         d = _check_unknowns(qgl.natural_space(datum).dim, r + s, budget)
         ctx = make_context("glq", datum=datum, budget=budget)
         kind = "hecke" if s == 0 else "walled"
-        ranks = _glq_span_ranks(ctx, kind, r, s, points)
+        ech = Echelon()
+        try:
+            images = image_basis(kind, ctx, r, s, points, ech)
+        except UnluckyPrime as exc:
+            # no certificate can meet a span rank of 0: the exact path decides
+            log_fallback(__name__, "span closure at q = %s: %s; exact path",
+                         points[0], exc)
+            images = []
+        ranks = [len(images)]
         gens = _glq_generator_mats(datum, r, s)
         heights = module_heights(datum, (1,) * r + (-1,) * s)
     else:
@@ -718,24 +712,25 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     # checked to centralise the symmetry generators, the span rank is a
     # lower bound for the commutant dimension.
     check_membership(diagram_generators(kind, ctx, r, s), gens)
-    srank = max(ranks)
     if flavor == "gl":
-        cdim, cert = commutant_dim_glq(gens, d, points, srank, heights)
-        # Once certified, rank_p <= rank_Q <= srank at every point, so only
-        # the points short of srank need an exact rank, of the images the
-        # closure keeps mod p; without a certificate every point does, on
-        # images from the exact closure.
-        short = [a for a, rk in zip(points, ranks)
-                 if cert is None or rk < srank]
+        cdim, cert = commutant_dim_glq(gens, d, points, ranks[0], heights)
+        if cert is None:
+            # the exact closure keeps the images independent at points[0],
+            # so their count is its exact rank; every later point is short
+            images = image_basis(kind, ctx, r, s, points)
+            ranks = [len(images)] + [0] * len(points[1:])
+        else:
+            ranks = _pivot_ranks(images, ech, points)
+        # rank_p <= rank_Q <= ranks[0] at every point: only the points short
+        # of ranks[0] need an exact rank, of the same images
+        short = [a for a, rk in zip(points, ranks) if rk < ranks[0]]
         if short:
-            images = image_basis(kind, ctx, r, s, points,
-                                 None if cert is None else Echelon())
             exact = dict(zip(short, ranks_at(
                 [vectorize(img) for img in images], short)))
             ranks = [exact.get(a, rk) for a, rk in zip(points, ranks)]
-            srank = max(ranks)
     else:
-        cdim, cert = commutant_dim_osp(gens, d, srank, heights)
+        cdim, cert = commutant_dim_osp(gens, d, ranks[0], heights)
+    srank = max(ranks)
     agreement = len(set(ranks)) == 1
     bound = bound_lhs = bound_ok = None
     if flavor == "osp" and m % 2 == 0:

@@ -360,9 +360,12 @@ def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
     `diagram_images` for Brauer, and for Hecke and walled the images that
     `_gl_images` keeps at the first of `points`, mod p into `echelon`, or
     exactly when it is None.  A Hecke or walled caller reads the first
-    point's rank and pivot columns from `echelon`.
+    point's rank and pivot columns from `echelon`.  `points` None means
+    DEFAULT_POINTS; an empty sequence is a ValueError.
     """
+    points = list(DEFAULT_POINTS if points is None else points)
+    if not points:
+        raise ValueError("at least one specialisation point is required")
     if kind == "brauer":
         return list(diagram_images(ctx, r).values())
-    return _gl_images(kind, ctx, r, s, list(points or DEFAULT_POINTS)[0],
-                      echelon)
+    return _gl_images(kind, ctx, r, s, points[0], echelon)

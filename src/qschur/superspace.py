@@ -326,9 +326,9 @@ def int_rank(rows) -> int:
 def ranks_at(rows, points) -> list[int]:
     """Exact rank of the specialised rows at each point, in order.
 
-    `fft_report` ranks the gl span mod p from residues (`SparseMat.residues`)
-    and calls this only at a point whose rank mod p falls short, or when the
-    commutant certificate fails.
+    The gl span is ranked mod p from residues (`SparseMat.residues`); exact
+    ranks serve its fallbacks: `rank_at` in the exact closure, and the
+    later points that the ranks mod p leave short or no certificate backs.
     """
     points = list(points)
     if not points:
@@ -344,8 +344,8 @@ def rank_at(rows, points=DEFAULT_POINTS) -> int:
     """Max exact rank over the points: `max(ranks_at(...))`.
 
     Specialisation can only drop rank, so the max is a lower bound for the
-    generic rank that is tight at generic points.  The exact walled closure
-    calls it at one point.
+    generic rank that is tight at generic points.  The exact gl closure
+    (Hecke and walled) calls it at its one point.
     """
     return max(ranks_at(rows, points))
 

@@ -116,7 +116,7 @@ def test_membership_detects_non_centralizing():
     gens = [act_on_signs(rep, g, (1, 1)) for g in generator_names(d)]
     bad = act_on_signs(rep, "e1", (1, 1))  # not central
     with pytest.raises(MembershipError):
-        check_membership([bad], gens)
+        check_membership({"e1": bad}, gens)
 
 
 def test_fft_report_gl_cells():
@@ -457,13 +457,14 @@ def test_membership_catches_an_ungraded_gl_braiding(monkeypatch, m, n, r, s):
         fft_report("gl", m, n, r, s)
 
 
-def test_membership_names_the_failing_image_of_a_list():
+def test_membership_names_the_failing_image():
     d = distinguished("gl", 1, 1)
     rep = natural_rep(d)
     gens = [act_on_signs(rep, g, (1, 1)) for g in generator_names(d)]
     ident = SparseMat.identity(gens[0].src)
-    with pytest.raises(MembershipError, match="image 1 "):
-        check_membership([ident, act_on_signs(rep, "e1", (1, 1))], gens)
+    images = {"id": ident, "e1": act_on_signs(rep, "e1", (1, 1))}
+    with pytest.raises(MembershipError, match="diagram generator e1 "):
+        check_membership(images, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +724,12 @@ def _span_args(m, n, r, s):
     return ctx, "hecke" if s == 0 else "walled", r, s, DEFAULT_POINTS
 
 
+def _closure(ctx, kind, r, s, points):
+    # what fft_report hands to _pivot_ranks: the kept images, their echelon
+    ech = Echelon()
+    return image_basis(kind, ctx, r, s, points, ech), ech, points
+
+
 def _full_row_ranks(ctx, kind, r, s, points):
     # the oracle: every point ranked on all residue rows
     images = image_basis(kind, ctx, r, s, points=points, echelon=Echelon())
@@ -738,24 +745,8 @@ def _full_row_ranks(ctx, kind, r, s, points):
 @pytest.mark.parametrize("cell", SPAN_CELLS)
 def test_span_ranks_on_pivot_columns_match_full_rows(cell):
     args = _span_args(*cell)
-    assert centralizer._glq_span_ranks(*args) == _full_row_ranks(*args)
-
-
-def _spy_residues_after_the_closure(monkeypatch):
-    # the keys of every residue taken once the span closure has returned
-    keys_seen = []
-    residues, closure = SparseMat.residues, centralizer.image_basis
-
-    def spy(self, point, keys=None):
-        keys_seen.append(keys)
-        return residues(self, point, keys)
-
-    def image_basis(*args):
-        images = closure(*args)
-        monkeypatch.setattr(SparseMat, "residues", spy)
-        return images
-    monkeypatch.setattr(centralizer, "image_basis", image_basis)
-    return keys_seen
+    assert (centralizer._pivot_ranks(*_closure(*args))
+            == _full_row_ranks(*args))
 
 
 @pytest.mark.parametrize("m, n, r, kept", [(2, 1, 4, 24), (1, 1, 4, 20),
@@ -767,20 +758,40 @@ def test_span_ranks_reduce_no_image_at_the_first_point(monkeypatch, m, n, r,
     # not faithful: 20 of 24 and 70 of 120 permutations)
     args = _span_args(m, n, r, 0)
     want = _full_row_ranks(*args)
-    keys_seen = _spy_residues_after_the_closure(monkeypatch)
-    assert centralizer._glq_span_ranks(*args) == want == [kept] * 3
+    closed = _closure(*args)
+    keys_seen, residues = [], SparseMat.residues
+
+    def spy(self, point, keys=None):
+        keys_seen.append(keys)
+        return residues(self, point, keys)
+    monkeypatch.setattr(SparseMat, "residues", spy)
+    assert centralizer._pivot_ranks(*closed) == want == [kept] * 3
     assert len(keys_seen) == 2 * kept
     assert all(keys is not None and len(keys) == kept for keys in keys_seen)
 
 
-def test_an_unlucky_first_point_counts_zero_at_every_point(monkeypatch,
-                                                          caplog):
+def _spy_calls(monkeypatch, name):
+    # the (args, result) of every call fft_report makes to centralizer.name
+    calls, fn = [], getattr(centralizer, name)
+
+    def spy(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(centralizer, name, spy)
+    return calls
+
+
+def test_an_unlucky_first_point_takes_the_exact_path(monkeypatch, caplog):
     # 5 divides the denominator of the first point 7/5: the closure stops,
-    # and no certificate can meet a span rank of 0
+    # no certificate can meet a span rank of 0, and the exact closure ranks
+    # the cell to the same bytes
+    want = fft_report("gl", 1, 1, 2, s=1).to_dict()
     monkeypatch.setattr(superspace, "PRIME", 5)
     with caplog.at_level("INFO", logger="qschur.centralizer"):
-        assert centralizer._glq_span_ranks(*_span_args(1, 1, 2, 1)) == [0] * 3
+        report = fft_report("gl", 1, 1, 2, s=1)
     assert caplog.text.count("span closure at q = 7/5") == 1
+    assert report.certificate is None
+    assert report.to_dict() == want
 
 
 def test_a_point_short_on_the_pivot_columns_is_ranked_exactly(monkeypatch,
@@ -798,3 +809,37 @@ def test_a_point_short_on_the_pivot_columns_is_ranked_exactly(monkeypatch,
         assert fft_report("gl", 2, 1, 4).to_dict() == want
     assert "on 1 pivot columns: rank 1 of 24; exact rank" in caplog.text
     assert at_seen == [list(DEFAULT_POINTS[1:])]
+
+
+def test_a_certified_cell_runs_one_closure(monkeypatch):
+    # the short later points are ranked exactly on the images the closure
+    # kept mod p, not on a second closure
+    want = fft_report("gl", 2, 1, 4).to_dict()
+    monkeypatch.setattr(Echelon, "pivot_columns",
+                        property(lambda self: tuple(self._pivots)[:1]))
+    closures = _spy_calls(monkeypatch, "image_basis")
+    report = fft_report("gl", 2, 1, 4)
+    assert report.to_dict() == want and report.certificate is not None
+    assert len(closures) == 1
+
+
+def test_an_uncertified_cell_ranks_the_exact_closure(monkeypatch):
+    # at 37 the walled closure mod p drops candidates that are independent
+    # over Q: no certificate, so a second, exact closure gives the first
+    # point's rank by its count, and only the later points are ranked
+    want = fft_report("gl", 1, 1, 2, s=1).to_dict()
+    monkeypatch.setattr(superspace, "PRIME", 37)
+    closures = _spy_calls(monkeypatch, "image_basis")
+    reranks = _spy_calls(monkeypatch, "ranks_at")
+    report = fft_report("gl", 1, 1, 2, s=1)
+    assert report.certificate is None and report.to_dict() == want
+    (mod_p_args, _), (exact_args, exact) = closures
+    assert isinstance(mod_p_args[5], Echelon) and exact_args[5:] == ()
+    rows = [vectorize(img) for img in exact]
+    first = ranks_at(rows, DEFAULT_POINTS[:1])
+    assert first == [len(exact)]
+    assert [(at, got) for (_, at), got in reranks] == [
+        (list(DEFAULT_POINTS[1:]), ranks_at(rows, DEFAULT_POINTS[1:]))]
+    ranks = first + reranks[0][1]
+    assert report.span_rank == max(ranks)
+    assert report.agreement == (len(set(ranks)) == 1)

@@ -282,6 +282,13 @@ def test_image_basis_argument_checks():
         image_basis("walled", ctx, 1, 1)
     with pytest.raises(ValueError):
         image_basis("mystery", ctx, 2)
+    # no points is an error, not the default points; None means the defaults
+    gl = make_context("glq", datum=distinguished("gl", 2, 1))
+    for kind, r, s in (("hecke", 3, 0), ("walled", 1, 1), ("brauer", 2, 0)):
+        kind_ctx = ctx if kind == "brauer" else gl
+        with pytest.raises(ValueError, match="specialisation point"):
+            image_basis(kind, kind_ctx, r, s, [], Echelon())
+        assert image_basis(kind, kind_ctx, r, s, None)
 
 
 def test_dual_braiding_is_a_braiding():
