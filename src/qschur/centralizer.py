@@ -13,10 +13,10 @@ differ, which partitions the indices into classes; the remaining
 commutator rows are assembled only over the surviving unknowns.  This is
 an elimination order for the full honest system, not a reduction of it.
 
-`fft_report` runs both flavors through one sequence of stages: the span
-closure, symmetry generators, membership, the commutant
-(`commutant_dim_glq` / `commutant_dim_osp`, over the generators the cell
-built), then the later gl points.  One span closure
+`fft_report` runs both flavors through one sequence of stages: the
+symmetry generators, the diagram generators and membership, the span, the
+commutant (`commutant_dim_glq` / `commutant_dim_osp`, over the generators
+the cell built), then the later gl points.  One span closure
 (`functor.image_basis`) multiplies every spanning image out of the
 diagram generators (`functor.diagram_generators`: placed crossings,
 turnbacks, s_i and e_i), and each of those is verified exactly to commute
@@ -24,7 +24,14 @@ with every symmetry generator; so every image does, and its span rank is
 a lower bound for the commutant dimension.  For osp that rank is exact
 over Q.  For quantum gl the closure is its own first point: it keeps only
 the R images whose residues mod p at points[0] raise the rank of an F_p
-`Echelon`, and the commutant is certified against R.
+`Echelon`, and the commutant is certified against R.  Each image is kept
+only on the columns of a set J of basis vectors that generates the
+module mod p at points[0] (`generating_columns`: from the top weight
+class down, the lowering images of the classes above completed by the
+class's own basis vectors).  A combination of the image residues commutes
+with the generator residues, so if it vanishes on J it vanishes: the
+closure keeps the same images as on all d columns.  A J that does not
+generate can only lower R, which then misses the certificates below.
 Reduction mod p and specialisation can only lower a rank, so
 
     rank_p(span at a) <= rank_Q(span at a) <= generic span rank
@@ -67,11 +74,15 @@ Only then are the later gl points ranked.  With a certificate, each
 reduces only the kept images' entries in the R pivot columns of the
 echelon; dropping columns can only lower a rank, so a point that reaches
 R has the exact rank R, and the points short of it are ranked exactly on
-the same images.  Without one, the closure is run again with exact ranks:
-its image count is the exact rank at points[0], and every later point is
-ranked exactly on its images.  So `agreement` compares exact ranks, and
-gap verdicts always come from exact arithmetic.
-span_rank <= commutant_dim is asserted in every case.
+the same images on J's columns.  J is only proved to generate at
+points[0], but an exact rank on J's columns that reaches R is again the
+exact rank R; the points still short are ranked exactly on the same
+images rebuilt once on every column (logged).  Without one, the closure
+is run again with exact ranks on every column: its image count is the
+exact rank at points[0], and every later point is ranked exactly on its
+images.  So `agreement` compares exact ranks, and gap verdicts always come
+from exact arithmetic.  span_rank <= commutant_dim is asserted in every
+case.
 """
 
 from __future__ import annotations
@@ -85,8 +96,8 @@ from . import osp as osp_mod
 from . import qgl, superspace
 from .diagrams import quotient_relations
 from .errors import MembershipError, UnluckyPrime, UsageError, check_power
-from .functor import (EvalContext, diagram_generators, evaluate, image_basis,
-                      make_context)
+from .functor import (EvalContext, check_image_cap, diagram_generators,
+                      evaluate, image_basis, make_context)
 from .rootdata import RootDatum, distinguished
 from .scalar import RatFunc, qint, rational_residue
 from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, int_rank,
@@ -98,6 +109,7 @@ __all__ = [
     "RELATION_ALGEBRA", "MembershipError", "commutant_nullity",
     "least_nullity", "Certificate", "certify_nullity",
     "PrimitiveCertificate", "certify_primitive", "module_heights",
+    "generating_columns",
 ]
 
 DEFAULT_UNKNOWN_BUDGET = 150_000  # max d**2 unknowns for a commutant cell
@@ -368,27 +380,33 @@ def _primitive_spaces(classes, raising, dim: int) -> list[list[dict]]:
     return spaces
 
 
-def _generation_rank(classes, heights, cls, prim, lowering) -> int:
-    """Check, from the top class down, that each class is spanned by its
-    P_lam and the lowering images of the classes above; the total rank."""
+def _spin(classes, heights, cls, lowering, seeds) -> list[dict]:
+    """From the top class down, span each class by the lowering images of
+    the classes above, then by its `seeds` (a list of vectors per class);
+    the seeds that raised the rank.  _NotPrimitive if a class stays short.
+    """
     images = [[] for _ in classes]
     for cols in lowering:
         for col in cols.values():
             images[cls[col[0][0]]].append(dict(col))
-    total = 0
+    kept = []
     for c in sorted(range(len(classes)), key=lambda c: -heights[classes[c][0]]):
         size = len(classes[c])
         ech = Echelon()
-        for vec in prim[c] + images[c]:
+        for vec in images[c]:
             if ech.rank == size:
                 break
             ech.add(vec)
+        for vec in seeds[c]:
+            if ech.rank == size:
+                break
+            if ech.add(vec):
+                kept.append(vec)
         if ech.rank < size:
             raise _NotPrimitive(
                 f"generation stops at a weight class of size {size} (height "
                 f"{heights[classes[c][0]]}) at rank {ech.rank}")
-        total += size
-    return total
+    return kept
 
 
 def _sigma_blocks(sigma, prim, raising, p: int) -> list[int]:
@@ -420,8 +438,34 @@ def _sigma_blocks(sigma, prim, raising, p: int) -> list[int]:
     return blocks
 
 
+def _weight_split(gens: list[SparseMat], heights, point):
+    """(classes, cls, raising, lowering, sigma) of the generators mod p:
+    the weight classes, each basis vector's class, and `_orient`'s maps.
+
+    `gens` have int/Fraction entries (osp), or RatFunc entries reduced at
+    q = `point` (quantum gl).  UnluckyPrime if a denominator vanishes mod
+    p; _NotPrimitive if the diagonal generators do not separate the
+    heights or `_orient` fails.
+    """
+    p = superspace.PRIME
+    dim = len(heights)
+    mats = [g.map_values(lambda v: rational_residue(v, p))
+            if point is None else g.residues(point) for g in gens]
+    diag, other = _split_diagonal(mats, dim)
+    classes = _profile_classes(diag, dim)
+    if any(heights[i] != heights[members[0]]
+           for members in classes for i in members):
+        raise _NotPrimitive("the diagonal generators do not separate the "
+                            "heights mod p")
+    cls = [0] * dim
+    for c, members in enumerate(classes):
+        for i in members:
+            cls[i] = c
+    return (classes, cls) + _orient(other, heights, cls)
+
+
 def certify_primitive(gens: list[SparseMat], heights, lower_bound: int,
-                      point=None) -> PrimitiveCertificate | None:
+                      point=None, split=None) -> PrimitiveCertificate | None:
     """Certificate that the commutant of `gens` has dimension `lower_bound`,
     from the primitive vectors of the module mod p.
 
@@ -434,26 +478,16 @@ def certify_primitive(gens: list[SparseMat], heights, lower_bound: int,
     generator is not homogeneous, generation or a sigma check fails, or
     the bound misses `lower_bound`; the caller then takes the row
     certificate.  Only vectors of length dim are reduced; no d^2 system is
-    built.
+    built.  `split` is the `_weight_split` of `gens` at `point` when the
+    caller already has it (`generating_columns` returns it).
     """
     p = superspace.PRIME
     dim = len(heights)
     try:
-        mats = [g.map_values(lambda v: rational_residue(v, p))
-                if point is None else g.residues(point) for g in gens]
-        diag, other = _split_diagonal(mats, dim)
-        classes = _profile_classes(diag, dim)
-        if any(heights[i] != heights[members[0]]
-               for members in classes for i in members):
-            raise _NotPrimitive("the diagonal generators do not separate the "
-                                "heights mod p")
-        cls = [0] * dim
-        for c, members in enumerate(classes):
-            for i in members:
-                cls[i] = c
-        raising, lowering, sigma = _orient(other, heights, cls)
+        classes, cls, raising, lowering, sigma = (
+            split or _weight_split(gens, heights, point))
         prim = _primitive_spaces(classes, raising, dim)
-        generated = _generation_rank(classes, heights, cls, prim, lowering)
+        _spin(classes, heights, cls, lowering, prim)
         blocks = ([len(basis) for basis in prim] if sigma is None
                   else _sigma_blocks(sigma, prim, raising, p))
     except (UnluckyPrime, _NotPrimitive) as exc:
@@ -462,13 +496,36 @@ def certify_primitive(gens: list[SparseMat], heights, lower_bound: int,
         return None
     cert = PrimitiveCertificate(p, None if point is None else str(point),
                                 tuple(sorted((k for k in blocks if k),
-                                             reverse=True)), generated, dim)
+                                             reverse=True)), dim, dim)
     if cert.bound != lower_bound:
         log_fallback(__name__, "primitive certificate: bound %d does not "
                      "meet the lower bound %d; row certificate", cert.bound,
                      lower_bound)
         return None
     return cert
+
+
+def generating_columns(gens: list[SparseMat], heights, point=None):
+    """(J, split): the basis vectors of a set J that generates the module
+    mod p, and the `_weight_split` they were read from.
+
+    From the top weight class down, each class is spanned by the lowering
+    images of the classes above and then by its own basis vectors e_k; J
+    is the e_k that raised the rank, so the lowering generators spin J
+    into the whole module.  `gens` and `point` are as for
+    `certify_primitive`, which takes `split` so that the residues are
+    reduced once per cell.  (None, None), with the reason logged, if a
+    denominator vanishes mod p or a check of `_weight_split` fails.
+    """
+    try:
+        split = _weight_split(gens, heights, point)
+    except (UnluckyPrime, _NotPrimitive) as exc:
+        log_fallback(__name__, "generating columns at q = %s: %s", point, exc)
+        return None, None
+    classes, cls, _, lowering, _ = split
+    seeds = [[{k: 1} for k in members] for members in classes]
+    kept = _spin(classes, heights, cls, lowering, seeds)
+    return tuple(sorted(k for vec in kept for k in vec)), split
 
 
 # ---------------------------------------------------------------------------
@@ -506,17 +563,19 @@ def least_nullity(gens, d, points) -> int:
                for p in points)
 
 
-def commutant_dim_glq(gens, d: int, points, lower_bound: int, heights):
+def commutant_dim_glq(gens, d: int, points, lower_bound: int, heights,
+                      split=None):
     """(dim, certificate) for the quantum gl symmetry generators `gens`.
 
     dim End_{U_q} of the d-dimensional module whose basis vectors have the
     given `heights` (`module_heights`): at points[0] the primitive
     certificate is tried first, then the rows are eliminated mod p until
     the proved `lower_bound` (the span rank) is met; the certificate is
-    None where `least_nullity` decided.
+    None where `least_nullity` decided.  `split` is passed on to
+    `certify_primitive`.
     """
     point = points[0]
-    cert = (certify_primitive(gens, heights, lower_bound, point)
+    cert = (certify_primitive(gens, heights, lower_bound, point, split)
             or certify_nullity([g.specialize(point) for g in gens], d,
                                lower_bound, point))
     if cert is None:
@@ -676,9 +735,11 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     flavor "gl": quantum gl(m|n), Hecke images (walled when s > 0).
     flavor "osp": classical osp(m|2n) with the sigma-extended pair and
     Brauer images; for even m the spanning bound 2r < m(2n+1) is recorded.
-    The stages run in order: the span closure, the symmetry generators,
-    membership, the commutant certified against the first point's span
-    rank, then the later gl points (see the module docstring).  A malformed
+    The stages run in order: the symmetry generators, the diagram
+    generators and membership, the span (for gl: the closure on the
+    columns of `generating_columns`), the commutant certified against the
+    first point's span rank, then the later gl points (see the module
+    docstring).  A malformed
     cell (r < 1, s < 0, s > 0 for osp, or points that are empty, repeated,
     or among 0 and +-1) raises ValueError before any work starts.
     """
@@ -690,30 +751,35 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
         d = _check_unknowns(qgl.natural_space(datum).dim, r + s, budget)
         ctx = make_context("glq", datum=datum, budget=budget)
         kind = "hecke" if s == 0 else "walled"
-        ech = Echelon()
-        try:
-            images = image_basis(kind, ctx, r, s, points, ech)
-        except UnluckyPrime as exc:
-            # no certificate can meet a span rank of 0: the exact path decides
-            log_fallback(__name__, "span closure at q = %s: %s; exact path",
-                         points[0], exc)
-            images = []
-        ranks = [len(images)]
+        check_image_cap(kind, r, s)  # before any generator is built
         gens = _glq_generator_mats(datum, r, s)
         heights = module_heights(datum, (1,) * r + (-1,) * s)
     else:
         d = _check_unknowns(osp_mod.natural_space(m, n).dim, r, budget)
         ctx = make_context("osp_classical", m=m, n=n, budget=budget)
         kind = "brauer"
-        ranks = [_osp_span_rank(ctx, r)]
+        ranks = [_osp_span_rank(ctx, r)]  # caps r before any generator
         gens = _osp_generator_mats(m, n, r)
         heights = module_heights(distinguished("osp", m, n), (1,) * r)
     # Every image is a product of the diagram generators, so once those are
     # checked to centralise the symmetry generators, the span rank is a
     # lower bound for the commutant dimension.
-    check_membership(diagram_generators(kind, ctx, r, s), gens)
+    dgens = diagram_generators(kind, ctx, r, s)
+    check_membership(dgens, gens)
     if flavor == "gl":
-        cdim, cert = commutant_dim_glq(gens, d, points, ranks[0], heights)
+        ech = Echelon()
+        # the images are ranked on the columns of J, which generates the
+        # module mod p at points[0]; None keeps every column
+        cols, split = generating_columns(gens, heights, points[0])
+        try:
+            images = image_basis(kind, ctx, r, s, points, ech, cols, dgens)
+        except UnluckyPrime as exc:
+            # no certificate can meet a span rank of 0: the exact path decides
+            log_fallback(__name__, "span closure at q = %s: %s; exact path",
+                         points[0], exc)
+            images = []
+        cdim, cert = commutant_dim_glq(gens, d, points, len(images), heights,
+                                       split)
         if cert is None:
             # the exact closure keeps the images independent at points[0],
             # so their count is its exact rank; every later point is short
@@ -724,10 +790,20 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
         # rank_p <= rank_Q <= ranks[0] at every point: only the points short
         # of ranks[0] need an exact rank, of the same images
         short = [a for a, rk in zip(points, ranks) if rk < ranks[0]]
-        if short:
-            exact = dict(zip(short, ranks_at(
+        exact = dict(zip(short, ranks_at(
+            [vectorize(img) for img in images], short))) if short else {}
+        short = [a for a in short if exact[a] < ranks[0]]
+        if short and cert is not None and cols is not None:
+            # dropping columns can only lower a rank, so an exact rank on
+            # J's columns that reaches ranks[0] is exact; J may not generate
+            # at the other points: rebuild the same images on every column
+            log_fallback(__name__, "short on J's columns at q = %s; full "
+                         "images", ", ".join(map(str, short)))
+            images = image_basis(kind, ctx, r, s, points, Echelon(), None,
+                                 dgens)
+            exact.update(zip(short, ranks_at(
                 [vectorize(img) for img in images], short)))
-            ranks = [exact.get(a, rk) for a, rk in zip(points, ranks)]
+        ranks = [exact.get(a, rk) for a, rk in zip(points, ranks)]
     else:
         cdim, cert = commutant_dim_osp(gens, d, ranks[0], heights)
     srank = max(ranks)

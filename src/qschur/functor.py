@@ -23,7 +23,10 @@ when its diagram is new (diagram_images() returns that map).  The gl
 closure (Hecke and walled) is its own first point: a candidate is kept
 when its value at that point raises the rank of the kept ones, mod p in
 the caller's `Echelon` or exactly, and a Hecke candidate is tried only
-when it lengthens its permutation to one not tried before.
+when it lengthens its permutation to one not tried before.  Given the
+basis vectors of a set J that generates the module, the gl closure keeps
+each image as its d x |J| columns on J, which fix an image that commutes
+with the symmetry generators.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, SuperSpace,
 __all__ = [
     "EvalContext", "make_context", "evaluate", "invariant", "image_basis",
     "diagram_images", "diagram_generators", "BudgetError", "dual_braiding",
+    "check_image_cap",
 ]
 
 DEFAULT_BUDGET = 625  # max dimension of any space met during evaluation
@@ -203,8 +207,21 @@ def _walled_generators(ctx: EvalContext, r: int,
     return out
 
 
+def check_image_cap(kind: str, r: int, s: int) -> int:
+    """(r+s)!, the most Hecke or walled images, once it is at most
+    IMAGE_CAP; BudgetError as soon as the product passes the cap."""
+    cap = 1
+    for k in range(2, r + s + 1):
+        cap *= k
+        if cap > IMAGE_CAP:
+            raise BudgetError(f"the {kind} images on {r + s} strands exceed "
+                              f"{IMAGE_CAP}")
+    return cap
+
+
 def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
-               echelon: Echelon | None) -> list[SparseMat]:
+               echelon: Echelon | None, columns=None,
+               gens=None) -> list[SparseMat]:
     """Span closure of the Hecke or walled generators at q = `point`.
 
     A candidate g @ b is tested by its value at the point, the product of
@@ -221,16 +238,23 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     s_i v shorter.  Independence at the point implies independence over
     Q(q), so every kept image is new; UnluckyPrime if a denominator
     vanishes mod p.
+
+    With `columns` (the basis vectors of a set J), the closure starts from
+    the identity restricted to J, so every image is kept as its d x |J|
+    columns on J: g @ (b on J) is (g @ b) on J.  Dropping columns can only
+    lower a rank; where J generates the module under maps that every image
+    commutes with, a combination of images that vanishes on J vanishes, so
+    the same images are kept in the same order.  `gens` are the
+    `diagram_generators` (built here when None).
     """
     _check_kind(kind, ctx, r, s)
-    cap = 1  # (r+s)!, checked against IMAGE_CAP as it grows
-    for k in range(2, r + s + 1):
-        cap *= k
-        if cap > IMAGE_CAP:
-            raise BudgetError(f"the {kind} images on {r + s} strands exceed "
-                              f"{IMAGE_CAP}")
-    gens = diagram_generators(kind, ctx, r, s).values()
-    ident = SparseMat.identity(ctx.space_of(("+",) * r + ("-",) * s))
+    cap = check_image_cap(kind, r, s)
+    if gens is None:
+        gens = diagram_generators(kind, ctx, r, s)
+    space = ctx.space_of(("+",) * r + ("-",) * s)
+    ident = (SparseMat.identity(space) if columns is None else SparseMat(
+        SuperSpace(tuple(space.parities[j] for j in columns)), space,
+        {(j, c): 1 for c, j in enumerate(columns)}))
     if echelon is None:
         rows = []
 
@@ -257,7 +281,7 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
         return perm, product(g, b)
 
     kept = _span_closure(
-        [((i, value(g, point)), g) for i, g in enumerate(gens, 1)],
+        [((i, value(g, point)), g) for i, g in enumerate(gens.values(), 1)],
         ((tuple(range(r)), value(ident, point)), ident), cap, mul,
         lambda key: raises(vectorize(key[1])))
     return [img for _, img in kept]
@@ -353,19 +377,22 @@ def diagram_generators(kind: str, ctx: EvalContext, r: int,
 
 
 def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
-                points=None,
-                echelon: Echelon | None = None) -> list[SparseMat]:
+                points=None, echelon: Echelon | None = None, columns=None,
+                gens=None) -> list[SparseMat]:
     """Spanning set of diagram images on the r-th (mixed) tensor power, each
     a product of the matrices `diagram_generators` returns: the values of
     `diagram_images` for Brauer, and for Hecke and walled the images that
     `_gl_images` keeps at the first of `points`, mod p into `echelon`, or
     exactly when it is None.  A Hecke or walled caller reads the first
-    point's rank and pivot columns from `echelon`.  `points` None means
-    DEFAULT_POINTS; an empty sequence is a ValueError.
+    point's rank and pivot columns from `echelon`, may pass the generators
+    it already built as `gens`, and may pass the basis vectors of a
+    generating set J as `columns`: each image is then kept as its columns
+    on J only.  `points` None means DEFAULT_POINTS; an empty sequence is a
+    ValueError.
     """
     points = list(DEFAULT_POINTS if points is None else points)
     if not points:
         raise ValueError("at least one specialisation point is required")
     if kind == "brauer":
         return list(diagram_images(ctx, r).values())
-    return _gl_images(kind, ctx, r, s, points[0], echelon)
+    return _gl_images(kind, ctx, r, s, points[0], echelon, columns, gens)

@@ -13,7 +13,8 @@ from qschur.centralizer import (MembershipError, PrimitiveCertificate,
                                 assemble_commutant_rows, certify_nullity,
                                 certify_primitive, check_membership,
                                 commutant_dim_glq, commutant_dim_osp,
-                                commutant_nullity, fft_report, least_nullity,
+                                commutant_nullity, fft_report,
+                                generating_columns, least_nullity,
                                 module_heights, relation_check)
 from qschur.errors import UsageError, VerificationError
 from qschur.functor import (BudgetError, diagram_generators, image_basis,
@@ -821,6 +822,110 @@ def test_a_certified_cell_runs_one_closure(monkeypatch):
     report = fft_report("gl", 2, 1, 4)
     assert report.to_dict() == want and report.certificate is not None
     assert len(closures) == 1
+
+
+# ---------------------------------------------------------------------------
+# The gl closure on the columns of a generating set J.
+
+def _j_args(m, n, r, s, point=DEFAULT_POINTS[0]):
+    datum = distinguished("gl", m, n)
+    gens = _glq_generator_mats(datum, r, s)
+    heights = module_heights(datum, (1,) * r + (-1,) * s)
+    return gens, heights, generating_columns(gens, heights, point)[0]
+
+
+def _on_columns(img, cols):
+    # the columns of a d x d image on J, renumbered as the closure numbers them
+    place = {j: c for c, j in enumerate(cols)}
+    return {(i, place[j]): v for (i, j), v in img.entries.items()
+            if j in place}
+
+
+def _residue_rank(images, point):
+    ech = Echelon()
+    for img in images:
+        ech.add(vectorize(img.residues(point)))
+    return ech.rank
+
+
+@pytest.mark.parametrize("m, n, r, s", [
+    (1, 1, 4, 0), (1, 1, 5, 0), (2, 1, 3, 0), (2, 1, 4, 0),
+    (1, 1, 2, 1), (1, 1, 2, 2), (1, 1, 3, 2), (2, 1, 2, 1)])
+def test_the_closure_on_j_keeps_the_same_images(m, n, r, s):
+    # gl(1|1) r = 4, 5 is not faithful (20 of 24, 70 of 120): the same
+    # images, in the same order, with the same rank at every default point
+    ctx = make_context("glq", datum=distinguished("gl", m, n))
+    kind = "hecke" if s == 0 else "walled"
+    _, heights, cols = _j_args(m, n, r, s)
+    full_ech, j_ech = Echelon(), Echelon()
+    full = image_basis(kind, ctx, r, s, None, full_ech)
+    on_j = image_basis(kind, ctx, r, s, None, j_ech, cols)
+    assert len(cols) < len(heights) and len(on_j) == len(full) == j_ech.rank
+    assert [img.entries for img in on_j] == [_on_columns(img, cols)
+                                             for img in full]
+    for point in DEFAULT_POINTS:
+        assert _residue_rank(on_j, point) == _residue_rank(full, point)
+
+
+@pytest.mark.parametrize("m, n, r, s, size", [(2, 1, 4, 0, 10),
+                                              (1, 1, 3, 2, 16),
+                                              (2, 1, 5, 0, 26)])
+def test_generating_set_sizes_are_pinned(m, n, r, s, size):
+    # on these cells |J| is the sum of the k_lam of the primitive certificate
+    assert len(_j_args(m, n, r, s)[2]) == size
+
+
+def test_a_j_that_does_not_generate_misses_both_certificates(monkeypatch,
+                                                            caplog):
+    # one basis vector, a highest weight vector, generates only part of
+    # the module: the closure keeps fewer images, both certificates miss
+    # and the exact path, on every column, decides to the same bytes
+    cells = [("gl", 1, 1, 2, 1), ("gl", 2, 1, 3, 0)]
+    want = [fft_report(f, m, n, r, s=s).to_dict() for f, m, n, r, s in cells]
+    columns = centralizer.generating_columns
+    monkeypatch.setattr(centralizer, "generating_columns",
+                        lambda *args: ((0,), columns(*args)[1]))
+    closures = _spy_calls(monkeypatch, "image_basis")
+    for cell, expect in zip(cells, want):
+        f, m, n, r, s = cell
+        caplog.clear()
+        with caplog.at_level("INFO", logger="qschur.centralizer"):
+            report = fft_report(f, m, n, r, s=s)
+        assert report.certificate is None and report.to_dict() == expect
+        assert "primitive certificate" in caplog.text
+        assert "exact fallback" in caplog.text
+        (on_j, kept), (exact_args, exact) = closures[-2:]
+        assert on_j[6] == (0,) and exact_args[5:] == ()
+        assert len(kept) < len(exact) == report.span_rank
+
+
+def test_a_point_short_on_j_rebuilds_full_images(monkeypatch, caplog):
+    # the later points are short on one pivot column, and their exact rank
+    # on J's columns is patched one below R, as where J does not generate
+    # there: the same images are rebuilt once on every column and only
+    # those points are ranked exactly again
+    want = fft_report("gl", 2, 1, 4).to_dict()
+    monkeypatch.setattr(Echelon, "pivot_columns",
+                        property(lambda self: tuple(self._pivots)[:1]))
+    closures = _spy_calls(monkeypatch, "image_basis")
+    reranks = _spy_calls(monkeypatch, "ranks_at")
+    rank, calls = centralizer.ranks_at, []
+
+    def one_short_on_j(rows, at):
+        calls.append(at)
+        return [k - (len(calls) == 1) for k in rank(rows, at)]
+    monkeypatch.setattr(centralizer, "ranks_at", one_short_on_j)
+    with caplog.at_level("INFO", logger="qschur.centralizer"):
+        report = fft_report("gl", 2, 1, 4)
+    assert report.to_dict() == want and report.certificate is not None
+    assert "short on J's columns" in caplog.text
+    (on_j, kept), (full_args, full) = closures
+    assert len(on_j[6]) == 10 and full_args[6] is None
+    assert [img.cols for img in kept] == [10] * 24
+    assert [img.cols for img in full] == [81] * 24
+    assert [(at, rows) for (rows, at), _ in reranks] == [
+        (list(DEFAULT_POINTS[1:]), [vectorize(img) for img in kept]),
+        (list(DEFAULT_POINTS[1:]), [vectorize(img) for img in full])]
 
 
 def test_an_uncertified_cell_ranks_the_exact_closure(monkeypatch):

@@ -140,6 +140,7 @@ def test_fft_budget_exit_code(capsys):
     ["invariant", "gl", "1|1", "-r", "1000", "--braid", "s1"],
     ["fft", "gl", "1|0", "-r", "8"],  # 8! Hecke images
     ["fft", "osp", "1|0", "-r", "7"],  # Brauer diagrams past r = 6
+    ["fft", "osp", "1|0", "-r", "99999999999"],  # before any generator
     ["brauer", "-r", "7"],
     ["brauer", "-r", "7", "osp", "1|0"],
 ])
