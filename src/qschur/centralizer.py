@@ -14,25 +14,29 @@ commutator rows are assembled only over the surviving unknowns.  This is
 an elimination order for the full honest system, not a reduction of it.
 
 `fft_report` runs both flavors through one sequence of stages: the
-symmetry generators, the diagram generators and membership, the span, the
-commutant (`commutant_dim_glq` / `commutant_dim_osp`, over the generators
-the cell built), then the later gl points.  One span closure
-(`functor.image_basis`) multiplies every spanning image out of the
-diagram generators (`functor.diagram_generators`: placed crossings,
-turnbacks, s_i and e_i), and each of those is verified exactly to commute
-with every symmetry generator; so every image does, and its span rank is
-a lower bound for the commutant dimension.  For osp that rank is exact
-over Q.  For quantum gl the closure is its own first point: it keeps only
-the R images whose residues mod p at points[0] raise the rank of an F_p
-`Echelon`, and the commutant is certified against R.  Each image is kept
-only on the columns of a set J of basis vectors that generates the
-module mod p at points[0] (`generating_columns`: from the top weight
-class down, the lowering images of the classes above completed by the
-class's own basis vectors).  A combination of the image residues commutes
-with the generator residues, so if it vanishes on J it vanishes: the
-closure keeps the same images as on all d columns.  A J that does not
-generate can only lower R, which then misses the certificates below.
-Reduction mod p and specialisation can only lower a rank, so
+symmetry generators, the diagram generators and membership, the set J
+below, the span, the commutant (`commutant_dim_glq` /
+`commutant_dim_osp`, over the generators the cell built), then the later
+gl points.  One span closure (`functor.image_basis`) multiplies every
+spanning image out of the diagram generators
+(`functor.diagram_generators`: placed crossings, turnbacks, s_i and e_i),
+and each of those is verified exactly to commute with every symmetry
+generator; so every image does, and its span rank is a lower bound for
+the commutant dimension.  In both flavors each image is kept only on the
+columns of a set J of basis vectors that generates the module mod p (at
+points[0] for quantum gl; `generating_columns`: from the top weight class
+down, the lowering images of the classes above completed by the class's
+own basis vectors), computed once per cell.  A combination of images
+commutes with the generators, so if it vanishes on J it vanishes.  For
+osp the generators have int entries, so J generates over Q too, and the
+exact rank over Q of the Brauer images on J's columns is their rank on
+all d columns.  For quantum gl the closure is its own first point: it
+keeps only the R images whose residues mod p at points[0] raise the rank
+of an F_p `Echelon`, the same images as on all d columns, and the
+commutant is certified against R.  A J that does not generate can only
+lower R, which then misses the certificates below; where no J is found,
+every column is kept.  Reduction mod p and specialisation can only lower
+a rank, so
 
     rank_p(span at a) <= rank_Q(span at a) <= generic span rank
                       <= commutant dim <= nullity_p(rows) <= sum k_lam^2,
@@ -94,7 +98,7 @@ from fractions import Fraction
 
 from . import osp as osp_mod
 from . import qgl, superspace
-from .diagrams import quotient_relations
+from .diagrams import brauer_count, quotient_relations
 from .errors import MembershipError, UnluckyPrime, UsageError, check_power
 from .functor import (EvalContext, check_image_cap, diagram_generators,
                       evaluate, image_basis, make_context)
@@ -583,16 +587,16 @@ def commutant_dim_glq(gens, d: int, points, lower_bound: int, heights,
     return lower_bound, cert
 
 
-def commutant_dim_osp(gens, d: int, lower_bound: int, heights):
+def commutant_dim_osp(gens, d: int, lower_bound: int, heights, split=None):
     """(dim, certificate) for the osp symmetry generators `gens`.
 
     dim End of the Harish-Chandra pair action on the d-dimensional module
     whose basis vectors have the given `heights`: the primitive
     certificate is tried first, then the rows are eliminated mod p until
     `lower_bound` is met; the certificate is None where the exact nullity
-    over Q decided.
+    over Q decided.  `split` is passed on to `certify_primitive`.
     """
-    cert = (certify_primitive(gens, heights, lower_bound)
+    cert = (certify_primitive(gens, heights, lower_bound, None, split)
             or certify_nullity(gens, d, lower_bound))
     if cert is None:
         return commutant_nullity(gens, d), None
@@ -606,11 +610,22 @@ def check_membership(images: dict, gens) -> None:
     """Every image must commute with every generator, exactly.
 
     `images` maps names to images, as `diagram_generators` returns them;
-    the error names the failing one.
+    the error names the failing one.  A diagonal generator K commutes with
+    an image D exactly when K_ii = K_jj at every nonzero D_ij, so it is
+    checked on D's entries without a product; any other generator by
+    comparing D K with K D.
     """
+    diagonals = [{i: v for (i, _), v in g.entries.items()}
+                 if all(i == k for (i, k) in g.entries) else None
+                 for g in gens]
     for name, img in images.items():
-        for j, gen in enumerate(gens):
-            if (img @ gen) != (gen @ img):
+        for j, (gen, diag) in enumerate(zip(gens, diagonals)):
+            if diag is None:
+                commutes = (img @ gen) == (gen @ img)
+            else:
+                commutes = all(diag.get(i, 0) == diag.get(k, 0)
+                               for (i, k) in img.entries)
+            if not commutes:
                 raise MembershipError(f"diagram generator {name} does not "
                                       f"centralise symmetry generator {j}")
 
@@ -700,12 +715,6 @@ def _pivot_ranks(images, ech: Echelon, points) -> list[int]:
     return ranks
 
 
-def _osp_span_rank(ctx: EvalContext, r: int) -> int:
-    """Rank over Q of the Brauer images."""
-    images = image_basis("brauer", ctx, r)
-    return int_rank([vectorize(img) for img in images])
-
-
 def _check_cell(flavor: str, r: int, s: int, points) -> None:
     """Reject a malformed cell before any work starts."""
     if flavor not in ("gl", "osp"):
@@ -736,41 +745,46 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     flavor "osp": classical osp(m|2n) with the sigma-extended pair and
     Brauer images; for even m the spanning bound 2r < m(2n+1) is recorded.
     The stages run in order: the symmetry generators, the diagram
-    generators and membership, the span (for gl: the closure on the
-    columns of `generating_columns`), the commutant certified against the
-    first point's span rank, then the later gl points (see the module
-    docstring).  A malformed
+    generators and membership, the set J of `generating_columns`, the span
+    on J's columns (exact over Q for osp, the closure's first point for
+    gl), the commutant certified against the first point's span rank, then
+    the later gl points (see the module docstring).  A malformed
     cell (r < 1, s < 0, s > 0 for osp, or points that are empty, repeated,
     or among 0 and +-1) raises ValueError before any work starts.
     """
     t0 = time.monotonic()
     points = list(points)
     _check_cell(flavor, r, s, points)
+    datum = distinguished(flavor, m, n)
     if flavor == "gl":
-        datum = distinguished("gl", m, n)
         d = _check_unknowns(qgl.natural_space(datum).dim, r + s, budget)
         ctx = make_context("glq", datum=datum, budget=budget)
         kind = "hecke" if s == 0 else "walled"
         check_image_cap(kind, r, s)  # before any generator is built
-        gens = _glq_generator_mats(datum, r, s)
-        heights = module_heights(datum, (1,) * r + (-1,) * s)
+        gens, point = _glq_generator_mats(datum, r, s), points[0]
     else:
         d = _check_unknowns(osp_mod.natural_space(m, n).dim, r, budget)
         ctx = make_context("osp_classical", m=m, n=n, budget=budget)
         kind = "brauer"
-        ranks = [_osp_span_rank(ctx, r)]  # caps r before any generator
-        gens = _osp_generator_mats(m, n, r)
-        heights = module_heights(distinguished("osp", m, n), (1,) * r)
+        brauer_count(r)  # before any generator is built
+        gens, point = _osp_generator_mats(m, n, r), None
+    heights = module_heights(datum, (1,) * r + (-1,) * s)
     # Every image is a product of the diagram generators, so once those are
     # checked to centralise the symmetry generators, the span rank is a
     # lower bound for the commutant dimension.
     dgens = diagram_generators(kind, ctx, r, s)
     check_membership(dgens, gens)
-    if flavor == "gl":
+    # the images are ranked on the columns of J, which generates the module
+    # mod p (at points[0] for gl); None keeps every column
+    cols, split = generating_columns(gens, heights, point)
+    if flavor == "osp":
+        # int generators that generate mod p generate over Q: the exact
+        # rank on J's columns is the exact rank on every column
+        images = image_basis(kind, ctx, r, s, points, None, cols, dgens)
+        ranks = [int_rank([vectorize(img) for img in images])]
+        cdim, cert = commutant_dim_osp(gens, d, ranks[0], heights, split)
+    else:
         ech = Echelon()
-        # the images are ranked on the columns of J, which generates the
-        # module mod p at points[0]; None keeps every column
-        cols, split = generating_columns(gens, heights, points[0])
         try:
             images = image_basis(kind, ctx, r, s, points, ech, cols, dgens)
         except UnluckyPrime as exc:
@@ -804,8 +818,6 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
             exact.update(zip(short, ranks_at(
                 [vectorize(img) for img in images], short)))
         ranks = [exact.get(a, rk) for a, rk in zip(points, ranks)]
-    else:
-        cdim, cert = commutant_dim_osp(gens, d, ranks[0], heights)
     srank = max(ranks)
     agreement = len(set(ranks)) == 1
     bound = bound_lhs = bound_ok = None

@@ -24,9 +24,9 @@ closure (Hecke and walled) is its own first point: a candidate is kept
 when its value at that point raises the rank of the kept ones, mod p in
 the caller's `Echelon` or exactly, and a Hecke candidate is tried only
 when it lengthens its permutation to one not tried before.  Given the
-basis vectors of a set J that generates the module, the gl closure keeps
-each image as its d x |J| columns on J, which fix an image that commutes
-with the symmetry generators.
+basis vectors of a set J that generates the module, every closure (Brauer
+too) keeps each image as its d x |J| columns on J, which fix an image that
+commutes with the symmetry generators.
 """
 
 from __future__ import annotations
@@ -251,10 +251,7 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     cap = check_image_cap(kind, r, s)
     if gens is None:
         gens = diagram_generators(kind, ctx, r, s)
-    space = ctx.space_of(("+",) * r + ("-",) * s)
-    ident = (SparseMat.identity(space) if columns is None else SparseMat(
-        SuperSpace(tuple(space.parities[j] for j in columns)), space,
-        {(j, c): 1 for c, j in enumerate(columns)}))
+    ident = _identity_on(ctx.space_of(("+",) * r + ("-",) * s), columns)
     if echelon is None:
         rows = []
 
@@ -287,22 +284,37 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     return [img for _, img in kept]
 
 
+def _identity_on(space: SuperSpace, columns) -> SparseMat:
+    """The identity of `space`, or with `columns` (the basis vectors of a set
+    J) its d x |J| columns on J, from which a span closure starts."""
+    if columns is None:
+        return SparseMat.identity(space)
+    return SparseMat(SuperSpace(tuple(space.parities[j] for j in columns)),
+                     space, {(j, c): 1 for c, j in enumerate(columns)})
+
+
 def _loop_free(upper: BrauerDiagram, lower: BrauerDiagram):
     """upper o lower, or None where stacking them closes a loop."""
     d, weight = compose_brauer(upper, lower, 0)  # 0 ** loops
     return d if weight else None
 
 
-def diagram_images(ctx: EvalContext, r: int) -> dict[BrauerDiagram, SparseMat]:
+def diagram_images(ctx: EvalContext, r: int, columns=None,
+                   gens=None) -> dict[BrauerDiagram, SparseMat]:
     """nu(d) for every Brauer diagram d on r strands.
 
     The span closure keys each image by its diagram: g @ b is new when
     diagram(g) o d(b) is, and a product that closes a loop is skipped, so
-    each image is nu(g) nu(b) = nu(diagram(g) o d(b)).
+    each image is nu(g) nu(b) = nu(diagram(g) o d(b)).  With `columns` (the
+    basis vectors of a set J) the closure starts from the identity
+    restricted to J, as the gl closure does, so each image is kept as its
+    d x |J| columns on J.  `gens` are the `diagram_generators` (built here
+    when None).
     """
     _check_kind("brauer", ctx, r, 0)
     cap = brauer_count(r)
-    gens = diagram_generators("brauer", ctx, r).values()
+    if gens is None:
+        gens = diagram_generators("brauer", ctx, r)
     keys = [elementary_diagram(letter, i, r)
             for letter, i in osp_mod.brauer_rep(*ctx.mn, r)]
     seen = set()
@@ -313,8 +325,8 @@ def diagram_images(ctx: EvalContext, r: int) -> dict[BrauerDiagram, SparseMat]:
         seen.add(d)
         return True
 
-    ident = SparseMat.identity(ctx.V.tensor_power(r))
-    return dict(_span_closure(list(zip(keys, gens)),
+    ident = _identity_on(ctx.V.tensor_power(r), columns)
+    return dict(_span_closure(list(zip(keys, gens.values())),
                               (identity_diagram(r), ident), cap, _loop_free,
                               is_new))
 
@@ -384,15 +396,15 @@ def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
     `diagram_images` for Brauer, and for Hecke and walled the images that
     `_gl_images` keeps at the first of `points`, mod p into `echelon`, or
     exactly when it is None.  A Hecke or walled caller reads the first
-    point's rank and pivot columns from `echelon`, may pass the generators
-    it already built as `gens`, and may pass the basis vectors of a
-    generating set J as `columns`: each image is then kept as its columns
-    on J only.  `points` None means DEFAULT_POINTS; an empty sequence is a
-    ValueError.
+    point's rank and pivot columns from `echelon`.  Every caller may pass
+    the generators it already built as `gens`, and the basis vectors of a
+    generating set J as `columns`: each image, Brauer ones included, is then
+    kept as its columns on J only.  `points` None means DEFAULT_POINTS; an
+    empty sequence is a ValueError.
     """
     points = list(DEFAULT_POINTS if points is None else points)
     if not points:
         raise ValueError("at least one specialisation point is required")
     if kind == "brauer":
-        return list(diagram_images(ctx, r).values())
+        return list(diagram_images(ctx, r, columns, gens).values())
     return _gl_images(kind, ctx, r, s, points[0], echelon, columns, gens)

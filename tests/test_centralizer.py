@@ -324,8 +324,10 @@ def test_fft_report_rejects_malformed_cells(monkeypatch, args, kwargs):
     def no_work(*a, **k):
         raise AssertionError("work started before the cell was checked")
 
+    # the datum is the first work of both flavors; the osp generators are
+    # the first work of the osp branch alone
     monkeypatch.setattr(centralizer, "distinguished", no_work)
-    monkeypatch.setattr(centralizer, "_osp_span_rank", no_work)
+    monkeypatch.setattr(centralizer, "_osp_generator_mats", no_work)
     with pytest.raises(ValueError):
         fft_report(*args, **kwargs)
 
@@ -466,6 +468,27 @@ def test_membership_names_the_failing_image():
     images = {"id": ident, "e1": act_on_signs(rep, "e1", (1, 1))}
     with pytest.raises(MembershipError, match="diagram generator e1 "):
         check_membership(images, gens)
+
+
+def test_membership_against_diagonal_generators_takes_no_products(
+        monkeypatch):
+    # the ungraded flip keeps every weight and e1 moves it: against the K_a
+    # alone (diagonal), only e1 fails, and no product is built to tell
+    d = distinguished("gl", 1, 1)
+    rep = natural_rep(d)
+    gens = [act_on_signs(rep, g, (1, 1)) for g in generator_names(d)]
+    diag = [g for g in gens if all(i == k for (i, k) in g.entries)]
+    assert 0 < len(diag) < len(gens)
+    V = qgl.natural_space(d)
+    flip, e1 = _ungraded_flip(V, V), act_on_signs(rep, "e1", (1, 1))
+
+    def no_product(*args):
+        raise AssertionError("a product was built")
+    monkeypatch.setattr(SparseMat, "__matmul__", no_product)
+    check_membership({"flip": flip}, diag)
+    with pytest.raises(MembershipError,
+                       match="diagram generator e1 does not centralise"):
+        check_membership({"flip": flip, "e1": e1}, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -948,3 +971,52 @@ def test_an_uncertified_cell_ranks_the_exact_closure(monkeypatch):
     ranks = first + reranks[0][1]
     assert report.span_rank == max(ranks)
     assert report.agreement == (len(set(ranks)) == 1)
+
+
+# ---------------------------------------------------------------------------
+# The osp span on the columns of J.
+
+@pytest.mark.parametrize("m, n, r", [(1, 1, 3), (2, 1, 2), (2, 1, 3),
+                                     (3, 1, 3), (0, 1, 3)])
+def test_the_osp_span_on_j_has_the_full_exact_rank(m, n, r):
+    # osp(1|2) r=3, osp(2|2) r=2 and r=3 (sigma; r=2 takes the row
+    # certificate), osp(3|2) r=3 (not generated by its primitive vectors)
+    # and osp(0|2) r=3: the Brauer images on J are the full images
+    # restricted to J, and their exact rank over Q is the full one
+    ctx = make_context("osp_classical", m=m, n=n)
+    heights = module_heights(distinguished("osp", m, n), (1,) * r)
+    cols = generating_columns(_osp_generator_mats(m, n, r), heights)[0]
+    full = image_basis("brauer", ctx, r)
+    on_j = image_basis("brauer", ctx, r, columns=cols)
+    assert len(cols) < len(heights) and len(on_j) == len(full)
+    assert [img.entries for img in on_j] == [_on_columns(img, cols)
+                                             for img in full]
+    assert (superspace.int_rank([vectorize(img) for img in on_j])
+            == superspace.int_rank([vectorize(img) for img in full])
+            == fft_report("osp", m, n, r).span_rank)
+
+
+def test_the_osp_span_runs_on_seven_columns(monkeypatch):
+    # osp(3|4) r=3: d = 343, |J| = 7, found once and shared with the
+    # primitive certificate
+    closures = _spy_calls(monkeypatch, "image_basis")
+    splits = _spy_calls(monkeypatch, "_weight_split")
+    report = fft_report("osp", 3, 2, 3)
+    assert report.equal and isinstance(report.certificate,
+                                       PrimitiveCertificate)
+    ((args, images),) = closures
+    assert len(args[6]) == 7 and {img.cols for img in images} == {7}
+    assert {img.rows for img in images} == {343} and len(splits) == 1
+
+
+def test_the_osp_span_without_j_keeps_the_bytes(monkeypatch):
+    # no J: every column is kept, and the report is the same
+    cells = [(1, 1, 3), (2, 1, 2), (2, 1, 3), (3, 1, 3), (0, 1, 3), (3, 2, 2)]
+    want = [fft_report("osp", m, n, r).to_dict() for m, n, r in cells]
+    monkeypatch.setattr(centralizer, "generating_columns",
+                        lambda *args: (None, None))
+    closures = _spy_calls(monkeypatch, "image_basis")
+    assert [fft_report("osp", m, n, r).to_dict() for m, n, r in cells] == want
+    for (args, images), (m, n, r) in zip(closures, cells):
+        assert args[6] is None
+        assert {img.cols for img in images} == {(m + 2 * n) ** r}
