@@ -30,7 +30,8 @@ own basis vectors), computed once per cell.  A combination of images
 commutes with the generators, so if it vanishes on J it vanishes.  For
 osp the generators have int entries, so J generates over Q too, and the
 exact rank over Q of the Brauer images on J's columns is their rank on
-all d columns.  For quantum gl the closure is its own first point: it
+all d columns; it is ranked with the columns in rarest-first order
+(`_rarest_first`).  For quantum gl the closure is its own first point: it
 keeps only the R images whose residues mod p at points[0] raise the rank
 of an F_p `Echelon`, the same images as on all d columns, and the
 commutant is certified against R.  A J that does not generate can only
@@ -63,17 +64,31 @@ When the sum meets the span rank, `equal` is proved and recorded as a
 vectors of length d are reduced, and no d^2 system is built.
 
 If a check fails, generation stops short, or the sum misses the span
-rank, the fallback is logged and the rows decide: survivors - rank_p(rows)
-bounds nullity_p(rows) from above for any prefix of the commutant rows, so
-the rows are assembled one symmetry generator at a time and fed to the
-F_p `Echelon` until the two ends of the chain meet; no rows are built past
-that stop, which proves `equal` and is recorded as a `Certificate` (prime,
-point, rows used of rows assembled, survivors, rank).  If the bounds never
-meet, or a denominator vanishes mod p, the fallback is logged again and
-the exact path decides: one nullity over Q for osp, or for quantum gl the
-least of the exact nullities at the rational points, each of which is an
-upper bound for the nullity over Q(q) (`least_nullity`).  Both
-certificates are tried inside the one commutant call of a cell.
+rank, the fallback is logged and, wherever J was found, the spin
+certificate decides (`certify_spin`).  A commuting map M is fixed by its
+values on J, each a vector of e_j's weight class: U = sum over j in J of
+|class(j)| unknowns.  J is first checked to generate mod p, from the top
+class down.  Then M is built top down as linear forms in the unknowns
+(M(L e_k) = L M(e_k) on the lowering images that span each class with
+J's vectors, M(e_b) by solving that basis mod p), and each
+constraint M(x e_b) = x M(e_b) goes to the F_p `Echelon` as soon as M is
+built on its two classes, until U - rank meets the span rank; no row is
+built past that stop, which proves `equal` and is recorded as a
+`SpinCertificate` (prime, point, |J|, U, rows used, rank).  The system is
+complete, so its nullity is nullity_p(rows): a miss means the rows would
+miss too, and the exact path decides.  Of the benchmark cells, osp(2|2)
+r=2 and osp(3|2) r=3 take this certificate: their primitive vectors do
+not generate the module.  Where no J was found, or J fails the check, the
+rows decide: survivors - rank_p(rows) bounds nullity_p(rows) from above
+for any prefix of the commutant rows, so the rows are assembled one
+symmetry generator at a time and fed to the `Echelon` until the two ends
+of the chain meet, recorded as a `Certificate` (prime, point, rows used
+of rows assembled, survivors, rank).  If the bounds never meet, or a
+denominator vanishes mod p, the fallback is logged again and the exact
+path decides: one nullity over Q for osp, or for quantum gl the least of
+the exact nullities at the rational points, each of which is an upper
+bound for the nullity over Q(q) (`least_nullity`).  Every certificate is
+tried inside the one commutant call of a cell (`_certify`).
 Only then are the later gl points ranked.  With a certificate, each
 reduces only the kept images' entries in the R pivot columns of the
 echelon; dropping columns can only lower a rank, so a point that reaches
@@ -95,6 +110,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from . import osp as osp_mod
 from . import qgl, superspace
@@ -113,7 +129,7 @@ __all__ = [
     "RELATION_ALGEBRA", "MembershipError", "commutant_nullity",
     "least_nullity", "Certificate", "certify_nullity",
     "PrimitiveCertificate", "certify_primitive", "module_heights",
-    "generating_columns",
+    "generating_columns", "SpinCertificate", "certify_spin",
 ]
 
 DEFAULT_UNKNOWN_BUDGET = 150_000  # max d**2 unknowns for a commutant cell
@@ -202,6 +218,16 @@ class Certificate:
     rank: int
 
 
+def _rarest_first(rows) -> dict[int, int]:
+    """column -> its place in the rarest-first (Markowitz) order of `rows`:
+    by how often the column occurs, ties by column.  Relabelling by it
+    keeps the rank of every row prefix; an elimination that pivots on the
+    least column then pivots on the rarest, with less fill-in."""
+    counts = Counter(k for row in rows for k in row)
+    return {k: i for i, k in enumerate(
+        sorted(counts, key=lambda k: (counts[k], k)))}
+
+
 def certify_nullity(gens: list[SparseMat], dim: int, lower_bound: int,
                     point=None) -> Certificate | None:
     """Certificate that the nullity of [M, P] = 0 equals `lower_bound`.
@@ -211,11 +237,10 @@ def certify_nullity(gens: list[SparseMat], dim: int, lower_bound: int,
     ones, which fix the survivors) are assembled and fed to the F_p
     echelon, in the order `assemble_commutant_rows(gens, dim)` gives them,
     until survivors - rank meets the bound; no further rows are built.
-    The echelon pivots on the rarest columns first (Markowitz order): the
-    columns are relabelled by how often they occur in the first batch's
-    rows, ties by column, and a column first seen later is appended as it
-    appears.  A column permutation keeps the rank of every row prefix, so
-    the stop and the certificate are the same; only the fill-in shrinks.
+    The echelon pivots on the rarest columns first: the columns are
+    relabelled by `_rarest_first` of the first batch's rows, and a column
+    first seen later is appended as it appears, so the stop and the
+    certificate are the same; only the fill-in shrinks.
     None, with the reason logged, if the bound is never met or a
     denominator vanishes mod p; the caller then takes the exact path.
     """
@@ -228,9 +253,7 @@ def certify_nullity(gens: list[SparseMat], dim: int, lower_bound: int,
             survivors, rows = assemble_commutant_rows(batch, dim)
             assembled += len(rows)
             if label is None:
-                counts = Counter(k for row in rows for k in row)
-                label = {k: i for i, k in enumerate(
-                    sorted(counts, key=lambda k: (counts[k], k)))}
+                label = _rarest_first(rows)
             for row in rows:
                 if survivors - ech.rank <= lower_bound:
                     break
@@ -384,33 +407,67 @@ def _primitive_spaces(classes, raising, dim: int) -> list[list[dict]]:
     return spaces
 
 
-def _spin(classes, heights, cls, lowering, seeds) -> list[dict]:
+def _spin(classes, heights, cls, lowering, seeds) -> list[tuple]:
     """From the top class down, span each class by the lowering images of
     the classes above, then by its `seeds` (a list of vectors per class);
-    the seeds that raised the rank.  _NotPrimitive if a class stays short.
+    (class, picked, reduced) per class, and _NotPrimitive if a class stays
+    short.
+
+    `picked` lists the vectors that raised the rank: (L, k) for a lowering
+    image L e_k, (None, v) for a seed v.  Each picked vector is reduced mod
+    p against the earlier ones as `Echelon.add` reduces a row, pivoting on
+    its least free column: `reduced` lists (lead, terms, row) in order, the
+    reduced vector being 1 at lead and `row` right of it, and the sum of
+    a * key over its (a, key) terms, where ("v", t) is the t-th picked
+    vector and ("r", l) the reduced vector with lead l.  Solving back from
+    the largest lead down writes each e_b in the picked vectors.
     """
+    p = superspace.PRIME
     images = [[] for _ in classes]
-    for cols in lowering:
-        for col in cols.values():
-            images[cls[col[0][0]]].append(dict(col))
-    kept = []
+    for L in lowering:
+        for k, col in L.items():
+            images[cls[col[0][0]]].append((L, k))
+    bases = []
     for c in sorted(range(len(classes)), key=lambda c: -heights[classes[c][0]]):
         size = len(classes[c])
-        ech = Echelon()
-        for vec in images[c]:
-            if ech.rank == size:
+        pivots = {}  # lead -> the reduced vector right of it
+        picked, reduced = [], []
+        for L, k in images[c] + [(None, v) for v in seeds[c]]:
+            if len(picked) == size:
                 break
-            ech.add(vec)
-        for vec in seeds[c]:
-            if ech.rank == size:
-                break
-            if ech.add(vec):
-                kept.append(vec)
-        if ech.rank < size:
+            vec = dict(k) if L is None else dict(L[k])
+            heap = list(vec)
+            heapify(heap)
+            terms, lead, tail = [(1, ("v", len(picked)))], None, {}
+            while heap:
+                col = heappop(heap)
+                b = vec.pop(col) % p
+                if not b:
+                    continue
+                if col not in pivots:
+                    if lead is None:
+                        lead, lead_value = col, b
+                    else:
+                        tail[col] = b
+                    continue
+                terms.append((-b, ("r", col)))
+                for i, v in pivots[col].items():
+                    if i not in vec:
+                        heappush(heap, i)
+                    vec[i] = vec.get(i, 0) - b * v
+            if lead is None:
+                continue
+            inv = pow(lead_value, -1, p)
+            pivots[lead] = {i: v * inv % p for i, v in tail.items()}
+            reduced.append((lead, [(a * inv % p, key) for a, key in terms],
+                            pivots[lead]))
+            picked.append((L, k))
+        if len(picked) < size:
             raise _NotPrimitive(
                 f"generation stops at a weight class of size {size} (height "
-                f"{heights[classes[c][0]]}) at rank {ech.rank}")
-    return kept
+                f"{heights[classes[c][0]]}) at rank {len(picked)}")
+        bases.append((c, picked, reduced))
+    return bases
 
 
 def _sigma_blocks(sigma, prim, raising, p: int) -> list[int]:
@@ -480,10 +537,11 @@ def certify_primitive(gens: list[SparseMat], heights, lower_bound: int,
     mod p.  None, with the failed check logged, if a denominator vanishes
     mod p, the diagonal generators do not separate the heights, a
     generator is not homogeneous, generation or a sigma check fails, or
-    the bound misses `lower_bound`; the caller then takes the row
-    certificate.  Only vectors of length dim are reduced; no d^2 system is
-    built.  `split` is the `_weight_split` of `gens` at `point` when the
-    caller already has it (`generating_columns` returns it).
+    the bound misses `lower_bound`; the caller then takes the next
+    certificate (`_certify`).  Only vectors of length dim are reduced; no
+    d^2 system is built.  `split` is the `_weight_split` of `gens` at
+    `point` when the caller already has it (`generating_columns` returns
+    it).
     """
     p = superspace.PRIME
     dim = len(heights)
@@ -495,7 +553,7 @@ def certify_primitive(gens: list[SparseMat], heights, lower_bound: int,
         blocks = ([len(basis) for basis in prim] if sigma is None
                   else _sigma_blocks(sigma, prim, raising, p))
     except (UnluckyPrime, _NotPrimitive) as exc:
-        log_fallback(__name__, "primitive certificate: %s; row certificate",
+        log_fallback(__name__, "primitive certificate: %s; next certificate",
                      exc)
         return None
     cert = PrimitiveCertificate(p, None if point is None else str(point),
@@ -503,7 +561,7 @@ def certify_primitive(gens: list[SparseMat], heights, lower_bound: int,
                                              reverse=True)), dim, dim)
     if cert.bound != lower_bound:
         log_fallback(__name__, "primitive certificate: bound %d does not "
-                     "meet the lower bound %d; row certificate", cert.bound,
+                     "meet the lower bound %d; next certificate", cert.bound,
                      lower_bound)
         return None
     return cert
@@ -528,8 +586,157 @@ def generating_columns(gens: list[SparseMat], heights, point=None):
         return None, None
     classes, cls, _, lowering, _ = split
     seeds = [[{k: 1} for k in members] for members in classes]
-    kept = _spin(classes, heights, cls, lowering, seeds)
-    return tuple(sorted(k for vec in kept for k in vec)), split
+    bases = _spin(classes, heights, cls, lowering, seeds)
+    return tuple(sorted(k for _, picked, _ in bases
+                        for L, vec in picked if L is None for k in vec)), split
+
+
+# ---------------------------------------------------------------------------
+# The spin certificate.
+
+@dataclass(frozen=True)
+class SpinCertificate:
+    """Proof of a commutant dimension from a map's values on a set J.
+
+    Mod `prime` (at q = `point` for quantum gl, None for osp) the `columns`
+    basis vectors e_j of J generate the module, so a commuting map M is
+    fixed by the M(e_j), each a vector of e_j's weight class: `unknowns`
+    values in all.  Eliminating the first `rows_used` rows of the system
+    M(x e_b) = x M(e_b) gave `rank`, so the commutant dimension is at most
+    unknowns - rank, which equals the lower bound.
+    """
+    prime: int
+    point: str | None
+    columns: int
+    unknowns: int
+    rows_used: int
+    rank: int
+
+
+def _combine(terms, p: int) -> dict:
+    """sum a * forms over the (a, forms) `terms`, where forms are maps
+    {row: {unknown: coefficient}}, mod p."""
+    out = {}
+    for a, forms in terms:
+        for i, form in forms.items():
+            acc = out.setdefault(i, {})
+            for u, w in form.items():
+                acc[u] = acc.get(u, 0) + a * w
+    return {i: {u: w % p for u, w in acc.items()} for i, acc in out.items()}
+
+
+def _act(x, forms: dict, p: int) -> dict:
+    """The generator with columns `x` applied to the forms M(v), mod p."""
+    return _combine([(v, {i: form}) for k, form in forms.items()
+                     for i, v in x.get(k, ())], p)
+
+
+def _spin_rows(classes, cls, gens, bases, unknowns: int, p: int):
+    """The rows of M(x e_b) = x M(e_b) over the generators `gens` (column
+    maps) and the basis vectors b, each as soon as M is built on the
+    classes of b and of x e_b.  A generator that kills a whole class gives
+    only zero rows there (M keeps the class), so those pairs are skipped.
+    M is built class by class from `_spin`'s `bases`: fresh unknowns on a
+    picked seed e_j, L M(e_k) on a picked L e_k, then the reduced vectors,
+    and each e_b solved back from them.
+
+    The unknowns are numbered down from `unknowns` - 1 as their classes
+    are built, so the echelon pivots on the latest ones first: an unknown
+    of a class high up reaches every class below it, and pivoting on it
+    last keeps the stored rows short (on walled gl(2|1) r=3 s=2 this
+    halves the time)."""
+    moves = []  # per generator: ({class: its image class}, {image: classes})
+    for x in gens:
+        target, sources = {}, {}
+        for k, col in x.items():
+            target[cls[k]] = cls[col[0][0]]
+            sources.setdefault(cls[col[0][0]], set()).add(cls[k])
+        moves.append((target, sources))
+    M = {}  # basis vector b -> M(e_b) as {row: {unknown: coefficient}}
+    built = set()
+    for c, picked, reduced in bases:
+        vals = {}
+        for t, (L, k) in enumerate(picked):
+            if L is None:
+                unknowns -= len(classes[c])
+                vals["v", t] = {i: {unknowns + u: 1}
+                                for u, i in enumerate(classes[c])}
+            else:
+                vals["v", t] = _act(L, M[k], p)
+        for lead, terms, _ in reduced:
+            vals["r", lead] = _combine([(a, vals[key]) for a, key in terms], p)
+        for lead, _, row in sorted(reduced, key=lambda r: -r[0]):
+            M[lead] = _combine([(1, vals["r", lead])] + [
+                (-v, M[i]) for i, v in row.items()], p)
+        built.add(c)
+        for x, (target, sources) in zip(gens, moves):
+            pairs = sorted(sources.get(c, set()) & built)
+            if target.get(c, c) != c and target[c] in built:
+                pairs.append(c)
+            for b in (b for src in pairs for b in classes[src]):
+                lhs = _combine([(v, M[i]) for i, v in x.get(b, ())], p)
+                rhs = _act(x, M[b], p)
+                for i in lhs.keys() | rhs.keys():
+                    left, right = lhs.get(i, {}), rhs.get(i, {})
+                    row = {u: w for u in left.keys() | right.keys()
+                           if (w := (left.get(u, 0) - right.get(u, 0)) % p)}
+                    if row:
+                        yield row
+
+
+def certify_spin(split, heights, cols, lower_bound: int,
+                 point=None) -> SpinCertificate | None:
+    """Certificate that the commutant has dimension `lower_bound`, from the
+    values of a commuting map M on the basis vectors J = `cols`.
+
+    `split` is the `_weight_split` of the generators mod p that J was read
+    from (`generating_columns`), and `heights` are as for
+    `certify_primitive`.  First, from the top weight class down, each class
+    must be spanned by the lowering images of the classes above and then
+    by its vectors of J; if one stays short, _NotPrimitive, and the caller
+    takes the row certificate.  Then M is built top down as linear forms
+    in the unknowns M(e_j), j in J, each a vector of e_j's class: on each
+    class, M(L e_k) = L M(e_k) on the picked lowering images, and M(e_b)
+    follows by a sparse LU solve of the picked basis mod p.  Each
+    constraint M(x e_b) = x M(e_b), for a generator x that is not diagonal
+    (raising, lowering or sigma) and a basis vector b, is fed to the F_p
+    `Echelon` as soon as M is built on the classes of b and of x e_b,
+    pairs with x e_b = 0 included, until unknowns - rank meets
+    `lower_bound`; no row is built past that stop.
+
+    Soundness: J generates the module mod p and each basis change is
+    invertible mod p, so a map that commutes mod p is fixed by its values
+    on J, and the values of every such map satisfy the constraints; with
+    every pair present, any values that satisfy them build a map that
+    commutes.  So the nullity of the whole system is nullity_p(rows), the
+    commutant dimension mod p, which is at least the dimension over Q at
+    the point (module docstring), and unknowns - rank bounds it from above
+    for any prefix of the rows.  A miss after every row therefore means
+    nullity_p(rows) exceeds the span rank, so the rows would miss too:
+    None, logged, and the caller takes the exact path.
+    """
+    p = superspace.PRIME
+    classes, cls, raising, lowering, sigma = split
+    seeds = [[] for _ in classes]
+    for j in cols:
+        seeds[cls[j]].append({j: 1})
+    bases = _spin(classes, heights, cls, lowering, seeds)
+    sizes = [len(classes[c]) for c, picked, _ in bases
+             for L, _ in picked if L is None]
+    unknowns = sum(sizes)
+    gens = raising + lowering + ([] if sigma is None else [_columns(sigma[0])])
+    ech, used = Echelon(), 0
+    rows = _spin_rows(classes, cls, gens, bases, unknowns, p)
+    while unknowns - ech.rank > lower_bound and (row := next(rows, None)):
+        ech.add(row)
+        used += 1
+    if unknowns - ech.rank != lower_bound:
+        log_fallback(__name__, "spin certificate: nullity bound %d after all "
+                     "%d rows does not meet the lower bound %d; exact "
+                     "fallback", unknowns - ech.rank, used, lower_bound)
+        return None
+    return SpinCertificate(p, None if point is None else str(point),
+                           len(sizes), unknowns, used, ech.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -567,37 +774,54 @@ def least_nullity(gens, d, points) -> int:
                for p in points)
 
 
+def _certify(gens, d: int, lower_bound: int, heights, point, cols, split):
+    """The first certificate of the chain that meets `lower_bound`, or None
+    for the exact path: the primitive certificate, then the spin
+    certificate on J = `cols`, then the rows (`certify_nullity`), which run
+    only where no J was found or J fails the spin certificate's generation
+    check.  On a J that generates, the spin system is complete, so the
+    rows could not meet a bound that it misses."""
+    cert = certify_primitive(gens, heights, lower_bound, point, split)
+    if cert is not None:
+        return cert
+    if cols is not None:
+        try:
+            return certify_spin(split, heights, cols, lower_bound, point)
+        except _NotPrimitive as exc:
+            log_fallback(__name__, "spin certificate: %s; row certificate",
+                         exc)
+    if point is not None:
+        gens = [g.specialize(point) for g in gens]
+    return certify_nullity(gens, d, lower_bound, point)
+
+
 def commutant_dim_glq(gens, d: int, points, lower_bound: int, heights,
-                      split=None):
+                      cols=None, split=None):
     """(dim, certificate) for the quantum gl symmetry generators `gens`.
 
     dim End_{U_q} of the d-dimensional module whose basis vectors have the
-    given `heights` (`module_heights`): at points[0] the primitive
-    certificate is tried first, then the rows are eliminated mod p until
-    the proved `lower_bound` (the span rank) is met; the certificate is
-    None where `least_nullity` decided.  `split` is passed on to
-    `certify_primitive`.
+    given `heights` (`module_heights`): at points[0] the certificates are
+    tried in `_certify`'s order against the proved `lower_bound` (the span
+    rank), with `cols` and `split` from `generating_columns`; the
+    certificate is None where `least_nullity` decided.
     """
-    point = points[0]
-    cert = (certify_primitive(gens, heights, lower_bound, point, split)
-            or certify_nullity([g.specialize(point) for g in gens], d,
-                               lower_bound, point))
+    cert = _certify(gens, d, lower_bound, heights, points[0], cols, split)
     if cert is None:
         return least_nullity(gens, d, points), None
     return lower_bound, cert
 
 
-def commutant_dim_osp(gens, d: int, lower_bound: int, heights, split=None):
+def commutant_dim_osp(gens, d: int, lower_bound: int, heights, cols=None,
+                      split=None):
     """(dim, certificate) for the osp symmetry generators `gens`.
 
     dim End of the Harish-Chandra pair action on the d-dimensional module
-    whose basis vectors have the given `heights`: the primitive
-    certificate is tried first, then the rows are eliminated mod p until
-    `lower_bound` is met; the certificate is None where the exact nullity
-    over Q decided.  `split` is passed on to `certify_primitive`.
+    whose basis vectors have the given `heights`: the certificates are
+    tried in `_certify`'s order against `lower_bound`, with `cols` and
+    `split` from `generating_columns`; the certificate is None where the
+    exact nullity over Q decided.
     """
-    cert = (certify_primitive(gens, heights, lower_bound, None, split)
-            or certify_nullity(gens, d, lower_bound))
+    cert = _certify(gens, d, lower_bound, heights, None, cols, split)
     if cert is None:
         return commutant_nullity(gens, d), None
     return lower_bound, cert
@@ -650,7 +874,8 @@ class FftReport:
     bound_ok: bool | None = None
     wall_clock_ms: int | None = None
     #: proof of `equal`; None where the exact fallback decided (not in JSON)
-    certificate: PrimitiveCertificate | Certificate | None = None
+    certificate: (PrimitiveCertificate | SpinCertificate | Certificate
+                  | None) = None
 
     @property
     def equal(self) -> bool:
@@ -781,8 +1006,12 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
         # int generators that generate mod p generate over Q: the exact
         # rank on J's columns is the exact rank on every column
         images = image_basis(kind, ctx, r, s, points, None, cols, dgens)
-        ranks = [int_rank([vectorize(img) for img in images])]
-        cdim, cert = commutant_dim_osp(gens, d, ranks[0], heights, split)
+        rows = [vectorize(img) for img in images]
+        label = _rarest_first(rows)
+        ranks = [int_rank([{label[k]: v for k, v in row.items()}
+                           for row in rows])]
+        cdim, cert = commutant_dim_osp(gens, d, ranks[0], heights, cols,
+                                       split)
     else:
         ech = Echelon()
         try:
@@ -793,7 +1022,7 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
                          points[0], exc)
             images = []
         cdim, cert = commutant_dim_glq(gens, d, points, len(images), heights,
-                                       split)
+                                       cols, split)
         if cert is None:
             # the exact closure keeps the images independent at points[0],
             # so their count is its exact rank; every later point is short

@@ -9,9 +9,10 @@ from qschur import centralizer
 from qschur import osp as osp_mod
 from qschur import qgl, superspace
 from qschur.centralizer import (MembershipError, PrimitiveCertificate,
-                                _glq_generator_mats, _osp_generator_mats,
-                                assemble_commutant_rows, certify_nullity,
-                                certify_primitive, check_membership,
+                                SpinCertificate, _glq_generator_mats,
+                                _osp_generator_mats, assemble_commutant_rows,
+                                certify_nullity, certify_primitive,
+                                certify_spin, check_membership,
                                 commutant_dim_glq, commutant_dim_osp,
                                 commutant_nullity, fft_report,
                                 generating_columns, least_nullity,
@@ -542,14 +543,14 @@ def test_certificate_rows_match_the_full_assembly_order():
 # The 24 benchmark cells, (flavor, m, n, r, s) as fft_report takes them: 22
 # carry the primitive certificate, given by its blocks; osp(2|2) r=2 and
 # osp(3|2) r=3 are not generated by their primitive vectors and carry the
-# row certificate, given by (rows used, rows assembled).
+# spin certificate, given by (|J|, unknowns, rows used, rank).
 BENCHMARK_CERTIFICATES = {
     ("osp", 1, 1, 1, 0): (1,), ("osp", 1, 1, 2, 0): (1, 1, 1),
     ("osp", 1, 1, 3, 0): (3, 2, 1, 1),
-    ("osp", 2, 1, 1, 0): (1,), ("osp", 2, 1, 2, 0): ("rows", 60, 72),
+    ("osp", 2, 1, 1, 0): (1,), ("osp", 2, 1, 2, 0): ("spin", 4, 9, 23, 6),
     ("osp", 2, 1, 3, 0): (3, 2, 1, 1),
     ("osp", 3, 1, 1, 0): (1,), ("osp", 3, 1, 2, 0): (1, 1, 1),
-    ("osp", 3, 1, 3, 0): ("rows", 1176, 1476),
+    ("osp", 3, 1, 3, 0): ("spin", 7, 46, 126, 31),
     ("osp", 4, 1, 1, 0): (1,), ("osp", 4, 1, 2, 0): (1, 1, 1),
     ("osp", 4, 1, 3, 0): (3, 2, 1, 1),
     ("osp", 3, 2, 1, 0): (1,), ("osp", 3, 2, 2, 0): (1, 1, 1),
@@ -568,9 +569,11 @@ def test_certificate_kind_per_benchmark_cell():
         assert rep.equal, (flavor, m, n, r, s)
         assert_certified(rep)
         cert = rep.certificate
-        if want[0] == "rows":
-            assert isinstance(cert, centralizer.Certificate), (m, n, r)
-            assert ("rows", cert.rows_used, cert.rows_assembled) == want
+        if want[0] == "spin":
+            assert isinstance(cert, SpinCertificate), (m, n, r)
+            assert ("spin", cert.columns, cert.unknowns, cert.rows_used,
+                    cert.rank) == want
+            assert cert.prime == PRIME and cert.point is None
         else:
             assert isinstance(cert, PrimitiveCertificate), (m, n, r, s)
             assert cert.blocks == want and cert.prime == PRIME
@@ -679,16 +682,36 @@ def test_a_lower_bound_one_short_gets_no_primitive_certificate(caplog):
     assert "bound 3 does not meet the lower bound 2" in caplog.text
 
 
-def test_a_module_not_generated_takes_the_row_certificate(caplog):
-    # osp(3|2) r=3: the primitive vectors do not generate the module
+def test_a_module_not_generated_takes_the_spin_certificate(monkeypatch,
+                                                           caplog):
+    # osp(3|2) r=3: the primitive vectors do not generate the module, and
+    # a map is fixed by its 46 values on the 7 columns of J
     gens = _osp_generator_mats(3, 1, 3)
     heights = module_heights(distinguished("osp", 3, 1), (1, 1, 1))
+    cols, split = generating_columns(gens, heights)
+    assemblies = _spy_calls(monkeypatch, "assemble_commutant_rows")
     with caplog.at_level("INFO", logger="qschur.centralizer"):
         assert certify_primitive(gens, heights, 15) is None
-        dim, cert = commutant_dim_osp(gens, 125, 15, heights)
+        dim, cert = commutant_dim_osp(gens, 125, 15, heights, cols, split)
     assert "generation stops at a weight class of size" in caplog.text
-    assert dim == 15 and isinstance(cert, centralizer.Certificate)
+    assert "spin certificate" not in caplog.text and not assemblies
+    assert dim == 15 and isinstance(cert, SpinCertificate)
+    assert (cert.columns, cert.unknowns, cert.rank) == (7, 46, 31)
+
+
+def test_a_cell_without_j_takes_the_row_certificate(monkeypatch):
+    # with no J the spin certificate is not tried: the rows certify
+    # osp(3|2) r=3 after 1176 of the 1476 rows of the generators assembled
+    # up to the stop, and the report keeps its bytes
+    want = fft_report("osp", 3, 1, 3).to_dict()
+    monkeypatch.setattr(centralizer, "generating_columns",
+                        lambda *args: (None, None))
+    report = fft_report("osp", 3, 1, 3)
+    cert = report.certificate
+    assert report.to_dict() == want and isinstance(cert,
+                                                   centralizer.Certificate)
     assert (cert.rows_used, cert.rows_assembled) == (1176, 1476)
+    assert_certified(report)
 
 
 def test_each_failed_check_falls_back(caplog):
@@ -979,7 +1002,7 @@ def test_an_uncertified_cell_ranks_the_exact_closure(monkeypatch):
 @pytest.mark.parametrize("m, n, r", [(1, 1, 3), (2, 1, 2), (2, 1, 3),
                                      (3, 1, 3), (0, 1, 3)])
 def test_the_osp_span_on_j_has_the_full_exact_rank(m, n, r):
-    # osp(1|2) r=3, osp(2|2) r=2 and r=3 (sigma; r=2 takes the row
+    # osp(1|2) r=3, osp(2|2) r=2 and r=3 (sigma; r=2 takes the spin
     # certificate), osp(3|2) r=3 (not generated by its primitive vectors)
     # and osp(0|2) r=3: the Brauer images on J are the full images
     # restricted to J, and their exact rank over Q is the full one
@@ -1020,3 +1043,57 @@ def test_the_osp_span_without_j_keeps_the_bytes(monkeypatch):
     for (args, images), (m, n, r) in zip(closures, cells):
         assert args[6] is None
         assert {img.cols for img in images} == {(m + 2 * n) ** r}
+
+
+# ---------------------------------------------------------------------------
+# The spin certificate on the values of a map on J.
+
+SPIN_CELLS = [
+    ("osp", 1, 1, 2, 0), ("osp", 1, 1, 3, 0), ("osp", 2, 1, 2, 0),
+    ("osp", 2, 1, 3, 0), ("osp", 3, 1, 2, 0), ("osp", 3, 1, 3, 0),
+    ("osp", 2, 0, 2, 0), ("osp", 4, 0, 2, 0), ("osp", 4, 0, 3, 0),
+    ("osp", 0, 1, 3, 0), ("gl", 1, 1, 2, 1), ("gl", 1, 1, 2, 2),
+    ("gl", 2, 1, 2, 1), ("gl", 2, 2, 1, 1), ("gl", 2, 1, 3, 0),
+    ("gl", 1, 1, 3, 0)]
+
+
+@pytest.mark.parametrize("flavor, m, n, r, s", SPIN_CELLS)
+def test_the_spin_nullity_is_the_exact_nullity(flavor, m, n, r, s, caplog):
+    # sigma-extended (even m), m = 0, walled and Hecke cells: the complete
+    # spin system has the exact nullity at the point, so it certifies the
+    # exact commutant dimension and never one less
+    datum = distinguished(flavor, m, n)
+    heights = module_heights(datum, (1,) * r + (-1,) * s)
+    if flavor == "gl":
+        point = DEFAULT_POINTS[0]
+        gens = _glq_generator_mats(datum, r, s)
+        exact = commutant_nullity([g.specialize(point) for g in gens],
+                                  len(heights))
+    else:
+        point, gens = None, _osp_generator_mats(m, n, r)
+        exact = commutant_nullity(gens, len(heights))
+    cols, split = generating_columns(gens, heights, point)
+    cert = certify_spin(split, heights, cols, exact, point)
+    assert cert is not None and cert.unknowns - cert.rank == exact
+    assert cert.columns == len(cols) <= len(heights)
+    with caplog.at_level("INFO", logger="qschur.centralizer"):
+        assert certify_spin(split, heights, cols, exact - 1, point) is None
+    assert f"spin certificate: nullity bound {exact} after all" in caplog.text
+
+
+def test_a_j_that_does_not_generate_logs_the_spin_fallback(caplog):
+    # one basis vector does not generate osp(3|2) r=3: the spin
+    # certificate is not tried on it, and the rows certify the cell
+    gens = _osp_generator_mats(3, 1, 3)
+    heights = module_heights(distinguished("osp", 3, 1), (1, 1, 1))
+    split = generating_columns(gens, heights)[1]
+    with pytest.raises(centralizer._NotPrimitive, match="generation stops"):
+        certify_spin(split, heights, (0,), 15)
+    with caplog.at_level("INFO", logger="qschur.centralizer"):
+        dim, cert = commutant_dim_osp(gens, 125, 15, heights, (0,), split)
+    assert dim == 15 and isinstance(cert, centralizer.Certificate)
+    assert (cert.rows_used, cert.rows_assembled) == (1176, 1476)
+    assert [rec.getMessage().split(":")[0] for rec in caplog.records
+            if rec.name == "qschur.centralizer"] == [
+        "primitive certificate", "spin certificate"]
+    assert caplog.text.rstrip().endswith("; row certificate")
