@@ -14,19 +14,22 @@ commutator rows are assembled only over the surviving unknowns.  This is
 an elimination order for the full honest system, not a reduction of it.
 
 `fft_report` runs both flavors through one sequence of stages: the
-symmetry generators, the diagram generators and membership, the set J
+symmetry generators, membership, the diagram generators, the set J
 below, the span, the commutant (`commutant_dim_glq` /
 `commutant_dim_osp`, over the generators the cell built), then the later
 gl points.  One span closure (`functor.image_basis`) multiplies every
 spanning image out of the diagram generators
-(`functor.diagram_generators`: placed crossings, turnbacks, s_i and e_i),
-and each of those is verified exactly to commute with every symmetry
-generator; so every image does, and its span rank is a lower bound for
-the commutant dimension.  In both flavors each image is kept only on the
-columns of a set J of basis vectors that generates the module mod p (at
-points[0] for quantum gl; `generating_columns`: from the top weight class
-down, the lowering images of the classes above completed by the class's
-own basis vectors), computed once per cell.  A combination of images
+(`functor.diagram_generators`: placed crossings, turnbacks, s_i and e_i).
+Each is id (x) T (x) id for a token T on two slots.  Membership checks
+each token exactly on its own two slots, against the symmetry generators
+there and their parity operator; that proves the placed generator
+commutes with every symmetry generator on the whole space
+(`check_membership`).  So every image does, and its span rank is a lower
+bound for the commutant dimension.  In both flavors each image is kept
+only on the columns of a set J of basis vectors that generates the module
+mod p (at points[0] for quantum gl; `generating_columns`: from the top
+weight class down, the lowering images of the classes above completed by
+the class's own basis vectors), computed once per cell.  A combination of images
 commutes with the generators, so if it vanishes on J it vanishes.  For
 osp the generators have int entries, so J generates over Q too, and the
 exact rank over Q of the Brauer images on J's columns is their rank on
@@ -838,6 +841,25 @@ def check_membership(images: dict, gens) -> None:
     an image D exactly when K_ii = K_jj at every nonzero D_ij, so it is
     checked on D's entries without a product; any other generator by
     comparing D K with K D.
+
+    `fft_report` calls it on two slots only (`_check_tokens`): each token
+    T that a cell places (s1 and e1, X+, the wall turnback, the dual X+)
+    against the symmetry generators of the same two slots and their parity
+    operator.  That proves each placed id (x) T (x) id a module map on the
+    whole tensor power.  There a symmetry generator is a sum of terms,
+    graded Kronecker products of one `qgl._legs` leg through
+    `qgl.act_on_signs`, of one Leibniz term of `osp.leibniz_tensor`, or
+    sigma on every slot.  A Koszul sign factors slot by slot, so on T's
+    two slots each term is one of two things.
+    - Group-like there: I (x) I, k_i^+-1 (x) k_i^+-1 (a product of the
+      K_a (x) K_a and their inverses) or sigma (x) sigma, times the parity
+      operator where an odd factor stands to their right.  T commutes with
+      each, as it does with the K_a, sigma and the parity operator.
+    - Its leg lands on one of the two slots.  The two such terms share
+      their factors on the other slots and sum there to the two-slot
+      coproduct of the same generator, with which T commutes.
+    T is even, so id (x) T (x) id is the plain Kronecker product and
+    commutes with every term's factors on the other slots.
     """
     diagonals = [{i: v for (i, _), v in g.entries.items()}
                  if all(i == k for (i, k) in g.entries) else None
@@ -852,6 +874,23 @@ def check_membership(images: dict, gens) -> None:
             if not commutes:
                 raise MembershipError(f"diagram generator {name} does not "
                                       f"centralise symmetry generator {j}")
+
+
+def _check_tokens(kind: str, ctx: EvalContext, r: int, s: int) -> None:
+    """`check_membership` on two slots for each token the cell places: the
+    diagram generators of the smallest cell that carries it, against that
+    cell's symmetry generators after its parity operator (generator 0)."""
+    cells = [(2, 0)] if r >= 2 else []
+    if kind == "walled":
+        cells += [(1, 1)] * (s >= 1) + [(0, 2)] * (s >= 2)
+    for a, b in cells:
+        space = ctx.space_of("+" * a + "-" * b)
+        parity = SparseMat(space, space, {(i, i): 1 - 2 * p for i, p
+                                          in enumerate(space.parities)})
+        gens = (_osp_generator_mats(*ctx.mn, a) if kind == "brauer"
+                else _glq_generator_mats(ctx.datum, a, b))
+        check_membership(diagram_generators(kind, ctx, a, b),
+                         [parity] + gens)
 
 
 # ---------------------------------------------------------------------------
@@ -969,13 +1008,14 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     flavor "gl": quantum gl(m|n), Hecke images (walled when s > 0).
     flavor "osp": classical osp(m|2n) with the sigma-extended pair and
     Brauer images; for even m the spanning bound 2r < m(2n+1) is recorded.
-    The stages run in order: the symmetry generators, the diagram
-    generators and membership, the set J of `generating_columns`, the span
-    on J's columns (exact over Q for osp, the closure's first point for
-    gl), the commutant certified against the first point's span rank, then
-    the later gl points (see the module docstring).  A malformed
-    cell (r < 1, s < 0, s > 0 for osp, or points that are empty, repeated,
-    or among 0 and +-1) raises ValueError before any work starts.
+    The stages run in order: the symmetry generators, membership on the
+    two slots of each token, the diagram generators, the set J of
+    `generating_columns`, the span on J's columns (exact over Q for osp,
+    the closure's first point for gl), the commutant certified against the
+    first point's span rank, then the later gl points (see the module
+    docstring).  A malformed cell (r < 1, s < 0, s > 0 for osp, or points
+    that are empty, repeated, or among 0 and +-1) raises ValueError before
+    any work starts.
     """
     t0 = time.monotonic()
     points = list(points)
@@ -994,11 +1034,11 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
         brauer_count(r)  # before any generator is built
         gens, point = _osp_generator_mats(m, n, r), None
     heights = module_heights(datum, (1,) * r + (-1,) * s)
-    # Every image is a product of the diagram generators, so once those are
-    # checked to centralise the symmetry generators, the span rank is a
-    # lower bound for the commutant dimension.
+    # Every image is a product of the diagram generators, so once their
+    # tokens are checked to centralise the symmetry generators on two slots,
+    # the span rank is a lower bound for the commutant dimension.
+    _check_tokens(kind, ctx, r, s)
     dgens = diagram_generators(kind, ctx, r, s)
-    check_membership(dgens, gens)
     # the images are ranked on the columns of J, which generates the module
     # mod p (at points[0] for gl); None keeps every column
     cols, split = generating_columns(gens, heights, point)

@@ -22,11 +22,12 @@ candidate g @ b out only when it keeps it.  A Brauer candidate is kept
 when its diagram is new (diagram_images() returns that map).  The gl
 closure (Hecke and walled) is its own first point: a candidate is kept
 when its value at that point raises the rank of the kept ones, mod p in
-the caller's `Echelon` or exactly, and a Hecke candidate is tried only
-when it lengthens its permutation to one not tried before.  Given the
-basis vectors of a set J that generates the module, every closure (Brauer
-too) keeps each image as its d x |J| columns on J, which fix an image that
-commutes with the symmetry generators.
+the caller's `Echelon` or exactly; a Hecke candidate is tried only when it
+lengthens its permutation to one not tried before, and a walled one g @ b
+only when b's word does not end in g.  Given the basis vectors of a set J
+that generates the module, every closure (Brauer too) keeps each image as
+its d x |J| columns on J, which fix an image that commutes with the
+symmetry generators.
 """
 
 from __future__ import annotations
@@ -178,9 +179,10 @@ def _walled_generators(ctx: EvalContext, r: int,
     """X+ at each V-side strand, the wall turnback and X+ at each V*-side
     strand, as the walled closure multiplies them out.
 
-    No X- is placed: either braiding obeys the Hecke quadratic, so
-    X- = X+ - (q - q^-1) lies in the span of X+ and the identity, and the
-    algebra the closure spans, which contains the identity, is the same.
+    No X- is placed: either braiding obeys the Hecke quadratic, checked
+    exactly by the walled closure, so X- = X+ - (q - q^-1) lies in the span
+    of X+ and the identity, and the algebra the closure spans, which
+    contains the identity, is the same.
     """
     V, Vd = ctx.V, ctx.V.dual()
     iV, iVd = SparseMat.identity(V), SparseMat.identity(Vd)
@@ -194,17 +196,19 @@ def _walled_generators(ctx: EvalContext, r: int,
         out["wall turnback"] = kron_chain([iV] * (r - 1) + [turn]
                                           + [iVd] * (s - 1))
     if s >= 2:
-        # the dual braiding must obey the Hecke quadratic of the V-side one,
-        # with inverse gd - (q - q^-1) as in qgl.braiding_inverse
         gd = dual_braiding(ctx)
-        ident = SparseMat.identity(gd.src)
-        if gd @ (gd - ident.scale(qpow(1) - qpow(-1))) != ident:
-            raise VerificationError("the dual braiding fails the Hecke "
-                                    "quadratic")
         for j in range(1, s):
             out[f"dual X+ at strand {r + j}"] = kron_chain(
                 [iV] * r + [iVd] * (j - 1) + [gd] + [iVd] * (s - j - 1))
     return out
+
+
+def _check_hecke_quadratic(g: SparseMat, what: str) -> None:
+    """g (g - (q - q^-1)) = 1 exactly, the quadratic of
+    `qgl.braiding_inverse`; VerificationError names `what` fails it."""
+    ident = SparseMat.identity(g.src)
+    if g @ (g - ident.scale(qpow(1) - qpow(-1))) != ident:
+        raise VerificationError(f"{what} fails the Hecke quadratic")
 
 
 def check_image_cap(kind: str, r: int, s: int) -> int:
@@ -237,7 +241,14 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     span of the images kept by then) or (q - q^-1) T_v + T_{s_i v} with
     s_i v shorter.  Independence at the point implies independence over
     Q(q), so every kept image is new; UnluckyPrime if a denominator
-    vanishes mod p.
+    vanishes mod p.  A walled candidate g @ b is not tried when b's word
+    ends in g: b = g @ b' with b' kept, and g @ g @ b' lies in the span of
+    the kept b and b', because each walled token obeys a quadratic
+    relation on its two slots.  X+ and the dual X+ are checked here against
+    the Hecke quadratic, after membership (`fft_report`), which names a
+    token that is no module map.  The wall turnback e = U+ Om- obeys
+    e e = U+ (Om- U+) Om- = delta e, with delta = Om- U+ the loop value,
+    for any cup and cap.
 
     With `columns` (the basis vectors of a set J), the closure starts from
     the identity restricted to J, so every image is kept as its d x |J|
@@ -249,6 +260,10 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     """
     _check_kind(kind, ctx, r, s)
     cap = check_image_cap(kind, r, s)
+    if kind == "walled" and r >= 2:
+        _check_hecke_quadratic(ctx.images["X+"], "the braiding")
+    if kind == "walled" and s >= 2:
+        _check_hecke_quadratic(dual_braiding(ctx), "the dual braiding")
     if gens is None:
         gens = diagram_generators(kind, ctx, r, s)
     ident = _identity_on(ctx.space_of(("+",) * r + ("-",) * s), columns)
@@ -267,20 +282,22 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     seen = {tuple(range(r))}  # permutations tried: bottom strand at each top
 
     def mul(g_key, b_key):
-        (i, g), (perm, b) = g_key, b_key
-        if kind == "hecke":
-            if perm[i - 1] > perm[i]:  # X_i would shorten the permutation
-                return None
-            perm = perm[:i - 1] + (perm[i], perm[i - 1]) + perm[i + 1:]
-            if perm in seen:
-                return None
-            seen.add(perm)
+        # a key's tag: the permutation (Hecke) or the last generator (walled)
+        (i, g), (tag, b) = g_key, b_key
+        if kind == "walled":
+            return None if tag == i else (i, product(g, b))
+        if tag[i - 1] > tag[i]:  # X_i would shorten the permutation
+            return None
+        perm = tag[:i - 1] + (tag[i], tag[i - 1]) + tag[i + 1:]
+        if perm in seen:
+            return None
+        seen.add(perm)
         return perm, product(g, b)
 
     kept = _span_closure(
         [((i, value(g, point)), g) for i, g in enumerate(gens.values(), 1)],
-        ((tuple(range(r)), value(ident, point)), ident), cap, mul,
-        lambda key: raises(vectorize(key[1])))
+        ((tuple(range(r)) if kind == "hecke" else 0, value(ident, point)),
+         ident), cap, mul, lambda key: raises(vectorize(key[1])))
     return [img for _, img in kept]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -490,6 +491,141 @@ def test_membership_against_diagonal_generators_takes_no_products(
     with pytest.raises(MembershipError,
                        match="diagram generator e1 does not centralise"):
         check_membership({"flip": flip, "e1": e1}, diag)
+
+
+# The 24 benchmark cells (perfbench/workloads.py) and the cheap CI cells.
+MEMBERSHIP_CELLS = (
+    [("osp", m, n, r, 0)
+     for (m, n) in [(1, 1), (2, 1), (3, 1), (4, 1), (3, 2)] for r in (1, 2, 3)]
+    + [("gl", 2, 1, 4, 0), ("gl", 1, 1, 3, 2), ("gl", 1, 1, 2, 0),
+       ("gl", 1, 1, 3, 0), ("gl", 2, 1, 2, 0), ("gl", 2, 1, 3, 0),
+       ("gl", 1, 2, 2, 0), ("gl", 2, 2, 2, 0), ("gl", 2, 1, 1, 1)]
+    + [("gl", 1, 1, 4, 0), ("gl", 1, 1, 5, 0), ("gl", 1, 1, 2, 2),
+       ("gl", 2, 1, 2, 2), ("gl", 2, 0, 2, 2), ("gl", 1, 1, 1, 2),
+       ("osp", 0, 1, 3, 0), ("osp", 4, 0, 3, 0), ("osp", 2, 2, 2, 0)])
+
+
+def _failing_token(check):
+    """The token a membership check names, strand numbers dropped; None
+    where it passes."""
+    try:
+        check()
+    except MembershipError as exc:
+        name = re.match("diagram generator (.+) does not", str(exc))[1]
+        return re.sub(r"\d+", "", name)
+    return None
+
+
+def _both_membership_checks(flavor, m, n, r, s):
+    """(global verdict, two-slot verdict) of `_failing_token` on a cell."""
+    datum = distinguished(flavor, m, n)
+    if flavor == "gl":
+        ctx = make_context("glq", datum=datum)
+        kind = "walled" if s else "hecke"
+        gens = _glq_generator_mats(datum, r, s)
+    else:
+        ctx, kind = make_context("osp_classical", m=m, n=n), "brauer"
+        gens = _osp_generator_mats(m, n, r)
+    dgens = diagram_generators(kind, ctx, r, s)
+    return (_failing_token(lambda: check_membership(dgens, gens)),
+            _failing_token(lambda: centralizer._check_tokens(kind, ctx, r, s)))
+
+
+@pytest.mark.parametrize("cell", MEMBERSHIP_CELLS)
+def test_two_slot_membership_agrees_with_the_global_check(cell):
+    assert _both_membership_checks(*cell) == (None, None)
+
+
+@pytest.mark.parametrize("cell", [("osp", 1, 1, 2, 0), ("osp", 3, 1, 3, 0),
+                                  ("osp", 4, 1, 3, 0), ("osp", 3, 2, 2, 0)])
+def test_both_membership_checks_name_an_ungraded_brauer_flip(ungraded_tau,
+                                                             cell):
+    assert _both_membership_checks(*cell) == ("s", "s")
+
+
+@pytest.mark.parametrize("cell", [("gl", 2, 1, 3, 0), ("gl", 1, 1, 2, 1),
+                                  ("gl", 2, 1, 2, 2), ("gl", 1, 1, 1, 2)])
+def test_both_membership_checks_name_an_ungraded_gl_braiding(monkeypatch,
+                                                             cell):
+    def flip(datum):
+        V = qgl.natural_space(datum)
+        return _ungraded_flip(V, V)
+    monkeypatch.setattr(qgl, "braiding", flip)
+    monkeypatch.setattr(qgl, "braiding_inverse", flip)
+    want = "dual X+ at strand " if cell[3] == 1 else "X+ at strand "
+    assert _both_membership_checks(*cell) == (want, want)
+
+
+@pytest.mark.parametrize("cell", [("gl", 1, 1, 1, 1), ("gl", 2, 1, 2, 1),
+                                  ("gl", 1, 2, 2, 2)])
+def test_both_membership_checks_name_an_unsigned_turnback(monkeypatch, cell):
+    # the evaluation V (x) V* -> 1 without its supertrace sign
+    plain = qgl.duality_maps
+
+    def unsigned(datum):
+        dm = plain(datum)
+        V = qgl.natural_space(datum)
+        om = SparseMat(dm.omega_p.src, dm.omega_p.dst,
+                       {(0, c): -v if V.parities[c // V.dim] else v
+                        for (_, c), v in dm.omega_p.entries.items()})
+        return qgl.DualityMaps(dm.omega, dm.upsilon, om, dm.upsilon_p)
+    monkeypatch.setattr(qgl, "duality_maps", unsigned)
+    assert _both_membership_checks(*cell) == ("wall turnback",) * 2
+
+
+def _odd_map(V, W):
+    """Swap the first even and the first odd basis vector of the first slot
+    and kill the others there: a parity-odd map of V (x) W."""
+    even, odd = V.parities.index(0), V.parities.index(1)
+    return SparseMat(V.tensor(W), V.tensor(W),
+                     {(a * W.dim + w, b * W.dim + w): 1
+                      for a, b in ((even, odd), (odd, even))
+                      for w in range(W.dim)})
+
+
+@pytest.mark.parametrize("flavor, name", [("gl", "X+ at strand 1"),
+                                          ("osp", "s1")])
+def test_a_parity_odd_token_fails_against_the_parity_operator(monkeypatch,
+                                                              flavor, name):
+    # evenness is one step of the two-slot argument: the parity operator is
+    # the first generator each token is checked against
+    if flavor == "gl":
+        def odd(datum):
+            V = qgl.natural_space(datum)
+            return _odd_map(V, V)
+        monkeypatch.setattr(qgl, "braiding", odd)
+        monkeypatch.setattr(qgl, "braiding_inverse", odd)
+    else:
+        monkeypatch.setattr(osp_mod, "tau", _odd_map)
+        osp_mod.brauer_rep.cache_clear()
+    try:
+        with pytest.raises(MembershipError, match=re.escape(
+                f"diagram generator {name} does not centralise symmetry "
+                "generator 0")):
+            fft_report(flavor, 1, 1, 3)
+    finally:
+        osp_mod.brauer_rep.cache_clear()
+
+
+@pytest.mark.parametrize("flavor, m, n, r, s, tokens", [
+    ("gl", 2, 1, 2, 2, [["X+ at strand 1"], ["wall turnback"],
+                        ["dual X+ at strand 1"]]),
+    ("gl", 1, 1, 3, 0, [["X+ at strand 1"]]),
+    ("osp", 3, 1, 3, 0, [["s1", "e1"]]),
+    ("osp", 3, 1, 1, 0, [])])
+def test_each_token_is_checked_on_two_slots_after_their_parity(
+        monkeypatch, flavor, m, n, r, s, tokens):
+    calls = []
+    monkeypatch.setattr(centralizer, "check_membership",
+                        lambda images, gens: calls.append((images, gens)))
+    fft_report(flavor, m, n, r, s)
+    assert [list(images) for images, _ in calls] == tokens
+    dim_v = m + n if flavor == "gl" else m + 2 * n
+    for images, gens in calls:
+        space = next(iter(images.values())).src
+        assert space.dim == gens[1].src.dim == dim_v ** 2
+        assert gens[0] == SparseMat(space, space, {
+            (i, i): -1 if p else 1 for i, p in enumerate(space.parities)})
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from qschur import diagrams
 from qschur.diagrams import (BraidWord, RibbonWord,
                              braid_to_ribbon, brauer_basis, brauer_count,
                              closure, parse_braid)
+from qschur.errors import VerificationError
 from qschur.functor import (BudgetError, diagram_generators, diagram_images,
                             dual_braiding, evaluate, image_basis, invariant,
                             make_context)
@@ -304,3 +305,65 @@ def test_dual_braiding_is_a_braiding():
         iVd = SparseMat.identity(Vd)
         g1, g2 = graded_kron(gd, iVd), graded_kron(iVd, gd)
         assert g1 @ g2 @ g1 == g2 @ g1 @ g2
+
+
+class _CountingEchelon(Echelon):
+    """An `Echelon` that counts the rows offered to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.offered = 0
+
+    def add(self, row):
+        self.offered += 1
+        return super().add(row)
+
+
+def _walled_closure_trying_every_product(ctx, r, s, point):
+    """The walled closure mod p without the skip: every g @ b is tried.
+    Returns the kept residues, the echelon and the rows it offered to it."""
+    gens = [g.residues(point)
+            for g in diagram_generators("walled", ctx, r, s).values()]
+    ech = Echelon()
+    kept = [SparseMat.identity(ctx.space_of("+" * r + "-" * s))]
+    ech.add(vectorize(kept[0]))
+    offered = 1
+    for b in kept:
+        for g in gens:
+            offered += 1
+            c = g.matmul_mod(b)
+            if ech.add(vectorize(c)):
+                kept.append(c)
+    return kept, ech, offered
+
+
+@pytest.mark.parametrize("m, n, r, s", [
+    (1, 1, 1, 1), (1, 1, 2, 1), (1, 1, 2, 2), (1, 1, 3, 2), (2, 1, 1, 1),
+    (2, 1, 2, 1), (1, 2, 2, 1), (2, 2, 1, 1), (2, 0, 2, 2)])
+def test_walled_closure_skips_a_generator_its_word_ends_in(m, n, r, s):
+    # each walled token obeys a quadratic relation, so g @ g @ b' lies in the
+    # span of g @ b' and b': skipping it keeps the same images, in the same
+    # order, with the same pivot columns
+    ctx = make_context("glq", datum=distinguished("gl", m, n))
+    point = DEFAULT_POINTS[0]
+    want, want_ech, offered = _walled_closure_trying_every_product(
+        ctx, r, s, point)
+    ech = _CountingEchelon()
+    kept = image_basis("walled", ctx, r, s, echelon=ech)
+    assert [img.residues(point) for img in kept] == want
+    assert ech.pivot_columns == want_ech.pivot_columns
+    assert ech.offered <= offered
+    if (m, n, r, s) == (1, 1, 3, 2):
+        assert (len(kept), ech.offered, offered) == (70, 212, 281)
+
+
+def test_the_walled_closure_checks_the_hecke_quadratics(monkeypatch):
+    # X+ and the dual X+ are checked against the Hecke quadratic before the
+    # walled closure relies on it; an involution fails it
+    ctx = make_context("glq", datum=distinguished("gl", 2, 1))
+    monkeypatch.setitem(ctx.images, "X+", tau(ctx.V, ctx.V))
+    with pytest.raises(VerificationError, match="the braiding fails"):
+        image_basis("walled", ctx, 2, 1)
+    image_basis("walled", ctx, 1, 1)  # no X+ placed: nothing to check
+    with pytest.raises(VerificationError, match="the dual braiding fails"):
+        image_basis("walled", ctx, 1, 2)
