@@ -68,43 +68,35 @@ vectors of length d are reduced, and no d^2 system is built.
 
 If a check fails, generation stops short, or the sum misses the span
 rank, the fallback is logged and, wherever J was found, the spin
-certificate decides (`certify_spin`).  A commuting map M is fixed by its
-values on J, each a vector of e_j's weight class: U = sum over j in J of
-|class(j)| unknowns.  J is first checked to generate mod p, from the top
-class down.  Then M is built top down as linear forms in the unknowns
-(M(L e_k) = L M(e_k) on the lowering images that span each class with
-J's vectors, M(e_b) by solving that basis mod p), and each
-constraint M(x e_b) = x M(e_b) goes to the F_p `Echelon` as soon as M is
-built on its two classes, until U - rank meets the span rank; no row is
-built past that stop, which proves `equal` and is recorded as a
-`SpinCertificate` (prime, point, |J|, U, rows used, rank).  The system is
-complete, so its nullity is nullity_p(rows): a miss means the rows would
-miss too, and the exact path decides.  Of the benchmark cells, osp(2|2)
-r=2 and osp(3|2) r=3 take this certificate: their primitive vectors do
-not generate the module.  Where no J was found, or J fails the check, the
-rows decide: survivors - rank_p(rows) bounds nullity_p(rows) from above
-for any prefix of the commutant rows, so the rows are assembled one
-symmetry generator at a time and fed to the `Echelon` until the two ends
-of the chain meet, recorded as a `Certificate` (prime, point, rows used
-of rows assembled, survivors, rank).  If the bounds never meet, or a
-denominator vanishes mod p, the fallback is logged again and the exact
-path decides: one nullity over Q for osp, or for quantum gl the least of
-the exact nullities at the rational points, each of which is an upper
-bound for the nullity over Q(q) (`least_nullity`).  Every certificate is
-tried inside the one commutant call of a cell (`_certify`).
-Only then are the later gl points ranked.  With a certificate, each
-reduces only the kept images' entries in the R pivot columns of the
-echelon; dropping columns can only lower a rank, so a point that reaches
-R has the exact rank R, and the points short of it are ranked exactly on
-the same images on J's columns.  J is only proved to generate at
-points[0], but an exact rank on J's columns that reaches R is again the
-exact rank R; the points still short are ranked exactly on the same
-images rebuilt once on every column (logged).  Without one, the closure
-is run again with exact ranks on every column: its image count is the
-exact rank at points[0], and every later point is ranked exactly on its
-images.  So `agreement` compares exact ranks, and gap verdicts always come
-from exact arithmetic.  span_rank <= commutant_dim is asserted in every
-case.
+certificate decides (`certify_spin`): a commuting map is fixed by its U
+values on J, and the constraints M(x e_b) = x M(e_b) go to an F_p
+`Echelon` until U - rank meets the span rank, recorded as a
+`SpinCertificate`.  Of the benchmark cells, osp(2|2) r=2 and osp(3|2)
+r=3 take it: their primitive vectors do not generate the module.  Where
+no J was found, or J fails the check, the commutator rows decide
+(`certify_nullity`): survivors - rank_p(rows) bounds nullity_p(rows) from
+above for any prefix of the rows, recorded as a `Certificate`.  If the
+bounds never meet, or a denominator vanishes mod p, the fallback is
+logged again and the exact path decides: one nullity over Q for osp, or
+for quantum gl the least of the exact nullities at the rational points,
+each an upper bound for the nullity over Q(q) (`least_nullity`).  Every
+certificate is tried inside the one commutant call of a cell
+(`_certify`).
+
+Only then are the later gl points ranked.  With a certificate, the
+closure's kept words are replayed mod p at each later point from the
+generators' residues there, and only their entries in the R pivot
+columns of the first point's echelon are ranked (`_pivot_ranks`); no
+product and no residue is taken over Q(q).  Dropping columns can only
+lower a rank, so a point that reaches R has the exact rank R.  A point
+short of it is ranked exactly on the same words, replayed over Q at that
+point on J's columns; J is only proved to generate at points[0], so a
+point still short is replayed once more on every column (logged).
+Without a certificate, the closure is run again with exact ranks on every
+column: its image count is the exact rank at points[0], and every later
+point is ranked exactly on its images.  So `agreement` compares exact
+ranks, and gap verdicts always come from exact arithmetic.
+span_rank <= commutant_dim is asserted in every case.
 """
 
 from __future__ import annotations
@@ -120,7 +112,8 @@ from . import qgl, superspace
 from .diagrams import brauer_count, quotient_relations
 from .errors import MembershipError, UnluckyPrime, UsageError, check_power
 from .functor import (EvalContext, check_image_cap, diagram_generators,
-                      evaluate, image_basis, make_context)
+                      evaluate, identity_on, image_basis, make_context,
+                      replay)
 from .rootdata import RootDatum, distinguished
 from .scalar import RatFunc, qint, rational_residue
 from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, int_rank,
@@ -937,46 +930,61 @@ class FftReport:
         return out
 
 
-# A gl cell keeps the images its closure kept mod p through the commutant
-# stage, to rank its later points on them; the closure itself, not the
-# commutant, sets the peak memory of the heavy cells.
-
-def _pivot_ranks(images, ech: Echelon, points) -> list[int]:
+def _pivot_ranks(words, ech: Echelon, start, later: dict) -> list[int]:
     """Ranks mod p at the points of the images the gl closure kept in `ech`.
 
     The closure (`image_basis`) keeps, at points[0], the R images that
-    raise the rank of `ech`; that echelon gives R and the R pivot columns,
-    on which the kept images carry an R x R minor that is nonsingular mod
-    p.  Every later point b reduces only the kept images' entries in those
-    columns.  Dropping columns can only lower a rank, so each rank is a
-    lower bound for the exact rank at its point and none exceeds R.  Once
-    the commutant dimension is certified to be R,
+    raise the rank of `ech`, and returns their words; `ech` gives R and
+    the R pivot columns, on which the kept images carry an R x R minor
+    that is nonsingular mod p.  `later` maps each later point b to the
+    generators' residues there (`_residues_at`).  Each b replays the words
+    mod p from `start`, the identity on J's columns, and ranks only their
+    entries in the pivot columns.  Dropping columns can only lower a rank,
+    so once the commutant dimension is certified to be R,
 
         rank_p(minor at b) <= rank_p(span at b) <= rank_Q(span at b)
                            <= generic span rank <= commutant dim = R,
 
-    so a later point that reaches R has the exact rank R.  A later point
-    short of R, or one whose denominators vanish mod p (counted 0), is
-    logged, and `fft_report` ranks it exactly on the same images.
+    and a later point that reaches R has the exact rank R.  A point short
+    of R is logged, and so is one whose residues are None (counted 0);
+    `fft_report` ranks both exactly on the same words (`_exact_ranks`).
     """
-    keys = [divmod(c, images[0].cols) for c in ech.pivot_columns]
+    pivots = ech.pivot_columns
+    keys = [divmod(c, start.cols) for c in pivots]
     ranks = [ech.rank]
-    for point in points[1:]:
-        ech = Echelon()
-        try:
-            for img in images:
-                ech.add(vectorize(img.residues(point, keys)))
-        except UnluckyPrime as exc:
-            log_fallback(__name__, "span rank at q = %s: %s; exact rank",
-                         point, exc)
+    for point, values in later.items():
+        if values is None:
             ranks.append(0)
             continue
+        ech = Echelon()
+        for img in replay(words, values, start, SparseMat.matmul_mod):
+            ech.add({c: v for c, k in zip(pivots, keys)
+                     if (v := img.entries.get(k))})
         ranks.append(ech.rank)
-        if ech.rank < len(images):
+        if ech.rank < len(words):
             log_fallback(__name__, "span rank at q = %s on %d pivot columns: "
                          "rank %d of %d; exact rank", point, len(keys),
-                         ech.rank, len(images))
+                         ech.rank, len(words))
     return ranks
+
+
+def _residues_at(gens, point):
+    """The residues of `gens` at q = `point`, or None (logged) where a
+    denominator vanishes mod p."""
+    try:
+        return [g.residues(point) for g in gens]
+    except UnluckyPrime as exc:
+        log_fallback(__name__, "span rank at q = %s: %s; exact rank", point,
+                     exc)
+        return None
+
+
+def _exact_ranks(words, gens, start, points) -> dict:
+    """The exact rank over Q at each point of the images that `words` spell,
+    replayed from `start` and the generators `gens` specialised there."""
+    return {a: ranks_at([vectorize(img) for img in replay(
+                words, [g.specialize(a) for g in gens], start)], [a])[0]
+            for a in points}
 
 
 def _check_cell(flavor: str, r: int, s: int, points) -> None:
@@ -1055,38 +1063,41 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     else:
         ech = Echelon()
         try:
-            images = image_basis(kind, ctx, r, s, points, ech, cols, dgens)
+            words = image_basis(kind, ctx, r, s, points, ech, cols, dgens)
         except UnluckyPrime as exc:
             # no certificate can meet a span rank of 0: the exact path decides
             log_fallback(__name__, "span closure at q = %s: %s; exact path",
                          points[0], exc)
-            images = []
-        cdim, cert = commutant_dim_glq(gens, d, points, len(images), heights,
+            words = []
+        cdim, cert = commutant_dim_glq(gens, d, points, len(words), heights,
                                        cols, split)
         if cert is None:
             # the exact closure keeps the images independent at points[0],
-            # so their count is its exact rank; every later point is short
+            # so their count is its exact rank; every later point is ranked
+            # exactly on them
             images = image_basis(kind, ctx, r, s, points)
-            ranks = [len(images)] + [0] * len(points[1:])
+            ranks = [len(images)] + (ranks_at(
+                [vectorize(img) for img in images], points[1:])
+                if points[1:] else [])
         else:
-            ranks = _pivot_ranks(images, ech, points)
-        # rank_p <= rank_Q <= ranks[0] at every point: only the points short
-        # of ranks[0] need an exact rank, of the same images
-        short = [a for a, rk in zip(points, ranks) if rk < ranks[0]]
-        exact = dict(zip(short, ranks_at(
-            [vectorize(img) for img in images], short))) if short else {}
-        short = [a for a in short if exact[a] < ranks[0]]
-        if short and cert is not None and cols is not None:
-            # dropping columns can only lower a rank, so an exact rank on
-            # J's columns that reaches ranks[0] is exact; J may not generate
-            # at the other points: rebuild the same images on every column
-            log_fallback(__name__, "short on J's columns at q = %s; full "
-                         "images", ", ".join(map(str, short)))
-            images = image_basis(kind, ctx, r, s, points, Echelon(), None,
-                                 dgens)
-            exact.update(zip(short, ranks_at(
-                [vectorize(img) for img in images], short)))
-        ranks = [exact.get(a, rk) for a, rk in zip(points, ranks)]
+            space, glist = ctx.space_of("+" * r + "-" * s), list(dgens.values())
+            start = identity_on(space, cols)
+            ranks = _pivot_ranks(words, ech, start, {
+                a: _residues_at(glist, a) for a in points[1:]})
+            # rank_p <= rank_Q <= ranks[0] at every point: only the points
+            # short of ranks[0] need an exact rank, of the same words
+            exact = _exact_ranks(words, glist, start, [
+                a for a, rk in zip(points, ranks) if rk < ranks[0]])
+            short = [a for a, rk in exact.items() if rk < ranks[0]]
+            if short and cols is not None:
+                # dropping columns can only lower a rank, so an exact rank
+                # on J's columns that reaches ranks[0] is exact; J may not
+                # generate at the other points: replay on every column
+                log_fallback(__name__, "short on J's columns at q = %s; full "
+                             "images", ", ".join(map(str, short)))
+                exact.update(_exact_ranks(words, glist,
+                                          identity_on(space, None), short))
+            ranks = [exact.get(a, rk) for a, rk in zip(points, ranks)]
     srank = max(ranks)
     agreement = len(set(ranks)) == 1
     bound = bound_lhs = bound_ok = None

@@ -17,22 +17,25 @@ diagram images) and walled (the algebra generated by V-side crossings,
 dualised V*-side crossings and the wall turnback on
 V^{(x) r} (x) V*^{(x) s}).  One breadth-first span closure builds all
 three out of the placed elementary tangles that diagram_generators()
-returns, so every image is a product of those generators: it multiplies a
-candidate g @ b out only when it keeps it.  A Brauer candidate is kept
-when its diagram is new (diagram_images() returns that map).  The gl
-closure (Hecke and walled) is its own first point: a candidate is kept
-when its value at that point raises the rank of the kept ones, mod p in
-the caller's `Echelon` or exactly; a Hecke candidate is tried only when it
-lengthens its permutation to one not tried before, and a walled one g @ b
-only when b's word does not end in g.  Given the basis vectors of a set J
-that generates the module, every closure (Brauer too) keeps each image as
-its d x |J| columns on J, which fix an image that commutes with the
-symmetry generators.
+returns, so every image is a product of those generators.  The closure
+works on keys alone and records each kept image as its word, the pair
+(generator, earlier kept image); replay() multiplies the words out, over
+Q(q), mod p or exactly at a point.  A Brauer candidate is kept when its
+diagram is new (diagram_images() returns that map).  The gl closure
+(Hecke and walled) is its own first point: a candidate is kept when its
+value at that point raises the rank of the kept ones, mod p in the
+caller's `Echelon` (which gets the words back) or exactly (which gets the
+images over Q(q)); a Hecke candidate is tried only when it lengthens its
+permutation to one not tried before, and a walled one g_i @ b only when
+b's word does not end in g_i or in a generator on slots left of g_i's
+(they commute).  Given the basis vectors of a set J that generates the
+module, every closure (Brauer too) keeps each image as its d x |J| columns
+on J, which fix an image that commutes with the symmetry generators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import osp as osp_mod
 from . import qgl
@@ -48,7 +51,7 @@ from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, SuperSpace,
 __all__ = [
     "EvalContext", "make_context", "evaluate", "invariant", "image_basis",
     "diagram_images", "diagram_generators", "BudgetError", "dual_braiding",
-    "check_image_cap",
+    "check_image_cap", "identity_on", "replay",
 ]
 
 DEFAULT_BUDGET = 625  # max dimension of any space met during evaluation
@@ -63,6 +66,8 @@ class EvalContext:
     budget: int = DEFAULT_BUDGET
     datum: RootDatum | None = None  # glq only
     mn: tuple[int, int] | None = None  # osp only
+    #: maps built from `images` on first use (`dual_braiding`)
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def space_of(self, signs) -> SuperSpace:
         """Tensor space of a directed sign tuple (+ is V, - is V*)."""
@@ -161,17 +166,21 @@ def dual_braiding(ctx: EvalContext) -> SparseMat:
     The left-duality sandwich with the inverse middle yields the opposite
     handedness (it satisfies the inverse Hecke quadratic); this one matches
     the V-side convention, certified by the Hecke and braid-relation tests.
+    It is built once per context, on first use, and kept in `ctx.derived`.
     """
     if ctx.flavor != "glq":
         raise ValueError("dual braiding lives in the glq context")
+    if "dual X+" in ctx.derived:
+        return ctx.derived["dual X+"]
     iV, iVd = SparseMat.identity(ctx.V), SparseMat.identity(ctx.V.dual())
     omp, upp = ctx.images["Om-"], ctx.images["U-"]
     c_v_vd = (kron_chain([iVd, iV, omp])
               @ kron_chain([iVd, ctx.images["X+"], iVd])
               @ kron_chain([upp, iV, iVd]))
-    return (kron_chain([iVd, iVd, omp])
-            @ kron_chain([iVd, c_v_vd, iVd])
-            @ kron_chain([upp, iVd, iVd]))
+    out = ctx.derived["dual X+"] = (kron_chain([iVd, iVd, omp])
+                                    @ kron_chain([iVd, c_v_vd, iVd])
+                                    @ kron_chain([upp, iVd, iVd]))
+    return out
 
 
 def _walled_generators(ctx: EvalContext, r: int,
@@ -224,38 +233,49 @@ def check_image_cap(kind: str, r: int, s: int) -> int:
 
 
 def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
-               echelon: Echelon | None, columns=None,
-               gens=None) -> list[SparseMat]:
+               echelon: Echelon | None, columns=None, gens=None) -> list:
     """Span closure of the Hecke or walled generators at q = `point`.
 
     A candidate g @ b is tested by its value at the point, the product of
     the kept values, and kept only when it raises the rank there: mod p in
     `echelon` (residues multiplied by `matmul_mod`), or with no echelon
-    exactly, by `rank_at` on specialised values.  Only a kept candidate is
-    multiplied out over Q(q).  A Hecke candidate X_i @ b is tried only when
-    X_i lengthens b's permutation to one not tried before, so every kept
-    image is the lift T_w of a reduced word of its permutation w, well
-    defined by Matsumoto's theorem.  The span stays complete: by induction
-    on the length, the images kept up to length l span every T_w with
-    l(w) <= l, since X_i T_v is either a lift that was tried (and is in the
-    span of the images kept by then) or (q - q^-1) T_v + T_{s_i v} with
-    s_i v shorter.  Independence at the point implies independence over
-    Q(q), so every kept image is new; UnluckyPrime if a denominator
-    vanishes mod p.  A walled candidate g @ b is not tried when b's word
-    ends in g: b = g @ b' with b' kept, and g @ g @ b' lies in the span of
-    the kept b and b', because each walled token obeys a quadratic
-    relation on its two slots.  X+ and the dual X+ are checked here against
-    the Hecke quadratic, after membership (`fft_report`), which names a
-    token that is no module map.  The wall turnback e = U+ Om- obeys
-    e e = U+ (Om- U+) Om- = delta e, with delta = Om- U+ the loop value,
-    for any cup and cap.
+    exactly, by `rank_at` on specialised values.  Independence at the point
+    implies independence over Q(q), so every kept image is new;
+    UnluckyPrime if a denominator vanishes mod p.  With an echelon the kept
+    words are returned and nothing is multiplied over Q(q); with none they
+    are replayed over Q(q) and the images returned.
+
+    A Hecke candidate X_i @ b is tried only when X_i lengthens b's
+    permutation to one not tried before, so every kept image is the lift
+    T_w of a reduced word of its permutation w, well defined by Matsumoto's
+    theorem.  The span stays complete: by induction on the length, the
+    images kept up to length l span every T_w with l(w) <= l, since
+    X_i T_v is either a lift that was tried (and is in the span of the
+    images kept by then) or (q - q^-1) T_v + T_{s_i v} with s_i v shorter.
+
+    Walled generator g_i acts on strands i, i+1 (X+ for i < r, the wall
+    turnback for i = r, the dual X+ beyond).  A candidate g_i @ b is not
+    tried when b = g_h @ b' (b's word ends in g_h) with h = i or h <= i - 2.
+    Call b of level l (its word's length) closed under g_i when g_i @ b is
+    in the span of the kept images of level <= l + 1, as every tried
+    candidate is; by induction on (l, i) every kept b is closed under every
+    g_i, so the kept images span the algebra.
+    - h = i: each token obeys a quadratic on its two slots, so g_i @ b is
+      in the span of b and b'.  X+ and the dual X+ are checked here against
+      the Hecke quadratic, after membership (`fft_report`), which names a
+      token that is no module map; the wall turnback e = U+ Om- obeys
+      e e = U+ (Om- U+) Om- = delta e, delta = Om- U+ the loop value.
+    - h <= i - 2: g_h and g_i act on disjoint slots and their tokens are
+      even (membership checks them against the parity operator), so
+      g_i @ b = g_h @ (g_i @ b'); g_i @ b' is a sum of kept k of level
+      <= l, and each g_h @ k is closed, as (level of k, h) < (l, i).
 
     With `columns` (the basis vectors of a set J), the closure starts from
     the identity restricted to J, so every image is kept as its d x |J|
     columns on J: g @ (b on J) is (g @ b) on J.  Dropping columns can only
     lower a rank; where J generates the module under maps that every image
     commutes with, a combination of images that vanishes on J vanishes, so
-    the same images are kept in the same order.  `gens` are the
+    the same words are kept in the same order.  `gens` are the
     `diagram_generators` (built here when None).
     """
     _check_kind(kind, ctx, r, s)
@@ -266,7 +286,7 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
         _check_hecke_quadratic(dual_braiding(ctx), "the dual braiding")
     if gens is None:
         gens = diagram_generators(kind, ctx, r, s)
-    ident = _identity_on(ctx.space_of(("+",) * r + ("-",) * s), columns)
+    ident = identity_on(ctx.space_of(("+",) * r + ("-",) * s), columns)
     if echelon is None:
         rows = []
 
@@ -282,10 +302,13 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     seen = {tuple(range(r))}  # permutations tried: bottom strand at each top
 
     def mul(g_key, b_key):
-        # a key's tag: the permutation (Hecke) or the last generator (walled)
+        # a key's tag: the permutation (Hecke) or the last generator (walled,
+        # 0 for the identity)
         (i, g), (tag, b) = g_key, b_key
         if kind == "walled":
-            return None if tag == i else (i, product(g, b))
+            if tag == i or 0 < tag <= i - 2:
+                return None
+            return i, product(g, b)
         if tag[i - 1] > tag[i]:  # X_i would shorten the permutation
             return None
         perm = tag[:i - 1] + (tag[i], tag[i - 1]) + tag[i + 1:]
@@ -294,14 +317,16 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
         seen.add(perm)
         return perm, product(g, b)
 
-    kept = _span_closure(
-        [((i, value(g, point)), g) for i, g in enumerate(gens.values(), 1)],
-        ((tuple(range(r)) if kind == "hecke" else 0, value(ident, point)),
-         ident), cap, mul, lambda key: raises(vectorize(key[1])))
-    return [img for _, img in kept]
+    words = [word for _, word in _span_closure(
+        [(i, value(g, point)) for i, g in enumerate(gens.values(), 1)],
+        (tuple(range(r)) if kind == "hecke" else 0, value(ident, point)),
+        cap, mul, lambda key: raises(vectorize(key[1])))]
+    if echelon is not None:
+        return words
+    return replay(words, list(gens.values()), ident)
 
 
-def _identity_on(space: SuperSpace, columns) -> SparseMat:
+def identity_on(space: SuperSpace, columns) -> SparseMat:
     """The identity of `space`, or with `columns` (the basis vectors of a set
     J) its d x |J| columns on J, from which a span closure starts."""
     if columns is None:
@@ -342,31 +367,48 @@ def diagram_images(ctx: EvalContext, r: int, columns=None,
         seen.add(d)
         return True
 
-    ident = _identity_on(ctx.V.tensor_power(r), columns)
-    return dict(_span_closure(list(zip(keys, gens.values())),
-                              (identity_diagram(r), ident), cap, _loop_free,
-                              is_new))
+    kept = _span_closure(keys, identity_diagram(r), cap, _loop_free, is_new)
+    images = replay([word for _, word in kept], list(gens.values()),
+                    identity_on(ctx.V.tensor_power(r), columns))
+    return {key: img for (key, _), img in zip(kept, images)}
 
 
 def _span_closure(gens, ident, cap, mul, keep) -> list:
-    """Breadth-first products g @ b of gens on ident.
+    """Breadth-first products g @ b of gens on ident, on their keys alone.
 
-    `ident` and each of `gens` is a (key, image) pair; mul(key(g), key(b))
-    is the key of g @ b, or None to skip it, and keep(key) accepts a new
-    key.  Only an accepted candidate is multiplied out over Q(q).  Returns
-    the kept (key, image) pairs in the order found, which is level by
-    level, stopping once `cap` are kept.
+    `ident` and each of `gens` is a key; mul(g, b) is the key of g @ b, or
+    None to skip it, and keep(key) accepts a new key.  Returns the kept
+    (key, word) pairs level by level, stopping once `cap` are kept: the
+    word None for the identity, (i, k) for gens[i] applied to the k-th kept
+    image, which `replay` multiplies out.
     """
-    keep(ident[0])
-    kept = [ident]
-    for b_key, b in kept:  # a queue: kept grows while it is walked
-        for g_key, g in gens:
-            c_key = mul(g_key, b_key)
-            if c_key is not None and keep(c_key):
-                kept.append((c_key, g @ b))
+    keep(ident)
+    kept = [(ident, None)]
+    for k, (b, _) in enumerate(kept):  # a queue: kept grows while it is walked
+        for i, g in enumerate(gens):
+            c = mul(g, b)
+            if c is not None and keep(c):
+                kept.append((c, (i, k)))
                 if len(kept) >= cap:
                     return kept
     return kept
+
+
+def replay(words, gens, start, product=None) -> list:
+    """The images that a span closure's kept words spell, in order: the word
+    None is `start`, and (i, k) is gens[i] applied to the k-th image.
+
+    Given the generators over Q(q) (and `product` None, for `@`), it gives
+    the images over Q(q); given their residues at a point and
+    `SparseMat.matmul_mod`, the images mod p there; given their
+    specialisations, the exact images there.
+    """
+    product = product or SparseMat.__matmul__
+    images = []
+    for word in words:
+        images.append(start if word is None
+                      else product(gens[word[0]], images[word[1]]))
+    return images
 
 
 #: The context flavor each kind of spanning set lives in.
@@ -407,12 +449,14 @@ def diagram_generators(kind: str, ctx: EvalContext, r: int,
 
 def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
                 points=None, echelon: Echelon | None = None, columns=None,
-                gens=None) -> list[SparseMat]:
+                gens=None) -> list:
     """Spanning set of diagram images on the r-th (mixed) tensor power, each
     a product of the matrices `diagram_generators` returns: the values of
     `diagram_images` for Brauer, and for Hecke and walled the images that
-    `_gl_images` keeps at the first of `points`, mod p into `echelon`, or
-    exactly when it is None.  A Hecke or walled caller reads the first
+    `_gl_images` keeps at the first of `points`.  With an `echelon` the gl
+    closure ranks them mod p into it and returns their words, one per kept
+    image, which `replay` multiplies out; with none it ranks exactly and
+    returns the images over Q(q).  A Hecke or walled caller reads the first
     point's rank and pivot columns from `echelon`.  Every caller may pass
     the generators it already built as `gens`, and the basis vectors of a
     generating set J as `columns`: each image, Brauer ones included, is then

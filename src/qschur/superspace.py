@@ -193,19 +193,15 @@ class SparseMat:
         return self.map_values(
             lambda v: v.specialize(point) if isinstance(v, RatFunc) else v)
 
-    def residues(self, point, keys=None) -> "SparseMat":
-        """Entries at q = point reduced mod p = PRIME, as ints in [0, p);
-        with `keys`, only the entries at those (row, col) positions.
+    def residues(self, point) -> "SparseMat":
+        """Entries at q = point reduced mod p = PRIME, as ints in [0, p).
 
         Built without a Fraction; UnluckyPrime if the point or a reduced
         entry's denominator vanishes mod p.
         """
         p = PRIME
         x = rational_residue(Fraction(point), p)
-        mat = self if keys is None else SparseMat(
-            self.src, self.dst,
-            {k: self.entries[k] for k in keys if k in self.entries})
-        return mat.map_values(
+        return self.map_values(
             lambda v: v.residue(x, p) if isinstance(v, RatFunc)
             else rational_residue(v, p))
 

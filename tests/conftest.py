@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 from qschur.centralizer import PrimitiveCertificate, SpinCertificate
+from qschur.functor import (diagram_generators, identity_on, image_basis,
+                            replay)
 from qschur.scalar import RatFunc
 from qschur.superspace import SparseMat, SuperSpace
 
@@ -69,6 +71,15 @@ def ratfunc_rank(rows) -> int:
                     else:
                         row.pop(k)
     return len(pivots)
+
+
+def closure_words(kind, ctx, r, s, echelon, columns=None):
+    """The words the gl closure keeps mod p in `echelon`, with the images
+    over Q(q) that they spell (`replay` from the placed generators)."""
+    words = image_basis(kind, ctx, r, s, None, echelon, columns)
+    gens = list(diagram_generators(kind, ctx, r, s).values())
+    start = identity_on(ctx.space_of("+" * r + "-" * s), columns)
+    return words, replay(words, gens, start)
 
 
 def casimir(datum, lam) -> int:

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (assert_certified, commutator_rows, dense_nullity,
-                      ratfunc_rank)
+from conftest import (assert_certified, closure_words, commutator_rows,
+                      dense_nullity, ratfunc_rank)
 from qschur import centralizer
 from qschur import osp as osp_mod
-from qschur import qgl, superspace
+from qschur import functor, qgl, superspace
 from qschur.centralizer import (MembershipError, PrimitiveCertificate,
                                 SpinCertificate, _glq_generator_mats,
                                 _osp_generator_mats, assemble_commutant_rows,
@@ -19,8 +19,8 @@ from qschur.centralizer import (MembershipError, PrimitiveCertificate,
                                 generating_columns, least_nullity,
                                 module_heights, relation_check)
 from qschur.errors import UsageError, VerificationError
-from qschur.functor import (BudgetError, diagram_generators, image_basis,
-                            make_context)
+from qschur.functor import (BudgetError, diagram_generators, identity_on,
+                            image_basis, make_context, replay)
 from qschur.qgl import act_on_signs, generator_names, natural_rep
 from qschur.rootdata import distinguished
 from qschur.scalar import Q, RatFunc, qint
@@ -628,6 +628,33 @@ def test_each_token_is_checked_on_two_slots_after_their_parity(
             (i, i): -1 if p else 1 for i, p in enumerate(space.parities)})
 
 
+def test_a_walled_cell_builds_the_dual_braiding_once(monkeypatch):
+    # the (0, 2) token check, the placed generators and the closure's Hecke
+    # quadratic share one dual braiding, built on first use
+    class Builds(dict):
+        count = 0
+
+        def __setitem__(self, key, value):
+            self.count += 1
+            super().__setitem__(key, value)
+
+    ctxs, calls, dual = [], [], functor.dual_braiding
+
+    def with_builds(*args, **kwargs):
+        ctxs.append(make_context(*args, **kwargs))
+        object.__setattr__(ctxs[-1], "derived", Builds())
+        return ctxs[-1]
+
+    def counted(ctx):
+        calls.append(ctx)
+        return dual(ctx)
+    monkeypatch.setattr(centralizer, "make_context", with_builds)
+    monkeypatch.setattr(functor, "dual_braiding", counted)
+    fft_report("gl", 2, 1, 2, s=2)
+    (ctx,) = ctxs
+    assert calls == [ctx] * 3 and ctx.derived.count == 1
+
+
 # ---------------------------------------------------------------------------
 # Commutant rows assembled one generator at a time.
 
@@ -907,15 +934,22 @@ def _span_args(m, n, r, s):
     return ctx, "hecke" if s == 0 else "walled", r, s, DEFAULT_POINTS
 
 
-def _closure(ctx, kind, r, s, points):
-    # what fft_report hands to _pivot_ranks: the kept images, their echelon
+def _closure(ctx, kind, r, s, points, columns=None):
+    # what fft_report hands to _pivot_ranks: the kept words, their echelon,
+    # the identity the words start from and the generators' residues at
+    # the later points
     ech = Echelon()
-    return image_basis(kind, ctx, r, s, points, ech), ech, points
+    words = image_basis(kind, ctx, r, s, points, ech, columns)
+    gens = list(diagram_generators(kind, ctx, r, s).values())
+    start = identity_on(ctx.space_of("+" * r + "-" * s), columns)
+    return words, ech, start, {a: [g.residues(a) for g in gens]
+                               for a in points[1:]}
 
 
 def _full_row_ranks(ctx, kind, r, s, points):
-    # the oracle: every point ranked on all residue rows
-    images = image_basis(kind, ctx, r, s, points=points, echelon=Echelon())
+    # the oracle: every point ranked on all residue rows of the images
+    # over Q(q)
+    images = closure_words(kind, ctx, r, s, Echelon())[1]
     ranks = []
     for point in points:
         ech = Echelon()
@@ -936,21 +970,97 @@ def test_span_ranks_on_pivot_columns_match_full_rows(cell):
                                            (1, 1, 5, 70)])
 def test_span_ranks_reduce_no_image_at_the_first_point(monkeypatch, m, n, r,
                                                        kept):
-    # the closure ranks the first point itself; each later point reduces
-    # only the kept images' entries on its pivot columns (gl(1|1) r >= 4 is
-    # not faithful: 20 of 24 and 70 of 120 permutations)
+    # the closure ranks the first point itself; each later point replays
+    # the words mod p and ranks only the kept images' entries on the pivot
+    # columns, with no residue over Q(q) (gl(1|1) r >= 4 is not faithful:
+    # 20 of 24 and 70 of 120 permutations)
     args = _span_args(m, n, r, 0)
     want = _full_row_ranks(*args)
     closed = _closure(*args)
-    keys_seen, residues = [], SparseMat.residues
+    pivots = set(closed[1].pivot_columns)
+    rows, add = [], Echelon.add
 
-    def spy(self, point, keys=None):
-        keys_seen.append(keys)
-        return residues(self, point, keys)
-    monkeypatch.setattr(SparseMat, "residues", spy)
+    def spy(self, row):
+        rows.append(row)
+        return add(self, row)
+
+    def no_residue(*args):
+        raise AssertionError("a residue over Q(q)")
+    monkeypatch.setattr(Echelon, "add", spy)
+    monkeypatch.setattr(RatFunc, "residue", no_residue)
     assert centralizer._pivot_ranks(*closed) == want == [kept] * 3
-    assert len(keys_seen) == 2 * kept
-    assert all(keys is not None and len(keys) == kept for keys in keys_seen)
+    assert len(rows) == 2 * kept and all(set(row) <= pivots for row in rows)
+
+
+def _parent_pivot_ranks(images, ech, points):
+    # the ranks before replay: the Q(q) images' residues at the pivot
+    # positions, at each later point
+    pivots = set(ech.pivot_columns)
+    ranks = [ech.rank]
+    for point in points[1:]:
+        later = Echelon()
+        for img in images:
+            later.add({c: v for c, v in vectorize(img.residues(point)).items()
+                       if c in pivots})
+        ranks.append(later.rank)
+    return ranks
+
+
+@pytest.mark.parametrize("m, n, r, s, rank", [
+    (2, 1, 4, 0, 24), (1, 1, 3, 2, 70), (1, 1, 2, 0, 2), (1, 1, 3, 0, 6),
+    (2, 1, 2, 0, 2), (2, 1, 3, 0, 6), (1, 2, 2, 0, 2), (2, 2, 2, 0, 2),
+    (2, 1, 1, 1, 2)])
+def test_replayed_pivot_ranks_match_the_q_of_q_residues(m, n, r, s, rank):
+    # the benchmark's gl cells, on J's columns as fft_report ranks them: the
+    # replayed words give the ranks that the Q(q) images' residues give
+    # (the benchmark's osp cells rank no later point)
+    ctx, kind, _, _, points = _span_args(m, n, r, s)
+    cols = _j_args(m, n, r, s)[2]
+    words, ech, start, later = _closure(ctx, kind, r, s, points, cols)
+    images = closure_words(kind, ctx, r, s, Echelon(), cols)[1]
+    assert (centralizer._pivot_ranks(words, ech, start, later)
+            == _parent_pivot_ranks(images, ech, points) == [rank] * 3)
+
+
+@pytest.mark.parametrize("cell", [("gl", 1, 1, 3, 2), ("gl", 2, 1, 4, 0),
+                                  ("gl", 2, 1, 2, 2)])
+def test_a_certified_gl_cell_stays_off_q_of_q(monkeypatch, cell):
+    # no product over Q(q) in the closure or its replays, and no residue
+    # over Q(q) when the later points are ranked; the generators and the
+    # two-slot checks stay over Q(q)
+    want = fft_report(cell[0], *cell[1:4], s=cell[4]).to_dict()
+    where, matmul, residue = [], SparseMat.__matmul__, RatFunc.residue
+
+    def inside(name, fn):
+        def spy(*args):
+            where.append(name)
+            try:
+                return fn(*args)
+            finally:
+                where.pop()
+        return spy
+
+    def q_of_q(mat):
+        return any(isinstance(v, RatFunc) for v in mat.entries.values())
+
+    def no_q_product(self, other):
+        assert not ("closure" in where and (q_of_q(self) or q_of_q(other)))
+        return matmul(self, other)
+
+    def no_residue(self, *args):
+        assert "pivot ranks" not in where
+        return residue(self, *args)
+    monkeypatch.setattr(functor, "_span_closure",
+                        inside("closure", functor._span_closure))
+    monkeypatch.setattr(functor, "replay", inside("closure", functor.replay))
+    monkeypatch.setattr(centralizer, "replay",
+                        inside("closure", centralizer.replay))
+    monkeypatch.setattr(centralizer, "_pivot_ranks",
+                        inside("pivot ranks", centralizer._pivot_ranks))
+    monkeypatch.setattr(SparseMat, "__matmul__", no_q_product)
+    monkeypatch.setattr(RatFunc, "residue", no_residue)
+    report = fft_report(cell[0], *cell[1:4], s=cell[4])
+    assert report.certificate is not None and report.to_dict() == want
 
 
 def _spy_calls(monkeypatch, name):
@@ -979,10 +1089,14 @@ def test_an_unlucky_first_point_takes_the_exact_path(monkeypatch, caplog):
 
 def test_a_point_short_on_the_pivot_columns_is_ranked_exactly(monkeypatch,
                                                               caplog):
+    # each short point replays the kept words exactly over Q, from the
+    # generators specialised there, and keeps the bytes
     want = fft_report("gl", 2, 1, 4).to_dict()
     at_seen = []
 
     def spy(rows, at):
+        assert not any(isinstance(v, RatFunc)
+                       for row in rows for v in row.values())
         at_seen.append(list(at))
         return ranks_at(rows, at)
     monkeypatch.setattr(centralizer, "ranks_at", spy)
@@ -991,7 +1105,7 @@ def test_a_point_short_on_the_pivot_columns_is_ranked_exactly(monkeypatch,
     with caplog.at_level("INFO", logger="qschur.centralizer"):
         assert fft_report("gl", 2, 1, 4).to_dict() == want
     assert "on 1 pivot columns: rank 1 of 24; exact rank" in caplog.text
-    assert at_seen == [list(DEFAULT_POINTS[1:])]
+    assert at_seen == [[a] for a in DEFAULT_POINTS[1:]]
 
 
 def test_a_certified_cell_runs_one_closure(monkeypatch):
@@ -1035,14 +1149,16 @@ def _residue_rank(images, point):
     (1, 1, 2, 1), (1, 1, 2, 2), (1, 1, 3, 2), (2, 1, 2, 1)])
 def test_the_closure_on_j_keeps_the_same_images(m, n, r, s):
     # gl(1|1) r = 4, 5 is not faithful (20 of 24, 70 of 120): the same
-    # images, in the same order, with the same rank at every default point
+    # words, so the same images, in the same order, with the same rank at
+    # every default point
     ctx = make_context("glq", datum=distinguished("gl", m, n))
     kind = "hecke" if s == 0 else "walled"
     _, heights, cols = _j_args(m, n, r, s)
     full_ech, j_ech = Echelon(), Echelon()
-    full = image_basis(kind, ctx, r, s, None, full_ech)
-    on_j = image_basis(kind, ctx, r, s, None, j_ech, cols)
+    full_words, full = closure_words(kind, ctx, r, s, full_ech)
+    j_words, on_j = closure_words(kind, ctx, r, s, j_ech, cols)
     assert len(cols) < len(heights) and len(on_j) == len(full) == j_ech.rank
+    assert j_words == full_words
     assert [img.entries for img in on_j] == [_on_columns(img, cols)
                                              for img in full]
     for point in DEFAULT_POINTS:
@@ -1082,32 +1198,37 @@ def test_a_j_that_does_not_generate_misses_both_certificates(monkeypatch,
 
 
 def test_a_point_short_on_j_rebuilds_full_images(monkeypatch, caplog):
-    # the later points are short on one pivot column, and their exact rank
-    # on J's columns is patched one below R, as where J does not generate
-    # there: the same images are rebuilt once on every column and only
-    # those points are ranked exactly again
+    # the later points are short on one pivot column, and the exact rank on
+    # J's columns at the first of them is patched one below R, as where J
+    # does not generate there: the same words are replayed once on every
+    # column at that point only, with no second closure
     want = fft_report("gl", 2, 1, 4).to_dict()
     monkeypatch.setattr(Echelon, "pivot_columns",
                         property(lambda self: tuple(self._pivots)[:1]))
     closures = _spy_calls(monkeypatch, "image_basis")
-    reranks = _spy_calls(monkeypatch, "ranks_at")
     rank, calls = centralizer.ranks_at, []
 
     def one_short_on_j(rows, at):
-        calls.append(at)
+        calls.append((rows, at))
         return [k - (len(calls) == 1) for k in rank(rows, at)]
     monkeypatch.setattr(centralizer, "ranks_at", one_short_on_j)
     with caplog.at_level("INFO", logger="qschur.centralizer"):
         report = fft_report("gl", 2, 1, 4)
     assert report.to_dict() == want and report.certificate is not None
-    assert "short on J's columns" in caplog.text
-    (on_j, kept), (full_args, full) = closures
-    assert len(on_j[6]) == 10 and full_args[6] is None
-    assert [img.cols for img in kept] == [10] * 24
-    assert [img.cols for img in full] == [81] * 24
-    assert [(at, rows) for (rows, at), _ in reranks] == [
-        (list(DEFAULT_POINTS[1:]), [vectorize(img) for img in kept]),
-        (list(DEFAULT_POINTS[1:]), [vectorize(img) for img in full])]
+    assert "short on J's columns at q = 13/9; full images" in caplog.text
+    ((on_j, words),) = closures
+    assert len(on_j[6]) == 10 and len(words) == 24
+    gens = list(on_j[7].values())
+    space = make_context("glq", datum=distinguished("gl", 2, 1)).space_of(
+        "++++")
+
+    def rows(point, columns):
+        return [vectorize(img) for img in replay(
+            words, [g.specialize(point) for g in gens],
+            identity_on(space, columns))]
+    b, c = DEFAULT_POINTS[1:]
+    assert calls == [(rows(b, on_j[6]), [b]), (rows(c, on_j[6]), [c]),
+                     (rows(b, None), [b])]
 
 
 def test_an_uncertified_cell_ranks_the_exact_closure(monkeypatch):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import closure_words
 from qschur import diagrams
 from qschur.diagrams import (BraidWord, RibbonWord,
                              braid_to_ribbon, brauer_basis, brauer_count,
@@ -12,7 +13,7 @@ from qschur.diagrams import (BraidWord, RibbonWord,
 from qschur.errors import VerificationError
 from qschur.functor import (BudgetError, diagram_generators, diagram_images,
                             dual_braiding, evaluate, image_basis, invariant,
-                            make_context)
+                            make_context, replay)
 from qschur.osp import e_map
 from qschur.qgl import braiding, natural_space, twist_scalar
 from qschur.rootdata import distinguished, sdim_q
@@ -200,14 +201,21 @@ def test_image_basis_walled_11():
     assert any(im == turn for im in images)
 
 
-@pytest.mark.parametrize("kind, m, n, r, s", [("walled", 1, 1, 2, 1),
-                                              ("hecke", 2, 1, 3, 0)])
+@pytest.mark.parametrize("kind, m, n, r, s", [
+    ("walled", 1, 1, 2, 1), ("walled", 1, 1, 2, 2), ("walled", 2, 1, 2, 2),
+    ("hecke", 2, 1, 3, 0), ("hecke", 1, 1, 4, 0)])
 def test_exact_and_mod_p_closures_keep_the_same_images(kind, m, n, r, s):
+    # the mod-p closure returns words; replayed over Q(q) they are the
+    # images that the exact closure multiplies out
+    kept = {(1, 1, 2, 1): 6, (1, 1, 2, 2): 20, (2, 1, 2, 2): 24,
+            (2, 1, 3, 0): 6, (1, 1, 4, 0): 20}[m, n, r, s]
     ctx = make_context("glq", datum=distinguished("gl", m, n))
     ech = Echelon()
-    mod_p = image_basis(kind, ctx, r, s, echelon=ech)
-    assert len(mod_p) == ech.rank == 6
-    assert image_basis(kind, ctx, r, s) == mod_p
+    words, images = closure_words(kind, ctx, r, s, ech)
+    assert len(words) == ech.rank == kept
+    assert words[0] is None and all(k < j for j, (_, k)
+                                    in enumerate(words[1:], 1))
+    assert image_basis(kind, ctx, r, s) == images
 
 
 def test_closure_keys_every_brauer_diagram():
@@ -240,7 +248,7 @@ def test_hecke_closure_keeps_one_lift_per_permutation_of_a_faithful_cell():
     # the longest element of S_3 comes last; the lifts of both of its
     # reduced words are one image (the braid relation)
     g1, g2 = diagram_generators("hecke", ctx, 3).values()
-    assert image_basis("hecke", ctx, 3, echelon=Echelon())[-1] == g1 @ g2 @ g1
+    assert closure_words("hecke", ctx, 3, 0, Echelon())[1][-1] == g1 @ g2 @ g1
 
 
 def _reduced_word(perm):
@@ -308,25 +316,27 @@ def test_dual_braiding_is_a_braiding():
 
 
 class _CountingEchelon(Echelon):
-    """An `Echelon` that counts the rows offered to it."""
+    """An `Echelon` that counts the rows offered to it and keeps the rows
+    that raised its rank."""
 
     def __init__(self):
         super().__init__()
-        self.offered = 0
+        self.offered, self.kept = 0, []
 
     def add(self, row):
         self.offered += 1
-        return super().add(row)
+        if super().add(row):
+            self.kept.append(row)
+            return True
+        return False
 
 
-def _walled_closure_trying_every_product(ctx, r, s, point):
-    """The walled closure mod p without the skip: every g @ b is tried.
+def _walled_closure_trying_every_product(gens, start):
+    """The walled closure mod p without the skips: every g @ b is tried.
     Returns the kept residues, the echelon and the rows it offered to it."""
-    gens = [g.residues(point)
-            for g in diagram_generators("walled", ctx, r, s).values()]
     ech = Echelon()
-    kept = [SparseMat.identity(ctx.space_of("+" * r + "-" * s))]
-    ech.add(vectorize(kept[0]))
+    kept = [start]
+    ech.add(vectorize(start))
     offered = 1
     for b in kept:
         for g in gens:
@@ -341,20 +351,42 @@ def _walled_closure_trying_every_product(ctx, r, s, point):
     (1, 1, 1, 1), (1, 1, 2, 1), (1, 1, 2, 2), (1, 1, 3, 2), (2, 1, 1, 1),
     (2, 1, 2, 1), (1, 2, 2, 1), (2, 2, 1, 1), (2, 0, 2, 2)])
 def test_walled_closure_skips_a_generator_its_word_ends_in(m, n, r, s):
-    # each walled token obeys a quadratic relation, so g @ g @ b' lies in the
-    # span of g @ b' and b': skipping it keeps the same images, in the same
-    # order, with the same pivot columns
+    # g_i @ b is not tried when b's word ends in g_i (the quadratic) or in
+    # a g_h with h <= i - 2 (they commute).  Against the closure that tries
+    # every product: the same rank, every residue it keeps is in the span,
+    # and the span is closed under every generator
     ctx = make_context("glq", datum=distinguished("gl", m, n))
     point = DEFAULT_POINTS[0]
-    want, want_ech, offered = _walled_closure_trying_every_product(
-        ctx, r, s, point)
+    gens = [g.residues(point)
+            for g in diagram_generators("walled", ctx, r, s).values()]
+    start = SparseMat.identity(ctx.space_of("+" * r + "-" * s))
+    want, want_ech, offered = _walled_closure_trying_every_product(gens,
+                                                                   start)
     ech = _CountingEchelon()
-    kept = image_basis("walled", ctx, r, s, echelon=ech)
-    assert [img.residues(point) for img in kept] == want
-    assert ech.pivot_columns == want_ech.pivot_columns
-    assert ech.offered <= offered
+    words = image_basis("walled", ctx, r, s, echelon=ech)
+    tried = ech.offered
+    kept = replay(words, gens, start, SparseMat.matmul_mod)
+    # the words, replayed mod p, are the residues the closure kept
+    assert [vectorize(b) for b in kept] == ech.kept
+    assert len(words) == ech.rank == want_ech.rank
+    assert not any(ech.add(vectorize(c)) for c in want)
+    assert not any(ech.add(vectorize(g.matmul_mod(b)))
+                   for b in kept for g in gens)
+    assert tried <= offered
     if (m, n, r, s) == (1, 1, 3, 2):
-        assert (len(kept), ech.offered, offered) == (70, 212, 281)
+        assert (len(words), tried, offered) == (70, 136, 281)
+
+
+def test_placed_walled_generators_on_disjoint_slots_commute():
+    # the walled closure's commutation skip: g_i g_h = g_h g_i for
+    # |i - h| >= 2, exactly over Q(q), on modules with both parities
+    for m, n, r, s in ((1, 1, 3, 2), (2, 1, 2, 2), (1, 2, 2, 3)):
+        ctx = make_context("glq", datum=distinguished("gl", m, n))
+        gens = list(diagram_generators("walled", ctx, r, s).values())
+        pairs = [(h, i) for i in range(len(gens)) for h in range(i - 1)]
+        assert pairs
+        for h, i in pairs:
+            assert gens[i] @ gens[h] == gens[h] @ gens[i], (m, n, r, s, h, i)
 
 
 def test_the_walled_closure_checks_the_hecke_quadratics(monkeypatch):
