@@ -9,9 +9,9 @@ checked to span the whole Lie superalgebra, and sigma for even m >= 2
 (for other m, sigma acts on each tensor power by a scalar).  Diagonal
 generators (the K_a at a rational point, the Cartan elements of osp) are
 processed first: each kills the unknowns M[i, j] whose diagonal profiles
-differ, which partitions the indices into classes; the remaining
-commutator rows are assembled only over the surviving unknowns.  This is
-an elimination order for the full honest system, not a reduction of it.
+differ, which partitions the indices into classes; the exact path
+assembles the other commutator rows over the surviving unknowns only.
+This is an elimination order for the full system, not a reduction of it.
 
 `fft_report` runs both flavors through one sequence of stages: the
 symmetry generators, membership, the diagram generators, the set J
@@ -73,15 +73,12 @@ values on J, and the constraints M(x e_b) = x M(e_b) go to an F_p
 `Echelon` until U - rank meets the span rank, recorded as a
 `SpinCertificate`.  Of the benchmark cells, osp(2|2) r=2 and osp(3|2)
 r=3 take it: their primitive vectors do not generate the module.  Where
-no J was found, or J fails the check, the commutator rows decide
-(`certify_nullity`): survivors - rank_p(rows) bounds nullity_p(rows) from
-above for any prefix of the rows, recorded as a `Certificate`.  If the
-bounds never meet, or a denominator vanishes mod p, the fallback is
-logged again and the exact path decides: one nullity over Q for osp, or
-for quantum gl the least of the exact nullities at the rational points,
-each an upper bound for the nullity over Q(q) (`least_nullity`).  Every
-certificate is tried inside the one commutant call of a cell
-(`_certify`).
+no J was found, J fails the check, the bounds never meet, or a
+denominator vanishes mod p, the fallback is logged again and the exact
+path decides: one nullity over Q for osp, or for quantum gl the least of
+the exact nullities at the rational points, each an upper bound for the
+nullity over Q(q) (`least_nullity`).  Both certificates are tried inside
+the one commutant call of a cell (`_certify`).
 
 Only then are the later gl points ranked.  With a certificate, the
 closure's kept words are replayed mod p at each later point from the
@@ -116,16 +113,16 @@ from .functor import (EvalContext, check_image_cap, diagram_generators,
                       replay)
 from .rootdata import RootDatum, distinguished
 from .scalar import RatFunc, qint, rational_residue
-from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, int_rank,
-                         kron_chain, log_fallback, ranks_at, vectorize)
+from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, check_points,
+                         int_rank, kron_chain, log_fallback, ranks_at,
+                         vectorize)
 
 __all__ = [
     "FftReport", "fft_report", "commutant_dim_glq", "commutant_dim_osp",
     "check_membership", "RelationReport", "relation_check",
     "RELATION_ALGEBRA", "MembershipError", "commutant_nullity",
-    "least_nullity", "Certificate", "certify_nullity",
-    "PrimitiveCertificate", "certify_primitive", "module_heights",
-    "generating_columns", "SpinCertificate", "certify_spin",
+    "least_nullity", "PrimitiveCertificate", "certify_primitive",
+    "module_heights", "generating_columns", "SpinCertificate", "certify_spin",
 ]
 
 DEFAULT_UNKNOWN_BUDGET = 150_000  # max d**2 unknowns for a commutant cell
@@ -195,25 +192,6 @@ def commutant_nullity(gens: list[SparseMat], dim: int) -> int:
     return survivors - int_rank(rows)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Proof that a commutant dimension equals its known lower bound.
-
-    Eliminating the first `rows_used` of the `rows_assembled` constraint
-    rows mod `prime` (specialised at q = `point` for quantum gl, None for
-    osp) gave `rank`, so the commutant dimension is at most survivors -
-    rank, which equals the lower bound.  Rows are assembled one generator
-    at a time, so `rows_assembled` stops at the generator where the bound
-    was met.
-    """
-    prime: int
-    point: str | None
-    rows_used: int
-    rows_assembled: int
-    survivors: int
-    rank: int
-
-
 def _rarest_first(rows) -> dict[int, int]:
     """column -> its place in the rarest-first (Markowitz) order of `rows`:
     by how often the column occurs, ties by column.  Relabelling by it
@@ -222,54 +200,6 @@ def _rarest_first(rows) -> dict[int, int]:
     counts = Counter(k for row in rows for k in row)
     return {k: i for i, k in enumerate(
         sorted(counts, key=lambda k: (counts[k], k)))}
-
-
-def certify_nullity(gens: list[SparseMat], dim: int, lower_bound: int,
-                    point=None) -> Certificate | None:
-    """Certificate that the nullity of [M, P] = 0 equals `lower_bound`.
-
-    `gens` have int/Fraction entries (specialised at `point` if quantum).
-    The rows of one non-diagonal generator at a time (with the diagonal
-    ones, which fix the survivors) are assembled and fed to the F_p
-    echelon, in the order `assemble_commutant_rows(gens, dim)` gives them,
-    until survivors - rank meets the bound; no further rows are built.
-    The echelon pivots on the rarest columns first: the columns are
-    relabelled by `_rarest_first` of the first batch's rows, and a column
-    first seen later is appended as it appears, so the stop and the
-    certificate are the same; only the fill-in shrinks.
-    None, with the reason logged, if the bound is never met or a
-    denominator vanishes mod p; the caller then takes the exact path.
-    """
-    diag, other = _split_diagonal(gens, dim)
-    ech = Echelon()
-    used = assembled = 0
-    label = None  # column -> its place in the rarest-first order
-    try:
-        for batch in [diag + [P] for P in other] or [diag]:
-            survivors, rows = assemble_commutant_rows(batch, dim)
-            assembled += len(rows)
-            if label is None:
-                label = _rarest_first(rows)
-            for row in rows:
-                if survivors - ech.rank <= lower_bound:
-                    break
-                ech.add({label.setdefault(k, len(label)): v
-                         for k, v in row.items()})
-                used += 1
-            if survivors - ech.rank <= lower_bound:
-                break
-    except UnluckyPrime as exc:
-        log_fallback(__name__, "commutant certificate: %s; exact fallback",
-                     exc)
-        return None
-    if survivors - ech.rank != lower_bound:
-        log_fallback(__name__, "commutant certificate: nullity bound %d "
-                     "after all %d rows does not meet the lower bound %d; "
-                     "exact fallback", survivors - ech.rank, assembled,
-                     lower_bound)
-        return None
-    return Certificate(ech.prime, None if point is None else str(point), used,
-                       assembled, survivors, ech.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +231,7 @@ class PrimitiveCertificate:
 
 
 class _NotPrimitive(Exception):
-    """A check of the primitive certificate failed; the message says which."""
+    """A check of a certificate failed; the message says which."""
 
 
 def _columns(mat: SparseMat) -> dict[int, list[tuple[int, int]]]:
@@ -690,7 +620,7 @@ def certify_spin(split, heights, cols, lower_bound: int,
     `certify_primitive`.  First, from the top weight class down, each class
     must be spanned by the lowering images of the classes above and then
     by its vectors of J; if one stays short, _NotPrimitive, and the caller
-    takes the row certificate.  Then M is built top down as linear forms
+    takes the exact path.  Then M is built top down as linear forms
     in the unknowns M(e_j), j in J, each a vector of e_j's class: on each
     class, M(L e_k) = L M(e_k) on the picked lowering images, and M(e_b)
     follows by a sparse LU solve of the picked basis mod p.  Each
@@ -708,8 +638,8 @@ def certify_spin(split, heights, cols, lower_bound: int,
     commutant dimension mod p, which is at least the dimension over Q at
     the point (module docstring), and unknowns - rank bounds it from above
     for any prefix of the rows.  A miss after every row therefore means
-    nullity_p(rows) exceeds the span rank, so the rows would miss too:
-    None, logged, and the caller takes the exact path.
+    nullity_p(rows) exceeds the span rank: None, logged, and the caller
+    takes the exact path.
     """
     p = superspace.PRIME
     classes, cls, raising, lowering, sigma = split
@@ -729,7 +659,7 @@ def certify_spin(split, heights, cols, lower_bound: int,
     if unknowns - ech.rank != lower_bound:
         log_fallback(__name__, "spin certificate: nullity bound %d after all "
                      "%d rows does not meet the lower bound %d; exact "
-                     "fallback", unknowns - ech.rank, used, lower_bound)
+                     "path", unknowns - ech.rank, used, lower_bound)
         return None
     return SpinCertificate(p, None if point is None else str(point),
                            len(sizes), unknowns, used, ech.rank)
@@ -764,31 +694,27 @@ def least_nullity(gens, d, points) -> int:
 
     Specialising q can only lower the rank of the constraint rows, so each
     specialised nullity bounds the nullity over Q(q) from above; at a
-    generic point it is equal.
+    generic point it is equal.  Empty `points` is a ValueError.
     """
     return min(commutant_nullity([g.specialize(p) for g in gens], d)
-               for p in points)
+               for p in check_points(points))
 
 
-def _certify(gens, d: int, lower_bound: int, heights, point, cols, split):
-    """The first certificate of the chain that meets `lower_bound`, or None
-    for the exact path: the primitive certificate, then the spin
-    certificate on J = `cols`, then the rows (`certify_nullity`), which run
-    only where no J was found or J fails the spin certificate's generation
-    check.  On a J that generates, the spin system is complete, so the
-    rows could not meet a bound that it misses."""
+def _certify(gens, lower_bound: int, heights, point, cols, split):
+    """The first certificate that meets `lower_bound`, or None for the
+    exact path: the primitive certificate, then the spin certificate on
+    J = `cols`, which gives up, logged, where no J was found or J fails
+    its generation check."""
     cert = certify_primitive(gens, heights, lower_bound, point, split)
     if cert is not None:
         return cert
-    if cols is not None:
-        try:
-            return certify_spin(split, heights, cols, lower_bound, point)
-        except _NotPrimitive as exc:
-            log_fallback(__name__, "spin certificate: %s; row certificate",
-                         exc)
-    if point is not None:
-        gens = [g.specialize(point) for g in gens]
-    return certify_nullity(gens, d, lower_bound, point)
+    try:
+        if cols is None:
+            raise _NotPrimitive("no generating set J")
+        return certify_spin(split, heights, cols, lower_bound, point)
+    except _NotPrimitive as exc:
+        log_fallback(__name__, "spin certificate: %s; exact path", exc)
+        return None
 
 
 def commutant_dim_glq(gens, d: int, points, lower_bound: int, heights,
@@ -801,7 +727,8 @@ def commutant_dim_glq(gens, d: int, points, lower_bound: int, heights,
     rank), with `cols` and `split` from `generating_columns`; the
     certificate is None where `least_nullity` decided.
     """
-    cert = _certify(gens, d, lower_bound, heights, points[0], cols, split)
+    points = check_points(points)
+    cert = _certify(gens, lower_bound, heights, points[0], cols, split)
     if cert is None:
         return least_nullity(gens, d, points), None
     return lower_bound, cert
@@ -817,7 +744,7 @@ def commutant_dim_osp(gens, d: int, lower_bound: int, heights, cols=None,
     `split` from `generating_columns`; the certificate is None where the
     exact nullity over Q decided.
     """
-    cert = _certify(gens, d, lower_bound, heights, None, cols, split)
+    cert = _certify(gens, lower_bound, heights, None, cols, split)
     if cert is None:
         return commutant_nullity(gens, d), None
     return lower_bound, cert
@@ -905,9 +832,8 @@ class FftReport:
     bound_lhs: int | None = None
     bound_ok: bool | None = None
     wall_clock_ms: int | None = None
-    #: proof of `equal`; None where the exact fallback decided (not in JSON)
-    certificate: (PrimitiveCertificate | SpinCertificate | Certificate
-                  | None) = None
+    #: proof of `equal`; None where the exact path decided (not in JSON)
+    certificate: PrimitiveCertificate | SpinCertificate | None = None
 
     @property
     def equal(self) -> bool:
@@ -998,9 +924,7 @@ def _check_cell(flavor: str, r: int, s: int, points) -> None:
     if flavor == "osp" and s:
         raise ValueError("dual tensor factors s apply to gl only; the osp "
                          "natural module is self-dual")
-    values = [Fraction(p) for p in points]
-    if not values:
-        raise ValueError("at least one specialisation point is required")
+    values = [Fraction(p) for p in check_points(points)]
     if len(set(values)) != len(values):
         raise ValueError("specialisation points repeat a point: "
                          + ", ".join(map(str, values)))

@@ -46,7 +46,8 @@ from .errors import BudgetError, VerificationError, check_power
 from .rootdata import RootDatum
 from .scalar import RatFunc, qpow
 from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, SuperSpace,
-                         kron_chain, rank_at, tau, unit_space, vectorize)
+                         check_points, kron_chain, rank_at, tau, unit_space,
+                         vectorize)
 
 __all__ = [
     "EvalContext", "make_context", "evaluate", "invariant", "image_basis",
@@ -463,9 +464,7 @@ def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
     kept as its columns on J only.  `points` None means DEFAULT_POINTS; an
     empty sequence is a ValueError.
     """
-    points = list(DEFAULT_POINTS if points is None else points)
-    if not points:
-        raise ValueError("at least one specialisation point is required")
+    points = check_points(DEFAULT_POINTS if points is None else points)
     if kind == "brauer":
         return list(diagram_images(ctx, r, columns, gens).values())
     return _gl_images(kind, ctx, r, s, points[0], echelon, columns, gens)

@@ -44,6 +44,13 @@ __all__ = [
 DEFAULT_POINTS = (Fraction(7, 5), Fraction(13, 9), Fraction(23, 17))
 
 
+def check_points(points) -> list:
+    """`points` as a list; a ValueError naming the parameter if empty."""
+    if not (points := list(points)):
+        raise ValueError("points: at least one specialisation point needed")
+    return points
+
+
 @dataclass(frozen=True)
 class SuperSpace:
     """Finite ordered homogeneous basis, given by the parity of each vector."""
@@ -326,9 +333,7 @@ def ranks_at(rows, points) -> list[int]:
     ranks serve its fallbacks: `rank_at` in the exact closure, and the
     later points that the ranks mod p leave short or no certificate backs.
     """
-    points = list(points)
-    if not points:
-        raise ValueError("at least one specialisation point is required")
+    points = check_points(points)
     rows = list(rows)
     needs_points = any(isinstance(v, RatFunc) for r in rows for v in r.values())
     if not needs_points:

@@ -12,8 +12,8 @@ from qschur import functor, qgl, superspace
 from qschur.centralizer import (MembershipError, PrimitiveCertificate,
                                 SpinCertificate, _glq_generator_mats,
                                 _osp_generator_mats, assemble_commutant_rows,
-                                certify_nullity, certify_primitive,
-                                certify_spin, check_membership,
+                                certify_primitive, certify_spin,
+                                check_membership,
                                 commutant_dim_glq, commutant_dim_osp,
                                 commutant_nullity, fft_report,
                                 generating_columns, least_nullity,
@@ -251,20 +251,43 @@ def test_least_nullity_skips_a_degenerate_point():
     assert least_nullity([good], 2, DEFAULT_POINTS) == 2
 
 
+def test_empty_points_are_rejected_by_name():
+    # the public commutant entry points reject empty points with the
+    # parameter's name, not an IndexError or min()'s message
+    gl = distinguished("gl", 1, 1)
+    gens = _glq_generator_mats(gl, 2)
+    heights = module_heights(gl, (1, 1))
+    calls = [lambda: commutant_dim_glq(gens, 4, [], 2, heights),
+             lambda: commutant_dim_glq(gens, 4, iter(()), 2, heights),
+             lambda: least_nullity(gens, 4, []), lambda: ranks_at([], [])]
+    for call in calls:
+        with pytest.raises(ValueError, match="^points: at least one "
+                           "specialisation point"):
+            call()
+    # any iterable of points is read once, as a list
+    dim, cert = commutant_dim_glq(gens, 4, iter(DEFAULT_POINTS), 2, heights)
+    assert dim == 2 and cert.point == "7/5"
+    assert least_nullity(gens, 4, iter(DEFAULT_POINTS)) == 2
+
+
 def test_certified_and_exact_nullities_match_dense_oracle():
+    # the spin certificate on J, and the exact nullity over Q, against the
+    # dense nullity of every commutator row
     pt = DEFAULT_POINTS[0]
-    cells = [(_osp_generator_mats(1, 1, 2), None)]
+    cells = [(_osp_generator_mats(1, 1, 2), None, distinguished("osp", 1, 1))]
     for (m, n) in [(1, 1), (2, 1)]:
-        glq = _glq_generator_mats(distinguished("gl", m, n), 2)
-        cells.append(([g.specialize(pt) for g in glq], pt))
-    for gens, point in cells:
-        dim = gens[0].rows
-        want = dense_nullity(commutator_rows(gens, dim), dim * dim)
-        assert commutant_nullity(gens, dim) == want
-        cert = certify_nullity(gens, dim, want, point)
-        assert cert is not None and cert.survivors - cert.rank == want
-        assert cert.rows_used <= cert.rows_assembled
-        assert cert.prime == PRIME
+        datum = distinguished("gl", m, n)
+        cells.append((_glq_generator_mats(datum, 2), pt, datum))
+    for gens, point, datum in cells:
+        heights = module_heights(datum, (1, 1))
+        dim = len(heights)
+        exact = gens if point is None else [g.specialize(point) for g in gens]
+        want = dense_nullity(commutator_rows(exact, dim), dim * dim)
+        assert commutant_nullity(exact, dim) == want
+        cols, split = generating_columns(gens, heights, point)
+        cert = certify_spin(split, heights, cols, want, point)
+        assert cert is not None and cert.unknowns - cert.rank == want
+        assert cert.columns == len(cols) and cert.prime == PRIME
 
 
 def test_unmet_lower_bound_takes_the_exact_path(caplog):
@@ -272,31 +295,39 @@ def test_unmet_lower_bound_takes_the_exact_path(caplog):
     # elimination can never bring the upper bound down to 1
     V = SuperSpace((0, 0))
     jordan = [SparseMat(V, V, {(0, 1): 1})]
-    with caplog.at_level("INFO", logger="qschur.centralizer"):
-        assert certify_nullity(jordan, 2, 1) is None
-    assert "exact fallback" in caplog.text
     assert commutant_nullity(jordan, 2) == 2
     osp_gens = _osp_generator_mats(1, 1, 2)
     osp_heights = module_heights(distinguished("osp", 1, 1), (1, 1))
+    cols, split = generating_columns(osp_gens, osp_heights)
     with caplog.at_level("INFO", logger="qschur.centralizer"):
         assert commutant_dim_osp(osp_gens, 9, 1, osp_heights) == (3, None)
+        assert commutant_dim_osp(osp_gens, 9, 1, osp_heights, cols,
+                                 split) == (3, None)
     assert "bound 3 does not meet the lower bound 1" in caplog.text
+    assert "spin certificate: no generating set J; exact path" in caplog.text
+    assert ("spin certificate: nullity bound 3 after all" in caplog.text
+            and caplog.text.rstrip().endswith("; exact path"))
     gl = distinguished("gl", 1, 1)
     gl_gens = _glq_generator_mats(gl, 2)
     assert commutant_dim_glq(gl_gens, 4, DEFAULT_POINTS, 1,
                              module_heights(gl, (1, 1))) == (2, None)
     dim, cert = commutant_dim_osp(osp_gens, 9, 3, osp_heights)
     assert dim == 3 and cert.bound == 3
-    cert = certify_nullity(osp_gens, 9, 3)
-    assert cert.survivors - cert.rank == 3
 
 
 def test_denominator_divisible_by_prime_takes_the_exact_path(caplog):
+    # no J is found and the primitive certificate stops, so the exact
+    # nullity over Q decides
     V = SuperSpace((0, 0))
     unlucky = [SparseMat(V, V, {(0, 1): Fraction(1, PRIME)})]
     with caplog.at_level("INFO", logger="qschur.centralizer"):
-        assert certify_nullity(unlucky, 2, 2) is None
+        assert generating_columns(unlucky, (0, 0)) == (None, None)
+        assert commutant_dim_osp(unlucky, 2, 2, (0, 0)) == (2, None)
+    assert [rec.getMessage().split(":")[0] for rec in caplog.records] == [
+        "generating columns at q = None", "primitive certificate",
+        "spin certificate"]
     assert "vanishes mod" in caplog.text
+    assert caplog.text.rstrip().endswith("; exact path")
     assert commutant_nullity(unlucky, 2) == 2
 
 
@@ -675,31 +706,6 @@ def test_per_generator_batches_concatenate_to_the_full_assembly():
         assert batched == rows
 
 
-def test_certificate_rows_match_the_full_assembly_order():
-    # rows_used as recorded when every row was assembled before elimination,
-    # over the whole osp basis and sigma, so that the pins test the row
-    # order of certify_nullity rather than a cell's generator set
-    osp_cells = [(m, n, r) for (m, n) in [(1, 1), (2, 1), (3, 1), (4, 1),
-                                          (3, 2)] for r in (1, 2, 3)]
-    used = assembled = 0
-    for (m, n, r) in osp_cells:
-        cert = certify_nullity(_whole_osp_basis_mats(m, n, r),
-                               (m + 2 * n) ** r, math.prod(range(1, 2 * r, 2)))
-        assert cert is not None and cert.rows_used <= cert.rows_assembled
-        if (m, n, r) == (3, 1, 3):
-            assert cert.rows_used == 1176 and cert.rows_assembled == 1476
-        if (m, n, r) == (4, 1, 3):
-            assert cert.rows_used == 3020 and cert.rows_assembled == 3600
-        used += cert.rows_used
-        assembled += cert.rows_assembled
-    # of the 70,680 rows that full assembly builds on these 15 cells
-    assert (used, assembled) == (11406, 13812)
-    pt = DEFAULT_POINTS[0]
-    gens = _glq_generator_mats(distinguished("gl", 2, 1), 4)
-    cert = certify_nullity([g.specialize(pt) for g in gens], 81, 24, pt)
-    assert (cert.rows_used, cert.rows_assembled) == (1587, 1824)
-
-
 # ---------------------------------------------------------------------------
 # The primitive-vector certificate.
 
@@ -862,19 +868,19 @@ def test_a_module_not_generated_takes_the_spin_certificate(monkeypatch,
     assert (cert.columns, cert.unknowns, cert.rank) == (7, 46, 31)
 
 
-def test_a_cell_without_j_takes_the_row_certificate(monkeypatch):
-    # with no J the spin certificate is not tried: the rows certify
-    # osp(3|2) r=3 after 1176 of the 1476 rows of the generators assembled
-    # up to the stop, and the report keeps its bytes
+def test_a_cell_without_j_takes_the_exact_path(monkeypatch, caplog):
+    # with no J the spin certificate is not tried: the exact nullity over
+    # Q decides osp(3|2) r=3, and the report keeps its bytes
     want = fft_report("osp", 3, 1, 3).to_dict()
     monkeypatch.setattr(centralizer, "generating_columns",
                         lambda *args: (None, None))
-    report = fft_report("osp", 3, 1, 3)
-    cert = report.certificate
-    assert report.to_dict() == want and isinstance(cert,
-                                                   centralizer.Certificate)
-    assert (cert.rows_used, cert.rows_assembled) == (1176, 1476)
-    assert_certified(report)
+    exact = _spy_calls(monkeypatch, "commutant_nullity")
+    with caplog.at_level("INFO", logger="qschur.centralizer"):
+        report = fft_report("osp", 3, 1, 3)
+    assert report.to_dict() == want and report.certificate is None
+    assert [result for _, result in exact] == [15]
+    assert caplog.text.rstrip().endswith(
+        "spin certificate: no generating set J; exact path")
 
 
 def test_each_failed_check_falls_back(caplog):
@@ -1191,7 +1197,8 @@ def test_a_j_that_does_not_generate_misses_both_certificates(monkeypatch,
             report = fft_report(f, m, n, r, s=s)
         assert report.certificate is None and report.to_dict() == expect
         assert "primitive certificate" in caplog.text
-        assert "exact fallback" in caplog.text
+        assert "spin certificate" in caplog.text
+        assert "; exact path" in caplog.text
         (on_j, kept), (exact_args, exact) = closures[-2:]
         assert on_j[6] == (0,) and exact_args[5:] == ()
         assert len(kept) < len(exact) == report.span_rank
@@ -1340,7 +1347,7 @@ def test_the_spin_nullity_is_the_exact_nullity(flavor, m, n, r, s, caplog):
 
 def test_a_j_that_does_not_generate_logs_the_spin_fallback(caplog):
     # one basis vector does not generate osp(3|2) r=3: the spin
-    # certificate is not tried on it, and the rows certify the cell
+    # certificate gives up on it, and the exact path decides the cell
     gens = _osp_generator_mats(3, 1, 3)
     heights = module_heights(distinguished("osp", 3, 1), (1, 1, 1))
     split = generating_columns(gens, heights)[1]
@@ -1348,9 +1355,8 @@ def test_a_j_that_does_not_generate_logs_the_spin_fallback(caplog):
         certify_spin(split, heights, (0,), 15)
     with caplog.at_level("INFO", logger="qschur.centralizer"):
         dim, cert = commutant_dim_osp(gens, 125, 15, heights, (0,), split)
-    assert dim == 15 and isinstance(cert, centralizer.Certificate)
-    assert (cert.rows_used, cert.rows_assembled) == (1176, 1476)
+    assert dim == 15 and cert is None
     assert [rec.getMessage().split(":")[0] for rec in caplog.records
             if rec.name == "qschur.centralizer"] == [
         "primitive certificate", "spin certificate"]
-    assert caplog.text.rstrip().endswith("; row certificate")
+    assert caplog.text.rstrip().endswith("; exact path")
