@@ -77,7 +77,8 @@ no J was found, J fails the check, the bounds never meet, or a
 denominator vanishes mod p, the fallback is logged again and the exact
 path decides: one nullity over Q for osp, or for quantum gl the least of
 the exact nullities at the rational points, each an upper bound for the
-nullity over Q(q) (`least_nullity`).  Both certificates are tried inside
+nullity over Q(q), up to the first that meets the span rank
+(`least_nullity`).  Both certificates are tried inside
 the one commutant call of a cell (`_certify`).
 
 Only then are the later gl points ranked.  With a certificate, the
@@ -689,15 +690,22 @@ def _osp_generator_mats(m: int, n: int, r: int):
     return gens
 
 
-def least_nullity(gens, d, points) -> int:
+def least_nullity(gens, d, points, lower_bound: int = 0) -> int:
     """Least exact nullity of the system specialised at the points.
 
     Specialising q can only lower the rank of the constraint rows, so each
     specialised nullity bounds the nullity over Q(q) from above; at a
-    generic point it is equal.  Empty `points` is a ValueError.
+    generic point it is equal.  No point goes below a proved `lower_bound`
+    (the span rank), so the first point that meets it ends the search.
+    Empty `points` is a ValueError.
     """
-    return min(commutant_nullity([g.specialize(p) for g in gens], d)
-               for p in check_points(points))
+    least = None
+    for p in check_points(points):
+        nullity = commutant_nullity([g.specialize(p) for g in gens], d)
+        least = nullity if least is None else min(least, nullity)
+        if least <= lower_bound:
+            break
+    return least
 
 
 def _certify(gens, lower_bound: int, heights, point, cols, split):
@@ -730,7 +738,7 @@ def commutant_dim_glq(gens, d: int, points, lower_bound: int, heights,
     points = check_points(points)
     cert = _certify(gens, lower_bound, heights, points[0], cols, split)
     if cert is None:
-        return least_nullity(gens, d, points), None
+        return least_nullity(gens, d, points, lower_bound), None
     return lower_bound, cert
 
 

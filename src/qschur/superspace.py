@@ -351,8 +351,10 @@ def rank_at(rows, points=DEFAULT_POINTS) -> int:
     return max(ranks_at(rows, points))
 
 
-#: The working prime of `Echelon`: 2^61 - 1, so residues are machine-size.
-PRIME = 2 ** 61 - 1
+#: The working prime of every F_p kernel: 2^30 - 35, the largest prime below
+#: 2^30.  CPython stores ints in 30-bit digits, so a residue is one digit and
+#: the product of two residues at most two.
+PRIME = 2 ** 30 - 35
 
 
 def log_fallback(logger: str, msg: str, *args) -> None:
@@ -366,7 +368,8 @@ def log_fallback(logger: str, msg: str, *args) -> None:
 
 
 class Echelon:
-    """Incremental sparse row echelon form over F_p, p = PRIME when built.
+    """Incremental sparse row echelon form over F_p, p = PRIME when built
+    (one CPython digit, so each product `b * v` in `add` is at most two).
 
     `add(row)` reduces an int/Fraction row mod p against the pivots kept so
     far and keeps it as a new pivot if anything is left.  A kept row is

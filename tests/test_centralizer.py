@@ -883,6 +883,20 @@ def test_a_cell_without_j_takes_the_exact_path(monkeypatch, caplog):
         "spin certificate: no generating set J; exact path")
 
 
+def test_the_gl_exact_path_stops_at_the_first_point_meeting_the_span(
+        monkeypatch):
+    # no point's nullity goes below the span rank, so walled gl(2|1) r=2
+    # s=1 with no J is decided by one exact nullity, not one per point
+    want = fft_report("gl", 2, 1, 2, s=1).to_dict()
+    monkeypatch.setattr(centralizer, "generating_columns",
+                        lambda *args: (None, None))
+    exact = _spy_calls(monkeypatch, "commutant_nullity")
+    report = fft_report("gl", 2, 1, 2, s=1)
+    assert report.to_dict() == want and report.certificate is None
+    assert report.commutant_dim == 6
+    assert [result for _, result in exact] == [6]
+
+
 def test_each_failed_check_falls_back(caplog):
     gl = distinguished("gl", 2, 1)
     gens = _glq_generator_mats(gl, 2)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -196,6 +197,19 @@ def test_rank_matches_dense_oracle_random():
             grew = dense_rank(rows[:k], ncols) > ech.rank
             assert ech.add(row) == grew
         assert ech.rank == dense_rank(rows, ncols)
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+def test_the_working_prime_is_the_largest_below_2_to_the_30():
+    """CPython stores an int in 30-bit digits, so a prime below 2^30 keeps
+    every residue one digit and the product of two residues at most two,
+    on the interpreter's fast int paths; the largest such prime keeps the
+    chance of an unlucky prime least."""
+    assert _is_prime(PRIME) and PRIME.bit_length() <= 30
+    assert not any(_is_prime(k) for k in range(PRIME + 1, 2 ** 30))
 
 
 def test_echelon_fraction_rows_and_unlucky_prime():
