@@ -14,8 +14,8 @@ assembles the other commutator rows over the surviving unknowns only.
 This is an elimination order for the full system, not a reduction of it.
 
 `fft_report` runs both flavors through one sequence of stages: the
-symmetry generators, membership, the diagram generators, the set J
-below, the span, the commutant (`commutant_dim_glq` /
+symmetry generators, membership, the diagram generators, the module mod p
+and its set J below, the span, the commutant (`commutant_dim_glq` /
 `commutant_dim_osp`, over the generators the cell built), then the later
 gl points.  One span closure (`functor.image_basis`) multiplies every
 spanning image out of the diagram generators
@@ -25,11 +25,12 @@ each token exactly on its own two slots, against the symmetry generators
 there and their parity operator; that proves the placed generator
 commutes with every symmetry generator on the whole space
 (`check_membership`).  So every image does, and its span rank is a lower
-bound for the commutant dimension.  In both flavors each image is kept
-only on the columns of a set J of basis vectors that generates the module
-mod p (at points[0] for quantum gl; `generating_columns`: from the top
-weight class down, the lowering images of the classes above completed by
-the class's own basis vectors), computed once per cell.  A combination of images
+bound for the commutant dimension.  The module mod p (at points[0] for
+quantum gl) is read once per cell into one record, `weight_module`: its
+weight classes, primitive spaces and a set J of basis vectors that
+generates it (from the top weight class down, the lowering images of the
+classes above completed by the class's own basis vectors).  In both
+flavors each image is kept only on J's columns.  A combination of images
 commutes with the generators, so if it vanishes on J it vanishes.  For
 osp the generators have int entries, so J generates over Q too, and the
 exact rank over Q of the Brauer images on J's columns is their rank on
@@ -37,10 +38,9 @@ all d columns; it is ranked with the columns in rarest-first order
 (`_rarest_first`).  For quantum gl the closure is its own first point: it
 keeps only the R images whose residues mod p at points[0] raise the rank
 of an F_p `Echelon`, the same images as on all d columns, and the
-commutant is certified against R.  A J that does not generate can only
-lower R, which then misses the certificates below; where no J is found,
-every column is kept.  Reduction mod p and specialisation can only lower
-a rank, so
+commutant is certified against R.  Where no module is found, every
+column is kept.  Reduction mod p and specialisation can only lower a
+rank, so
 
     rank_p(span at a) <= rank_Q(span at a) <= generic span rank
                       <= commutant dim <= nullity_p(rows) <= sum k_lam^2,
@@ -66,35 +66,34 @@ When the sum meets the span rank, `equal` is proved and recorded as a
 `PrimitiveCertificate` (prime, point, blocks, generation rank); only
 vectors of length d are reduced, and no d^2 system is built.
 
-If a check fails, generation stops short, or the sum misses the span
-rank, the fallback is logged and, wherever J was found, the spin
-certificate decides (`certify_spin`): a commuting map is fixed by its U
-values on J, and the constraints M(x e_b) = x M(e_b) go to an F_p
-`Echelon` until U - rank meets the span rank, recorded as a
-`SpinCertificate`.  Of the benchmark cells, osp(2|2) r=2 and osp(3|2)
-r=3 take it: their primitive vectors do not generate the module.  Where
-no J was found, J fails the check, the bounds never meet, or a
-denominator vanishes mod p, the fallback is logged again and the exact
-path decides: one nullity over Q for osp, or for quantum gl the least of
-the exact nullities at the rational points, each an upper bound for the
-nullity over Q(q), up to the first that meets the span rank
-(`least_nullity`).  Both certificates are tried inside
-the one commutant call of a cell (`_certify`).
+If generation stops short, a sigma check fails, or the sum misses the
+span rank, the fallback is logged and the spin certificate decides
+(`certify_spin`): a commuting map is fixed by its U values on J, and the
+constraints M(x e_b) = x M(e_b), built from the module's record of J
+spanning it, go to an F_p `Echelon` until U - rank meets the span rank,
+recorded as a `SpinCertificate`.  Of the benchmark cells, osp(2|2) r=2
+and osp(3|2) r=3 take it: their primitive vectors do not generate the
+module.  Where no module was found (logged once) or the bounds never
+meet, the exact path decides: one nullity over Q for osp, or for quantum
+gl the least of the exact nullities at the rational points, each an
+upper bound for the nullity over Q(q), up to the first that meets the
+span rank (`least_nullity`).  Both certificates are tried inside the one
+commutant call of a cell (`_certify`).
 
 Only then are the later gl points ranked.  With a certificate, the
 closure's kept words are replayed mod p at each later point from the
 generators' residues there, and only their entries in the R pivot
 columns of the first point's echelon are ranked (`_pivot_ranks`); no
 product and no residue is taken over Q(q).  Dropping columns can only
-lower a rank, so a point that reaches R has the exact rank R.  A point
-short of it is ranked exactly on the same words, replayed over Q at that
-point on J's columns; J is only proved to generate at points[0], so a
-point still short is replayed once more on every column (logged).
-Without a certificate, the closure is run again with exact ranks on every
-column: its image count is the exact rank at points[0], and every later
-point is ranked exactly on its images.  So `agreement` compares exact
-ranks, and gap verdicts always come from exact arithmetic.
-span_rank <= commutant_dim is asserted in every case.
+lower a rank, so a point that reaches R has the exact rank R.  Without a
+certificate, the closure is run again with exact ranks on every column,
+and its word count is the exact rank at points[0].  Either way, every
+point short of that count is ranked by one exact rule (`_exact_ranks`):
+the words are replayed over Q with the generators specialised there, on
+J's columns, and, since J is only proved to generate at points[0], once
+more on every column where the point is still short (logged).  So
+`agreement` compares exact ranks, and gap verdicts always come from
+exact arithmetic.  span_rank <= commutant_dim is asserted in every case.
 """
 
 from __future__ import annotations
@@ -123,7 +122,8 @@ __all__ = [
     "check_membership", "RelationReport", "relation_check",
     "RELATION_ALGEBRA", "MembershipError", "commutant_nullity",
     "least_nullity", "PrimitiveCertificate", "certify_primitive",
-    "module_heights", "generating_columns", "SpinCertificate", "certify_spin",
+    "module_heights", "WeightModule", "weight_module", "SpinCertificate",
+    "certify_spin",
 ]
 
 DEFAULT_UNKNOWN_BUDGET = 150_000  # max d**2 unknowns for a commutant cell
@@ -452,70 +452,87 @@ def _weight_split(gens: list[SparseMat], heights, point):
     return (classes, cls) + _orient(other, heights, cls)
 
 
-def certify_primitive(gens: list[SparseMat], heights, lower_bound: int,
-                      point=None, split=None) -> PrimitiveCertificate | None:
-    """Certificate that the commutant of `gens` has dimension `lower_bound`,
-    from the primitive vectors of the module mod p.
+@dataclass(frozen=True, eq=False)
+class WeightModule:
+    """The module mod p that both certificates read, built once per cell.
+
+    At q = `point` for quantum gl (None for osp; a string, as the
+    certificates record it): the basis vectors' `heights`, the fields of
+    `_weight_split`, the `primitive` space P_lam of each class, the basis
+    vectors `columns` of a set J that generates the module, and `bases`,
+    `_spin`'s record of the lowering generators spinning J into it.
+    """
+    point: str | None
+    heights: tuple[int, ...]
+    classes: list
+    cls: list
+    raising: list
+    lowering: list
+    sigma: tuple | None
+    primitive: list
+    columns: tuple[int, ...]
+    bases: list
+
+
+def weight_module(gens: list[SparseMat], heights,
+                  point=None) -> WeightModule | None:
+    """The `WeightModule` of the symmetry generators `gens` mod p.
 
     `gens` have int/Fraction entries (osp), or RatFunc entries reduced at
     q = `point` (quantum gl); `heights` gives each basis vector's weight
     under a functional that orients the generators (`module_heights`).
-    The weight classes are the joint eigenspaces of the diagonal generators
-    mod p.  None, with the failed check logged, if a denominator vanishes
-    mod p, the diagonal generators do not separate the heights, a
-    generator is not homogeneous, generation or a sigma check fails, or
-    the bound misses `lower_bound`; the caller then takes the next
-    certificate (`_certify`).  Only vectors of length dim are reduced; no
-    d^2 system is built.  `split` is the `_weight_split` of `gens` at
-    `point` when the caller already has it (`generating_columns` returns
-    it).
+    J is read from the top weight class down: each class is spanned by the
+    lowering images of the classes above and then by its own basis vectors
+    e_k, and J is the e_k that raised the rank, so the lowering generators
+    spin J into the whole module.  None, with the reason logged once, if a
+    denominator vanishes mod p or a check of `_weight_split` fails; the
+    cell then keeps every column and takes the exact path.
     """
-    p = superspace.PRIME
-    dim = len(heights)
     try:
-        classes, cls, raising, lowering, sigma = (
-            split or _weight_split(gens, heights, point))
-        prim = _primitive_spaces(classes, raising, dim)
-        _spin(classes, heights, cls, lowering, prim)
-        blocks = ([len(basis) for basis in prim] if sigma is None
-                  else _sigma_blocks(sigma, prim, raising, p))
+        split = _weight_split(gens, heights, point)
     except (UnluckyPrime, _NotPrimitive) as exc:
+        log_fallback(__name__, "weight module at q = %s: %s; exact path",
+                     point, exc)
+        return None
+    classes, cls, raising, lowering, _ = split
+    bases = _spin(classes, heights, cls, lowering,
+                  [[{k: 1} for k in members] for members in classes])
+    columns = tuple(sorted(k for _, picked, _ in bases
+                           for L, vec in picked if L is None for k in vec))
+    return WeightModule(
+        None if point is None else str(point), tuple(heights), *split,
+        _primitive_spaces(classes, raising, len(heights)), columns, bases)
+
+
+def certify_primitive(module: WeightModule,
+                      lower_bound: int) -> PrimitiveCertificate | None:
+    """Certificate that the commutant has dimension `lower_bound`, from the
+    primitive spaces of `module`.
+
+    None, with the failed check logged, if generation or a sigma check
+    fails or the bound misses `lower_bound`; the caller then takes the
+    next certificate (`_certify`).  Only vectors of length dim are
+    reduced; no d^2 system is built.
+    """
+    p, prim = superspace.PRIME, module.primitive
+    dim = len(module.heights)
+    try:
+        _spin(module.classes, module.heights, module.cls, module.lowering,
+              prim)
+        blocks = ([len(basis) for basis in prim] if module.sigma is None
+                  else _sigma_blocks(module.sigma, prim, module.raising, p))
+    except _NotPrimitive as exc:
         log_fallback(__name__, "primitive certificate: %s; next certificate",
                      exc)
         return None
-    cert = PrimitiveCertificate(p, None if point is None else str(point),
-                                tuple(sorted((k for k in blocks if k),
-                                             reverse=True)), dim, dim)
+    cert = PrimitiveCertificate(p, module.point, tuple(sorted(
+        (k for k in blocks if k), reverse=True)), dim, dim)
     if cert.bound != lower_bound:
         log_fallback(__name__, "primitive certificate: bound %d does not "
                      "meet the lower bound %d; next certificate", cert.bound,
                      lower_bound)
         return None
     return cert
-
-
-def generating_columns(gens: list[SparseMat], heights, point=None):
-    """(J, split): the basis vectors of a set J that generates the module
-    mod p, and the `_weight_split` they were read from.
-
-    From the top weight class down, each class is spanned by the lowering
-    images of the classes above and then by its own basis vectors e_k; J
-    is the e_k that raised the rank, so the lowering generators spin J
-    into the whole module.  `gens` and `point` are as for
-    `certify_primitive`, which takes `split` so that the residues are
-    reduced once per cell.  (None, None), with the reason logged, if a
-    denominator vanishes mod p or a check of `_weight_split` fails.
-    """
-    try:
-        split = _weight_split(gens, heights, point)
-    except (UnluckyPrime, _NotPrimitive) as exc:
-        log_fallback(__name__, "generating columns at q = %s: %s", point, exc)
-        return None, None
-    classes, cls, _, lowering, _ = split
-    seeds = [[{k: 1} for k in members] for members in classes]
-    bases = _spin(classes, heights, cls, lowering, seeds)
-    return tuple(sorted(k for _, picked, _ in bases
-                        for L, vec in picked if L is None for k in vec)), split
 
 
 # ---------------------------------------------------------------------------
@@ -611,25 +628,17 @@ def _spin_rows(classes, cls, gens, bases, unknowns: int, p: int):
                         yield row
 
 
-def certify_spin(split, heights, cols, lower_bound: int,
-                 point=None) -> SpinCertificate | None:
+def certify_spin(module: WeightModule,
+                 lower_bound: int) -> SpinCertificate | None:
     """Certificate that the commutant has dimension `lower_bound`, from the
-    values of a commuting map M on the basis vectors J = `cols`.
+    values of a commuting map M on the basis vectors J of `module`.
 
-    `split` is the `_weight_split` of the generators mod p that J was read
-    from (`generating_columns`), and `heights` are as for
-    `certify_primitive`.  First, from the top weight class down, each class
-    must be spanned by the lowering images of the classes above and then
-    by its vectors of J; if one stays short, _NotPrimitive, and the caller
-    takes the exact path.  Then M is built top down as linear forms
-    in the unknowns M(e_j), j in J, each a vector of e_j's class: on each
-    class, M(L e_k) = L M(e_k) on the picked lowering images, and M(e_b)
-    follows by a sparse LU solve of the picked basis mod p.  Each
-    constraint M(x e_b) = x M(e_b), for a generator x that is not diagonal
-    (raising, lowering or sigma) and a basis vector b, is fed to the F_p
-    `Echelon` as soon as M is built on the classes of b and of x e_b,
-    pairs with x e_b = 0 included, until unknowns - rank meets
-    `lower_bound`; no row is built past that stop.
+    Each constraint M(x e_b) = x M(e_b), for a generator x that is not
+    diagonal (raising, lowering or sigma) and a basis vector b, is built
+    from `module.bases` as a linear form in the unknowns M(e_j), j in J,
+    each a vector of e_j's class (`_spin_rows`), and fed to the F_p
+    `Echelon` until unknowns - rank meets `lower_bound`; no row is built
+    past that stop.
 
     Soundness: J generates the module mod p and each basis change is
     invertible mod p, so a map that commutes mod p is fixed by its values
@@ -642,18 +651,13 @@ def certify_spin(split, heights, cols, lower_bound: int,
     nullity_p(rows) exceeds the span rank: None, logged, and the caller
     takes the exact path.
     """
-    p = superspace.PRIME
-    classes, cls, raising, lowering, sigma = split
-    seeds = [[] for _ in classes]
-    for j in cols:
-        seeds[cls[j]].append({j: 1})
-    bases = _spin(classes, heights, cls, lowering, seeds)
-    sizes = [len(classes[c]) for c, picked, _ in bases
-             for L, _ in picked if L is None]
-    unknowns = sum(sizes)
-    gens = raising + lowering + ([] if sigma is None else [_columns(sigma[0])])
+    p, classes, sigma = superspace.PRIME, module.classes, module.sigma
+    unknowns = sum(len(classes[c]) for c, picked, _ in module.bases
+                   for L, _ in picked if L is None)
+    gens = module.raising + module.lowering + (
+        [] if sigma is None else [_columns(sigma[0])])
     ech, used = Echelon(), 0
-    rows = _spin_rows(classes, cls, gens, bases, unknowns, p)
+    rows = _spin_rows(classes, module.cls, gens, module.bases, unknowns, p)
     while unknowns - ech.rank > lower_bound and (row := next(rows, None)):
         ech.add(row)
         used += 1
@@ -662,8 +666,8 @@ def certify_spin(split, heights, cols, lower_bound: int,
                      "%d rows does not meet the lower bound %d; exact "
                      "path", unknowns - ech.rank, used, lower_bound)
         return None
-    return SpinCertificate(p, None if point is None else str(point),
-                           len(sizes), unknowns, used, ech.rank)
+    return SpinCertificate(p, module.point, len(module.columns), unknowns,
+                           used, ech.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -708,51 +712,42 @@ def least_nullity(gens, d, points, lower_bound: int = 0) -> int:
     return least
 
 
-def _certify(gens, lower_bound: int, heights, point, cols, split):
+def _certify(module: WeightModule | None, lower_bound: int):
     """The first certificate that meets `lower_bound`, or None for the
-    exact path: the primitive certificate, then the spin certificate on
-    J = `cols`, which gives up, logged, where no J was found or J fails
-    its generation check."""
-    cert = certify_primitive(gens, heights, lower_bound, point, split)
-    if cert is not None:
-        return cert
-    try:
-        if cols is None:
-            raise _NotPrimitive("no generating set J")
-        return certify_spin(split, heights, cols, lower_bound, point)
-    except _NotPrimitive as exc:
-        log_fallback(__name__, "spin certificate: %s; exact path", exc)
+    exact path: the primitive certificate, then the spin certificate.  A
+    None module has logged its reason (`weight_module`)."""
+    if module is None:
         return None
+    return (certify_primitive(module, lower_bound)
+            or certify_spin(module, lower_bound))
 
 
-def commutant_dim_glq(gens, d: int, points, lower_bound: int, heights,
-                      cols=None, split=None):
+def commutant_dim_glq(gens, d: int, points, lower_bound: int,
+                      module: WeightModule | None):
     """(dim, certificate) for the quantum gl symmetry generators `gens`.
 
-    dim End_{U_q} of the d-dimensional module whose basis vectors have the
-    given `heights` (`module_heights`): at points[0] the certificates are
-    tried in `_certify`'s order against the proved `lower_bound` (the span
-    rank), with `cols` and `split` from `generating_columns`; the
+    dim End_{U_q} of the d-dimensional module: the certificates on
+    `module` (`weight_module` at points[0]) are tried in `_certify`'s
+    order against the proved `lower_bound` (the span rank); the
     certificate is None where `least_nullity` decided.
     """
     points = check_points(points)
-    cert = _certify(gens, lower_bound, heights, points[0], cols, split)
+    cert = _certify(module, lower_bound)
     if cert is None:
         return least_nullity(gens, d, points, lower_bound), None
     return lower_bound, cert
 
 
-def commutant_dim_osp(gens, d: int, lower_bound: int, heights, cols=None,
-                      split=None):
+def commutant_dim_osp(gens, d: int, lower_bound: int,
+                      module: WeightModule | None):
     """(dim, certificate) for the osp symmetry generators `gens`.
 
-    dim End of the Harish-Chandra pair action on the d-dimensional module
-    whose basis vectors have the given `heights`: the certificates are
-    tried in `_certify`'s order against `lower_bound`, with `cols` and
-    `split` from `generating_columns`; the certificate is None where the
-    exact nullity over Q decided.
+    dim End of the Harish-Chandra pair action on the d-dimensional module:
+    the certificates on `module` (`weight_module`) are tried in
+    `_certify`'s order against `lower_bound`; the certificate is None
+    where the exact nullity over Q decided.
     """
-    cert = _certify(gens, lower_bound, heights, None, cols, split)
+    cert = _certify(module, lower_bound)
     if cert is None:
         return commutant_nullity(gens, d), None
     return lower_bound, cert
@@ -864,30 +859,34 @@ class FftReport:
         return out
 
 
-def _pivot_ranks(words, ech: Echelon, start, later: dict) -> list[int]:
+def _pivot_ranks(words, ech: Echelon, start, gens, points) -> list[int]:
     """Ranks mod p at the points of the images the gl closure kept in `ech`.
 
     The closure (`image_basis`) keeps, at points[0], the R images that
     raise the rank of `ech`, and returns their words; `ech` gives R and
     the R pivot columns, on which the kept images carry an R x R minor
-    that is nonsingular mod p.  `later` maps each later point b to the
-    generators' residues there (`_residues_at`).  Each b replays the words
-    mod p from `start`, the identity on J's columns, and ranks only their
-    entries in the pivot columns.  Dropping columns can only lower a rank,
-    so once the commutant dimension is certified to be R,
+    that is nonsingular mod p.  Each later point b replays the words mod p
+    from `start`, the identity on J's columns, and the residues there of
+    the diagram generators `gens`, and ranks only their entries in the
+    pivot columns.  Dropping columns can only lower a rank, so once the
+    commutant dimension is certified to be R,
 
         rank_p(minor at b) <= rank_p(span at b) <= rank_Q(span at b)
                            <= generic span rank <= commutant dim = R,
 
     and a later point that reaches R has the exact rank R.  A point short
-    of R is logged, and so is one whose residues are None (counted 0);
-    `fft_report` ranks both exactly on the same words (`_exact_ranks`).
+    of R is logged, and so is one where a denominator vanishes mod p
+    (counted 0); `fft_report` ranks both exactly (`_exact_ranks`).
     """
     pivots = ech.pivot_columns
     keys = [divmod(c, start.cols) for c in pivots]
     ranks = [ech.rank]
-    for point, values in later.items():
-        if values is None:
+    for point in points[1:]:
+        try:
+            values = [g.residues(point) for g in gens]
+        except UnluckyPrime as exc:
+            log_fallback(__name__, "span rank at q = %s: %s; exact rank",
+                         point, exc)
             ranks.append(0)
             continue
         ech = Echelon()
@@ -902,29 +901,37 @@ def _pivot_ranks(words, ech: Echelon, start, later: dict) -> list[int]:
     return ranks
 
 
-def _residues_at(gens, point):
-    """The residues of `gens` at q = `point`, or None (logged) where a
-    denominator vanishes mod p."""
-    try:
-        return [g.residues(point) for g in gens]
-    except UnluckyPrime as exc:
-        log_fallback(__name__, "span rank at q = %s: %s; exact rank", point,
-                     exc)
-        return None
+def _exact_ranks(words, gens, space, cols, points, ranks) -> list[int]:
+    """`ranks` with every point short of len(words) ranked exactly over Q.
+
+    Such a point replays `words` with the diagram generators `gens`
+    specialised there, first on the columns `cols` of J: dropping columns
+    can only lower a rank, so a point that reaches len(words) there has
+    that exact rank.  J is only proved to generate at points[0], so a
+    point still short is replayed once more on every column (logged).
+    """
+    def exact(i, columns):
+        at = [g.specialize(points[i]) for g in gens]
+        return ranks_at([vectorize(img) for img in replay(
+            words, at, identity_on(space, columns))], points[i:i + 1])[0]
+    ranks = [rk if rk == len(words) else exact(i, cols)
+             for i, rk in enumerate(ranks)]
+    short = [i for i, rk in enumerate(ranks) if rk < len(words)]
+    if short and cols is not None:
+        log_fallback(__name__, "short on J's columns at q = %s; full images",
+                     ", ".join(str(points[i]) for i in short))
+        for i in short:
+            ranks[i] = exact(i, None)
+    return ranks
 
 
-def _exact_ranks(words, gens, start, points) -> dict:
-    """The exact rank over Q at each point of the images that `words` spell,
-    replayed from `start` and the generators `gens` specialised there."""
-    return {a: ranks_at([vectorize(img) for img in replay(
-                words, [g.specialize(a) for g in gens], start)], [a])[0]
-            for a in points}
-
-
-def _check_cell(flavor: str, r: int, s: int, points) -> None:
+def _check_cell(flavor: str, m, n, r, s, points) -> None:
     """Reject a malformed cell before any work starts."""
     if flavor not in ("gl", "osp"):
         raise ValueError(f"unknown fft flavor {flavor!r}")
+    for name, size in (("m", m), ("n", n), ("r", r), ("s", s)):
+        if isinstance(size, bool) or not isinstance(size, int):
+            raise ValueError(f"{name} must be an int, got {size!r}")
     if r < 1:
         raise ValueError(f"tensor power r must be at least 1, got {r}")
     if s < 0:
@@ -949,17 +956,18 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     flavor "osp": classical osp(m|2n) with the sigma-extended pair and
     Brauer images; for even m the spanning bound 2r < m(2n+1) is recorded.
     The stages run in order: the symmetry generators, membership on the
-    two slots of each token, the diagram generators, the set J of
-    `generating_columns`, the span on J's columns (exact over Q for osp,
-    the closure's first point for gl), the commutant certified against the
-    first point's span rank, then the later gl points (see the module
-    docstring).  A malformed cell (r < 1, s < 0, s > 0 for osp, or points
-    that are empty, repeated, or among 0 and +-1) raises ValueError before
-    any work starts.
+    two slots of each token, the diagram generators, the module mod p and
+    its set J (`weight_module`), the span on J's columns (exact over Q for
+    osp, the closure's first point for gl), the commutant certified
+    against the first point's span rank, then the later gl points (see
+    the module docstring).  A malformed cell (m, n, r or s not an int, or
+    a bool; r < 1, s < 0, s > 0 for osp, or points that are empty,
+    repeated, or among 0 and +-1) raises ValueError before any work
+    starts.
     """
     t0 = time.monotonic()
     points = list(points)
-    _check_cell(flavor, r, s, points)
+    _check_cell(flavor, m, n, r, s, points)
     datum = distinguished(flavor, m, n)
     if flavor == "gl":
         d = _check_unknowns(qgl.natural_space(datum).dim, r + s, budget)
@@ -980,8 +988,9 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     _check_tokens(kind, ctx, r, s)
     dgens = diagram_generators(kind, ctx, r, s)
     # the images are ranked on the columns of J, which generates the module
-    # mod p (at points[0] for gl); None keeps every column
-    cols, split = generating_columns(gens, heights, point)
+    # mod p (at points[0] for gl); no module keeps every column
+    module = weight_module(gens, heights, point)
+    cols = None if module is None else module.columns
     if flavor == "osp":
         # int generators that generate mod p generate over Q: the exact
         # rank on J's columns is the exact rank on every column
@@ -990,8 +999,7 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
         label = _rarest_first(rows)
         ranks = [int_rank([{label[k]: v for k, v in row.items()}
                            for row in rows])]
-        cdim, cert = commutant_dim_osp(gens, d, ranks[0], heights, cols,
-                                       split)
+        cdim, cert = commutant_dim_osp(gens, d, ranks[0], module)
     else:
         ech = Echelon()
         try:
@@ -1001,35 +1009,19 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
             log_fallback(__name__, "span closure at q = %s: %s; exact path",
                          points[0], exc)
             words = []
-        cdim, cert = commutant_dim_glq(gens, d, points, len(words), heights,
-                                       cols, split)
+        cdim, cert = commutant_dim_glq(gens, d, points, len(words), module)
+        space, glist = ctx.space_of("+" * r + "-" * s), list(dgens.values())
         if cert is None:
             # the exact closure keeps the images independent at points[0],
-            # so their count is its exact rank; every later point is ranked
-            # exactly on them
-            images = image_basis(kind, ctx, r, s, points)
-            ranks = [len(images)] + (ranks_at(
-                [vectorize(img) for img in images], points[1:])
-                if points[1:] else [])
+            # so their count is its exact rank; no later point is ranked yet
+            words = image_basis(kind, ctx, r, s, points)
+            ranks = [len(words)] + [0] * len(points[1:])
         else:
-            space, glist = ctx.space_of("+" * r + "-" * s), list(dgens.values())
-            start = identity_on(space, cols)
-            ranks = _pivot_ranks(words, ech, start, {
-                a: _residues_at(glist, a) for a in points[1:]})
-            # rank_p <= rank_Q <= ranks[0] at every point: only the points
-            # short of ranks[0] need an exact rank, of the same words
-            exact = _exact_ranks(words, glist, start, [
-                a for a, rk in zip(points, ranks) if rk < ranks[0]])
-            short = [a for a, rk in exact.items() if rk < ranks[0]]
-            if short and cols is not None:
-                # dropping columns can only lower a rank, so an exact rank
-                # on J's columns that reaches ranks[0] is exact; J may not
-                # generate at the other points: replay on every column
-                log_fallback(__name__, "short on J's columns at q = %s; full "
-                             "images", ", ".join(map(str, short)))
-                exact.update(_exact_ranks(words, glist,
-                                          identity_on(space, None), short))
-            ranks = [exact.get(a, rk) for a, rk in zip(points, ranks)]
+            ranks = _pivot_ranks(words, ech, identity_on(space, cols), glist,
+                                 points)
+        # rank_p <= rank_Q <= len(words) at every point: only the points
+        # short of it need an exact rank, of the same words
+        ranks = _exact_ranks(words, glist, space, cols, points, ranks)
     srank = max(ranks)
     agreement = len(set(ranks)) == 1
     bound = bound_lhs = bound_ok = None

@@ -22,15 +22,15 @@ works on keys alone and records each kept image as its word, the pair
 (generator, earlier kept image); replay() multiplies the words out, over
 Q(q), mod p or exactly at a point.  A Brauer candidate is kept when its
 diagram is new (diagram_images() returns that map).  The gl closure
-(Hecke and walled) is its own first point: a candidate is kept when its
-value at that point raises the rank of the kept ones, mod p in the
-caller's `Echelon` (which gets the words back) or exactly (which gets the
-images over Q(q)); a Hecke candidate is tried only when it lengthens its
-permutation to one not tried before, and a walled one g_i @ b only when
-b's word does not end in g_i or in a generator on slots left of g_i's
-(they commute).  Given the basis vectors of a set J that generates the
-module, every closure (Brauer too) keeps each image as its d x |J| columns
-on J, which fix an image that commutes with the symmetry generators.
+(Hecke and walled) is its own first point and returns the words it kept:
+a candidate is kept when its value at that point raises the rank of the
+kept ones, mod p in the caller's `Echelon` or exactly by `rank_at`; a
+Hecke candidate is tried only when it lengthens its permutation to one
+not tried before, and a walled one g_i @ b only when b's word does not
+end in g_i or in a generator on slots left of g_i's (they commute).
+Given the basis vectors of a set J that generates the module, every
+closure (Brauer too) keeps each image as its d x |J| columns on J, which
+fix an image that commutes with the symmetry generators.
 """
 
 from __future__ import annotations
@@ -242,9 +242,8 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     `echelon` (residues multiplied by `matmul_mod`), or with no echelon
     exactly, by `rank_at` on specialised values.  Independence at the point
     implies independence over Q(q), so every kept image is new;
-    UnluckyPrime if a denominator vanishes mod p.  With an echelon the kept
-    words are returned and nothing is multiplied over Q(q); with none they
-    are replayed over Q(q) and the images returned.
+    UnluckyPrime if a denominator vanishes mod p.  Either way the kept
+    words are returned, for `replay`, and nothing is multiplied over Q(q).
 
     A Hecke candidate X_i @ b is tried only when X_i lengthens b's
     permutation to one not tried before, so every kept image is the lift
@@ -318,13 +317,10 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
         seen.add(perm)
         return perm, product(g, b)
 
-    words = [word for _, word in _span_closure(
+    return [word for _, word in _span_closure(
         [(i, value(g, point)) for i, g in enumerate(gens.values(), 1)],
         (tuple(range(r)) if kind == "hecke" else 0, value(ident, point)),
         cap, mul, lambda key: raises(vectorize(key[1])))]
-    if echelon is not None:
-        return words
-    return replay(words, list(gens.values()), ident)
 
 
 def identity_on(space: SuperSpace, columns) -> SparseMat:
@@ -452,17 +448,16 @@ def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
                 points=None, echelon: Echelon | None = None, columns=None,
                 gens=None) -> list:
     """Spanning set of diagram images on the r-th (mixed) tensor power, each
-    a product of the matrices `diagram_generators` returns: the values of
-    `diagram_images` for Brauer, and for Hecke and walled the images that
-    `_gl_images` keeps at the first of `points`.  With an `echelon` the gl
-    closure ranks them mod p into it and returns their words, one per kept
-    image, which `replay` multiplies out; with none it ranks exactly and
-    returns the images over Q(q).  A Hecke or walled caller reads the first
-    point's rank and pivot columns from `echelon`.  Every caller may pass
-    the generators it already built as `gens`, and the basis vectors of a
-    generating set J as `columns`: each image, Brauer ones included, is then
-    kept as its columns on J only.  `points` None means DEFAULT_POINTS; an
-    empty sequence is a ValueError.
+    a product of the matrices `diagram_generators` returns: for Brauer the
+    images, the values of `diagram_images`; for Hecke and walled the words
+    of the images `_gl_images` keeps at the first of `points`, which
+    `replay` multiplies out.  With an `echelon` the gl closure ranks them
+    mod p into it, where the caller reads that point's rank and pivot
+    columns; with none it ranks exactly, so their count is the exact rank
+    there.  Every caller may pass the generators it already built as
+    `gens`, and the basis vectors of a generating set J as `columns`: each
+    image, Brauer ones included, is then kept as its columns on J only.
+    `points` None means DEFAULT_POINTS; an empty sequence is a ValueError.
     """
     points = check_points(DEFAULT_POINTS if points is None else points)
     if kind == "brauer":

@@ -355,7 +355,9 @@ class RatFunc:
         F_p without building a Fraction.
 
         UnluckyPrime if the point or the denominator vanishes mod p; the
-        exact `specialize` then decides whether the point is a pole.
+        exact `specialize` then decides whether the point is a pole.  The
+        denominator's message names no point: `SparseMat.residues` passes
+        the point's residue and adds the point itself.
         """
         x = rational_residue(point, p)
         if not x:
@@ -363,7 +365,7 @@ class RatFunc:
         d = _horner_mod(self._d, x, 0, max(self._d), p)
         if not d:
             raise UnluckyPrime(f"denominator {_poly_str(self._d)} vanishes "
-                               f"mod {p} at q = {point}")
+                               f"mod {p}")
         n = self._n
         if not n:
             return 0

@@ -203,14 +203,19 @@ class SparseMat:
     def residues(self, point) -> "SparseMat":
         """Entries at q = point reduced mod p = PRIME, as ints in [0, p).
 
-        Built without a Fraction; UnluckyPrime if the point or a reduced
-        entry's denominator vanishes mod p.
+        Built without a Fraction: each entry is evaluated at the point's
+        residue x.  UnluckyPrime, naming the point, if the point or a
+        reduced entry's denominator vanishes mod p.
         """
         p = PRIME
-        x = rational_residue(Fraction(point), p)
-        return self.map_values(
-            lambda v: v.residue(x, p) if isinstance(v, RatFunc)
-            else rational_residue(v, p))
+        if not (x := rational_residue(Fraction(point), p)):
+            raise UnluckyPrime(f"q = {point} vanishes mod {p}")
+        try:
+            return self.map_values(
+                lambda v: v.residue(x, p) if isinstance(v, RatFunc)
+                else rational_residue(v, p))
+        except UnluckyPrime as exc:
+            raise UnluckyPrime(f"{exc} at q = {point}") from None
 
     # -- graded operations ------------------------------------------------
 

@@ -74,8 +74,9 @@ def ratfunc_rank(rows) -> int:
 
 
 def closure_words(kind, ctx, r, s, echelon, columns=None):
-    """The words the gl closure keeps mod p in `echelon`, with the images
-    over Q(q) that they spell (`replay` from the placed generators)."""
+    """The words the gl closure keeps, mod p in `echelon` or exactly where
+    it is None, with the images over Q(q) that they spell (`replay` from
+    the placed generators)."""
     words = image_basis(kind, ctx, r, s, None, echelon, columns)
     gens = list(diagram_generators(kind, ctx, r, s).values())
     start = identity_on(ctx.space_of("+" * r + "-" * s), columns)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import dataclasses
+
 from conftest import (assert_certified, closure_words, commutator_rows,
                       dense_nullity, ratfunc_rank)
 from qschur import centralizer
@@ -16,9 +18,9 @@ from qschur.centralizer import (MembershipError, PrimitiveCertificate,
                                 check_membership,
                                 commutant_dim_glq, commutant_dim_osp,
                                 commutant_nullity, fft_report,
-                                generating_columns, least_nullity,
-                                module_heights, relation_check)
-from qschur.errors import UsageError, VerificationError
+                                least_nullity, module_heights,
+                                relation_check, weight_module)
+from qschur.errors import UnluckyPrime, UsageError, VerificationError
 from qschur.functor import (BudgetError, diagram_generators, identity_on,
                             image_basis, make_context, replay)
 from qschur.qgl import act_on_signs, generator_names, natural_rep
@@ -109,7 +111,7 @@ def test_span_rank_examples():
     ctx = make_context("glq", datum=d)
     ident = SparseMat.identity(ctx.V.tensor(ctx.V))
     assert max(ranks_at([vectorize(ident)], DEFAULT_POINTS)) == 1
-    images = image_basis("hecke", ctx, 2)
+    images = closure_words("hecke", ctx, 2, 0, None)[1]
     assert max(ranks_at([vectorize(i) for i in images], DEFAULT_POINTS)) == 2
 
 
@@ -256,16 +258,16 @@ def test_empty_points_are_rejected_by_name():
     # parameter's name, not an IndexError or min()'s message
     gl = distinguished("gl", 1, 1)
     gens = _glq_generator_mats(gl, 2)
-    heights = module_heights(gl, (1, 1))
-    calls = [lambda: commutant_dim_glq(gens, 4, [], 2, heights),
-             lambda: commutant_dim_glq(gens, 4, iter(()), 2, heights),
+    module = weight_module(gens, module_heights(gl, (1, 1)), DEFAULT_POINTS[0])
+    calls = [lambda: commutant_dim_glq(gens, 4, [], 2, module),
+             lambda: commutant_dim_glq(gens, 4, iter(()), 2, module),
              lambda: least_nullity(gens, 4, []), lambda: ranks_at([], [])]
     for call in calls:
         with pytest.raises(ValueError, match="^points: at least one "
                            "specialisation point"):
             call()
     # any iterable of points is read once, as a list
-    dim, cert = commutant_dim_glq(gens, 4, iter(DEFAULT_POINTS), 2, heights)
+    dim, cert = commutant_dim_glq(gens, 4, iter(DEFAULT_POINTS), 2, module)
     assert dim == 2 and cert.point == "7/5"
     assert least_nullity(gens, 4, iter(DEFAULT_POINTS)) == 2
 
@@ -284,10 +286,10 @@ def test_certified_and_exact_nullities_match_dense_oracle():
         exact = gens if point is None else [g.specialize(point) for g in gens]
         want = dense_nullity(commutator_rows(exact, dim), dim * dim)
         assert commutant_nullity(exact, dim) == want
-        cols, split = generating_columns(gens, heights, point)
-        cert = certify_spin(split, heights, cols, want, point)
+        module = weight_module(gens, heights, point)
+        cert = certify_spin(module, want)
         assert cert is not None and cert.unknowns - cert.rank == want
-        assert cert.columns == len(cols) and cert.prime == PRIME
+        assert cert.columns == len(module.columns) and cert.prime == PRIME
 
 
 def test_unmet_lower_bound_takes_the_exact_path(caplog):
@@ -298,34 +300,32 @@ def test_unmet_lower_bound_takes_the_exact_path(caplog):
     assert commutant_nullity(jordan, 2) == 2
     osp_gens = _osp_generator_mats(1, 1, 2)
     osp_heights = module_heights(distinguished("osp", 1, 1), (1, 1))
-    cols, split = generating_columns(osp_gens, osp_heights)
+    module = weight_module(osp_gens, osp_heights)
     with caplog.at_level("INFO", logger="qschur.centralizer"):
-        assert commutant_dim_osp(osp_gens, 9, 1, osp_heights) == (3, None)
-        assert commutant_dim_osp(osp_gens, 9, 1, osp_heights, cols,
-                                 split) == (3, None)
+        assert commutant_dim_osp(osp_gens, 9, 1, None) == (3, None)
+        assert not caplog.text  # no module: its reason is logged once
+        assert commutant_dim_osp(osp_gens, 9, 1, module) == (3, None)
     assert "bound 3 does not meet the lower bound 1" in caplog.text
-    assert "spin certificate: no generating set J; exact path" in caplog.text
     assert ("spin certificate: nullity bound 3 after all" in caplog.text
             and caplog.text.rstrip().endswith("; exact path"))
     gl = distinguished("gl", 1, 1)
     gl_gens = _glq_generator_mats(gl, 2)
-    assert commutant_dim_glq(gl_gens, 4, DEFAULT_POINTS, 1,
-                             module_heights(gl, (1, 1))) == (2, None)
-    dim, cert = commutant_dim_osp(osp_gens, 9, 3, osp_heights)
+    assert commutant_dim_glq(gl_gens, 4, DEFAULT_POINTS, 1, weight_module(
+        gl_gens, module_heights(gl, (1, 1)), DEFAULT_POINTS[0])) == (2, None)
+    dim, cert = commutant_dim_osp(osp_gens, 9, 3, module)
     assert dim == 3 and cert.bound == 3
 
 
 def test_denominator_divisible_by_prime_takes_the_exact_path(caplog):
-    # no J is found and the primitive certificate stops, so the exact
-    # nullity over Q decides
+    # no module mod p is found, logged once, so the exact nullity over Q
+    # decides
     V = SuperSpace((0, 0))
     unlucky = [SparseMat(V, V, {(0, 1): Fraction(1, PRIME)})]
     with caplog.at_level("INFO", logger="qschur.centralizer"):
-        assert generating_columns(unlucky, (0, 0)) == (None, None)
-        assert commutant_dim_osp(unlucky, 2, 2, (0, 0)) == (2, None)
+        assert weight_module(unlucky, (0, 0)) is None
+        assert commutant_dim_osp(unlucky, 2, 2, None) == (2, None)
     assert [rec.getMessage().split(":")[0] for rec in caplog.records] == [
-        "generating columns at q = None", "primitive certificate",
-        "spin certificate"]
+        "weight module at q = None"]
     assert "vanishes mod" in caplog.text
     assert caplog.text.rstrip().endswith("; exact path")
     assert commutant_nullity(unlucky, 2) == 2
@@ -352,6 +352,9 @@ def test_budget_guards():
     (("gl", 1, 1, 2), {"points": [Fraction(7, 5), -1]}),
     (("gl", 1, 1, 2), {"points": [0]}),
     (("sl", 1, 1, 2), {}),
+    (("gl", 1, 1, 2.5), {}),
+    (("gl", True, 1, 2), {}),
+    (("gl", 1, 1, 2), {"s": 1.0}),
 ])
 def test_fft_report_rejects_malformed_cells(monkeypatch, args, kwargs):
     def no_work(*a, **k):
@@ -451,11 +454,11 @@ def test_walled_closure_without_x_minus_loses_nothing(monkeypatch, m, n, r, s):
     inverses = _inverse_walled_generators(ctx, r, s)
     assert inverses
     check_membership(inverses, _glq_generator_mats(datum, r, s))
-    plus = image_basis("walled", ctx, r, s)
+    plus = closure_words("walled", ctx, r, s, None)[1]
     plain = functor._walled_generators
     monkeypatch.setattr(functor, "_walled_generators",
                         lambda *a: {**plain(*a), **inverses})
-    both = image_basis("walled", ctx, r, s)
+    both = closure_words("walled", ctx, r, s, None)[1]
     assert len(both) == len(plus)
     assert (ranks_at([vectorize(img) for img in both], DEFAULT_POINTS)
             == ranks_at([vectorize(img) for img in plus], DEFAULT_POINTS))
@@ -759,7 +762,7 @@ def test_sigma_orbit_bound_is_the_exact_commutant(m, n, r):
     d = (m + 2 * n) ** r
     exact = commutant_nullity(gens, d)
     heights = module_heights(distinguished("osp", m, n), (1,) * r)
-    cert = certify_primitive(gens, heights, exact)
+    cert = certify_primitive(weight_module(gens, heights), exact)
     assert cert is not None and cert.bound == exact
     assert cert.generation_rank == d
 
@@ -826,9 +829,9 @@ def test_gl_bound_is_the_hook_formula(m, n, r_max):
     datum = distinguished("gl", m, n)
     for r in range(1, r_max + 1):
         want = _hook_sum(m, n, r)
-        cert = certify_primitive(_glq_generator_mats(datum, r),
-                                 module_heights(datum, (1,) * r), want,
-                                 DEFAULT_POINTS[0])
+        cert = certify_primitive(weight_module(
+            _glq_generator_mats(datum, r), module_heights(datum, (1,) * r),
+            DEFAULT_POINTS[0]), want)
         assert cert is not None and cert.bound == want, (m, n, r)
     assert _hook_sum(2, 1, 6) == 695
 
@@ -836,17 +839,18 @@ def test_gl_bound_is_the_hook_formula(m, n, r_max):
 def test_a_lower_bound_one_short_gets_no_primitive_certificate(caplog):
     gl = distinguished("gl", 2, 1)
     gl_gens = _glq_generator_mats(gl, 3)
-    gl_heights = module_heights(gl, (1, 1, 1))
+    gl_module = weight_module(gl_gens, module_heights(gl, (1, 1, 1)),
+                              DEFAULT_POINTS[0])
     osp_gens = _osp_generator_mats(3, 1, 2)
-    osp_heights = module_heights(distinguished("osp", 3, 1), (1, 1))
+    osp_module = weight_module(osp_gens, module_heights(
+        distinguished("osp", 3, 1), (1, 1)))
     with caplog.at_level("INFO", logger="qschur.centralizer"):
-        assert certify_primitive(gl_gens, gl_heights, 5,
-                                 DEFAULT_POINTS[0]) is None
-        assert certify_primitive(osp_gens, osp_heights, 2) is None
+        assert certify_primitive(gl_module, 5) is None
+        assert certify_primitive(osp_module, 2) is None
         # the same verdicts as the exact path gives
         assert commutant_dim_glq(gl_gens, 27, DEFAULT_POINTS, 5,
-                                 gl_heights) == (6, None)
-        assert commutant_dim_osp(osp_gens, 25, 2, osp_heights) == (3, None)
+                                 gl_module) == (6, None)
+        assert commutant_dim_osp(osp_gens, 25, 2, osp_module) == (3, None)
     assert "bound 6 does not meet the lower bound 5" in caplog.text
     assert "bound 3 does not meet the lower bound 2" in caplog.text
 
@@ -857,30 +861,37 @@ def test_a_module_not_generated_takes_the_spin_certificate(monkeypatch,
     # a map is fixed by its 46 values on the 7 columns of J
     gens = _osp_generator_mats(3, 1, 3)
     heights = module_heights(distinguished("osp", 3, 1), (1, 1, 1))
-    cols, split = generating_columns(gens, heights)
+    module = weight_module(gens, heights)
     assemblies = _spy_calls(monkeypatch, "assemble_commutant_rows")
     with caplog.at_level("INFO", logger="qschur.centralizer"):
-        assert certify_primitive(gens, heights, 15) is None
-        dim, cert = commutant_dim_osp(gens, 125, 15, heights, cols, split)
+        assert certify_primitive(module, 15) is None
+        dim, cert = commutant_dim_osp(gens, 125, 15, module)
     assert "generation stops at a weight class of size" in caplog.text
     assert "spin certificate" not in caplog.text and not assemblies
     assert dim == 15 and isinstance(cert, SpinCertificate)
     assert (cert.columns, cert.unknowns, cert.rank) == (7, 46, 31)
 
 
+def _no_weight_module(monkeypatch):
+    # the weight split fails a check, so no module and no J are found
+    def fail(*args):
+        raise centralizer._NotPrimitive("a failed check")
+    monkeypatch.setattr(centralizer, "_weight_split", fail)
+
+
 def test_a_cell_without_j_takes_the_exact_path(monkeypatch, caplog):
-    # with no J the spin certificate is not tried: the exact nullity over
-    # Q decides osp(3|2) r=3, and the report keeps its bytes
+    # with no module no certificate is tried: the exact nullity over Q
+    # decides osp(3|2) r=3, the reason is logged once, and the report
+    # keeps its bytes
     want = fft_report("osp", 3, 1, 3).to_dict()
-    monkeypatch.setattr(centralizer, "generating_columns",
-                        lambda *args: (None, None))
+    _no_weight_module(monkeypatch)
     exact = _spy_calls(monkeypatch, "commutant_nullity")
     with caplog.at_level("INFO", logger="qschur.centralizer"):
         report = fft_report("osp", 3, 1, 3)
     assert report.to_dict() == want and report.certificate is None
     assert [result for _, result in exact] == [15]
-    assert caplog.text.rstrip().endswith(
-        "spin certificate: no generating set J; exact path")
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "weight module at q = None: a failed check; exact path"]
 
 
 def test_the_gl_exact_path_stops_at_the_first_point_meeting_the_span(
@@ -888,8 +899,7 @@ def test_the_gl_exact_path_stops_at_the_first_point_meeting_the_span(
     # no point's nullity goes below the span rank, so walled gl(2|1) r=2
     # s=1 with no J is decided by one exact nullity, not one per point
     want = fft_report("gl", 2, 1, 2, s=1).to_dict()
-    monkeypatch.setattr(centralizer, "generating_columns",
-                        lambda *args: (None, None))
+    _no_weight_module(monkeypatch)
     exact = _spy_calls(monkeypatch, "commutant_nullity")
     report = fft_report("gl", 2, 1, 2, s=1)
     assert report.to_dict() == want and report.certificate is None
@@ -939,7 +949,8 @@ def test_each_failed_check_falls_back(caplog):
     for gen_list, hts, bound, point, reason in cases:
         caplog.clear()
         with caplog.at_level("INFO", logger="qschur.centralizer"):
-            assert certify_primitive(gen_list, hts, bound, point) is None
+            module = weight_module(gen_list, hts, point)
+            assert module is None or certify_primitive(module, bound) is None
         assert reason in caplog.text, reason
 
 
@@ -956,14 +967,13 @@ def _span_args(m, n, r, s):
 
 def _closure(ctx, kind, r, s, points, columns=None):
     # what fft_report hands to _pivot_ranks: the kept words, their echelon,
-    # the identity the words start from and the generators' residues at
-    # the later points
+    # the identity the words start from, the diagram generators and the
+    # points
     ech = Echelon()
     words = image_basis(kind, ctx, r, s, points, ech, columns)
     gens = list(diagram_generators(kind, ctx, r, s).values())
     start = identity_on(ctx.space_of("+" * r + "-" * s), columns)
-    return words, ech, start, {a: [g.residues(a) for g in gens]
-                               for a in points[1:]}
+    return words, ech, start, gens, points
 
 
 def _full_row_ranks(ctx, kind, r, s, points):
@@ -992,22 +1002,23 @@ def test_span_ranks_reduce_no_image_at_the_first_point(monkeypatch, m, n, r,
                                                        kept):
     # the closure ranks the first point itself; each later point replays
     # the words mod p and ranks only the kept images' entries on the pivot
-    # columns, with no residue over Q(q) (gl(1|1) r >= 4 is not faithful:
-    # 20 of 24 and 70 of 120 permutations)
+    # columns, with no residue over Q(q) but the generators' (gl(1|1)
+    # r >= 4 is not faithful: 20 of 24 and 70 of 120 permutations)
     args = _span_args(m, n, r, 0)
     want = _full_row_ranks(*args)
     closed = _closure(*args)
     pivots = set(closed[1].pivot_columns)
-    rows, add = [], Echelon.add
+    rows, add, residues = [], Echelon.add, SparseMat.residues
 
     def spy(self, row):
         rows.append(row)
         return add(self, row)
 
-    def no_residue(*args):
-        raise AssertionError("a residue over Q(q)")
+    def generators_only(self, point):
+        assert any(self is g for g in closed[3]), "a residue over Q(q)"
+        return residues(self, point)
     monkeypatch.setattr(Echelon, "add", spy)
-    monkeypatch.setattr(RatFunc, "residue", no_residue)
+    monkeypatch.setattr(SparseMat, "residues", generators_only)
     assert centralizer._pivot_ranks(*closed) == want == [kept] * 3
     assert len(rows) == 2 * kept and all(set(row) <= pivots for row in rows)
 
@@ -1036,20 +1047,19 @@ def test_replayed_pivot_ranks_match_the_q_of_q_residues(m, n, r, s, rank):
     # (the benchmark's osp cells rank no later point)
     ctx, kind, _, _, points = _span_args(m, n, r, s)
     cols = _j_args(m, n, r, s)[2]
-    words, ech, start, later = _closure(ctx, kind, r, s, points, cols)
+    closed = _closure(ctx, kind, r, s, points, cols)
     images = closure_words(kind, ctx, r, s, Echelon(), cols)[1]
-    assert (centralizer._pivot_ranks(words, ech, start, later)
-            == _parent_pivot_ranks(images, ech, points) == [rank] * 3)
+    assert (centralizer._pivot_ranks(*closed)
+            == _parent_pivot_ranks(images, closed[1], points) == [rank] * 3)
 
 
-@pytest.mark.parametrize("cell", [("gl", 1, 1, 3, 2), ("gl", 2, 1, 4, 0),
-                                  ("gl", 2, 1, 2, 2)])
-def test_a_certified_gl_cell_stays_off_q_of_q(monkeypatch, cell):
+def _off_q_of_q(monkeypatch):
     # no product over Q(q) in the closure or its replays, and no residue
-    # over Q(q) when the later points are ranked; the generators and the
-    # two-slot checks stay over Q(q)
-    want = fft_report(cell[0], *cell[1:4], s=cell[4]).to_dict()
-    where, matmul, residue = [], SparseMat.__matmul__, RatFunc.residue
+    # over Q(q) but the diagram generators' when the later points are
+    # ranked; the generators and the two-slot checks stay over Q(q)
+    where, placed = [], []
+    matmul, residues = SparseMat.__matmul__, SparseMat.residues
+    generators = centralizer.diagram_generators
 
     def inside(name, fn):
         def spy(*args):
@@ -1067,9 +1077,15 @@ def test_a_certified_gl_cell_stays_off_q_of_q(monkeypatch, cell):
         assert not ("closure" in where and (q_of_q(self) or q_of_q(other)))
         return matmul(self, other)
 
-    def no_residue(self, *args):
-        assert "pivot ranks" not in where
-        return residue(self, *args)
+    def placed_generators(*args):
+        out = generators(*args)
+        placed.extend(out.values())
+        return out
+
+    def generators_only(self, point):
+        assert "pivot ranks" not in where or any(self is g for g in placed)
+        return residues(self, point)
+    monkeypatch.setattr(centralizer, "diagram_generators", placed_generators)
     monkeypatch.setattr(functor, "_span_closure",
                         inside("closure", functor._span_closure))
     monkeypatch.setattr(functor, "replay", inside("closure", functor.replay))
@@ -1078,9 +1094,28 @@ def test_a_certified_gl_cell_stays_off_q_of_q(monkeypatch, cell):
     monkeypatch.setattr(centralizer, "_pivot_ranks",
                         inside("pivot ranks", centralizer._pivot_ranks))
     monkeypatch.setattr(SparseMat, "__matmul__", no_q_product)
-    monkeypatch.setattr(RatFunc, "residue", no_residue)
+    monkeypatch.setattr(SparseMat, "residues", generators_only)
+
+
+@pytest.mark.parametrize("cell", [("gl", 1, 1, 3, 2), ("gl", 2, 1, 4, 0),
+                                  ("gl", 2, 1, 2, 2)])
+def test_a_certified_gl_cell_stays_off_q_of_q(monkeypatch, cell):
+    want = fft_report(cell[0], *cell[1:4], s=cell[4]).to_dict()
+    _off_q_of_q(monkeypatch)
     report = fft_report(cell[0], *cell[1:4], s=cell[4])
     assert report.certificate is not None and report.to_dict() == want
+
+
+def test_an_uncertified_gl_cell_stays_off_q_of_q(monkeypatch):
+    # q = p/7 is 0 mod p: no module, the closure stops, and the exact path
+    # decides; its closure keeps words, and the later point replays them
+    # from the generators specialised there
+    points = [Fraction(PRIME, 7), Fraction(13, 9)]
+    want = fft_report("gl", 2, 1, 2, s=1, points=points).to_dict()
+    _off_q_of_q(monkeypatch)
+    report = fft_report("gl", 2, 1, 2, s=1, points=points)
+    assert report.certificate is None and report.to_dict() == want
+    assert report.equal and report.agreement
 
 
 def _spy_calls(monkeypatch, name):
@@ -1105,6 +1140,31 @@ def test_an_unlucky_first_point_takes_the_exact_path(monkeypatch, caplog):
     assert caplog.text.count("span closure at q = 7/5") == 1
     assert report.certificate is None
     assert report.to_dict() == want
+
+
+def test_unlucky_point_messages_name_the_point(caplog):
+    # q = p/7 is 0 mod p, first and then later: each message names the
+    # point, not its residue 0
+    unlucky = Fraction(PRIME, 7)
+    with caplog.at_level("INFO", logger="qschur.centralizer"):
+        first = fft_report("gl", 2, 1, 2, s=1,
+                           points=[unlucky, Fraction(13, 9)])
+        later = fft_report("gl", 2, 1, 2, s=1,
+                           points=[Fraction(13, 9), unlucky])
+    vanishes = f"q = {unlucky} vanishes mod {PRIME}"
+    assert first.certificate is None and later.certificate is not None
+    assert first.equal and later.equal
+    for where in ("weight module", "span closure"):
+        assert f"{where} at q = {unlucky}: {vanishes}; exact path" in (
+            caplog.text)
+    assert f"span rank at q = {unlucky}: {vanishes}; exact rank" in (
+        caplog.text)
+    assert "q = 0 " not in caplog.text
+    # a denominator that vanishes at 5, the residue of the point p + 5
+    V = SuperSpace((0,))
+    with pytest.raises(UnluckyPrime, match=f"^denominator .* vanishes mod "
+                       f"{PRIME} at q = {PRIME + 5}$"):
+        SparseMat(V, V, {(0, 0): 1 / (Q - 5)}).residues(PRIME + 5)
 
 
 def test_a_point_short_on_the_pivot_columns_is_ranked_exactly(monkeypatch,
@@ -1147,7 +1207,7 @@ def _j_args(m, n, r, s, point=DEFAULT_POINTS[0]):
     datum = distinguished("gl", m, n)
     gens = _glq_generator_mats(datum, r, s)
     heights = module_heights(datum, (1,) * r + (-1,) * s)
-    return gens, heights, generating_columns(gens, heights, point)[0]
+    return gens, heights, weight_module(gens, heights, point).columns
 
 
 def _on_columns(img, cols):
@@ -1195,14 +1255,15 @@ def test_generating_set_sizes_are_pinned(m, n, r, s, size):
 
 def test_a_j_that_does_not_generate_misses_both_certificates(monkeypatch,
                                                             caplog):
-    # one basis vector, a highest weight vector, generates only part of
-    # the module: the closure keeps fewer images, both certificates miss
-    # and the exact path, on every column, decides to the same bytes
+    # one basis vector, a highest weight vector, in place of J generates
+    # only part of the module: the closure keeps fewer images, both
+    # certificates miss and the exact path, on every column, decides to
+    # the same bytes
     cells = [("gl", 1, 1, 2, 1), ("gl", 2, 1, 3, 0)]
     want = [fft_report(f, m, n, r, s=s).to_dict() for f, m, n, r, s in cells]
-    columns = centralizer.generating_columns
-    monkeypatch.setattr(centralizer, "generating_columns",
-                        lambda *args: ((0,), columns(*args)[1]))
+    build = centralizer.weight_module
+    monkeypatch.setattr(centralizer, "weight_module", lambda *args:
+                        dataclasses.replace(build(*args), columns=(0,)))
     closures = _spy_calls(monkeypatch, "image_basis")
     for cell, expect in zip(cells, want):
         f, m, n, r, s = cell
@@ -1255,21 +1316,24 @@ def test_a_point_short_on_j_rebuilds_full_images(monkeypatch, caplog):
 def test_an_uncertified_cell_ranks_the_exact_closure(monkeypatch):
     # at 37 the walled closure mod p drops candidates that are independent
     # over Q: no certificate, so a second, exact closure gives the first
-    # point's rank by its count, and only the later points are ranked
+    # point's rank by its count, and each later point replays its words
+    # exactly, from the generators specialised there, on J's columns
     want = fft_report("gl", 1, 1, 2, s=1).to_dict()
     monkeypatch.setattr(superspace, "PRIME", 37)
     closures = _spy_calls(monkeypatch, "image_basis")
     reranks = _spy_calls(monkeypatch, "ranks_at")
     report = fft_report("gl", 1, 1, 2, s=1)
     assert report.certificate is None and report.to_dict() == want
-    (mod_p_args, _), (exact_args, exact) = closures
+    (mod_p_args, _), (exact_args, words) = closures
     assert isinstance(mod_p_args[5], Echelon) and exact_args[5:] == ()
-    rows = [vectorize(img) for img in exact]
-    first = ranks_at(rows, DEFAULT_POINTS[:1])
-    assert first == [len(exact)]
-    assert [(at, got) for (_, at), got in reranks] == [
-        (list(DEFAULT_POINTS[1:]), ranks_at(rows, DEFAULT_POINTS[1:]))]
-    ranks = first + reranks[0][1]
+    assert [at for (_, at), _ in reranks] == [[a] for a in DEFAULT_POINTS[1:]]
+    for (rows, _), _ in reranks:
+        assert len(rows) == len(words) and not any(
+            isinstance(v, RatFunc) for row in rows for v in row.values())
+    ranks = [len(words)] + [got for _, (got,) in reranks]
+    images = closure_words("walled", exact_args[1], 2, 1, None)[1]
+    assert ranks == ranks_at([vectorize(img) for img in images],
+                             DEFAULT_POINTS)
     assert report.span_rank == max(ranks)
     assert report.agreement == (len(set(ranks)) == 1)
 
@@ -1286,7 +1350,7 @@ def test_the_osp_span_on_j_has_the_full_exact_rank(m, n, r):
     # restricted to J, and their exact rank over Q is the full one
     ctx = make_context("osp_classical", m=m, n=n)
     heights = module_heights(distinguished("osp", m, n), (1,) * r)
-    cols = generating_columns(_osp_generator_mats(m, n, r), heights)[0]
+    cols = weight_module(_osp_generator_mats(m, n, r), heights).columns
     full = image_basis("brauer", ctx, r)
     on_j = image_basis("brauer", ctx, r, columns=cols)
     assert len(cols) < len(heights) and len(on_j) == len(full)
@@ -1314,8 +1378,7 @@ def test_the_osp_span_without_j_keeps_the_bytes(monkeypatch):
     # no J: every column is kept, and the report is the same
     cells = [(1, 1, 3), (2, 1, 2), (2, 1, 3), (3, 1, 3), (0, 1, 3), (3, 2, 2)]
     want = [fft_report("osp", m, n, r).to_dict() for m, n, r in cells]
-    monkeypatch.setattr(centralizer, "generating_columns",
-                        lambda *args: (None, None))
+    _no_weight_module(monkeypatch)
     closures = _spy_calls(monkeypatch, "image_basis")
     assert [fft_report("osp", m, n, r).to_dict() for m, n, r in cells] == want
     for (args, images), (m, n, r) in zip(closures, cells):
@@ -1350,27 +1413,26 @@ def test_the_spin_nullity_is_the_exact_nullity(flavor, m, n, r, s, caplog):
     else:
         point, gens = None, _osp_generator_mats(m, n, r)
         exact = commutant_nullity(gens, len(heights))
-    cols, split = generating_columns(gens, heights, point)
-    cert = certify_spin(split, heights, cols, exact, point)
+    module = weight_module(gens, heights, point)
+    cert = certify_spin(module, exact)
     assert cert is not None and cert.unknowns - cert.rank == exact
-    assert cert.columns == len(cols) <= len(heights)
+    assert cert.columns == len(module.columns) <= len(heights)
     with caplog.at_level("INFO", logger="qschur.centralizer"):
-        assert certify_spin(split, heights, cols, exact - 1, point) is None
+        assert certify_spin(module, exact - 1) is None
     assert f"spin certificate: nullity bound {exact} after all" in caplog.text
 
 
-def test_a_j_that_does_not_generate_logs_the_spin_fallback(caplog):
-    # one basis vector does not generate osp(3|2) r=3: the spin
-    # certificate gives up on it, and the exact path decides the cell
-    gens = _osp_generator_mats(3, 1, 3)
-    heights = module_heights(distinguished("osp", 3, 1), (1, 1, 1))
-    split = generating_columns(gens, heights)[1]
-    with pytest.raises(centralizer._NotPrimitive, match="generation stops"):
-        certify_spin(split, heights, (0,), 15)
-    with caplog.at_level("INFO", logger="qschur.centralizer"):
-        dim, cert = commutant_dim_osp(gens, 125, 15, heights, (0,), split)
-    assert dim == 15 and cert is None
-    assert [rec.getMessage().split(":")[0] for rec in caplog.records
-            if rec.name == "qschur.centralizer"] == [
-        "primitive certificate", "spin certificate"]
-    assert caplog.text.rstrip().endswith("; exact path")
+def test_the_spin_certificate_reads_j_from_the_module(monkeypatch):
+    # osp(3|2) r=3 takes the spin certificate: J is spun once, when the
+    # module is built, and the primitive spaces once, when they fail to
+    # generate; the spin certificate spins nothing again
+    seeds, spin = [], centralizer._spin
+
+    def spy(*args):
+        seeds.append(args[-1])
+        return spin(*args)
+    monkeypatch.setattr(centralizer, "_spin", spy)
+    report = fft_report("osp", 3, 1, 3)
+    assert isinstance(report.certificate, SpinCertificate)
+    assert report.certificate.columns == 7 and len(seeds) == 2
+    assert sum(map(len, seeds[0])) == 125 > sum(map(len, seeds[1]))

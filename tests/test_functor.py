@@ -178,8 +178,8 @@ def test_markov_conjugation_invariance():
 def test_image_basis_hecke():
     d = distinguished("gl", 1, 1)
     ctx = make_context("glq", datum=d)
-    images = image_basis("hecke", ctx, 2)
-    assert len(images) == 2
+    words, images = closure_words("hecke", ctx, 2, 0, None)
+    assert words == image_basis("hecke", ctx, 2) == [None, (0, 0)]
     assert images[0] == SparseMat.identity(ctx.V.tensor(ctx.V))
     assert images[1] == braiding(d)
 
@@ -194,8 +194,8 @@ def test_image_basis_brauer():
 def test_image_basis_walled_11():
     d = distinguished("gl", 2, 1)
     ctx = make_context("glq", datum=d)
-    images = image_basis("walled", ctx, 1, 1)
-    assert len(images) == 2  # id and the turnback
+    words, images = closure_words("walled", ctx, 1, 1, None)
+    assert len(words) == 2  # id and the turnback
     assert rank_at([vectorize(im) for im in images], DEFAULT_POINTS) == 2
     turn = ctx.images["U+"] @ ctx.images["Om-"]
     assert any(im == turn for im in images)
@@ -205,8 +205,8 @@ def test_image_basis_walled_11():
     ("walled", 1, 1, 2, 1), ("walled", 1, 1, 2, 2), ("walled", 2, 1, 2, 2),
     ("hecke", 2, 1, 3, 0), ("hecke", 1, 1, 4, 0)])
 def test_exact_and_mod_p_closures_keep_the_same_images(kind, m, n, r, s):
-    # the mod-p closure returns words; replayed over Q(q) they are the
-    # images that the exact closure multiplies out
+    # both closures return words, and the exact closure keeps the words
+    # the mod-p closure keeps
     kept = {(1, 1, 2, 1): 6, (1, 1, 2, 2): 20, (2, 1, 2, 2): 24,
             (2, 1, 3, 0): 6, (1, 1, 4, 0): 20}[m, n, r, s]
     ctx = make_context("glq", datum=distinguished("gl", m, n))
@@ -215,7 +215,7 @@ def test_exact_and_mod_p_closures_keep_the_same_images(kind, m, n, r, s):
     assert len(words) == ech.rank == kept
     assert words[0] is None and all(k < j for j, (_, k)
                                     in enumerate(words[1:], 1))
-    assert image_basis(kind, ctx, r, s) == images
+    assert image_basis(kind, ctx, r, s) == words
 
 
 def test_closure_keys_every_brauer_diagram():
