@@ -29,16 +29,23 @@ bound for the commutant dimension.  The module mod p (at points[0] for
 quantum gl) is read once per cell into one record, `weight_module`: its
 weight classes, primitive spaces and a set J of basis vectors that
 generates it (from the top weight class down, the lowering images of the
-classes above completed by the class's own basis vectors).  In both
-flavors each image is kept only on J's columns.  A combination of images
-commutes with the generators, so if it vanishes on J it vanishes.  For
-osp the generators have int entries, so J generates over Q too, and the
-exact rank over Q of the Brauer images on J's columns is their rank on
-all d columns; it is ranked with the columns in rarest-first order
-(`_rarest_first`).  For quantum gl the closure is its own first point: it
+classes above completed by the class's own basis vectors), and whether
+its primitive spaces generate it (below).  Where they do, the quantum gl
+span is proved from its blocks (`_block_span`): the closure runs on each
+image's k x k blocks on the P_lam, keeps an image only while it fills a
+block or tells two blocks of one size apart by their traces, and stops
+once every block is full and told apart (`BlockSpan`).  By Burnside and
+Jacobson density the span mod p then has rank at least sum k_lam^2, so R
+is that sum without ranking an image on J.  Elsewhere each image is kept
+only on J's columns: a combination of images commutes with the
+generators, so if it vanishes on J it vanishes.  For osp the generators
+have int entries, so J generates over Q too, and the exact rank over Q
+of the Brauer images on J's columns is their rank on all d columns; it
+is ranked with the columns in rarest-first order (`_rarest_first`).  For
+quantum gl off the block route the closure is its own first point: it
 keeps only the R images whose residues mod p at points[0] raise the rank
-of an F_p `Echelon`, the same images as on all d columns, and the
-commutant is certified against R.  Where no module is found, every
+of an F_p `Echelon`, the same images as on all d columns.  Either way
+the commutant is certified against R.  Where no module is found, every
 column is kept.  Reduction mod p and specialisation can only lower a
 rank, so
 
@@ -80,34 +87,50 @@ upper bound for the nullity over Q(q), up to the first that meets the
 span rank (`least_nullity`).  Both certificates are tried inside the one
 commutant call of a cell (`_certify`).
 
-Only then are the later gl points ranked.  With a certificate, the
+The later gl points of the block route are ranked inside it, before the
+commutant: each point b builds its own P_lam(b) from the module's classes
+and the residues of the raising generators at b, and the kept words,
+replayed there block by block, must fill them to the same sum; then the
+rank at b is R too.  A miss anywhere (a block short, a pair not told apart,
+a sum that differs, a denominator that vanishes mod p) is logged, and the
+cell takes the J-column route, as if the P_lam did not generate.  There the
+later points are ranked after the commutant.  With a certificate, the
 closure's kept words are replayed mod p at each later point from the
-generators' residues there, and only their entries in the R pivot
-columns of the first point's echelon are ranked (`_pivot_ranks`); no
-product and no residue is taken over Q(q).  Dropping columns can only
-lower a rank, so a point that reaches R has the exact rank R.  Without a
-certificate, the closure is run again with exact ranks on every column,
-and its word count is the exact rank at points[0].  Either way, every
-point short of that count is ranked by one exact rule (`_exact_ranks`):
-the words are replayed over Q with the generators specialised there, on
-J's columns, and, since J is only proved to generate at points[0], once
-more on every column where the point is still short (logged).  So
-`agreement` compares exact ranks, and gap verdicts always come from
-exact arithmetic.  span_rank <= commutant_dim is asserted in every case.
+generators' residues there, and only their entries in the R pivot columns
+of the first point's echelon are ranked (`_pivot_ranks`); no product and no
+residue is taken over Q(q).  Dropping columns can only lower a rank, so a
+point that reaches R has the exact rank R.  Without a certificate (or where
+a denominator stops the closure at points[0], before the commutant), the
+closure is run again with exact ranks on every column, and its word count
+is the exact rank at points[0].  Either way, every point short of that
+count is ranked by one exact rule (`_exact_ranks`): the words are replayed
+over Q with the generators specialised there, on J's columns, and, since J
+is only proved to generate at points[0], once more on every column where
+the point is still short (logged).  So `agreement` compares exact ranks,
+and gap verdicts always come from exact arithmetic.  span_rank <=
+commutant_dim is asserted in every case.
+
+The budget bounds d before any work starts; the systems that grow faster
+are checked where they are built: the spin system's U unknowns in
+`certify_spin`, and the surviving unknowns of the exact path in
+`assemble_commutant_rows`.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
+from operator import mul
 
 from . import osp as osp_mod
 from . import qgl, superspace
 from .diagrams import brauer_count, quotient_relations
-from .errors import MembershipError, UnluckyPrime, UsageError, check_power
+from .errors import (BudgetError, MembershipError, UnluckyPrime, UsageError,
+                     check_power)
 from .functor import (EvalContext, check_image_cap, diagram_generators,
                       evaluate, identity_on, image_basis, make_context,
                       replay)
@@ -123,10 +146,13 @@ __all__ = [
     "RELATION_ALGEBRA", "MembershipError", "commutant_nullity",
     "least_nullity", "PrimitiveCertificate", "certify_primitive",
     "module_heights", "WeightModule", "weight_module", "SpinCertificate",
-    "certify_spin",
+    "certify_spin", "BlockSpan",
 ]
 
-DEFAULT_UNKNOWN_BUDGET = 150_000  # max d**2 unknowns for a commutant cell
+#: The default budget of a commutant cell: it bounds the dimension d before
+#: any work, the spin system's unknowns (`certify_spin`) and the surviving
+#: unknowns of the exact path (`assemble_commutant_rows`).
+DEFAULT_UNKNOWN_BUDGET = 150_000
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +178,15 @@ def _profile_classes(diag: list[SparseMat], dim: int) -> list[list[int]]:
     return list(profiles.values())
 
 
-def assemble_commutant_rows(gens: list[SparseMat], dim: int):
+def assemble_commutant_rows(gens: list[SparseMat], dim: int,
+                            budget: int | None = None):
     """(survivor count, constraint rows) for the system [M, P] = 0.
 
     Diagonal P pin every unknown M[i,j] whose diagonal profiles differ;
     the commutator rows of the remaining generators are then assembled
     over the surviving unknowns only (unknown id = i*dim + j, row-major),
-    generator by generator in the given order.
+    generator by generator in the given order.  BudgetError, before any
+    row is built, if the survivors exceed `budget`.
     """
     diag, other = _split_diagonal(gens, dim)
     classes = _profile_classes(diag, dim)
@@ -167,6 +195,9 @@ def assemble_commutant_rows(gens: list[SparseMat], dim: int):
         for i in members:
             classmates[i] = members
     survivors = sum(len(members) ** 2 for members in classes)
+    if budget is not None and survivors > budget:
+        raise BudgetError(f"commutant unknowns {survivors} exceed budget "
+                          f"{budget}")
     rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
 
     def add(key, unknown, value):
@@ -187,9 +218,11 @@ def assemble_commutant_rows(gens: list[SparseMat], dim: int):
     return survivors, [r for r in rows.values() if r]
 
 
-def commutant_nullity(gens: list[SparseMat], dim: int) -> int:
-    """Exact nullity over Q of the system [M, P] = 0 for all P in gens."""
-    survivors, rows = assemble_commutant_rows(gens, dim)
+def commutant_nullity(gens: list[SparseMat], dim: int,
+                      budget: int | None = None) -> int:
+    """Exact nullity over Q of the system [M, P] = 0 for all P in gens;
+    BudgetError if its surviving unknowns exceed `budget`."""
+    survivors, rows = assemble_commutant_rows(gens, dim, budget)
     return survivors - int_rank(rows)
 
 
@@ -219,12 +252,24 @@ class PrimitiveCertificate:
     k_lam = dim P_lam per class, or with sigma one k per swapped pair of
     classes and the dimensions a, b of the sigma = +-1 eigenspaces on the
     P_lam of a fixed class.
+
+    Where the span was proved from its blocks (gl; see `BlockSpan`), the
+    span side: `words`, the kept words of the block closure, and
+    `separating`, one (i, j, t) per pair of equal-size blocks i < j (in
+    class order) whose traces the t-th kept image tells apart.  Empty where
+    the span was ranked on J's columns.
     """
     prime: int
     point: str | None
     blocks: tuple[int, ...]
     generation_rank: int
     dim: int
+    words: tuple = field(default=(), repr=False)
+    separating: tuple = ()
+
+    @property
+    def kept(self) -> int:
+        return len(self.words)
 
     @property
     def bound(self) -> int:
@@ -240,6 +285,14 @@ def _columns(mat: SparseMat) -> dict[int, list[tuple[int, int]]]:
     for (i, k), v in mat.entries.items():
         cols.setdefault(k, []).append((i, v))
     return cols
+
+
+def _residue_columns(mat: SparseMat, point, keep) -> dict:
+    """`_columns` of the residues of `mat` at q = `point`, on the columns in
+    `keep` only."""
+    sub = SparseMat(mat.src, mat.dst)
+    sub.entries = {key: v for key, v in mat.entries.items() if key[1] in keep}
+    return _columns(sub.residues(point))
 
 
 def _apply(cols, vec: dict, p: int) -> dict:
@@ -316,10 +369,12 @@ def _orient(other, heights, cls):
 
 
 def _primitive_spaces(classes, raising, dim: int) -> list[list[dict]]:
-    """A basis of P_lam per class: the rows [E(v) for E raising | v] of the
-    class's basis vectors v, eliminated with the E-part first; the kept
-    rows that vanish there give the kernel."""
-    off = len(raising) * dim
+    """A basis of P_lam per class in reduced echelon form mod p (each vector
+    1 at its least column, its lead, and 0 at the others' leads): the rows
+    [E(v) for E raising | v] of the class's basis vectors v, eliminated
+    with the E-part first; the kept rows that vanish there give the kernel,
+    cleared at each other's leads from the last lead back."""
+    p, off = superspace.PRIME, len(raising) * dim
     spaces = []
     for members in classes:
         ech = Echelon()
@@ -329,8 +384,15 @@ def _primitive_spaces(classes, raising, dim: int) -> list[list[dict]]:
                 for i, v in cols.get(k, ()):
                     row[t * dim + i] = v
             ech.add(row)
-        spaces.append([{c - off: v for c, v in row.items()}
-                       for row in ech.rows_from(off)])
+        basis = {}
+        for row in sorted(ech.rows_from(off), key=min, reverse=True):
+            for lead in [c for c in row if c in basis]:
+                b = row[lead]
+                for c, v in basis[lead].items():
+                    row[c] = (row.get(c, 0) - b * v) % p
+            basis[min(row)] = {c: v for c, v in row.items() if v}
+        spaces.append([{c - off: v for c, v in basis[lead].items()}
+                       for lead in sorted(basis)])
     return spaces
 
 
@@ -459,8 +521,11 @@ class WeightModule:
     At q = `point` for quantum gl (None for osp; a string, as the
     certificates record it): the basis vectors' `heights`, the fields of
     `_weight_split`, the `primitive` space P_lam of each class, the basis
-    vectors `columns` of a set J that generates the module, and `bases`,
-    `_spin`'s record of the lowering generators spinning J into it.
+    vectors `columns` of a set J that generates the module, `bases`,
+    `_spin`'s record of the lowering generators spinning J into it, and
+    `blocks`: the sizes, largest first, whose squares sum to the primitive
+    bound, or, where the P_lam do not generate the module or a sigma check
+    fails, the reason.
     """
     point: str | None
     heights: tuple[int, ...]
@@ -472,6 +537,7 @@ class WeightModule:
     primitive: list
     columns: tuple[int, ...]
     bases: list
+    blocks: tuple[int, ...] | str
 
 
 def weight_module(gens: list[SparseMat], heights,
@@ -484,9 +550,11 @@ def weight_module(gens: list[SparseMat], heights,
     J is read from the top weight class down: each class is spanned by the
     lowering images of the classes above and then by its own basis vectors
     e_k, and J is the e_k that raised the rank, so the lowering generators
-    spin J into the whole module.  None, with the reason logged once, if a
-    denominator vanishes mod p or a check of `_weight_split` fails; the
-    cell then keeps every column and takes the exact path.
+    spin J into the whole module.  Then the P_lam are spun the same way,
+    and the blocks of the primitive bound read off.  None, with the reason
+    logged once, if a denominator vanishes mod p or a check of
+    `_weight_split` fails; the cell then keeps every column and takes the
+    exact path.
     """
     try:
         split = _weight_split(gens, heights, point)
@@ -494,14 +562,21 @@ def weight_module(gens: list[SparseMat], heights,
         log_fallback(__name__, "weight module at q = %s: %s; exact path",
                      point, exc)
         return None
-    classes, cls, raising, lowering, _ = split
+    classes, cls, raising, lowering, sigma = split
     bases = _spin(classes, heights, cls, lowering,
                   [[{k: 1} for k in members] for members in classes])
     columns = tuple(sorted(k for _, picked, _ in bases
                            for L, vec in picked if L is None for k in vec))
-    return WeightModule(
-        None if point is None else str(point), tuple(heights), *split,
-        _primitive_spaces(classes, raising, len(heights)), columns, bases)
+    prim = _primitive_spaces(classes, raising, len(heights))
+    try:
+        _spin(classes, heights, cls, lowering, prim)
+        blocks = ([len(basis) for basis in prim] if sigma is None
+                  else _sigma_blocks(sigma, prim, raising, superspace.PRIME))
+        blocks = tuple(sorted((k for k in blocks if k), reverse=True))
+    except _NotPrimitive as exc:
+        blocks = str(exc)
+    return WeightModule(None if point is None else str(point),
+                        tuple(heights), *split, prim, columns, bases, blocks)
 
 
 def certify_primitive(module: WeightModule,
@@ -510,29 +585,114 @@ def certify_primitive(module: WeightModule,
     primitive spaces of `module`.
 
     None, with the failed check logged, if generation or a sigma check
-    fails or the bound misses `lower_bound`; the caller then takes the
-    next certificate (`_certify`).  Only vectors of length dim are
-    reduced; no d^2 system is built.
+    failed (`module.blocks`) or the bound misses `lower_bound`; the caller
+    then takes the next certificate (`_certify`).  Only vectors of length
+    dim are reduced; no d^2 system is built.
     """
-    p, prim = superspace.PRIME, module.primitive
-    dim = len(module.heights)
-    try:
-        _spin(module.classes, module.heights, module.cls, module.lowering,
-              prim)
-        blocks = ([len(basis) for basis in prim] if module.sigma is None
-                  else _sigma_blocks(module.sigma, prim, module.raising, p))
-    except _NotPrimitive as exc:
+    if isinstance(module.blocks, str):
         log_fallback(__name__, "primitive certificate: %s; next certificate",
-                     exc)
+                     module.blocks)
         return None
-    cert = PrimitiveCertificate(p, module.point, tuple(sorted(
-        (k for k in blocks if k), reverse=True)), dim, dim)
+    dim = len(module.heights)
+    cert = PrimitiveCertificate(superspace.PRIME, module.point, module.blocks,
+                                dim, dim)
     if cert.bound != lower_bound:
         log_fallback(__name__, "primitive certificate: bound %d does not "
                      "meet the lower bound %d; next certificate", cert.bound,
                      lower_bound)
         return None
     return cert
+
+
+class BlockSpan:
+    """The diagram span mod p read on the primitive spaces, block by block.
+
+    `primitive` lists each class's P_lam in reduced echelon form
+    (`_primitive_spaces`); each nonzero one gives a block.  `value` takes a
+    matrix whose residues at a point keep every P_lam (checked exactly mod
+    p; else _NotPrimitive) to its k x k blocks there, column t holding the
+    coordinates of its image of the t-th basis vector, read at the leads;
+    only its columns on the P_lam are reduced.  `product` multiplies two
+    such tuples block by block.  `add` keeps a value when it raises the
+    rank of a block not yet full, ranked in the block's own F_p `Echelon`
+    of k^2 columns, or when its trace tells apart two blocks of one size
+    not yet told apart (recorded in `separating` by the value's place
+    among those kept).
+
+    Once `full` (every block full, every such pair told apart), each P_lam
+    is an absolutely simple module for the algebra A that the values
+    generate (Burnside), no two are isomorphic (isomorphic modules give
+    every element one trace), and so A maps onto the product of the
+    End(P_lam) (Jacobson density): dim A >= `bound` = sum k_lam^2.
+    """
+
+    def __init__(self, primitive):
+        self.bases = [basis for basis in primitive if basis]
+        self.leads = [[min(v) for v in basis] for basis in self.bases]
+        self.support = {k for basis in self.bases for v in basis for k in v}
+        sizes = [len(basis) for basis in self.bases]
+        self.bound = sum(k * k for k in sizes)
+        self.echelons = [Echelon() for _ in sizes]
+        self.short = set(range(len(sizes)))
+        self.alike = {(i, j) for j, k in enumerate(sizes) for i in range(j)
+                      if sizes[i] == k}
+        self.separating, self.kept = [], 0
+
+    @property
+    def full(self) -> bool:
+        return not (self.short or self.alike)
+
+    @property
+    def identity(self) -> tuple:
+        return tuple(tuple(tuple(int(i == j) for j in range(len(basis)))
+                           for i in range(len(basis))) for basis in self.bases)
+
+    def value(self, mat: SparseMat, point) -> tuple:
+        p, blocks = superspace.PRIME, []
+        cols = _residue_columns(mat, point, self.support)
+        for basis, leads in zip(self.bases, self.leads):
+            images = [_apply(cols, v, p) for v in basis]
+            block = tuple(tuple(w.get(lead, 0) for w in images)
+                          for lead in leads)
+            for t, w in enumerate(images):  # w must be its leads' combination
+                for v, row in zip(basis, block):
+                    if c := row[t]:
+                        for k, x in v.items():
+                            w[k] = (w.get(k, 0) - c * x) % p
+                if any(w.values()):
+                    raise _NotPrimitive("a diagram generator does not keep "
+                                        "a primitive space")
+            blocks.append(block)
+        return tuple(blocks)
+
+    @staticmethod
+    def product(a: tuple, b: tuple) -> tuple:
+        p, out = superspace.PRIME, []
+        for x, y in zip(a, b):
+            cols = list(zip(*y))
+            out.append(tuple(tuple(sum(map(mul, row, col)) % p
+                                   for col in cols) for row in x))
+        return tuple(out)
+
+    def add(self, value: tuple) -> bool:
+        kept = False
+        for i in list(self.short):
+            ech, block = self.echelons[i], value[i]
+            if ech.add({c: x for c, x in enumerate(chain.from_iterable(block))
+                        if x}):
+                kept = True
+                if ech.rank == len(block) ** 2:
+                    self.short.discard(i)
+        if self.alike:
+            traces = [sum(block[t][t] for t in range(len(block)))
+                      % superspace.PRIME for block in value]
+            told = sorted((i, j) for i, j in self.alike
+                          if traces[i] != traces[j])
+            self.alike.difference_update(told)
+            self.separating += [(i, j, self.kept) for i, j in told]
+            kept = kept or bool(told)
+        self.kept += kept
+        return kept
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +788,8 @@ def _spin_rows(classes, cls, gens, bases, unknowns: int, p: int):
                         yield row
 
 
-def certify_spin(module: WeightModule,
-                 lower_bound: int) -> SpinCertificate | None:
+def certify_spin(module: WeightModule, lower_bound: int,
+                 budget: int | None = None) -> SpinCertificate | None:
     """Certificate that the commutant has dimension `lower_bound`, from the
     values of a commuting map M on the basis vectors J of `module`.
 
@@ -649,11 +809,14 @@ def certify_spin(module: WeightModule,
     the point (module docstring), and unknowns - rank bounds it from above
     for any prefix of the rows.  A miss after every row therefore means
     nullity_p(rows) exceeds the span rank: None, logged, and the caller
-    takes the exact path.
+    takes the exact path.  BudgetError, before any row is built, if the
+    unknowns exceed `budget`.
     """
     p, classes, sigma = superspace.PRIME, module.classes, module.sigma
     unknowns = sum(len(classes[c]) for c, picked, _ in module.bases
                    for L, _ in picked if L is None)
+    if budget is not None and unknowns > budget:
+        raise BudgetError(f"spin unknowns {unknowns} exceed budget {budget}")
     gens = module.raising + module.lowering + (
         [] if sigma is None else [_columns(sigma[0])])
     ech, used = Echelon(), 0
@@ -673,9 +836,9 @@ def certify_spin(module: WeightModule,
 # ---------------------------------------------------------------------------
 # Commutant dimensions.
 
-def _check_unknowns(dim_v: int, factors: int, budget: int) -> int:
-    """d = dim_v^factors, once the d^2 commutant unknowns fit the budget."""
-    check_power(dim_v, 2 * factors, budget, "commutant unknowns")
+def _check_dim(dim_v: int, factors: int, budget: int) -> int:
+    """d = dim_v^factors, once it fits the budget."""
+    check_power(dim_v, factors, budget, "dimension of the module")
     return dim_v ** factors
 
 
@@ -694,62 +857,69 @@ def _osp_generator_mats(m: int, n: int, r: int):
     return gens
 
 
-def least_nullity(gens, d, points, lower_bound: int = 0) -> int:
+def least_nullity(gens, d, points, lower_bound: int = 0,
+                  budget: int | None = None) -> int:
     """Least exact nullity of the system specialised at the points.
 
     Specialising q can only lower the rank of the constraint rows, so each
     specialised nullity bounds the nullity over Q(q) from above; at a
     generic point it is equal.  No point goes below a proved `lower_bound`
     (the span rank), so the first point that meets it ends the search.
-    Empty `points` is a ValueError.
+    Empty `points` is a ValueError; BudgetError if the surviving unknowns
+    exceed `budget`.
     """
     least = None
     for p in check_points(points):
-        nullity = commutant_nullity([g.specialize(p) for g in gens], d)
+        nullity = commutant_nullity([g.specialize(p) for g in gens], d,
+                                    budget)
         least = nullity if least is None else min(least, nullity)
         if least <= lower_bound:
             break
     return least
 
 
-def _certify(module: WeightModule | None, lower_bound: int):
+def _certify(module: WeightModule | None, lower_bound: int, budget):
     """The first certificate that meets `lower_bound`, or None for the
     exact path: the primitive certificate, then the spin certificate.  A
     None module has logged its reason (`weight_module`)."""
     if module is None:
         return None
     return (certify_primitive(module, lower_bound)
-            or certify_spin(module, lower_bound))
+            or certify_spin(module, lower_bound, budget))
 
 
 def commutant_dim_glq(gens, d: int, points, lower_bound: int,
-                      module: WeightModule | None):
+                      module: WeightModule | None,
+                      budget: int | None = None):
     """(dim, certificate) for the quantum gl symmetry generators `gens`.
 
     dim End_{U_q} of the d-dimensional module: the certificates on
     `module` (`weight_module` at points[0]) are tried in `_certify`'s
     order against the proved `lower_bound` (the span rank); the
-    certificate is None where `least_nullity` decided.
+    certificate is None where `least_nullity` decided.  `budget` bounds
+    the spin and exact unknowns.
     """
     points = check_points(points)
-    cert = _certify(module, lower_bound)
+    cert = _certify(module, lower_bound, budget)
     if cert is None:
-        return least_nullity(gens, d, points, lower_bound), None
+        return least_nullity(gens, d, points, lower_bound, budget), None
     return lower_bound, cert
 
 
 def commutant_dim_osp(gens, d: int, lower_bound: int,
-                      module: WeightModule | None):
+                      module: WeightModule | None,
+                      budget: int | None = None):
     """(dim, certificate) for the osp symmetry generators `gens`.
 
     dim End of the Harish-Chandra pair action on the d-dimensional module:
     the certificates on `module` (`weight_module`) are tried in
     `_certify`'s order against `lower_bound`; the certificate is None
-    where the exact nullity over Q decided.
+    where the exact nullity over Q decided.  `budget` bounds the spin and
+    exact unknowns.
     """
-    cert = _certify(module, lower_bound)
+    cert = _certify(module, lower_bound, budget)
     if cert is None:
-        return commutant_nullity(gens, d), None
+        return commutant_nullity(gens, d, budget), None
     return lower_bound, cert
 
 
@@ -925,6 +1095,56 @@ def _exact_ranks(words, gens, space, cols, points, ranks) -> list[int]:
     return ranks
 
 
+def _check_full(span: BlockSpan, point, bound: int) -> None:
+    """_NotPrimitive, saying how, unless `span` is full with `bound`."""
+    if span.bound != bound:
+        raise _NotPrimitive(f"the blocks at q = {point} square to "
+                            f"{span.bound}, not {bound}")
+    if not span.full:
+        raise _NotPrimitive(
+            f"at q = {point}, {len(span.short)} blocks fall short and "
+            f"{len(span.alike)} pairs of equal size are not told apart")
+
+
+def _block_span(kind, ctx, r, s, points, module: WeightModule, gens,
+                dgens) -> tuple | None:
+    """(words, span) of the block closure, where the diagram span has rank
+    `span.bound` = sum k_lam^2 at every point; None, logged, at a miss.
+
+    The closure (`image_basis` with `blocks`) runs on the k x k blocks of
+    the diagram generators `dgens` on the P_lam of `module` at points[0],
+    and stops once its `BlockSpan` is full.  Each later point b builds its
+    own P_lam(b) from the module's classes and the residues at b of the
+    raising generators among the symmetry generators `gens`, replays the
+    kept words there block by block, and must be full with the same bound.
+    At each point the span mod p then has rank at least the bound
+    (`BlockSpan`), and its rank over Q(q) at most the commutant dimension,
+    which the primitive certificate proves equal to the bound.
+    """
+    span, heights = BlockSpan(module.primitive), module.heights
+    raising = [g for g in gens if any(heights[i] > heights[k]
+                                      for i, k in g.entries)]
+    classes = [members for members, basis
+               in zip(module.classes, module.primitive) if basis]
+    keep = set(chain.from_iterable(classes))
+    try:
+        words = image_basis(kind, ctx, r, s, points, None, None, dgens, span)
+        _check_full(span, points[0], span.bound)
+        for point in points[1:]:
+            at = BlockSpan(_primitive_spaces(classes, [
+                _residue_columns(g, point, keep) for g in raising],
+                len(heights)))
+            if at.bound == span.bound:
+                values = [at.value(g, point) for g in dgens.values()]
+                for img in replay(words, values, at.identity, at.product):
+                    at.add(img)
+            _check_full(at, point, span.bound)
+    except (UnluckyPrime, _NotPrimitive) as exc:
+        log_fallback(__name__, "block span: %s; span on J's columns", exc)
+        return None
+    return words, span
+
+
 def _check_cell(flavor: str, m, n, r, s, points) -> None:
     """Reject a malformed cell before any work starts."""
     if flavor not in ("gl", "osp"):
@@ -957,11 +1177,14 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     Brauer images; for even m the spanning bound 2r < m(2n+1) is recorded.
     The stages run in order: the symmetry generators, membership on the
     two slots of each token, the diagram generators, the module mod p and
-    its set J (`weight_module`), the span on J's columns (exact over Q for
-    osp, the closure's first point for gl), the commutant certified
-    against the first point's span rank, then the later gl points (see
-    the module docstring).  A malformed cell (m, n, r or s not an int, or
-    a bool; r < 1, s < 0, s > 0 for osp, or points that are empty,
+    its set J (`weight_module`), the span (for gl whose primitive spaces
+    generate, from its blocks at every point; else on J's columns, exact
+    over Q for osp, the closure's first point for gl), the commutant
+    certified against the first point's span rank, then the later gl
+    points off the block route (see the module docstring).  `budget`
+    bounds d before any work, and the spin and exact unknowns where they
+    are built (BudgetError).  A malformed cell (m, n, r or s not an int,
+    or a bool; r < 1, s < 0, s > 0 for osp, or points that are empty,
     repeated, or among 0 and +-1) raises ValueError before any work
     starts.
     """
@@ -970,13 +1193,13 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     _check_cell(flavor, m, n, r, s, points)
     datum = distinguished(flavor, m, n)
     if flavor == "gl":
-        d = _check_unknowns(qgl.natural_space(datum).dim, r + s, budget)
+        d = _check_dim(qgl.natural_space(datum).dim, r + s, budget)
         ctx = make_context("glq", datum=datum, budget=budget)
         kind = "hecke" if s == 0 else "walled"
         check_image_cap(kind, r, s)  # before any generator is built
         gens, point = _glq_generator_mats(datum, r, s), points[0]
     else:
-        d = _check_unknowns(osp_mod.natural_space(m, n).dim, r, budget)
+        d = _check_dim(osp_mod.natural_space(m, n).dim, r, budget)
         ctx = make_context("osp_classical", m=m, n=n, budget=budget)
         kind = "brauer"
         brauer_count(r)  # before any generator is built
@@ -999,29 +1222,43 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
         label = _rarest_first(rows)
         ranks = [int_rank([{label[k]: v for k, v in row.items()}
                            for row in rows])]
-        cdim, cert = commutant_dim_osp(gens, d, ranks[0], module)
+        cdim, cert = commutant_dim_osp(gens, d, ranks[0], module, budget)
     else:
-        ech = Echelon()
-        try:
-            words = image_basis(kind, ctx, r, s, points, ech, cols, dgens)
-        except UnluckyPrime as exc:
-            # no certificate can meet a span rank of 0: the exact path decides
-            log_fallback(__name__, "span closure at q = %s: %s; exact path",
-                         points[0], exc)
-            words = []
-        cdim, cert = commutant_dim_glq(gens, d, points, len(words), module)
-        space, glist = ctx.space_of("+" * r + "-" * s), list(dgens.values())
-        if cert is None:
-            # the exact closure keeps the images independent at points[0],
-            # so their count is its exact rank; no later point is ranked yet
-            words = image_basis(kind, ctx, r, s, points)
-            ranks = [len(words)] + [0] * len(points[1:])
+        # where the P_lam generate, the span is proved from its blocks
+        route = (None if module is None or isinstance(module.blocks, str)
+                 else _block_span(kind, ctx, r, s, points, module, gens,
+                                  dgens))
+        ech, exact = Echelon(), False
+        if route is not None:
+            words, span = route
+            lower = span.bound
         else:
-            ranks = _pivot_ranks(words, ech, identity_on(space, cols), glist,
-                                 points)
-        # rank_p <= rank_Q <= len(words) at every point: only the points
-        # short of it need an exact rank, of the same words
-        ranks = _exact_ranks(words, glist, space, cols, points, ranks)
+            try:
+                words = image_basis(kind, ctx, r, s, points, ech, cols, dgens)
+            except UnluckyPrime as exc:
+                # the exact closure's count is the first point's exact rank
+                log_fallback(__name__, "span closure at q = %s: %s; exact "
+                             "path", points[0], exc)
+                words, exact = image_basis(kind, ctx, r, s, points), True
+            lower = len(words)
+        cdim, cert = commutant_dim_glq(gens, d, points, lower, module, budget)
+        if route is not None:
+            cert = replace(cert, words=tuple(words),
+                           separating=tuple(span.separating))
+            ranks = [lower] * len(points)
+        else:
+            space = ctx.space_of("+" * r + "-" * s)
+            glist = list(dgens.values())
+            if cert is None and not exact:
+                # the exact closure keeps the images independent at
+                # points[0], so their count is its exact rank
+                words, exact = image_basis(kind, ctx, r, s, points), True
+            ranks = ([len(words)] + [0] * len(points[1:]) if exact else
+                     _pivot_ranks(words, ech, identity_on(space, cols), glist,
+                                  points))
+            # rank_p <= rank_Q <= len(words) at every point: only the points
+            # short of it need an exact rank, of the same words
+            ranks = _exact_ranks(words, glist, space, cols, points, ranks)
     srank = max(ranks)
     agreement = len(set(ranks)) == 1
     bound = bound_lhs = bound_ok = None

@@ -24,10 +24,13 @@ Q(q), mod p or exactly at a point.  A Brauer candidate is kept when its
 diagram is new (diagram_images() returns that map).  The gl closure
 (Hecke and walled) is its own first point and returns the words it kept:
 a candidate is kept when its value at that point raises the rank of the
-kept ones, mod p in the caller's `Echelon` or exactly by `rank_at`; a
-Hecke candidate is tried only when it lengthens its permutation to one
-not tried before, and a walled one g_i @ b only when b's word does not
-end in g_i or in a generator on slots left of g_i's (they commute).
+kept ones, mod p in the caller's `Echelon` or exactly by `rank_at`; or,
+given the caller's blocks (`centralizer.BlockSpan`), its value is its
+k x k blocks on the module's primitive spaces, kept while it fills a
+block or tells two blocks apart, and the closure stops once they are
+full.  A Hecke candidate is tried only when it lengthens its permutation
+to one not tried before, and a walled one g_i @ b only when b's word does
+not end in g_i or in a generator on slots left of g_i's (they commute).
 Given the basis vectors of a set J that generates the module, every
 closure (Brauer too) keeps each image as its d x |J| columns on J, which
 fix an image that commutes with the symmetry generators.
@@ -234,7 +237,8 @@ def check_image_cap(kind: str, r: int, s: int) -> int:
 
 
 def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
-               echelon: Echelon | None, columns=None, gens=None) -> list:
+               echelon: Echelon | None, columns=None, gens=None,
+               blocks=None) -> list:
     """Span closure of the Hecke or walled generators at q = `point`.
 
     A candidate g @ b is tested by its value at the point, the product of
@@ -242,8 +246,12 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     `echelon` (residues multiplied by `matmul_mod`), or with no echelon
     exactly, by `rank_at` on specialised values.  Independence at the point
     implies independence over Q(q), so every kept image is new;
-    UnluckyPrime if a denominator vanishes mod p.  Either way the kept
-    words are returned, for `replay`, and nothing is multiplied over Q(q).
+    UnluckyPrime if a denominator vanishes mod p.  With `blocks` (a
+    `centralizer.BlockSpan`) the value is instead the tuple of the
+    residues' k x k blocks on the primitive spaces, multiplied block by
+    block; a candidate is kept by `blocks.add`, and the closure stops once
+    `blocks.full`.  Either way the kept words are returned, for `replay`,
+    and nothing is multiplied over Q(q).
 
     A Hecke candidate X_i @ b is tried only when X_i lengthens b's
     permutation to one not tried before, so every kept image is the lift
@@ -276,7 +284,9 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     lower a rank; where J generates the module under maps that every image
     commutes with, a combination of images that vanishes on J vanishes, so
     the same words are kept in the same order.  `gens` are the
-    `diagram_generators` (built here when None).
+    `diagram_generators` (built here when None).  With `blocks` the kept
+    images need not span the algebra, only fill the blocks, which the
+    caller checks; there the rules above only prune candidates.
     """
     _check_kind(kind, ctx, r, s)
     cap = check_image_cap(kind, r, s)
@@ -287,17 +297,21 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     if gens is None:
         gens = diagram_generators(kind, ctx, r, s)
     ident = identity_on(ctx.space_of(("+",) * r + ("-",) * s), columns)
-    if echelon is None:
+    if blocks is not None:
+        value, product, raises = blocks.value, blocks.product, blocks.add
+    elif echelon is None:
         rows = []
 
-        def raises(row):
+        def raises(img):
+            row = vectorize(img)
             if rank_at(rows + [row], [point]) > len(rows):
                 rows.append(row)
                 return True
             return False
         value, product = SparseMat.specialize, SparseMat.__matmul__
     else:
-        raises = echelon.add
+        def raises(img):
+            return echelon.add(vectorize(img))
         value, product = SparseMat.residues, SparseMat.matmul_mod
     seen = {tuple(range(r))}  # permutations tried: bottom strand at each top
 
@@ -320,7 +334,8 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     return [word for _, word in _span_closure(
         [(i, value(g, point)) for i, g in enumerate(gens.values(), 1)],
         (tuple(range(r)) if kind == "hecke" else 0, value(ident, point)),
-        cap, mul, lambda key: raises(vectorize(key[1])))]
+        cap, mul, lambda key: raises(key[1]),
+        (lambda: blocks.full) if blocks is not None else bool)]
 
 
 def identity_on(space: SuperSpace, columns) -> SparseMat:
@@ -370,19 +385,21 @@ def diagram_images(ctx: EvalContext, r: int, columns=None,
     return {key: img for (key, _), img in zip(kept, images)}
 
 
-def _span_closure(gens, ident, cap, mul, keep) -> list:
+def _span_closure(gens, ident, cap, mul, keep, done=bool) -> list:
     """Breadth-first products g @ b of gens on ident, on their keys alone.
 
     `ident` and each of `gens` is a key; mul(g, b) is the key of g @ b, or
     None to skip it, and keep(key) accepts a new key.  Returns the kept
-    (key, word) pairs level by level, stopping once `cap` are kept: the
-    word None for the identity, (i, k) for gens[i] applied to the k-th kept
-    image, which `replay` multiplies out.
+    (key, word) pairs level by level, stopping once `cap` are kept or
+    done() holds: the word None for the identity, (i, k) for gens[i]
+    applied to the k-th kept image, which `replay` multiplies out.
     """
     keep(ident)
     kept = [(ident, None)]
     for k, (b, _) in enumerate(kept):  # a queue: kept grows while it is walked
         for i, g in enumerate(gens):
+            if done():
+                return kept
             c = mul(g, b)
             if c is not None and keep(c):
                 kept.append((c, (i, k)))
@@ -446,7 +463,7 @@ def diagram_generators(kind: str, ctx: EvalContext, r: int,
 
 def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
                 points=None, echelon: Echelon | None = None, columns=None,
-                gens=None) -> list:
+                gens=None, blocks=None) -> list:
     """Spanning set of diagram images on the r-th (mixed) tensor power, each
     a product of the matrices `diagram_generators` returns: for Brauer the
     images, the values of `diagram_images`; for Hecke and walled the words
@@ -454,7 +471,10 @@ def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
     `replay` multiplies out.  With an `echelon` the gl closure ranks them
     mod p into it, where the caller reads that point's rank and pivot
     columns; with none it ranks exactly, so their count is the exact rank
-    there.  Every caller may pass the generators it already built as
+    there.  With `blocks` (a `centralizer.BlockSpan`, and no `columns`) it
+    runs on the images' blocks on the primitive spaces and stops once they
+    are full; the caller reads `blocks.full`, and the count of words is
+    then no rank.  Every caller may pass the generators it already built as
     `gens`, and the basis vectors of a generating set J as `columns`: each
     image, Brauer ones included, is then kept as its columns on J only.
     `points` None means DEFAULT_POINTS; an empty sequence is a ValueError.
@@ -462,4 +482,5 @@ def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
     points = check_points(DEFAULT_POINTS if points is None else points)
     if kind == "brauer":
         return list(diagram_images(ctx, r, columns, gens).values())
-    return _gl_images(kind, ctx, r, s, points[0], echelon, columns, gens)
+    return _gl_images(kind, ctx, r, s, points[0], echelon, columns, gens,
+                      blocks)

@@ -10,20 +10,24 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from qschur.centralizer import PrimitiveCertificate, SpinCertificate
+from qschur.centralizer import (BlockSpan, PrimitiveCertificate,
+                                SpinCertificate, _glq_generator_mats,
+                                module_heights, weight_module)
 from qschur.functor import (diagram_generators, identity_on, image_basis,
-                            replay)
+                            make_context, replay)
+from qschur.rootdata import distinguished
 from qschur.scalar import RatFunc
 from qschur.superspace import SparseMat, SuperSpace
 
 
-def dense_rank(rows, ncols: int) -> int:
-    """Plain Gaussian elimination over Fraction, dense, no pivot tricks."""
+def dense_rank(rows, ncols: int, p: int | None = None) -> int:
+    """Plain Gaussian elimination over Fraction, dense, no pivot tricks; or
+    with a prime `p`, over F_p on int rows."""
     mat = []
     for row in rows:
-        dense = [Fraction(0)] * ncols
+        dense = [Fraction(0) if p is None else 0] * ncols
         for c, v in row.items():
-            dense[c] = Fraction(v)
+            dense[c] = Fraction(v) if p is None else v % p
         mat.append(dense)
     rank = 0
     col = 0
@@ -35,11 +39,14 @@ def dense_rank(rows, ncols: int) -> int:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
         pv = mat[rank][col]
-        mat[rank] = [v / pv for v in mat[rank]]
+        inv = 1 / pv if p is None else pow(pv, -1, p)
+        mat[rank] = [v * inv if p is None else v * inv % p
+                     for v in mat[rank]]
         for r in range(nrows):
             if r != rank and mat[r][col]:
                 f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+                mat[r] = [a - f * b if p is None else (a - f * b) % p
+                          for a, b in zip(mat[r], mat[rank])]
         rank += 1
         col += 1
     return rank
@@ -90,8 +97,9 @@ def casimir(datum, lam) -> int:
 
 def assert_certified(rep) -> None:
     """An `equal` report carries a certificate whose bound meets the span:
-    a primitive one generated on all d basis vectors, or a spin one on at
-    most d columns; anything else fails."""
+    a primitive one generated on all d basis vectors, with its span side
+    re-checked where it has one, or a spin one on at most d columns;
+    anything else fails."""
     cert = rep.certificate
     assert cert is not None, (rep.flavor, rep.m, rep.n, rep.r, rep.s)
     dim_v = rep.m + rep.n if rep.flavor == "gl" else rep.m + 2 * rep.n
@@ -100,10 +108,42 @@ def assert_certified(rep) -> None:
         assert cert.bound == rep.span_rank == rep.commutant_dim
         assert cert.generation_rank == cert.dim == d
         assert all(k > 0 for k in cert.blocks) and sum(cert.blocks) <= d
+        if cert.words:
+            assert_blocks_full(rep, cert)
         return
     assert isinstance(cert, SpinCertificate), type(cert)
     assert cert.unknowns - cert.rank == rep.span_rank == rep.commutant_dim
     assert cert.columns <= d
+
+
+def assert_blocks_full(rep, cert) -> None:
+    """The span side of a primitive certificate: the kept words, replayed
+    block by block at its point, fill each block (a dense rank mod p of
+    k^2), and each pair of equal-size blocks has a recorded image whose
+    traces on the two differ."""
+    datum, r, s = distinguished("gl", rep.m, rep.n), rep.r, rep.s
+    point = Fraction(cert.point)
+    gens = _glq_generator_mats(datum, r, s)
+    module = weight_module(gens, module_heights(datum, (1,) * r + (-1,) * s),
+                           point)
+    span, ctx = BlockSpan(module.primitive), make_context("glq", datum=datum)
+    dgens = diagram_generators("hecke" if s == 0 else "walled", ctx, r, s)
+    images = replay(cert.words, [span.value(g, point) for g in dgens.values()],
+                    span.value(identity_on(ctx.space_of("+" * r + "-" * s),
+                                           None), point), BlockSpan.product)
+    sizes = [len(block) for block in images[0]]
+    assert sorted(sizes, reverse=True) == list(cert.blocks)
+    for c, k in enumerate(sizes):
+        rows = [{t: x for t, x in enumerate(v for row in img[c] for v in row)}
+                for img in images]
+        assert dense_rank(rows, k * k, cert.prime) == k * k, (c, k)
+
+    def trace(block):
+        return sum(block[t][t] for t in range(len(block))) % cert.prime
+    assert sorted((i, j) for i, j, _ in cert.separating) == sorted(
+        (i, j) for j, k in enumerate(sizes) for i in range(j) if sizes[i] == k)
+    for i, j, t in cert.separating:
+        assert trace(images[t][i]) != trace(images[t][j]), (i, j, t)
 
 
 def commutator_rows(gens, dim: int) -> list[dict]:

@@ -332,10 +332,11 @@ def test_denominator_divisible_by_prime_takes_the_exact_path(caplog):
 
 
 def test_budget_guards():
+    # the budget bounds d before any work (64, 16 and 25 here)
     with pytest.raises(BudgetError):
         fft_report("gl", 2, 2, 3, budget=10)
     with pytest.raises(BudgetError):
-        fft_report("gl", 1, 1, 1, s=2, budget=10)
+        fft_report("gl", 1, 1, 1, s=3, budget=10)
     with pytest.raises(BudgetError):
         fft_report("osp", 3, 1, 2, budget=10)
 
@@ -1056,10 +1057,13 @@ def test_replayed_pivot_ranks_match_the_q_of_q_residues(m, n, r, s, rank):
 def _off_q_of_q(monkeypatch):
     # no product over Q(q) in the closure or its replays, and no residue
     # over Q(q) but the diagram generators' when the later points are
-    # ranked; the generators and the two-slot checks stay over Q(q)
-    where, placed = [], []
+    # ranked on pivot columns; on the block route, no residue over Q(q) but
+    # of columns of the diagram or symmetry generators; the generators and
+    # the two-slot checks stay over Q(q)
+    where, placed, symmetry = [], [], []
     matmul, residues = SparseMat.__matmul__, SparseMat.residues
     generators = centralizer.diagram_generators
+    build = centralizer._glq_generator_mats
 
     def inside(name, fn):
         def spy(*args):
@@ -1082,10 +1086,25 @@ def _off_q_of_q(monkeypatch):
         placed.extend(out.values())
         return out
 
+    def symmetry_generators(*args):
+        out = build(*args)
+        symmetry.extend(out)
+        return out
+
+    def columns_of(mat, gens):
+        return any(all(g.entries.get(k) is v for k, v in mat.entries.items())
+                   for g in gens)
+
     def generators_only(self, point):
         assert "pivot ranks" not in where or any(self is g for g in placed)
+        assert "block span" not in where or not q_of_q(self) or columns_of(
+            self, placed + symmetry)
         return residues(self, point)
     monkeypatch.setattr(centralizer, "diagram_generators", placed_generators)
+    monkeypatch.setattr(centralizer, "_glq_generator_mats",
+                        symmetry_generators)
+    monkeypatch.setattr(centralizer, "_block_span",
+                        inside("block span", centralizer._block_span))
     monkeypatch.setattr(functor, "_span_closure",
                         inside("closure", functor._span_closure))
     monkeypatch.setattr(functor, "replay", inside("closure", functor.replay))
@@ -1167,11 +1186,17 @@ def test_unlucky_point_messages_name_the_point(caplog):
         SparseMat(V, V, {(0, 0): 1 / (Q - 5)}).residues(PRIME + 5)
 
 
+def _no_blocks(monkeypatch):
+    # the block route misses, so the span is ranked on J's columns
+    monkeypatch.setattr(centralizer, "_block_span", lambda *args: None)
+
+
 def test_a_point_short_on_the_pivot_columns_is_ranked_exactly(monkeypatch,
                                                               caplog):
     # each short point replays the kept words exactly over Q, from the
     # generators specialised there, and keeps the bytes
     want = fft_report("gl", 2, 1, 4).to_dict()
+    _no_blocks(monkeypatch)
     at_seen = []
 
     def spy(rows, at):
@@ -1192,12 +1217,148 @@ def test_a_certified_cell_runs_one_closure(monkeypatch):
     # the short later points are ranked exactly on the images the closure
     # kept mod p, not on a second closure
     want = fft_report("gl", 2, 1, 4).to_dict()
+    _no_blocks(monkeypatch)
     monkeypatch.setattr(Echelon, "pivot_columns",
                         property(lambda self: tuple(self._pivots)[:1]))
     closures = _spy_calls(monkeypatch, "image_basis")
     report = fft_report("gl", 2, 1, 4)
     assert report.to_dict() == want and report.certificate is not None
     assert len(closures) == 1
+
+
+# ---------------------------------------------------------------------------
+# The gl span from its primitive blocks.
+
+# the benchmark's gl cells, then the Hecke cells of CI
+BLOCK_CELLS = [(2, 1, 4, 0), (1, 1, 3, 2), (1, 1, 2, 0), (1, 1, 3, 0),
+               (2, 1, 2, 0), (2, 1, 3, 0), (1, 2, 2, 0), (2, 2, 2, 0),
+               (2, 1, 1, 1), (2, 1, 5, 0), (1, 1, 4, 0), (1, 1, 5, 0),
+               (1, 1, 6, 0)]
+
+
+def _block_args(m, n, r, s, points=DEFAULT_POINTS):
+    datum = distinguished("gl", m, n)
+    ctx = make_context("glq", datum=datum)
+    kind = "hecke" if s == 0 else "walled"
+    gens = _glq_generator_mats(datum, r, s)
+    module = weight_module(gens, module_heights(datum, (1,) * r + (-1,) * s),
+                           points[0])
+    return (kind, ctx, r, s, list(points), module, gens,
+            diagram_generators(kind, ctx, r, s))
+
+
+@pytest.mark.parametrize("m, n, r, s", BLOCK_CELLS)
+def test_the_block_rank_is_the_rank_on_j(m, n, r, s):
+    # the blocks fill at every point and prove the rank that the closure
+    # on J's columns reaches at the first point, with fewer kept words
+    args = _block_args(m, n, r, s)
+    kind, ctx, _, _, points, module, _, dgens = args
+    words, span = centralizer._block_span(*args)
+    ech = Echelon()
+    on_j = image_basis(kind, ctx, r, s, points, ech, module.columns, dgens)
+    assert span.full and span.bound == ech.rank == len(on_j)
+    assert span.bound == sum(k * k for k in module.blocks)
+    assert len(words) <= len(on_j)
+
+
+def test_a_block_is_read_only_where_the_generator_keeps_its_space():
+    # the swap of e0 and e1 keeps the span of e0 + e1 (its block is 1) but
+    # not the span of e0
+    V = SuperSpace((0, 0))
+    swap = SparseMat(V, V, {(0, 1): 1, (1, 0): 1})
+    kept = centralizer.BlockSpan([[{0: 1, 1: 1}]])
+    assert kept.value(swap, DEFAULT_POINTS[0]) == (((1,),),)
+    with pytest.raises(centralizer._NotPrimitive, match="does not keep"):
+        centralizer.BlockSpan([[{0: 1}]]).value(swap, DEFAULT_POINTS[0])
+
+
+def test_the_frontier_hecke_cell_is_certified_at_default_settings():
+    # gl(2|1) r=6: d = 729 fits the default budget, and the blocks (16, 10,
+    # 10, 9, 9, 5, 5, 5, 1, 1) prove 695 = sum k^2 of the 720 permutations
+    report = fft_report("gl", 2, 1, 6)
+    assert report.equal and report.span_rank == 695 and report.agreement
+    cert = report.certificate
+    assert cert.blocks == (16, 10, 10, 9, 9, 5, 5, 5, 1, 1)
+    assert 0 < cert.kept < 695
+
+
+def test_blocks_not_told_apart_fall_back(monkeypatch, caplog):
+    # a primitive space read twice gives two equal blocks that no trace
+    # tells apart: the block route misses, logs once, and the span on J's
+    # columns keeps the bytes
+    cells = [("gl", 2, 1, 4, 0), ("gl", 1, 1, 3, 2)]
+    want = [fft_report(f, m, n, r, s=s).to_dict() for f, m, n, r, s in cells]
+    init = centralizer.BlockSpan.__init__
+
+    def twice(self, primitive):
+        init(self, list(primitive) + [next(b for b in primitive if b)])
+    monkeypatch.setattr(centralizer.BlockSpan, "__init__", twice)
+    for (f, m, n, r, s), expect in zip(cells, want):
+        caplog.clear()
+        with caplog.at_level("INFO", logger="qschur.centralizer"):
+            report = fft_report(f, m, n, r, s=s)
+        assert report.to_dict() == expect and report.certificate.kept == 0
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "block span: at q = 7/5, 0 blocks fall short and 1 pairs of "
+            "equal size are not told apart; span on J's columns"]
+
+
+def test_a_later_point_that_fails_falls_back(caplog):
+    # q = p/7 is 0 mod p: the later point's primitive spaces cannot be
+    # built there, so the block route misses, logs once, and the span on
+    # J's columns ranks that point exactly, to the parent's bytes
+    points = [Fraction(13, 9), Fraction(PRIME, 7)]
+    with caplog.at_level("INFO", logger="qschur.centralizer"):
+        report = fft_report("gl", 2, 1, 3, points=points)
+    assert report.to_dict() == {
+        "flavor": "gl", "m": 2, "n": 1, "r": 3, "s": 0, "commutant_dim": 6,
+        "span_rank": 6, "points": ["13/9", "1073741789/7"],
+        "agreement": True, "verdict": "equal"}
+    assert report.certificate.kept == 0
+    assert [rec.getMessage() for rec in caplog.records
+            if rec.getMessage().startswith("block span")] == [
+        f"block span: q = {points[1]} vanishes mod {PRIME}; span on J's "
+        "columns"]
+
+
+def test_cells_whose_primitive_vectors_do_not_generate_skip_the_blocks(
+        monkeypatch):
+    # the walled cells on the spin certificate run no block closure
+    closures = _spy_calls(monkeypatch, "image_basis")
+    for m, r, s in [(1, 1, 1), (2, 2, 1), (2, 2, 2)]:
+        report = fft_report("gl", m, 1, r, s=s)
+        assert isinstance(report.certificate, SpinCertificate), (m, r, s)
+    assert closures and not any(isinstance(a, centralizer.BlockSpan)
+                                for args, _ in closures for a in args)
+
+
+def test_an_unlucky_first_point_runs_the_exact_closure_first(monkeypatch):
+    # q = p/7 is 0 mod p: the exact closure's count is the lower bound, so
+    # the first exact nullity meets it and ends the search
+    exact = _spy_calls(monkeypatch, "commutant_nullity")
+    report = fft_report("gl", 2, 1, 2, s=1,
+                        points=[Fraction(PRIME, 7), Fraction(13, 9)])
+    assert report.equal and report.certificate is None
+    assert [result for _, result in exact] == [6]
+
+
+def test_the_exact_path_checks_its_unknowns_against_the_budget(monkeypatch):
+    # osp(3|2) r=2 with no module: d = 25 fits, but the exact path's 61
+    # surviving unknowns must fit too, at its entry
+    _no_weight_module(monkeypatch)
+    rows = _spy_calls(monkeypatch, "assemble_commutant_rows")
+    with pytest.raises(BudgetError, match="unknowns 61 exceed budget 60"):
+        fft_report("osp", 3, 1, 2, budget=60)
+    assert fft_report("osp", 3, 1, 2, budget=61).equal and len(rows) == 1
+
+
+def test_the_spin_certificate_checks_its_unknowns_against_the_budget():
+    gens = _osp_generator_mats(3, 1, 3)
+    module = weight_module(gens, module_heights(distinguished("osp", 3, 1),
+                                                (1, 1, 1)))
+    with pytest.raises(BudgetError, match="spin unknowns 46 exceed budget 45"):
+        certify_spin(module, 15, 45)
+    assert certify_spin(module, 15, 46).unknowns == 46
 
 
 # ---------------------------------------------------------------------------
@@ -1261,6 +1422,7 @@ def test_a_j_that_does_not_generate_misses_both_certificates(monkeypatch,
     # the same bytes
     cells = [("gl", 1, 1, 2, 1), ("gl", 2, 1, 3, 0)]
     want = [fft_report(f, m, n, r, s=s).to_dict() for f, m, n, r, s in cells]
+    _no_blocks(monkeypatch)
     build = centralizer.weight_module
     monkeypatch.setattr(centralizer, "weight_module", lambda *args:
                         dataclasses.replace(build(*args), columns=(0,)))
@@ -1285,6 +1447,7 @@ def test_a_point_short_on_j_rebuilds_full_images(monkeypatch, caplog):
     # does not generate there: the same words are replayed once on every
     # column at that point only, with no second closure
     want = fft_report("gl", 2, 1, 4).to_dict()
+    _no_blocks(monkeypatch)
     monkeypatch.setattr(Echelon, "pivot_columns",
                         property(lambda self: tuple(self._pivots)[:1]))
     closures = _spy_calls(monkeypatch, "image_basis")
@@ -1314,17 +1477,19 @@ def test_a_point_short_on_j_rebuilds_full_images(monkeypatch, caplog):
 
 
 def test_an_uncertified_cell_ranks_the_exact_closure(monkeypatch):
-    # at 37 the walled closure mod p drops candidates that are independent
-    # over Q: no certificate, so a second, exact closure gives the first
-    # point's rank by its count, and each later point replays its words
-    # exactly, from the generators specialised there, on J's columns
+    # at 37 the blocks fall short and the walled closure mod p drops
+    # candidates that are independent over Q: no certificate, so a second,
+    # exact closure gives the first point's rank by its count, and each
+    # later point replays its words exactly, from the generators
+    # specialised there, on J's columns
     want = fft_report("gl", 1, 1, 2, s=1).to_dict()
     monkeypatch.setattr(superspace, "PRIME", 37)
     closures = _spy_calls(monkeypatch, "image_basis")
     reranks = _spy_calls(monkeypatch, "ranks_at")
     report = fft_report("gl", 1, 1, 2, s=1)
     assert report.certificate is None and report.to_dict() == want
-    (mod_p_args, _), (exact_args, words) = closures
+    (block_args, _), (mod_p_args, _), (exact_args, words) = closures
+    assert isinstance(block_args[8], centralizer.BlockSpan)
     assert isinstance(mod_p_args[5], Echelon) and exact_args[5:] == ()
     assert [at for (_, at), _ in reranks] == [[a] for a in DEFAULT_POINTS[1:]]
     for (rows, _), _ in reranks:
