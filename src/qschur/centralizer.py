@@ -62,7 +62,8 @@ is the space of vectors that every raising generator kills, and k_lam is
 its dimension; the raising generators are the simple e_i, whose joint
 kernel is that of every positive root vector they generate.  If, from the
 top class down, P_lam and the lowering images of the classes above span
-each class, then the P_lam generate the module.
+each class, then the P_lam generate the module; the one spin that finds J
+reduces each class's lowering images once and checks P_lam against them.
 A commuting map keeps each P_lam and is fixed by what it does there, so
 its dimension is at most sum k_lam^2.  For even-m osp sigma is not
 diagonal: the functional vanishes on eps_l, sigma must square to 1 and
@@ -339,35 +340,6 @@ def module_heights(datum: RootDatum, signs) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _orient(other, heights, cls):
-    """(raising, lowering, sigma) column maps of the non-diagonal residue
-    generators, with sigma's map of classes.
-
-    Each generator must map every weight class into one class, and move
-    the height by one amount: raising if positive, lowering if negative.
-    At most one generator moves no height; it is sigma.
-    """
-    raising, lowering, sigma = [], [], None
-    for j, g in enumerate(other):
-        shifts = {heights[i] - heights[k] for (i, k) in g.entries}
-        target = {}
-        for (i, k) in g.entries:
-            if target.setdefault(cls[k], cls[i]) != cls[i]:
-                raise _NotPrimitive(f"generator {j} splits a weight class")
-        if len(shifts) != 1:
-            raise _NotPrimitive(f"generator {j} is not weight-homogeneous")
-        shift = shifts.pop()
-        if shift > 0:
-            raising.append(_columns(g))
-        elif shift < 0:
-            lowering.append(_columns(g))
-        elif sigma is None:
-            sigma = (g, target)
-        else:
-            raise _NotPrimitive("two generators keep every height")
-    return raising, lowering, sigma
-
-
 def _primitive_spaces(classes, raising, dim: int) -> list[list[dict]]:
     """A basis of P_lam per class in reduced echelon form mod p (each vector
     1 at its least column, its lead, and 0 at the others' leads): the rows
@@ -396,11 +368,12 @@ def _primitive_spaces(classes, raising, dim: int) -> list[list[dict]]:
     return spaces
 
 
-def _spin(classes, heights, cls, lowering, seeds) -> list[tuple]:
+def _spin(classes, heights, cls, lowering, seeds, primitive):
     """From the top class down, span each class by the lowering images of
-    the classes above, then by its `seeds` (a list of vectors per class);
-    (class, picked, reduced) per class, and _NotPrimitive if a class stays
-    short.
+    the classes above, then by its `seeds` (its basis vectors); (bases,
+    short): (class, picked, reduced) per class, and the reason the first
+    class, top down, that its `primitive` vectors and the lowering images
+    leave short gives (None if the P_lam generate the module).
 
     `picked` lists the vectors that raised the rank: (L, k) for a lowering
     image L e_k, (None, v) for a seed v.  Each picked vector is reduced mod
@@ -416,14 +389,22 @@ def _spin(classes, heights, cls, lowering, seeds) -> list[tuple]:
     for L in lowering:
         for k, col in L.items():
             images[cls[col[0][0]]].append((L, k))
-    bases = []
+    bases, short = [], None
     for c in sorted(range(len(classes)), key=lambda c: -heights[classes[c][0]]):
         size = len(classes[c])
         pivots = {}  # lead -> the reduced vector right of it
         picked, reduced = [], []
-        for L, k in images[c] + [(None, v) for v in seeds[c]]:
+        for t, (L, k) in enumerate(images[c] + [(None, v) for v in seeds[c]]):
             if len(picked) == size:
                 break
+            if t == len(images[c]) and short is None:
+                ech = Echelon(pivots)  # the lowering images' pivots, copied
+                for v in primitive[c]:
+                    ech.add(v)
+                if ech.rank < size:
+                    short = (f"generation stops at a weight class of size "
+                             f"{size} (height {heights[classes[c][0]]}) at "
+                             f"rank {ech.rank}")
             vec = dict(k) if L is None else dict(L[k])
             heap = list(vec)
             heapify(heap)
@@ -451,12 +432,8 @@ def _spin(classes, heights, cls, lowering, seeds) -> list[tuple]:
             reduced.append((lead, [(a * inv % p, key) for a, key in terms],
                             pivots[lead]))
             picked.append((L, k))
-        if len(picked) < size:
-            raise _NotPrimitive(
-                f"generation stops at a weight class of size {size} (height "
-                f"{heights[classes[c][0]]}) at rank {len(picked)}")
         bases.append((c, picked, reduced))
-    return bases
+    return bases, short
 
 
 def _sigma_blocks(sigma, prim, raising, p: int) -> list[int]:
@@ -490,12 +467,15 @@ def _sigma_blocks(sigma, prim, raising, p: int) -> list[int]:
 
 def _weight_split(gens: list[SparseMat], heights, point):
     """(classes, cls, raising, lowering, sigma) of the generators mod p:
-    the weight classes, each basis vector's class, and `_orient`'s maps.
+    the weight classes, each basis vector's class, the column maps of the
+    raising and lowering generators, and sigma with its map of classes.
 
     `gens` have int/Fraction entries (osp), or RatFunc entries reduced at
-    q = `point` (quantum gl).  UnluckyPrime if a denominator vanishes mod
-    p; _NotPrimitive if the diagonal generators do not separate the
-    heights or `_orient` fails.
+    q = `point` (quantum gl).  Each other generator must map every weight
+    class into one class and move the height by one amount: raising if
+    positive, lowering if negative; at most one moves no height, sigma.
+    UnluckyPrime if a denominator vanishes mod p; _NotPrimitive if the
+    diagonal generators do not separate the heights or a check fails.
     """
     p = superspace.PRIME
     dim = len(heights)
@@ -511,7 +491,26 @@ def _weight_split(gens: list[SparseMat], heights, point):
     for c, members in enumerate(classes):
         for i in members:
             cls[i] = c
-    return (classes, cls) + _orient(other, heights, cls)
+    raising, lowering, sigma = [], [], None
+    for j, g in enumerate(other):
+        shifts, target, cols = set(), {}, {}
+        for (i, k), v in g.entries.items():  # one sweep: shift, class, column
+            shifts.add(heights[i] - heights[k])
+            if target.setdefault(cls[k], cls[i]) != cls[i]:
+                raise _NotPrimitive(f"generator {j} splits a weight class")
+            cols.setdefault(k, []).append((i, v))
+        if len(shifts) != 1:
+            raise _NotPrimitive(f"generator {j} is not weight-homogeneous")
+        shift = shifts.pop()
+        if shift > 0:
+            raising.append(cols)
+        elif shift < 0:
+            lowering.append(cols)
+        elif sigma is None:
+            sigma = (g, target)
+        else:
+            raise _NotPrimitive("two generators keep every height")
+    return classes, cls, raising, lowering, sigma
 
 
 @dataclass(frozen=True, eq=False)
@@ -550,8 +549,9 @@ def weight_module(gens: list[SparseMat], heights,
     J is read from the top weight class down: each class is spanned by the
     lowering images of the classes above and then by its own basis vectors
     e_k, and J is the e_k that raised the rank, so the lowering generators
-    spin J into the whole module.  Then the P_lam are spun the same way,
-    and the blocks of the primitive bound read off.  None, with the reason
+    spin J into the whole module.  The same spin checks each P_lam against
+    the pivots of its class's lowering images; where they generate, the
+    blocks of the primitive bound are read off.  None, with the reason
     logged once, if a denominator vanishes mod p or a check of
     `_weight_split` fails; the cell then keeps every column and takes the
     exact path.
@@ -563,18 +563,19 @@ def weight_module(gens: list[SparseMat], heights,
                      point, exc)
         return None
     classes, cls, raising, lowering, sigma = split
-    bases = _spin(classes, heights, cls, lowering,
-                  [[{k: 1} for k in members] for members in classes])
+    prim = _primitive_spaces(classes, raising, len(heights))
+    bases, blocks = _spin(classes, heights, cls, lowering,
+                          [[{k: 1} for k in members] for members in classes],
+                          prim)
     columns = tuple(sorted(k for _, picked, _ in bases
                            for L, vec in picked if L is None for k in vec))
-    prim = _primitive_spaces(classes, raising, len(heights))
-    try:
-        _spin(classes, heights, cls, lowering, prim)
-        blocks = ([len(basis) for basis in prim] if sigma is None
-                  else _sigma_blocks(sigma, prim, raising, superspace.PRIME))
-        blocks = tuple(sorted((k for k in blocks if k), reverse=True))
-    except _NotPrimitive as exc:
-        blocks = str(exc)
+    if blocks is None:
+        try:
+            blocks = ([len(basis) for basis in prim] if sigma is None else
+                      _sigma_blocks(sigma, prim, raising, superspace.PRIME))
+            blocks = tuple(sorted((k for k in blocks if k), reverse=True))
+        except _NotPrimitive as exc:
+            blocks = str(exc)
     return WeightModule(None if point is None else str(point),
                         tuple(heights), *split, prim, columns, bases, blocks)
 
@@ -969,10 +970,12 @@ def check_membership(images: dict, gens) -> None:
                                       f"centralise symmetry generator {j}")
 
 
-def _check_tokens(kind: str, ctx: EvalContext, r: int, s: int) -> None:
+def _check_tokens(kind: str, ctx: EvalContext, r: int, s: int,
+                  gens=None) -> None:
     """`check_membership` on two slots for each token the cell places: the
     diagram generators of the smallest cell that carries it, against that
-    cell's symmetry generators after its parity operator (generator 0)."""
+    cell's symmetry generators after its parity operator (generator 0),
+    or the cell's own `gens`, if given, where that cell is (r, s)."""
     cells = [(2, 0)] if r >= 2 else []
     if kind == "walled":
         cells += [(1, 1)] * (s >= 1) + [(0, 2)] * (s >= 2)
@@ -980,10 +983,11 @@ def _check_tokens(kind: str, ctx: EvalContext, r: int, s: int) -> None:
         space = ctx.space_of("+" * a + "-" * b)
         parity = SparseMat(space, space, {(i, i): 1 - 2 * p for i, p
                                           in enumerate(space.parities)})
-        gens = (_osp_generator_mats(*ctx.mn, a) if kind == "brauer"
-                else _glq_generator_mats(ctx.datum, a, b))
+        own = (gens if gens is not None and (a, b) == (r, s) else
+               _osp_generator_mats(*ctx.mn, a) if kind == "brauer"
+               else _glq_generator_mats(ctx.datum, a, b))
         check_membership(diagram_generators(kind, ctx, a, b),
-                         [parity] + gens)
+                         [parity] + own)
 
 
 # ---------------------------------------------------------------------------
@@ -1208,7 +1212,7 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     # Every image is a product of the diagram generators, so once their
     # tokens are checked to centralise the symmetry generators on two slots,
     # the span rank is a lower bound for the commutant dimension.
-    _check_tokens(kind, ctx, r, s)
+    _check_tokens(kind, ctx, r, s, gens)
     dgens = diagram_generators(kind, ctx, r, s)
     # the images are ranked on the columns of J, which generates the module
     # mod p (at points[0] for gl); no module keeps every column

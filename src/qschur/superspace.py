@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import lcm
 
@@ -51,6 +52,11 @@ def check_points(points) -> list:
     return points
 
 
+@lru_cache(maxsize=64)  # bounded: a cell meets a few pairs, a run many cells
+def _tensor_parities(a: tuple, b: tuple) -> tuple:
+    return tuple((p + r) % 2 for p in a for r in b)
+
+
 @dataclass(frozen=True)
 class SuperSpace:
     """Finite ordered homogeneous basis, given by the parity of each vector."""
@@ -63,8 +69,7 @@ class SuperSpace:
         return len(self.parities)
 
     def tensor(self, other: "SuperSpace") -> "SuperSpace":
-        return SuperSpace(tuple((p + r) % 2 for p in self.parities
-                                for r in other.parities))
+        return SuperSpace(_tensor_parities(self.parities, other.parities))
 
     def dual(self) -> "SuperSpace":
         return SuperSpace(self.parities, f"{self.name}*" if self.name else "")
@@ -389,10 +394,11 @@ class Echelon:
     a residue.
     """
 
-    def __init__(self):
+    def __init__(self, pivots: dict | None = None):
+        """Start from a copy of `pivots`, kept rows in the stored form."""
         self.prime = PRIME
-        self.rank = 0
-        self._pivots: dict[int, dict[int, int]] = {}  # col -> row, pivot 1 implied
+        self._pivots = dict(pivots or {})  # col -> row, pivot 1 implied
+        self.rank = len(self._pivots)
 
     def add(self, row: dict) -> bool:
         """Reduce `row` (column -> int/Fraction); True if it raised the rank."""

@@ -571,6 +571,30 @@ def test_two_slot_membership_agrees_with_the_global_check(cell):
     assert _both_membership_checks(*cell) == (None, None)
 
 
+@pytest.mark.parametrize("cell, built", [
+    (("osp", 3, 1, 2, 0), 1), (("gl", 2, 1, 2, 0), 1), (("gl", 2, 1, 1, 1), 1),
+    (("osp", 3, 1, 3, 0), 2), (("gl", 2, 1, 2, 1), 3)])
+def test_a_token_cell_that_is_the_cell_reuses_its_generators(monkeypatch,
+                                                             cell, built):
+    # the symmetry generators are built once for the cell, and once more
+    # for each token cell that is not the cell itself
+    name = "_glq_generator_mats" if cell[0] == "gl" else "_osp_generator_mats"
+    calls = _spy_calls(monkeypatch, name)
+    assert fft_report(*cell).equal
+    assert len(calls) == built
+
+
+def test_the_reused_generators_still_name_a_bad_token(monkeypatch):
+    def flip(datum):
+        V = qgl.natural_space(datum)
+        return _ungraded_flip(V, V)
+    monkeypatch.setattr(qgl, "braiding", flip)
+    datum = distinguished("gl", 2, 1)
+    ctx, gens = make_context("glq", datum=datum), _glq_generator_mats(datum, 2)
+    assert _failing_token(lambda: centralizer._check_tokens(
+        "hecke", ctx, 2, 0, gens)) == "X+ at strand "
+
+
 @pytest.mark.parametrize("cell", [("osp", 1, 1, 2, 0), ("osp", 3, 1, 3, 0),
                                   ("osp", 4, 1, 3, 0), ("osp", 3, 2, 2, 0)])
 def test_both_membership_checks_name_an_ungraded_brauer_flip(ungraded_tau,
@@ -752,6 +776,69 @@ def test_certificate_kind_per_benchmark_cell():
             assert cert.blocks == want and cert.prime == PRIME
             assert cert.point == (None if flavor == "osp" else "7/5")
         assert "certificate" not in rep.to_dict()
+
+
+# The module record of the 24 benchmark cells and the CI spin and
+# non-semisimple cells: (|J|, blocks, or the reason the P_lam do not
+# generate).
+_SHORT = "generation stops at a weight class of size {} (height {}) at rank {}"
+MODULE_RECORDS = {
+    ("osp", 1, 1, 1, 0): (1, (1,)), ("osp", 1, 1, 2, 0): (3, (1, 1, 1)),
+    ("osp", 1, 1, 3, 0): (7, (3, 2, 1, 1)),
+    ("osp", 2, 1, 1, 0): (1, (1,)),
+    ("osp", 2, 1, 2, 0): (4, _SHORT.format(4, 0, 3)),
+    ("osp", 2, 1, 3, 0): (10, (3, 2, 1, 1)),
+    ("osp", 3, 1, 1, 0): (1, (1,)), ("osp", 3, 1, 2, 0): (3, (1, 1, 1)),
+    ("osp", 3, 1, 3, 0): (7, _SHORT.format(12, 3, 10)),
+    ("osp", 4, 1, 1, 0): (1, (1,)), ("osp", 4, 1, 2, 0): (3, (1, 1, 1)),
+    ("osp", 4, 1, 3, 0): (7, (3, 2, 1, 1)),
+    ("osp", 3, 2, 1, 0): (1, (1,)), ("osp", 3, 2, 2, 0): (3, (1, 1, 1)),
+    ("osp", 3, 2, 3, 0): (7, (3, 2, 1, 1)),
+    ("gl", 2, 1, 4, 0): (10, (3, 3, 2, 1, 1)),
+    ("gl", 1, 1, 3, 2): (16, (6, 4, 4, 1, 1)),
+    ("gl", 1, 1, 2, 0): (2, (1, 1)), ("gl", 1, 1, 3, 0): (4, (2, 1, 1)),
+    ("gl", 2, 1, 2, 0): (2, (1, 1)), ("gl", 2, 1, 3, 0): (4, (2, 1, 1)),
+    ("gl", 1, 2, 2, 0): (2, (1, 1)), ("gl", 2, 2, 2, 0): (2, (1, 1)),
+    ("gl", 2, 1, 1, 1): (2, (1, 1)),
+    ("gl", 2, 1, 2, 2): (10, _SHORT.format(15, 0, 14)),
+    ("gl", 2, 1, 3, 2): (26, _SHORT.format(31, 9, 26)),
+    ("gl", 1, 1, 3, 3): (32, _SHORT.format(6, 4, 5)),
+}
+
+
+@pytest.mark.parametrize("cell", MODULE_RECORDS)
+def test_the_module_record_is_pinned(cell):
+    # |J| and the blocks or reason; and, checked here with a fresh Echelon
+    # per class, the lowering images and the P_lam span each class exactly
+    # where the record gives blocks
+    flavor, m, n, r, s = cell
+    datum = distinguished(flavor, m, n)
+    heights = module_heights(datum, (1,) * r + (-1,) * s)
+    if flavor == "gl":
+        point = DEFAULT_POINTS[0]
+        gens = _glq_generator_mats(datum, r, s)
+        mats = [g.residues(point) for g in gens]
+    else:
+        point, gens = None, _osp_generator_mats(m, n, r)
+        mats = gens
+    module = weight_module(gens, heights, point)
+    assert (len(module.columns), module.blocks) == MODULE_RECORDS[cell]
+    images = {}  # class -> the lowering images L e_k that land in it
+    for g in mats:
+        if g.entries and all(heights[i] < heights[k] for i, k in g.entries):
+            cols = {}
+            for (i, k), v in g.entries.items():
+                cols.setdefault(k, {})[i] = v
+            for image in cols.values():
+                images.setdefault(module.cls[min(image)], []).append(image)
+    generated = []
+    for c, (members, basis) in enumerate(zip(module.classes,
+                                             module.primitive)):
+        ech = Echelon()
+        for vec in images.get(c, []) + basis:
+            ech.add(vec)
+        generated.append(ech.rank == len(members))
+    assert all(generated) == isinstance(module.blocks, tuple), cell
 
 
 @pytest.mark.parametrize("m, n, r", [(2, 0, 1), (2, 0, 2), (4, 0, 2),
@@ -1588,16 +1675,20 @@ def test_the_spin_nullity_is_the_exact_nullity(flavor, m, n, r, s, caplog):
 
 
 def test_the_spin_certificate_reads_j_from_the_module(monkeypatch):
-    # osp(3|2) r=3 takes the spin certificate: J is spun once, when the
-    # module is built, and the primitive spaces once, when they fail to
-    # generate; the spin certificate spins nothing again
-    seeds, spin = [], centralizer._spin
+    # osp(3|2) r=3 takes the spin certificate: one spin, when the module is
+    # built, seeds J from the 125 e_k and checks the primitive spaces, which
+    # fail to generate, against the same lowering pivots; the spin
+    # certificate spins nothing again
+    calls, spin = [], centralizer._spin
 
     def spy(*args):
-        seeds.append(args[-1])
-        return spin(*args)
+        calls.append((args, spin(*args)))
+        return calls[-1][1]
     monkeypatch.setattr(centralizer, "_spin", spy)
     report = fft_report("osp", 3, 1, 3)
     assert isinstance(report.certificate, SpinCertificate)
-    assert report.certificate.columns == 7 and len(seeds) == 2
-    assert sum(map(len, seeds[0])) == 125 > sum(map(len, seeds[1]))
+    assert report.certificate.columns == 7 and len(calls) == 1
+    (*_, seeds, primitive), (_, short) = calls[0]
+    assert sum(map(len, seeds)) == 125 > sum(map(len, primitive))
+    assert short == ("generation stops at a weight class of size 12 "
+                     "(height 3) at rank 10")

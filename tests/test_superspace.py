@@ -47,6 +47,36 @@ def test_graded_kron_identity():
     assert K == SparseMat.identity(V.tensor(W))
 
 
+def test_the_tensor_parities_are_the_unmemoised_product():
+    # a dual or named factor tensors by its parities alone, into a space
+    # with no name, as the product it replaces did
+    V, W = SuperSpace((0, 1, 1), "V"), SuperSpace((1, 0))
+    for a, b in [(V, W), (V.dual(), W), (W, V), (V, V.dual())]:
+        out = a.tensor(b)
+        assert out == SuperSpace(tuple((p + r) % 2 for p in a.parities
+                                       for r in b.parities))
+        assert out.name == "" and out.dim == a.dim * b.dim
+    assert V.tensor_power(3).parities == V.tensor(V).tensor(V).parities
+
+
+def test_a_cold_cell_computes_each_tensor_product_once(monkeypatch):
+    # osp(3|4) r=3 from a cold memo: one computation per distinct pair of
+    # parity tuples, however often `tensor` meets it
+    from qschur.centralizer import fft_report
+    pairs, tensor = [], SuperSpace.tensor
+
+    def spy(self, other):
+        pairs.append((self.parities, other.parities))
+        return tensor(self, other)
+    monkeypatch.setattr(SuperSpace, "tensor", spy)
+    superspace._tensor_parities.cache_clear()
+    fft_report("osp", 3, 2, 3)
+    info = superspace._tensor_parities.cache_info()
+    assert info.misses == len(set(pairs)) == info.currsize < len(pairs)
+    assert info.hits == len(pairs) - info.misses
+    assert info.maxsize is not None  # the memo is bounded
+
+
 def test_graded_kron_associative():
     rng = random.Random(5)
     for _ in range(25):
