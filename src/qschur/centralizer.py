@@ -27,18 +27,19 @@ commutes with every symmetry generator on the whole space
 (`check_membership`).  So every image does, and its span rank is a lower
 bound for the commutant dimension.  The module mod p (at points[0] for
 quantum gl) is read once per cell into one record, `weight_module`: its
-weight classes, primitive spaces and a set J of basis vectors that
-generates it (from the top weight class down, the lowering images of the
-classes above completed by the class's own basis vectors), and whether
-its primitive spaces generate it (below).  Where they do, the quantum gl
-span is proved from its blocks (`_block_span`): the closure runs on each
-image's k x k blocks on the P_lam, keeps an image only while it fills a
-block or tells two blocks of one size apart by their traces, and stops
-once every block is full and told apart (`BlockSpan`).  By Burnside and
-Jacobson density the span mod p then has rank at least sum k_lam^2, so R
-is that sum without ranking an image on J.  Elsewhere each image is kept
-only on J's columns: a combination of images commutes with the
-generators, so if it vanishes on J it vanishes.  For osp the generators
+weight classes, a set J of basis vectors that generates it (from the top
+weight class down, the lowering images of the classes above completed by
+the class's own basis vectors), the primitive spaces of the classes that
+those lowering images leave short, and whether these generate it
+(below).  Where they do, the quantum gl span is proved from its blocks
+(`_block_span`): the closure runs on each image's k x k blocks on the
+P_lam, keeps an image only while it fills a block or tells two blocks of
+one size apart by their traces, and stops once every block is full and
+told apart (`BlockSpan`).  By Burnside and Jacobson density the span mod
+p then has rank at least sum k_lam^2, so R is that sum without ranking an
+image on J.  Elsewhere each image is kept only on J's columns: a
+combination of images commutes with the generators, so if it vanishes on
+J it vanishes.  For osp the generators
 have int entries, so J generates over Q too, and the exact rank over Q
 of the Brauer images on J's columns is their rank on all d columns; it
 is ranked with the columns in rarest-first order (`_rarest_first`).  For
@@ -60,16 +61,20 @@ class into one class, and a linear functional on the root-datum weights
 (`module_heights`) orients it as raising or lowering.  In class lam, P_lam
 is the space of vectors that every raising generator kills, and k_lam is
 its dimension; the raising generators are the simple e_i, whose joint
-kernel is that of every positive root vector they generate.  If, from the
-top class down, P_lam and the lowering images of the classes above span
-each class, then the P_lam generate the module; the one spin that finds J
-reduces each class's lowering images once and checks P_lam against them.
-A commuting map keeps each P_lam and is fixed by what it does there, so
-its dimension is at most sum k_lam^2.  For even-m osp sigma is not
-diagonal: the functional vanishes on eps_l, sigma must square to 1 and
-map each P_lam into the P of its image class, and the sum runs over the
-sigma-orbits: k^2 for a pair of classes that sigma swaps, a^2 + b^2 for a
-class it fixes (a, b: the dimensions of its +-1 eigenspaces on P_lam).
+kernel is that of every positive root vector they generate.  The one spin
+that finds J reduces each class's lowering images once, and reads P_lam
+only in a class they leave short (4 of the 63 classes of osp(3|4) r=3),
+checked against their pivots.  If, from the top class down, each class is
+spanned by the lowering images of the classes above and, where they fall
+short, its P_lam, then the P_lam read generate the module.  A commuting
+map keeps each of them, the whole kernel of the raising generators on its
+class, and is fixed by what it does there, so its dimension is at most
+sum k_lam^2 over the classes read (k_lam = 0 elsewhere).  For even-m osp
+sigma is not diagonal: the functional vanishes on eps_l, sigma must
+square to 1 and map each P_lam read into the P, also read, of its image
+class, and the sum runs over the sigma-orbits: k^2 for a pair of classes
+that sigma swaps, a^2 + b^2 for a class it fixes (a, b: the dimensions of
+its +-1 eigenspaces on P_lam).
 When the sum meets the span rank, `equal` is proved and recorded as a
 `PrimitiveCertificate` (prime, point, blocks, generation rank); only
 vectors of length d are reduced, and no d^2 system is built.
@@ -250,9 +255,9 @@ class PrimitiveCertificate:
     lowering generators: `generation_rank` = `dim`.  So a commuting map is
     fixed by the maps P_lam -> P_lam it restricts to, and the commutant
     dimension is at most `bound`, the sum of the squares of `blocks`: one
-    k_lam = dim P_lam per class, or with sigma one k per swapped pair of
-    classes and the dimensions a, b of the sigma = +-1 eigenspaces on the
-    P_lam of a fixed class.
+    k_lam = dim P_lam per class whose P_lam was read (`_spin`), or with
+    sigma one k per swapped pair of classes and the dimensions a, b of the
+    sigma = +-1 eigenspaces on the P_lam of a fixed class.
 
     Where the span was proved from its blocks (gl; see `BlockSpan`), the
     span side: `words`, the kept words of the block closure, and
@@ -368,12 +373,19 @@ def _primitive_spaces(classes, raising, dim: int) -> list[list[dict]]:
     return spaces
 
 
-def _spin(classes, heights, cls, lowering, seeds, primitive):
+def _spin(classes, heights, cls, lowering, seeds, raising):
     """From the top class down, span each class by the lowering images of
     the classes above, then by its `seeds` (its basis vectors); (bases,
-    short): (class, picked, reduced) per class, and the reason the first
-    class, top down, that its `primitive` vectors and the lowering images
-    leave short gives (None if the P_lam generate the module).
+    primitive, short): (class, picked, reduced) per class, the P_lam of
+    each class whose lowering images run out before they fill it (empty
+    for every other class), and the reason the first class, top down, that
+    its P_lam and the lowering images leave short gives (None if the P_lam
+    generate the module).
+
+    P_lam is read (`_primitive_spaces`, killed by the `raising` column
+    maps) only where the lowering images leave the class short: a class
+    they fill needs nothing of its own to be generated.  So the P_lam read
+    generate the module whenever `short` is None.
 
     `picked` lists the vectors that raised the rank: (L, k) for a lowering
     image L e_k, (None, v) for a seed v.  Each picked vector is reduced mod
@@ -384,12 +396,12 @@ def _spin(classes, heights, cls, lowering, seeds, primitive):
     vector and ("r", l) the reduced vector with lead l.  Solving back from
     the largest lead down writes each e_b in the picked vectors.
     """
-    p = superspace.PRIME
+    p, dim = superspace.PRIME, len(heights)
     images = [[] for _ in classes]
     for L in lowering:
         for k, col in L.items():
             images[cls[col[0][0]]].append((L, k))
-    bases, short = [], None
+    bases, primitive, short = [], [[] for _ in classes], None
     for c in sorted(range(len(classes)), key=lambda c: -heights[classes[c][0]]):
         size = len(classes[c])
         pivots = {}  # lead -> the reduced vector right of it
@@ -397,11 +409,12 @@ def _spin(classes, heights, cls, lowering, seeds, primitive):
         for t, (L, k) in enumerate(images[c] + [(None, v) for v in seeds[c]]):
             if len(picked) == size:
                 break
-            if t == len(images[c]) and short is None:
+            if t == len(images[c]):  # the lowering images leave c short
+                primitive[c] = _primitive_spaces([classes[c]], raising, dim)[0]
                 ech = Echelon(pivots)  # the lowering images' pivots, copied
                 for v in primitive[c]:
                     ech.add(v)
-                if ech.rank < size:
+                if ech.rank < size and short is None:
                     short = (f"generation stops at a weight class of size "
                              f"{size} (height {heights[classes[c][0]]}) at "
                              f"rank {ech.rank}")
@@ -433,12 +446,14 @@ def _spin(classes, heights, cls, lowering, seeds, primitive):
                             pivots[lead]))
             picked.append((L, k))
         bases.append((c, picked, reduced))
-    return bases, short
+    return bases, primitive, short
 
 
 def _sigma_blocks(sigma, prim, raising, p: int) -> list[int]:
-    """Block sizes of the sigma-orbit sum, after checking sigma^2 = 1 and
-    that sigma maps each P_lam into the P of its image class."""
+    """Block sizes of the sigma-orbit sum, after checking sigma^2 = 1, that
+    sigma maps each class whose P_lam was read to a class whose P was read
+    (`_spin` reads only where the lowering images leave a class short), and
+    that it maps each P_lam into the P of its image class."""
     g, target = sigma
     if g.matmul_mod(g) != SparseMat.identity(g.src):
         raise _NotPrimitive("sigma^2 != 1")
@@ -451,6 +466,9 @@ def _sigma_blocks(sigma, prim, raising, p: int) -> list[int]:
         if any(_apply(e, w, p) for w in image for e in raising):
             raise _NotPrimitive("sigma does not map primitive vectors to "
                                 "primitive vectors")
+        if basis and not prim[target[c]]:
+            raise _NotPrimitive("sigma maps a class whose P was read to one "
+                                "whose P was not")
         if target[c] != c:
             if c < target[c]:
                 blocks.append(len(basis))
@@ -479,8 +497,15 @@ def _weight_split(gens: list[SparseMat], heights, point):
     """
     p = superspace.PRIME
     dim = len(heights)
-    mats = [g.map_values(lambda v: rational_residue(v, p))
-            if point is None else g.residues(point) for g in gens]
+    mats = []
+    for g in gens:
+        if point is None:  # osp entries are ints; a Fraction may be unlucky
+            mat = SparseMat(g.src, g.dst)
+            mat.entries = {key: w for key, v in g.entries.items() if (
+                w := v % p if type(v) is int else rational_residue(v, p))}
+        else:
+            mat = g.residues(point)
+        mats.append(mat)
     diag, other = _split_diagonal(mats, dim)
     classes = _profile_classes(diag, dim)
     if any(heights[i] != heights[members[0]]
@@ -519,12 +544,13 @@ class WeightModule:
 
     At q = `point` for quantum gl (None for osp; a string, as the
     certificates record it): the basis vectors' `heights`, the fields of
-    `_weight_split`, the `primitive` space P_lam of each class, the basis
-    vectors `columns` of a set J that generates the module, `bases`,
-    `_spin`'s record of the lowering generators spinning J into it, and
-    `blocks`: the sizes, largest first, whose squares sum to the primitive
-    bound, or, where the P_lam do not generate the module or a sigma check
-    fails, the reason.
+    `_weight_split`, the `primitive` space P_lam of each class that the
+    lowering images leave short (empty for every other class; `_spin`),
+    the basis vectors `columns` of a set J that generates the module,
+    `bases`, `_spin`'s record of the lowering generators spinning J into
+    it, and `blocks`: the sizes, largest first, whose squares sum to the
+    primitive bound, or, where the P_lam read do not generate the module
+    or a sigma check fails, the reason.
     """
     point: str | None
     heights: tuple[int, ...]
@@ -549,9 +575,10 @@ def weight_module(gens: list[SparseMat], heights,
     J is read from the top weight class down: each class is spanned by the
     lowering images of the classes above and then by its own basis vectors
     e_k, and J is the e_k that raised the rank, so the lowering generators
-    spin J into the whole module.  The same spin checks each P_lam against
-    the pivots of its class's lowering images; where they generate, the
-    blocks of the primitive bound are read off.  None, with the reason
+    spin J into the whole module.  The same spin reads P_lam only in a
+    class whose lowering images run out before they fill it, and checks
+    it against their pivots; where the P_lam read generate, the blocks of
+    the primitive bound are read off them.  None, with the reason
     logged once, if a denominator vanishes mod p or a check of
     `_weight_split` fails; the cell then keeps every column and takes the
     exact path.
@@ -563,10 +590,9 @@ def weight_module(gens: list[SparseMat], heights,
                      point, exc)
         return None
     classes, cls, raising, lowering, sigma = split
-    prim = _primitive_spaces(classes, raising, len(heights))
-    bases, blocks = _spin(classes, heights, cls, lowering,
-                          [[{k: 1} for k in members] for members in classes],
-                          prim)
+    bases, prim, blocks = _spin(
+        classes, heights, cls, lowering,
+        [[{k: 1} for k in members] for members in classes], raising)
     columns = tuple(sorted(k for _, picked, _ in bases
                            for L, vec in picked if L is None for k in vec))
     if blocks is None:
@@ -736,14 +762,29 @@ def _act(x, forms: dict, p: int) -> dict:
                      for i, v in x.get(k, ())], p)
 
 
+def _pair_rows(x, b: int, M: dict, p: int):
+    """The nonzero rows of M(x e_b) = x M(e_b), for the generator with
+    columns `x` and the forms `M` of `_spin_rows`."""
+    lhs = _combine([(v, M[i]) for i, v in x.get(b, ())], p)
+    rhs = _act(x, M[b], p)
+    for i in lhs.keys() | rhs.keys():
+        left, right = lhs.get(i, {}), rhs.get(i, {})
+        row = {u: w for u in left.keys() | right.keys()
+               if (w := (left.get(u, 0) - right.get(u, 0)) % p)}
+        if row:
+            yield row
+
+
 def _spin_rows(classes, cls, gens, bases, unknowns: int, p: int):
     """The rows of M(x e_b) = x M(e_b) over the generators `gens` (column
     maps) and the basis vectors b, each as soon as M is built on the
-    classes of b and of x e_b.  A generator that kills a whole class gives
-    only zero rows there (M keeps the class), so those pairs are skipped.
-    M is built class by class from `_spin`'s `bases`: fresh unknowns on a
-    picked seed e_j, L M(e_k) on a picked L e_k, then the reduced vectors,
-    and each e_b solved back from them.
+    classes of b and of x e_b (`_pair_rows`).  Two kinds of pairs give
+    only zero rows and are skipped: a generator that kills a whole class
+    (M keeps the class), and (x = L, b = k) for a picked lowering image
+    L e_k, since M(L e_k) is built as L M(e_k).  M is built class by class
+    from `_spin`'s `bases`: fresh unknowns on a picked seed e_j, L M(e_k)
+    on a picked L e_k, then the reduced vectors, and each e_b solved back
+    from them.
 
     The unknowns are numbered down from `unknowns` - 1 as their classes
     are built, so the echelon pivots on the latest ones first: an unknown
@@ -757,6 +798,8 @@ def _spin_rows(classes, cls, gens, bases, unknowns: int, p: int):
             target[cls[k]] = cls[col[0][0]]
             sources.setdefault(cls[col[0][0]], set()).add(cls[k])
         moves.append((target, sources))
+    built_as = {(id(L), k) for _, picked, _ in bases for L, k in picked
+                if L is not None}  # M(L e_k) = L M(e_k) by construction
     M = {}  # basis vector b -> M(e_b) as {row: {unknown: coefficient}}
     built = set()
     for c, picked, reduced in bases:
@@ -779,14 +822,8 @@ def _spin_rows(classes, cls, gens, bases, unknowns: int, p: int):
             if target.get(c, c) != c and target[c] in built:
                 pairs.append(c)
             for b in (b for src in pairs for b in classes[src]):
-                lhs = _combine([(v, M[i]) for i, v in x.get(b, ())], p)
-                rhs = _act(x, M[b], p)
-                for i in lhs.keys() | rhs.keys():
-                    left, right = lhs.get(i, {}), rhs.get(i, {})
-                    row = {u: w for u in left.keys() | right.keys()
-                           if (w := (left.get(u, 0) - right.get(u, 0)) % p)}
-                    if row:
-                        yield row
+                if (id(x), b) not in built_as:
+                    yield from _pair_rows(x, b, M, p)
 
 
 def certify_spin(module: WeightModule, lower_bound: int,

@@ -778,6 +778,17 @@ def test_certificate_kind_per_benchmark_cell():
         assert "certificate" not in rep.to_dict()
 
 
+def test_the_even_m_spin_cell_is_pinned():
+    # osp(2|4) r=3 (CI): sigma-extended, and its primitive vectors do not
+    # generate the module, so it takes the spin certificate
+    rep = fft_report("osp", 2, 2, 3)
+    cert = rep.certificate
+    assert rep.equal and rep.commutant_dim == 15
+    assert isinstance(cert, SpinCertificate) and cert.point is None
+    assert (cert.columns, cert.unknowns, cert.rows_used, cert.rank) == (
+        8, 64, 369, 49)
+
+
 # The module record of the 24 benchmark cells and the CI spin and
 # non-semisimple cells: (|J|, blocks, or the reason the P_lam do not
 # generate).
@@ -806,11 +817,8 @@ MODULE_RECORDS = {
 }
 
 
-@pytest.mark.parametrize("cell", MODULE_RECORDS)
-def test_the_module_record_is_pinned(cell):
-    # |J| and the blocks or reason; and, checked here with a fresh Echelon
-    # per class, the lowering images and the P_lam span each class exactly
-    # where the record gives blocks
+def _cell_module(cell):
+    # (the cell's weight module, its symmetry generators mod p)
     flavor, m, n, r, s = cell
     datum = distinguished(flavor, m, n)
     heights = module_heights(datum, (1,) * r + (-1,) * s)
@@ -821,7 +829,16 @@ def test_the_module_record_is_pinned(cell):
     else:
         point, gens = None, _osp_generator_mats(m, n, r)
         mats = gens
-    module = weight_module(gens, heights, point)
+    return weight_module(gens, heights, point), mats
+
+
+@pytest.mark.parametrize("cell", MODULE_RECORDS)
+def test_the_module_record_is_pinned(cell):
+    # |J| and the blocks or reason; and, checked here with a fresh Echelon
+    # per class, the lowering images and the P_lam span each class exactly
+    # where the record gives blocks
+    module, mats = _cell_module(cell)
+    heights = module.heights
     assert (len(module.columns), module.blocks) == MODULE_RECORDS[cell]
     images = {}  # class -> the lowering images L e_k that land in it
     for g in mats:
@@ -839,6 +856,67 @@ def test_the_module_record_is_pinned(cell):
             ech.add(vec)
         generated.append(ech.rank == len(members))
     assert all(generated) == isinstance(module.blocks, tuple), cell
+
+
+@pytest.mark.parametrize("cell", MODULE_RECORDS)
+def test_a_primitive_space_is_read_only_where_the_lowering_images_fall_short(
+        cell):
+    # each class has the P_lam of the eager `_primitive_spaces`, or lowering
+    # images (from the classes above) that span it; where the P_lam
+    # generate, the sum k^2 over the classes read is the eager sum
+    module, _ = _cell_module(cell)
+    eager = centralizer._primitive_spaces(module.classes, module.raising,
+                                          len(module.heights))
+    images = {}  # class -> the lowering images L e_k that land in it
+    for L in module.lowering:
+        for col in L.values():
+            images.setdefault(module.cls[col[0][0]], []).append(dict(col))
+    for c, (members, lazy, full) in enumerate(zip(module.classes,
+                                                  module.primitive, eager)):
+        if lazy != full:
+            assert lazy == []
+            assert centralizer._rank(images.get(c, [])) == len(members)
+    if isinstance(module.blocks, tuple):
+        blocks = ([len(basis) for basis in eager] if module.sigma is None
+                  else centralizer._sigma_blocks(module.sigma, eager,
+                                                 module.raising, PRIME))
+        assert sum(k * k for k in blocks) == sum(k * k for k in module.blocks)
+
+
+@pytest.mark.parametrize("m, n, r, classes", [(3, 2, 3, 63), (4, 1, 3, 44),
+                                              (3, 1, 3, 25)])
+def test_four_classes_read_their_primitive_space(m, n, r, classes,
+                                                 monkeypatch):
+    # osp(3|4), osp(4|2) and osp(3|2) r=3: the lowering images leave only
+    # four weight classes short, one P_lam computed for each
+    calls = _spy_calls(monkeypatch, "_primitive_spaces")
+    module = weight_module(_osp_generator_mats(m, n, r), module_heights(
+        distinguished("osp", m, n), (1,) * r))
+    assert len(module.classes) == classes
+    assert [len(args[0]) for args, _ in calls] == [1] * 4
+
+
+def test_sigma_onto_a_class_whose_primitive_space_was_not_read_fails():
+    # osp(4|2) r=3: sigma maps the classes whose P_lam was read among
+    # themselves; a target faked to send one of them to a class whose P was
+    # not read trips the check, though sigma keeps the primitive vectors
+    module, _ = _cell_module(("osp", 4, 1, 3, 0))
+    g, target = module.sigma
+    read = [c for c, basis in enumerate(module.primitive) if basis]
+    assert 0 < len(read) < len(module.classes)
+    assert all(module.primitive[target[c]] for c in read)
+    blocks = centralizer._sigma_blocks(module.sigma, module.primitive,
+                                       module.raising, PRIME)
+    assert sorted((k for k in blocks if k), reverse=True) == list(
+        module.blocks)
+    faked = dict(target)
+    faked[read[0]] = next(c for c in range(len(module.classes))
+                          if c not in read)
+    with pytest.raises(centralizer._NotPrimitive,
+                       match="sigma maps a class whose P was read to one "
+                             "whose P was not"):
+        centralizer._sigma_blocks((g, faked), module.primitive,
+                                  module.raising, PRIME)
 
 
 @pytest.mark.parametrize("m, n, r", [(2, 0, 1), (2, 0, 2), (4, 0, 2),
@@ -1676,19 +1754,35 @@ def test_the_spin_nullity_is_the_exact_nullity(flavor, m, n, r, s, caplog):
 
 def test_the_spin_certificate_reads_j_from_the_module(monkeypatch):
     # osp(3|2) r=3 takes the spin certificate: one spin, when the module is
-    # built, seeds J from the 125 e_k and checks the primitive spaces, which
-    # fail to generate, against the same lowering pivots; the spin
-    # certificate spins nothing again
-    calls, spin = [], centralizer._spin
-
-    def spy(*args):
-        calls.append((args, spin(*args)))
-        return calls[-1][1]
-    monkeypatch.setattr(centralizer, "_spin", spy)
+    # built, seeds J from the 125 e_k and checks the primitive spaces of the
+    # classes its lowering images leave short, which fail to generate,
+    # against the same lowering pivots; the spin certificate spins nothing
+    # again
+    calls = _spy_calls(monkeypatch, "_spin")
     report = fft_report("osp", 3, 1, 3)
     assert isinstance(report.certificate, SpinCertificate)
     assert report.certificate.columns == 7 and len(calls) == 1
-    (*_, seeds, primitive), (_, short) = calls[0]
+    (*_, seeds, _), (_, primitive, short) = calls[0]
     assert sum(map(len, seeds)) == 125 > sum(map(len, primitive))
     assert short == ("generation stops at a weight class of size 12 "
                      "(height 3) at rank 10")
+
+
+@pytest.mark.parametrize("cell", [("osp", 3, 1, 3, 0), ("osp", 2, 1, 2, 0),
+                                  ("gl", 2, 1, 2, 2)])
+def test_the_spin_pairs_skipped_by_construction_give_only_zero_rows(
+        cell, monkeypatch):
+    # M(L e_k) is built as L M(e_k) for each picked lowering image L e_k, so
+    # the pair (L, k) is never built; recomputed on the finished M, every
+    # one of its rows is zero
+    module, _ = _cell_module(cell)
+    calls = _spy_calls(monkeypatch, "_pair_rows")
+    # the identity commutes, so no bound meets 0 and every row is built
+    assert certify_spin(module, 0) is None
+    M = calls[-1][0][2]
+    built = {(id(x), b) for (x, b, _, _), _ in calls}
+    skipped = [(L, k) for _, picked, _ in module.bases for L, k in picked
+               if L is not None]
+    assert skipped and not built & {(id(L), k) for L, k in skipped}
+    for L, k in skipped:
+        assert list(centralizer._pair_rows(L, k, M, PRIME)) == []
