@@ -62,19 +62,20 @@ class into one class, and a linear functional on the root-datum weights
 is the space of vectors that every raising generator kills, and k_lam is
 its dimension; the raising generators are the simple e_i, whose joint
 kernel is that of every positive root vector they generate.  The one spin
-that finds J reduces each class's lowering images once, and reads P_lam
-only in a class they leave short (4 of the 63 classes of osp(3|4) r=3),
-checked against their pivots.  If, from the top class down, each class is
-spanned by the lowering images of the classes above and, where they fall
-short, its P_lam, then the P_lam read generate the module.  A commuting
-map keeps each of them, the whole kernel of the raising generators on its
-class, and is fixed by what it does there, so its dimension is at most
-sum k_lam^2 over the classes read (k_lam = 0 elsewhere).  For even-m osp
-sigma is not diagonal: the functional vanishes on eps_l, sigma must
-square to 1 and map each P_lam read into the P, also read, of its image
-class, and the sum runs over the sigma-orbits: k^2 for a pair of classes
-that sigma swaps, a^2 + b^2 for a class it fixes (a, b: the dimensions of
-its +-1 eigenspaces on P_lam).
+that finds J reduces each class's lowering images once, in the class's own
+`Echelon`, and reads P_lam only in a class they leave short (4 of the 63
+classes of osp(3|4) r=3), checked on a copy of that echelon.  If, from
+the top class down, each class is spanned by the lowering images of the
+classes above and, where they fall short, its P_lam, then the P_lam read
+generate the module.  A commuting map keeps each of them, the whole
+kernel of the raising generators on its class, and is fixed by what it
+does there, so its dimension is at most sum k_lam^2 over the classes
+read (k_lam = 0 elsewhere).  For even-m osp sigma is not diagonal: the
+functional vanishes on eps_l, sigma must square to 1 and map each P_lam
+read into the P, also read, of its image class, and the sum runs over
+the sigma-orbits: k^2 for a pair of classes that sigma swaps, a^2 + b^2
+for a class it fixes (a, b: the dimensions of its +-1 eigenspaces on
+P_lam).
 When the sum meets the span rank, `equal` is proved and recorded as a
 `PrimitiveCertificate` (prime, point, blocks, generation rank); only
 vectors of length d are reduced, and no d^2 system is built.
@@ -128,7 +129,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import mul
 
@@ -373,30 +373,26 @@ def _primitive_spaces(classes, raising, dim: int) -> list[list[dict]]:
     return spaces
 
 
-def _spin(classes, heights, cls, lowering, seeds, raising):
+def _spin(classes, heights, cls, lowering, raising):
     """From the top class down, span each class by the lowering images of
-    the classes above, then by its `seeds` (its basis vectors); (bases,
-    primitive, short): (class, picked, reduced) per class, the P_lam of
-    each class whose lowering images run out before they fill it (empty
-    for every other class), and the reason the first class, top down, that
-    its P_lam and the lowering images leave short gives (None if the P_lam
-    generate the module).
+    the classes above, then by its own basis vectors e_k; (bases,
+    primitive, short): (class, picked) per class, the P_lam of each class
+    whose lowering images run out before they fill it (empty for every
+    other class), and the reason the first class, top down, that its P_lam
+    and the lowering images leave short gives (None if the P_lam generate
+    the module).
 
     P_lam is read (`_primitive_spaces`, killed by the `raising` column
     maps) only where the lowering images leave the class short: a class
     they fill needs nothing of its own to be generated.  So the P_lam read
     generate the module whenever `short` is None.
 
-    `picked` lists the vectors that raised the rank: (L, k) for a lowering
-    image L e_k, (None, v) for a seed v.  Each picked vector is reduced mod
-    p against the earlier ones as `Echelon.add` reduces a row, pivoting on
-    its least free column: `reduced` lists (lead, terms, row) in order, the
-    reduced vector being 1 at lead and `row` right of it, and the sum of
-    a * key over its (a, key) terms, where ("v", t) is the t-th picked
-    vector and ("r", l) the reduced vector with lead l.  Solving back from
-    the largest lead down writes each e_b in the picked vectors.
+    `picked` lists, in order, the vectors that raised the rank of the
+    class's `Echelon`: (L, k) for a lowering image L e_k, (None, k) for
+    e_k.  The P_lam are checked on a copy of that echelon, so they pick
+    nothing.
     """
-    p, dim = superspace.PRIME, len(heights)
+    dim = len(heights)
     images = [[] for _ in classes]
     for L in lowering:
         for k, col in L.items():
@@ -404,48 +400,23 @@ def _spin(classes, heights, cls, lowering, seeds, raising):
     bases, primitive, short = [], [[] for _ in classes], None
     for c in sorted(range(len(classes)), key=lambda c: -heights[classes[c][0]]):
         size = len(classes[c])
-        pivots = {}  # lead -> the reduced vector right of it
-        picked, reduced = [], []
-        for t, (L, k) in enumerate(images[c] + [(None, v) for v in seeds[c]]):
-            if len(picked) == size:
+        ech, picked = Echelon(), []
+        for t, (L, k) in enumerate(images[c] + [(None, k)
+                                                for k in classes[c]]):
+            if ech.rank == size:
                 break
             if t == len(images[c]):  # the lowering images leave c short
                 primitive[c] = _primitive_spaces([classes[c]], raising, dim)[0]
-                ech = Echelon(pivots)  # the lowering images' pivots, copied
+                check = ech.copy()
                 for v in primitive[c]:
-                    ech.add(v)
-                if ech.rank < size and short is None:
+                    check.add(v)
+                if check.rank < size and short is None:
                     short = (f"generation stops at a weight class of size "
                              f"{size} (height {heights[classes[c][0]]}) at "
-                             f"rank {ech.rank}")
-            vec = dict(k) if L is None else dict(L[k])
-            heap = list(vec)
-            heapify(heap)
-            terms, lead, tail = [(1, ("v", len(picked)))], None, {}
-            while heap:
-                col = heappop(heap)
-                b = vec.pop(col) % p
-                if not b:
-                    continue
-                if col not in pivots:
-                    if lead is None:
-                        lead, lead_value = col, b
-                    else:
-                        tail[col] = b
-                    continue
-                terms.append((-b, ("r", col)))
-                for i, v in pivots[col].items():
-                    if i not in vec:
-                        heappush(heap, i)
-                    vec[i] = vec.get(i, 0) - b * v
-            if lead is None:
-                continue
-            inv = pow(lead_value, -1, p)
-            pivots[lead] = {i: v * inv % p for i, v in tail.items()}
-            reduced.append((lead, [(a * inv % p, key) for a, key in terms],
-                            pivots[lead]))
-            picked.append((L, k))
-        bases.append((c, picked, reduced))
+                             f"rank {check.rank}")
+            if ech.add({k: 1} if L is None else dict(L[k])):
+                picked.append((L, k))
+        bases.append((c, picked))
     return bases, primitive, short
 
 
@@ -547,10 +518,11 @@ class WeightModule:
     `_weight_split`, the `primitive` space P_lam of each class that the
     lowering images leave short (empty for every other class; `_spin`),
     the basis vectors `columns` of a set J that generates the module,
-    `bases`, `_spin`'s record of the lowering generators spinning J into
-    it, and `blocks`: the sizes, largest first, whose squares sum to the
-    primitive bound, or, where the P_lam read do not generate the module
-    or a sigma check fails, the reason.
+    `bases`, `_spin`'s (class, picked) per class: the lowering images and
+    the vectors of J, in order, that span the class, and `blocks`: the
+    sizes, largest first, whose squares sum to the primitive bound, or,
+    where the P_lam read do not generate the module or a sigma check
+    fails, the reason.
     """
     point: str | None
     heights: tuple[int, ...]
@@ -577,7 +549,7 @@ def weight_module(gens: list[SparseMat], heights,
     e_k, and J is the e_k that raised the rank, so the lowering generators
     spin J into the whole module.  The same spin reads P_lam only in a
     class whose lowering images run out before they fill it, and checks
-    it against their pivots; where the P_lam read generate, the blocks of
+    it on a copy of their echelon; where the P_lam read generate, the blocks of
     the primitive bound are read off them.  None, with the reason
     logged once, if a denominator vanishes mod p or a check of
     `_weight_split` fails; the cell then keeps every column and takes the
@@ -590,11 +562,9 @@ def weight_module(gens: list[SparseMat], heights,
                      point, exc)
         return None
     classes, cls, raising, lowering, sigma = split
-    bases, prim, blocks = _spin(
-        classes, heights, cls, lowering,
-        [[{k: 1} for k in members] for members in classes], raising)
-    columns = tuple(sorted(k for _, picked, _ in bases
-                           for L, vec in picked if L is None for k in vec))
+    bases, prim, blocks = _spin(classes, heights, cls, lowering, raising)
+    columns = tuple(sorted(k for _, picked in bases
+                           for L, k in picked if L is None))
     if blocks is None:
         try:
             blocks = ([len(basis) for basis in prim] if sigma is None else
@@ -782,9 +752,12 @@ def _spin_rows(classes, cls, gens, bases, unknowns: int, p: int):
     only zero rows and are skipped: a generator that kills a whole class
     (M keeps the class), and (x = L, b = k) for a picked lowering image
     L e_k, since M(L e_k) is built as L M(e_k).  M is built class by class
-    from `_spin`'s `bases`: fresh unknowns on a picked seed e_j, L M(e_k)
-    on a picked L e_k, then the reduced vectors, and each e_b solved back
-    from them.
+    from `_spin`'s `bases`: fresh unknowns on a picked e_j, L M(e_k) on a
+    picked L e_k.  The picked vectors are added again, in order, to a
+    fresh `Echelon` whose transcripts give M on each stored row; each one
+    raises the rank again, and the vectors that `_spin` also tried and
+    dropped never touched its pivots, so the stored rows are `_spin`'s.
+    Each e_b is solved back from them, from the largest pivot down.
 
     The unknowns are numbered down from `unknowns` - 1 as their classes
     are built, so the echelon pivots on the latest ones first: an unknown
@@ -798,24 +771,28 @@ def _spin_rows(classes, cls, gens, bases, unknowns: int, p: int):
             target[cls[k]] = cls[col[0][0]]
             sources.setdefault(cls[col[0][0]], set()).add(cls[k])
         moves.append((target, sources))
-    built_as = {(id(L), k) for _, picked, _ in bases for L, k in picked
+    built_as = {(id(L), k) for _, picked in bases for L, k in picked
                 if L is not None}  # M(L e_k) = L M(e_k) by construction
     M = {}  # basis vector b -> M(e_b) as {row: {unknown: coefficient}}
     built = set()
-    for c, picked, reduced in bases:
-        vals = {}
-        for t, (L, k) in enumerate(picked):
+    for c, picked in bases:
+        ech, stored = Echelon(), {}  # pivot -> M on the stored row there
+        for L, k in picked:
             if L is None:
                 unknowns -= len(classes[c])
-                vals["v", t] = {i: {unknowns + u: 1}
-                                for u, i in enumerate(classes[c])}
+                given = {i: {unknowns + u: 1}
+                         for u, i in enumerate(classes[c])}
             else:
-                vals["v", t] = _act(L, M[k], p)
-        for lead, terms, _ in reduced:
-            vals["r", lead] = _combine([(a, vals[key]) for a, key in terms], p)
-        for lead, _, row in sorted(reduced, key=lambda r: -r[0]):
-            M[lead] = _combine([(1, vals["r", lead])] + [
-                (-v, M[i]) for i, v in row.items()], p)
+                given = _act(L, M[k], p)
+            terms = []
+            ech.add({k: 1} if L is None else dict(L[k]), terms)
+            stored[ech.pivot_columns[-1]] = _combine(
+                [(a, given if col is None else stored[col])
+                 for a, col in terms], p)
+        for row in sorted(ech.rows_from(0), key=min, reverse=True):
+            lead = min(row)
+            M[lead] = _combine([(1, stored[lead])] + [
+                (-v, M[i]) for i, v in row.items() if i != lead], p)
         built.add(c)
         for x, (target, sources) in zip(gens, moves):
             pairs = sorted(sources.get(c, set()) & built)
@@ -851,7 +828,7 @@ def certify_spin(module: WeightModule, lower_bound: int,
     unknowns exceed `budget`.
     """
     p, classes, sigma = superspace.PRIME, module.classes, module.sigma
-    unknowns = sum(len(classes[c]) for c, picked, _ in module.bases
+    unknowns = sum(len(classes[c]) for c, picked in module.bases
                    for L, _ in picked if L is None)
     if budget is not None and unknowns > budget:
         raise BudgetError(f"spin unknowns {unknowns} exceed budget {budget}")

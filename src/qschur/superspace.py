@@ -380,41 +380,51 @@ def log_fallback(logger: str, msg: str, *args) -> None:
 class Echelon:
     """Incremental sparse row echelon form over F_p, p = PRIME when built
     (one CPython digit, so each product `b * v` in `add` is at most two).
+    The only mod-p row reduction of the package.
 
-    `add(row)` reduces an int/Fraction row mod p against the pivots kept so
-    far and keeps it as a new pivot if anything is left.  A kept row is
-    stored fully reduced: normalised at its first free column and cleared at
+    `add(row)` reduces an int row mod p against the rows kept so far and
+    keeps it if anything is left.  A kept row is stored fully reduced:
+    normalised to 1 at its first free column, its pivot, and cleared at
     every later column that already has a pivot, so later rows meet fewer
     entries on their way down (structured Gaussian elimination).  Clearing
     a kept row by earlier pivots does not change the span, so `rank` after
     each row is the same as without it.  Reduction mod p can only lower a
     rank, so a row that `add` keeps is independent of the earlier rows over
     Q as well, and `rank` never exceeds the rank over Q of the rows added.
-    A denominator divisible by p raises `UnluckyPrime` rather than guessing
-    a residue.
+    Rows over Q reach it as residues (`SparseMat.residues`, which raises
+    `UnluckyPrime` where a denominator vanishes mod p).
+
+    `add(row, terms)` also records how a kept row was reduced: `terms` gets
+    (a, None) for the given row and (a, c) for the stored row with pivot c,
+    pivot 1 included, and the new stored row is the sum of the a times
+    these, mod p.
     """
 
-    def __init__(self, pivots: dict | None = None):
-        """Start from a copy of `pivots`, kept rows in the stored form."""
+    def __init__(self):
         self.prime = PRIME
-        self._pivots = dict(pivots or {})  # col -> row, pivot 1 implied
-        self.rank = len(self._pivots)
+        self._pivots = {}  # col -> row, pivot 1 implied
+        self.rank = 0
 
-    def add(self, row: dict) -> bool:
-        """Reduce `row` (column -> int/Fraction); True if it raised the rank."""
+    def copy(self) -> "Echelon":
+        """An echelon with the same kept rows, that adds rows on its own."""
+        out = Echelon()
+        out.prime, out._pivots, out.rank = (self.prime, dict(self._pivots),
+                                            self.rank)
+        return out
+
+    def add(self, row: dict, terms: list | None = None) -> bool:
+        """Reduce `row` (column -> int); True if it raised the rank."""
         p, pivots = self.prime, self._pivots
-        red = {}
-        for k, v in row.items():
-            if v := rational_residue(v, p):
-                red[k] = v
         # Entries are reduced mod p only when their column comes up, so
         # they may grow past p meanwhile.  A column is queued exactly once:
         # pivot rows only hold columns right of their pivot, so nothing
         # left of the column being cleared is ever touched again.
+        red = dict(row)
         heap = list(red)
         heapify(heap)
         lead = lead_value = None
         tail = {}  # the free columns right of `lead`, reduced mod p
+        cleared = []  # (b, c): b times the stored row at c was subtracted
         while heap:
             c = heappop(heap)
             b = red.pop(c) % p
@@ -427,6 +437,8 @@ class Echelon:
                 else:
                     tail[c] = b
                 continue
+            if terms is not None:
+                cleared.append((b, c))
             for k, v in piv.items():
                 w = red.get(k)
                 if w is None:
@@ -439,6 +451,9 @@ class Echelon:
         inv = pow(lead_value, -1, p)
         pivots[lead] = {k: v * inv % p for k, v in tail.items()}
         self.rank += 1
+        if terms is not None:
+            terms.append((inv, None))
+            terms += [(-b * inv % p, c) for b, c in cleared]
         return True
 
     @property

@@ -778,15 +778,22 @@ def test_certificate_kind_per_benchmark_cell():
         assert "certificate" not in rep.to_dict()
 
 
-def test_the_even_m_spin_cell_is_pinned():
-    # osp(2|4) r=3 (CI): sigma-extended, and its primitive vectors do not
-    # generate the module, so it takes the spin certificate
-    rep = fft_report("osp", 2, 2, 3)
+@pytest.mark.parametrize("cell, dim, point, want", [
+    (("osp", 2, 2, 3, 0), 15, None, (8, 64, 369, 49)),
+    (("gl", 2, 1, 2, 2), 24, "7/5", (10, 75, 318, 51)),
+    (("gl", 1, 1, 2, 2), 20, "7/5", (8, 35, 31, 15))],
+    ids=["osp-2-2-r3", "gl-2-1-r2-s2", "gl-1-1-r2-s2"])
+def test_the_spin_cells_off_the_benchmark_are_pinned(cell, dim, point, want):
+    # osp(2|4) r=3 (CI): sigma-extended; walled gl(2|1) r=2 s=2 and
+    # gl(1|1) r=2 s=2 (CI): at q = 7/5.  Their primitive vectors do not
+    # generate the module, so each takes the spin certificate:
+    # (|J|, unknowns, rows used, rank)
+    flavor, m, n, r, s = cell
+    rep = fft_report(flavor, m, n, r, s=s)
     cert = rep.certificate
-    assert rep.equal and rep.commutant_dim == 15
-    assert isinstance(cert, SpinCertificate) and cert.point is None
-    assert (cert.columns, cert.unknowns, cert.rows_used, cert.rank) == (
-        8, 64, 369, 49)
+    assert rep.equal and rep.commutant_dim == dim
+    assert isinstance(cert, SpinCertificate) and cert.point == point
+    assert (cert.columns, cert.unknowns, cert.rows_used, cert.rank) == want
 
 
 # The module record of the 24 benchmark cells and the CI spin and
@@ -1754,16 +1761,16 @@ def test_the_spin_nullity_is_the_exact_nullity(flavor, m, n, r, s, caplog):
 
 def test_the_spin_certificate_reads_j_from_the_module(monkeypatch):
     # osp(3|2) r=3 takes the spin certificate: one spin, when the module is
-    # built, seeds J from the 125 e_k and checks the primitive spaces of the
-    # classes its lowering images leave short, which fail to generate,
-    # against the same lowering pivots; the spin certificate spins nothing
-    # again
+    # built, picks J among the 125 e_k of its classes and checks the
+    # primitive spaces of the classes its lowering images leave short, which
+    # fail to generate, against the same lowering pivots; the spin
+    # certificate spins nothing again
     calls = _spy_calls(monkeypatch, "_spin")
     report = fft_report("osp", 3, 1, 3)
     assert isinstance(report.certificate, SpinCertificate)
     assert report.certificate.columns == 7 and len(calls) == 1
-    (*_, seeds, _), (_, primitive, short) = calls[0]
-    assert sum(map(len, seeds)) == 125 > sum(map(len, primitive))
+    (classes, *_), (_, primitive, short) = calls[0]
+    assert sum(map(len, classes)) == 125 > sum(map(len, primitive))
     assert short == ("generation stops at a weight class of size 12 "
                      "(height 3) at rank 10")
 
@@ -1781,7 +1788,7 @@ def test_the_spin_pairs_skipped_by_construction_give_only_zero_rows(
     assert certify_spin(module, 0) is None
     M = calls[-1][0][2]
     built = {(id(x), b) for (x, b, _, _), _ in calls}
-    skipped = [(L, k) for _, picked, _ in module.bases for L, k in picked
+    skipped = [(L, k) for _, picked in module.bases for L, k in picked
                if L is not None]
     assert skipped and not built & {(id(L), k) for L, k in skipped}
     for L, k in skipped:

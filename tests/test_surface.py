@@ -1,4 +1,5 @@
-"""The package surface: every export exists, and every import is stdlib."""
+"""The package surface: every export exists, every import is stdlib, and
+only `superspace` imports `heapq`, for the one mod-p row reduction."""
 
 import ast
 import importlib
@@ -19,7 +20,8 @@ def test_exports_exist_and_imports_are_stdlib_or_qschur():
         missing = [n for n in getattr(module, "__all__", ())
                    if not hasattr(module, n)]
         assert not missing, (name, missing)
-    # zero runtime dependencies
+    # zero runtime dependencies; `Echelon.add` is the only heap reduction
+    heap_users = set()
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -31,3 +33,6 @@ def test_exports_exist_and_imports_are_stdlib_or_qschur():
             for root in roots:
                 assert root in sys.stdlib_module_names or root == "qschur", \
                     (path.name, root)
+                if root == "heapq":
+                    heap_users.add(path.stem)
+    assert heap_users == {"superspace"}
