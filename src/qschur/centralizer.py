@@ -350,8 +350,9 @@ def _primitive_spaces(classes, raising, dim: int) -> list[list[dict]]:
     1 at its least column, its lead, and 0 at the others' leads): the rows
     [E(v) for E raising | v] of the class's basis vectors v, eliminated
     with the E-part first; the kept rows that vanish there give the kernel,
-    cleared at each other's leads from the last lead back."""
-    p, off = superspace.PRIME, len(raising) * dim
+    added to a second `Echelon` from the last lead back, each left of every
+    stored pivot (so no stored row holds it, and `add` clears the rest)."""
+    off = len(raising) * dim
     spaces = []
     for members in classes:
         ech = Echelon()
@@ -361,15 +362,11 @@ def _primitive_spaces(classes, raising, dim: int) -> list[list[dict]]:
                 for i, v in cols.get(k, ()):
                     row[t * dim + i] = v
             ech.add(row)
-        basis = {}
+        basis = Echelon()
         for row in sorted(ech.rows_from(off), key=min, reverse=True):
-            for lead in [c for c in row if c in basis]:
-                b = row[lead]
-                for c, v in basis[lead].items():
-                    row[c] = (row.get(c, 0) - b * v) % p
-            basis[min(row)] = {c: v for c, v in row.items() if v}
-        spaces.append([{c - off: v for c, v in basis[lead].items()}
-                       for lead in sorted(basis)])
+            basis.add(row)
+        spaces.append([{c - off: v for c, v in row.items()}
+                       for row in reversed(basis.rows_from(off))])
     return spaces
 
 
@@ -989,10 +986,10 @@ def _check_tokens(kind: str, ctx: EvalContext, r: int, s: int,
     """`check_membership` on two slots for each token the cell places: the
     diagram generators of the smallest cell that carries it, against that
     cell's symmetry generators after its parity operator (generator 0),
-    or the cell's own `gens`, if given, where that cell is (r, s)."""
-    cells = [(2, 0)] if r >= 2 else []
-    if kind == "walled":
-        cells += [(1, 1)] * (s >= 1) + [(0, 2)] * (s >= 2)
+    or the cell's own `gens`, if given, where that cell is (r, s): (2, 0),
+    (1, 1) and (0, 2), as r and s place X+ (or s_i, e_i), the turnback and
+    the dual X+."""
+    cells = [(2, 0)] * (r >= 2) + [(1, 1)] * (s >= 1) + [(0, 2)] * (s >= 2)
     for a, b in cells:
         space = ctx.space_of("+" * a + "-" * b)
         parity = SparseMat(space, space, {(i, i): 1 - 2 * p for i, p

@@ -12,28 +12,27 @@ closure of a braid word, a framed link invariant; the empty braid closes
 to sdim_q per strand.
 
 image_basis() produces the spanning sets the centralizer comparisons use:
-Hecke (positive braid lifts of the permutations), Brauer (the classical
-diagram images) and walled (the algebra generated by V-side crossings,
-dualised V*-side crossings and the wall turnback on
-V^{(x) r} (x) V*^{(x) s}).  One breadth-first span closure builds all
-three out of the placed elementary tangles that diagram_generators()
-returns, so every image is a product of those generators.  The closure
-works on keys alone and records each kept image as its word, the pair
-(generator, earlier kept image); replay() multiplies the words out, over
-Q(q), mod p or exactly at a point.  A Brauer candidate is kept when its
-diagram is new (diagram_images() returns that map).  The gl closure
-(Hecke and walled) is its own first point and returns the words it kept:
-a candidate is kept when its value at that point raises the rank of the
-kept ones, mod p in the caller's `Echelon` or exactly by `rank_at`; or,
-given the caller's blocks (`centralizer.BlockSpan`), its value is its
-k x k blocks on the module's primitive spaces, kept while it fills a
-block or tells two blocks apart, and the closure stops once they are
-full.  A Hecke candidate is tried only when it lengthens its permutation
-to one not tried before, and a walled one g_i @ b only when b's word does
-not end in g_i or in a generator on slots left of g_i's (they commute).
-Given the basis vectors of a set J that generates the module, every
-closure (Brauer too) keeps each image as its d x |J| columns on J, which
-fix an image that commutes with the symmetry generators.
+walled (the algebra generated by V-side crossings, dualised V*-side
+crossings and the wall turnback on V^{(x) r} (x) V*^{(x) s}), Hecke (its
+s = 0 case) and Brauer (the classical diagram images).  One breadth-first
+span closure builds all three out of the placed elementary tangles that
+diagram_generators() returns, so every image is a product of those
+generators.  The closure works on keys alone and records each kept image
+as its word, the pair (generator, earlier kept image); replay()
+multiplies the words out, over Q(q), mod p or exactly at a point.  A
+Brauer candidate is kept when its diagram is new (diagram_images()
+returns that map).  The gl closure (Hecke and walled) is its own first
+point and returns the words it kept: a candidate is kept when its value
+at that point raises the rank of the kept ones, mod p in the caller's
+`Echelon` or exactly by `rank_at`; or, given the caller's blocks
+(`centralizer.BlockSpan`), its value is its k x k blocks on the module's
+primitive spaces, kept while it fills a block or tells two blocks apart,
+and the closure stops once they are full.  A candidate g_i @ b is tried
+only when b's word does not end in g_i or in a generator on slots left
+of g_i's (they commute).  Given the basis vectors of a set J that
+generates the module, every closure (Brauer too) keeps each image as its
+d x |J| columns on J, which fix an image that commutes with the symmetry
+generators.
 """
 
 from __future__ import annotations
@@ -190,10 +189,10 @@ def dual_braiding(ctx: EvalContext) -> SparseMat:
 def _walled_generators(ctx: EvalContext, r: int,
                        s: int) -> dict[str, SparseMat]:
     """X+ at each V-side strand, the wall turnback and X+ at each V*-side
-    strand, as the walled closure multiplies them out.
+    strand, as the gl closure multiplies them out (s = 0 gives Hecke's).
 
     No X- is placed: either braiding obeys the Hecke quadratic, checked
-    exactly by the walled closure, so X- = X+ - (q - q^-1) lies in the span
+    exactly by the gl closure, so X- = X+ - (q - q^-1) lies in the span
     of X+ and the identity, and the algebra the closure spans, which
     contains the identity, is the same.
     """
@@ -253,17 +252,10 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     `blocks.full`.  Either way the kept words are returned, for `replay`,
     and nothing is multiplied over Q(q).
 
-    A Hecke candidate X_i @ b is tried only when X_i lengthens b's
-    permutation to one not tried before, so every kept image is the lift
-    T_w of a reduced word of its permutation w, well defined by Matsumoto's
-    theorem.  The span stays complete: by induction on the length, the
-    images kept up to length l span every T_w with l(w) <= l, since
-    X_i T_v is either a lift that was tried (and is in the span of the
-    images kept by then) or (q - q^-1) T_v + T_{s_i v} with s_i v shorter.
-
-    Walled generator g_i acts on strands i, i+1 (X+ for i < r, the wall
-    turnback for i = r, the dual X+ beyond).  A candidate g_i @ b is not
-    tried when b = g_h @ b' (b's word ends in g_h) with h = i or h <= i - 2.
+    Generator g_i acts on strands i, i+1 (X+ for i < r, the wall turnback
+    for i = r, the dual X+ beyond; a Hecke cell is the walled cell s = 0,
+    with X+ alone).  A candidate g_i @ b is not tried when b = g_h @ b'
+    (b's word ends in g_h) with h = i or h <= i - 2.
     Call b of level l (its word's length) closed under g_i when g_i @ b is
     in the span of the kept images of level <= l + 1, as every tried
     candidate is; by induction on (l, i) every kept b is closed under every
@@ -290,9 +282,9 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     """
     _check_kind(kind, ctx, r, s)
     cap = check_image_cap(kind, r, s)
-    if kind == "walled" and r >= 2:
+    if r >= 2:
         _check_hecke_quadratic(ctx.images["X+"], "the braiding")
-    if kind == "walled" and s >= 2:
+    if s >= 2:
         _check_hecke_quadratic(dual_braiding(ctx), "the dual braiding")
     if gens is None:
         gens = diagram_generators(kind, ctx, r, s)
@@ -313,27 +305,17 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
         def raises(img):
             return echelon.add(vectorize(img))
         value, product = SparseMat.residues, SparseMat.matmul_mod
-    seen = {tuple(range(r))}  # permutations tried: bottom strand at each top
 
     def mul(g_key, b_key):
-        # a key's tag: the permutation (Hecke) or the last generator (walled,
-        # 0 for the identity)
-        (i, g), (tag, b) = g_key, b_key
-        if kind == "walled":
-            if tag == i or 0 < tag <= i - 2:
-                return None
-            return i, product(g, b)
-        if tag[i - 1] > tag[i]:  # X_i would shorten the permutation
+        # a key's tag: the last generator of its word, 0 for the identity
+        (i, g), (h, b) = g_key, b_key
+        if h == i or 0 < h <= i - 2:
             return None
-        perm = tag[:i - 1] + (tag[i], tag[i - 1]) + tag[i + 1:]
-        if perm in seen:
-            return None
-        seen.add(perm)
-        return perm, product(g, b)
+        return i, product(g, b)
 
     return [word for _, word in _span_closure(
         [(i, value(g, point)) for i, g in enumerate(gens.values(), 1)],
-        (tuple(range(r)) if kind == "hecke" else 0, value(ident, point)),
+        (0, value(ident, point)),
         cap, mul, lambda key: raises(key[1]),
         (lambda: blocks.full) if blocks is not None else bool)]
 
@@ -435,6 +417,8 @@ def _check_kind(kind: str, ctx: EvalContext, r: int, s: int) -> None:
     if ctx.flavor != _IMAGE_FLAVOR[kind]:
         raise ValueError(f"{kind} images live in the {_IMAGE_FLAVOR[kind]} "
                          "context")
+    if s and kind != "walled":
+        raise ValueError(f"{kind} images have no V* strands: s is {s}, not 0")
     check_power(ctx.V.dim, r + s, ctx.budget, "dimension of the images")
 
 
@@ -442,19 +426,13 @@ def diagram_generators(kind: str, ctx: EvalContext, r: int,
                        s: int = 0) -> dict[str, SparseMat]:
     """The placed elementary tangles that image_basis multiplies out, by name.
 
-    Hecke: the braiding X+ at strands i, i+1 for i = 1..r-1.  Brauer: the
-    `osp.brauer_rep` images s_i and e_i.  Walled: X+ on the V side, the
-    wall turnback, and the dual X+ on the V* side (X- adds nothing; see
-    `_walled_generators`).  Every image of the same kind is a product of
-    these (the identity is the empty product), so a map that commutes with
-    all of them commutes with the whole span.
+    Walled, and Hecke as its s = 0 case: X+ on the V side, the wall
+    turnback, and the dual X+ on the V* side (`_walled_generators`).
+    Brauer: the `osp.brauer_rep` images s_i and e_i.  Every image of the
+    same kind is a product of these (the identity is the empty product),
+    so a map that commutes with all of them commutes with the whole span.
     """
     _check_kind(kind, ctx, r, s)
-    if kind == "hecke":
-        iV = SparseMat.identity(ctx.V)
-        return {f"X+ at strand {i}": kron_chain(
-                    [iV] * (i - 1) + [ctx.images["X+"]] + [iV] * (r - i - 1))
-                for i in range(1, r)}
     if kind == "brauer":
         return {f"{g}{i}": mat
                 for (g, i), mat in osp_mod.brauer_rep(*ctx.mn, r).items()}

@@ -27,8 +27,8 @@ from types import MappingProxyType
 from .errors import VerificationError
 from .rootdata import distinguished
 from .scalar import ONE, RatFunc, qint, qpow
-from .superspace import (SparseMat, SuperSpace, int_rank, kron_chain, tau,
-                         unit_space, vectorize)
+from .superspace import (Echelon, SparseMat, SuperSpace, int_rank,
+                         kron_chain, tau, unit_space, vectorize)
 
 __all__ = [
     "natural_space", "osp_form", "osp_basis", "osp_generators", "sigma",
@@ -137,10 +137,10 @@ def osp_generators(m: int, n: int) -> tuple[tuple[SparseMat, ...],
     Cartan elements) or of weight +-alpha for a simple root alpha of
     `distinguished("osp", m, n)`, in basis order; a basic classical Lie
     superalgebra is generated by them (Kac 1977), and that is verified
-    here: their iterated superbrackets must span all of `osp_basis`.  The
-    group generator is sigma for even m >= 2 and None otherwise, where
-    sigma = -id (odd m) or id (m = 0) acts on every tensor power by a
-    scalar.
+    here: their iterated superbrackets, ranked mod p, must span all of
+    `osp_basis` (one exact rank).  The group generator is sigma for even
+    m >= 2 and None otherwise, where sigma = -id (odd m) or id (m = 0)
+    acts on every tensor power by a scalar.
     """
     V = natural_space(m, n)
     weights = _weights(m, n)
@@ -153,27 +153,20 @@ def osp_generators(m: int, n: int) -> tuple[tuple[SparseMat, ...],
         weight = tuple(a - b for a, b in zip(weights[r], weights[s]))
         if not any(weight) or weight in roots:
             lie.append(X)
-    rows = []
-
-    def is_new(X):
-        row = vectorize(X)
-        if int_rank(rows + [row]) > len(rows):
-            rows.append(row)
-            return True
-        return False
-
-    span = [X for X in lie if is_new(X)]
+    ech = Echelon()
+    span = [X for X in lie if ech.add(vectorize(X))]
     for Y in span:  # a queue: span grows while it is walked
         for X in lie:
             Z = _superbracket(X, Y, V.parities)
-            if is_new(Z):
+            if ech.add(vectorize(Z)):
                 span.append(Z)
-    # the spans are equal when adding the basis raises neither rank
-    if not len(rows) == len(basis) == int_rank(
-            rows + [vectorize(X) for X in basis]):
+    # int rows kept mod p are independent over Q; the span lies in the
+    # basis span when adding the basis raises no rank
+    if not ech.rank == len(basis) == int_rank(
+            [vectorize(X) for X in span + list(basis)]):
         raise VerificationError(
             f"the Cartan and simple root vectors of osp({m}|{2 * n}) "
-            f"generate {len(rows)} dimensions, not the {len(basis)} of "
+            f"generate {ech.rank} dimensions, not the {len(basis)} of "
             "its basis")
     group = sigma(m, n) if m % 2 == 0 and m >= 2 else None
     return tuple(lie), group

@@ -973,6 +973,30 @@ def test_a_set_short_of_a_simple_root_is_rejected(monkeypatch, m, n):
             osp_mod.osp_generators(m, n)
 
 
+def test_a_bracket_that_leaves_the_basis_span_is_rejected(monkeypatch):
+    # each bracket b gains lam(b) I, lam(b) its entry at an even position
+    # that no Lie generator has: the brackets span {b + lam(b) I}, which
+    # has the rank of osp(3|2) but does not lie in its basis span
+    m, n = 3, 1
+    real, par = osp_mod._superbracket, osp_mod.natural_space(m, n).parities
+    lie, _ = osp_mod.osp_generators(m, n)
+    pos = next(key for X in osp_mod.osp_basis(m, n) for key in X.entries
+               if key[0] != key[1] and par[key[0]] == par[key[1]]
+               and not any(key in L.entries for L in lie))
+    ident = SparseMat.identity(osp_mod.natural_space(m, n))
+
+    def leaves(X, Y, parities):
+        Z = real(X, Y, parities)
+        return Z + ident.scale(Z.entries.get(pos, 0))
+
+    osp_mod.osp_generators.cache_clear()
+    monkeypatch.setattr(osp_mod, "_superbracket", leaves)
+    basis = osp_mod.osp_basis(m, n)
+    with pytest.raises(VerificationError,
+                       match=f"generate {len(basis)} dimensions"):
+        osp_mod.osp_generators(m, n)
+
+
 def _partitions(r, largest=None):
     largest = r if largest is None else largest
     if r == 0:

@@ -291,8 +291,11 @@ def test_image_basis_argument_checks():
         image_basis("walled", ctx, 1, 1)
     with pytest.raises(ValueError):
         image_basis("mystery", ctx, 2)
-    # no points is an error, not the default points; None means the defaults
+    # a Hecke cell is the walled cell s = 0, so s > 0 is no Hecke cell
     gl = make_context("glq", datum=distinguished("gl", 2, 1))
+    with pytest.raises(ValueError, match="no V\\* strands"):
+        image_basis("hecke", gl, 2, 1)
+    # no points is an error, not the default points; None means the defaults
     for kind, r, s in (("hecke", 3, 0), ("walled", 1, 1), ("brauer", 2, 0)):
         kind_ctx = ctx if kind == "brauer" else gl
         with pytest.raises(ValueError, match="specialisation point"):
@@ -389,13 +392,31 @@ def test_placed_walled_generators_on_disjoint_slots_commute():
             assert gens[i] @ gens[h] == gens[h] @ gens[i], (m, n, r, s, h, i)
 
 
+def test_the_hecke_closure_is_the_walled_closure_at_s_0():
+    # one rule for both gl kinds: the same generators, by name, and the
+    # same candidates tried and words kept mod p (24 of 34 at r = 4)
+    ctx = make_context("glq", datum=distinguished("gl", 2, 1))
+    for r in (3, 4):
+        assert (diagram_generators("hecke", ctx, r)
+                == diagram_generators("walled", ctx, r, 0))
+        runs = []
+        for kind in ("hecke", "walled"):
+            ech = _CountingEchelon()
+            runs.append((image_basis(kind, ctx, r, 0, echelon=ech),
+                         ech.offered))
+        assert runs[0] == runs[1], r
+    assert (len(runs[0][0]), runs[0][1]) == (24, 34)
+
+
 def test_the_walled_closure_checks_the_hecke_quadratics(monkeypatch):
     # X+ and the dual X+ are checked against the Hecke quadratic before the
-    # walled closure relies on it; an involution fails it
+    # gl closure, Hecke or walled, relies on it; an involution fails it
     ctx = make_context("glq", datum=distinguished("gl", 2, 1))
     monkeypatch.setitem(ctx.images, "X+", tau(ctx.V, ctx.V))
     with pytest.raises(VerificationError, match="the braiding fails"):
         image_basis("walled", ctx, 2, 1)
+    with pytest.raises(VerificationError, match="the braiding fails"):
+        image_basis("hecke", ctx, 2)
     image_basis("walled", ctx, 1, 1)  # no X+ placed: nothing to check
     with pytest.raises(VerificationError, match="the dual braiding fails"):
         image_basis("walled", ctx, 1, 2)
