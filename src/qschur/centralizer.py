@@ -101,20 +101,24 @@ replayed there block by block, must fill them to the same sum; then the
 rank at b is R too.  A miss anywhere (a block short, a pair not told apart,
 a sum that differs, a denominator that vanishes mod p) is logged, and the
 cell takes the J-column route, as if the P_lam did not generate.  There the
-later points are ranked after the commutant.  With a certificate, the
-closure's kept words are replayed mod p at each later point from the
-generators' residues there, and only their entries in the R pivot columns
-of the first point's echelon are ranked (`_pivot_ranks`); no product and no
-residue is taken over Q(q).  Dropping columns can only lower a rank, so a
-point that reaches R has the exact rank R.  Without a certificate (or where
-a denominator stops the closure at points[0], before the commutant), the
-closure is run again with exact ranks on every column, and its word count
-is the exact rank at points[0].  Either way, every point short of that
-count is ranked by one exact rule (`_exact_ranks`): the words are replayed
-over Q with the generators specialised there, on J's columns, and, since J
-is only proved to generate at points[0], once more on every column where
-the point is still short (logged).  So `agreement` compares exact ranks,
-and gap verdicts always come from exact arithmetic.  span_rank <=
+closure runs once at points[0]: mod p where the module was read there, and
+with exact ranks where it was not.  Every entry of the gl symmetry and
+diagram generators is a Laurent polynomial in q, so its residues fail only
+where the point itself vanishes mod p, and there no module is read.  Where
+no certificate backs the count mod p, the closure runs once more with
+exact ranks on every column; either way an exact closure's word count is
+the exact rank at points[0].  One rule ranks the later points, after the
+commutant (`_later_ranks`).  With the echelon mod p, the kept words are
+replayed mod p at each later point from the generators' residues there,
+and only their entries in the R pivot columns of the first point's echelon
+are ranked; no product and no residue is taken over Q(q).  Dropping
+columns can only lower a rank, so a point that reaches R has the exact
+rank R.  A point short of R, one whose residues fail, and every later
+point of an exact closure are ranked exactly: the words are replayed over
+Q with the generators specialised there, on J's columns, and, since J is
+only proved to generate at points[0], once more on every column where the
+point is still short (logged).  So `agreement` compares exact ranks, and
+gap verdicts always come from exact arithmetic.  span_rank <=
 commutant_dim is asserted in every case.
 
 The budget bounds d before any work starts; the systems that grow faster
@@ -1044,69 +1048,62 @@ class FftReport:
         return out
 
 
-def _pivot_ranks(words, ech: Echelon, start, gens, points) -> list[int]:
-    """Ranks mod p at the points of the images the gl closure kept in `ech`.
+def _later_ranks(words, ech: Echelon | None, gens, space, cols,
+                 points) -> list[int]:
+    """The span ranks at the points of the R images the gl closure kept.
 
-    The closure (`image_basis`) keeps, at points[0], the R images that
-    raise the rank of `ech`, and returns their words; `ech` gives R and
-    the R pivot columns, on which the kept images carry an R x R minor
-    that is nonsingular mod p.  Each later point b replays the words mod p
-    from `start`, the identity on J's columns, and the residues there of
-    the diagram generators `gens`, and ranks only their entries in the
-    pivot columns.  Dropping columns can only lower a rank, so once the
-    commutant dimension is certified to be R,
+    The closure (`image_basis`) keeps the images independent at points[0],
+    so R = len(words) is the rank there: mod p where it ranked them into
+    `ech`, exactly where `ech` is None.  With `ech`, the kept images carry
+    an R x R minor on its pivot columns that is nonsingular mod p, and
+    each later point b replays the words mod p from the identity on the
+    columns `cols` of J and the residues there of the diagram generators
+    `gens`, ranking only their entries in the pivot columns.  Dropping
+    columns can only lower a rank, so once the commutant dimension is
+    certified to be R,
 
         rank_p(minor at b) <= rank_p(span at b) <= rank_Q(span at b)
                            <= generic span rank <= commutant dim = R,
 
-    and a later point that reaches R has the exact rank R.  A point short
-    of R is logged, and so is one where a denominator vanishes mod p
-    (counted 0); `fft_report` ranks both exactly (`_exact_ranks`).
+    and a point that reaches R has the exact rank R.  A point short of R,
+    or whose residues fail (both logged), or any later point without
+    `ech`, replays the words over Q with `gens` specialised there, first
+    on J's columns; J is only proved to generate at points[0], so a point
+    still short is replayed once more on every column (logged).
     """
-    pivots = ech.pivot_columns
-    keys = [divmod(c, start.cols) for c in pivots]
-    ranks = [ech.rank]
-    for point in points[1:]:
-        try:
-            values = [g.residues(point) for g in gens]
-        except UnluckyPrime as exc:
-            log_fallback(__name__, "span rank at q = %s: %s; exact rank",
-                         point, exc)
-            ranks.append(0)
-            continue
-        ech = Echelon()
-        for img in replay(words, values, start, SparseMat.matmul_mod):
-            ech.add({c: v for c, k in zip(pivots, keys)
-                     if (v := img.entries.get(k))})
-        ranks.append(ech.rank)
-        if ech.rank < len(words):
-            log_fallback(__name__, "span rank at q = %s on %d pivot columns: "
-                         "rank %d of %d; exact rank", point, len(keys),
-                         ech.rank, len(words))
-    return ranks
-
-
-def _exact_ranks(words, gens, space, cols, points, ranks) -> list[int]:
-    """`ranks` with every point short of len(words) ranked exactly over Q.
-
-    Such a point replays `words` with the diagram generators `gens`
-    specialised there, first on the columns `cols` of J: dropping columns
-    can only lower a rank, so a point that reaches len(words) there has
-    that exact rank.  J is only proved to generate at points[0], so a
-    point still short is replayed once more on every column (logged).
-    """
-    def exact(i, columns):
-        at = [g.specialize(points[i]) for g in gens]
+    def exact(point, columns):
+        at = [g.specialize(point) for g in gens]
         return ranks_at([vectorize(img) for img in replay(
-            words, at, identity_on(space, columns))], points[i:i + 1])[0]
-    ranks = [rk if rk == len(words) else exact(i, cols)
-             for i, rk in enumerate(ranks)]
-    short = [i for i, rk in enumerate(ranks) if rk < len(words)]
-    if short and cols is not None:
-        log_fallback(__name__, "short on J's columns at q = %s; full images",
-                     ", ".join(str(points[i]) for i in short))
-        for i in short:
-            ranks[i] = exact(i, None)
+            words, at, identity_on(space, columns))], [point])[0]
+    if ech is not None:
+        pivots, start = ech.pivot_columns, identity_on(space, cols)
+        keys = [divmod(c, start.cols) for c in pivots]
+    ranks = [len(words)]
+    for point in points[1:]:
+        rank = 0
+        if ech is not None:
+            try:
+                values = [g.residues(point) for g in gens]
+            except UnluckyPrime as exc:
+                log_fallback(__name__, "span rank at q = %s: %s; exact rank",
+                             point, exc)
+            else:
+                later = Echelon()
+                for img in replay(words, values, start, SparseMat.matmul_mod):
+                    later.add({c: v for c, k in zip(pivots, keys)
+                               if (v := img.entries.get(k))})
+                rank = later.rank
+                if rank < len(words):
+                    log_fallback(__name__, "span rank at q = %s on %d pivot "
+                                 "columns: rank %d of %d; exact rank", point,
+                                 len(keys), rank, len(words))
+        if rank < len(words):
+            rank = exact(point, cols)
+        if rank < len(words) and cols is not None:
+            log_fallback(__name__, "short on J's columns at q = %s; full "
+                         "images", point)
+            rank = exact(point, None)
+        ranks.append(rank)
     return ranks
 
 
@@ -1194,9 +1191,11 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     two slots of each token, the diagram generators, the module mod p and
     its set J (`weight_module`), the span (for gl whose primitive spaces
     generate, from its blocks at every point; else on J's columns, exact
-    over Q for osp, the closure's first point for gl), the commutant
-    certified against the first point's span rank, then the later gl
-    points off the block route (see the module docstring).  `budget`
+    over Q for osp, the closure's first point for gl, mod p where the
+    module was read and exact where it was not), the commutant certified
+    against the first point's span rank, then, off the block route, one
+    exact gl closure on every column where no certificate backs the count
+    mod p, and the later gl points (see the module docstring).  `budget`
     bounds d before any work, and the spin and exact unknowns where they
     are built (BudgetError).  A malformed cell (m, n, r or s not an int,
     or a bool; r < 1, s < 0, s > 0 for osp, or points that are empty,
@@ -1243,18 +1242,15 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
         route = (None if module is None or isinstance(module.blocks, str)
                  else _block_span(kind, ctx, r, s, points, module, gens,
                                   dgens))
-        ech, exact = Echelon(), False
         if route is not None:
             words, span = route
             lower = span.bound
         else:
-            try:
-                words = image_basis(kind, ctx, r, s, points, ech, cols, dgens)
-            except UnluckyPrime as exc:
-                # the exact closure's count is the first point's exact rank
-                log_fallback(__name__, "span closure at q = %s: %s; exact "
-                             "path", points[0], exc)
-                words, exact = image_basis(kind, ctx, r, s, points), True
+            # mod p at points[0] where the module was read there, whose
+            # residues then exist (every generator entry is a Laurent
+            # polynomial in q); exactly where it was not
+            ech = None if module is None else Echelon()
+            words = image_basis(kind, ctx, r, s, points, ech, cols, dgens)
             lower = len(words)
         cdim, cert = commutant_dim_glq(gens, d, points, lower, module, budget)
         if route is not None:
@@ -1262,18 +1258,13 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
                            separating=tuple(span.separating))
             ranks = [lower] * len(points)
         else:
-            space = ctx.space_of("+" * r + "-" * s)
-            glist = list(dgens.values())
-            if cert is None and not exact:
-                # the exact closure keeps the images independent at
-                # points[0], so their count is its exact rank
-                words, exact = image_basis(kind, ctx, r, s, points), True
-            ranks = ([len(words)] + [0] * len(points[1:]) if exact else
-                     _pivot_ranks(words, ech, identity_on(space, cols), glist,
-                                  points))
-            # rank_p <= rank_Q <= len(words) at every point: only the points
-            # short of it need an exact rank, of the same words
-            ranks = _exact_ranks(words, glist, space, cols, points, ranks)
+            if cert is None and ech is not None:
+                # no certificate backs the count mod p: the exact closure,
+                # on every column, counts the first point's exact rank
+                ech = None
+                words = image_basis(kind, ctx, r, s, points, ech, None, dgens)
+            ranks = _later_ranks(words, ech, list(dgens.values()),
+                                 ctx.space_of("+" * r + "-" * s), cols, points)
     srank = max(ranks)
     agreement = len(set(ranks)) == 1
     bound = bound_lhs = bound_ok = None

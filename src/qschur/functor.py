@@ -280,7 +280,6 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     images need not span the algebra, only fill the blocks, which the
     caller checks; there the rules above only prune candidates.
     """
-    _check_kind(kind, ctx, r, s)
     cap = check_image_cap(kind, r, s)
     if r >= 2:
         _check_hecke_quadratic(ctx.images["X+"], "the braiding")
@@ -458,6 +457,7 @@ def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
     `points` None means DEFAULT_POINTS; an empty sequence is a ValueError.
     """
     points = check_points(DEFAULT_POINTS if points is None else points)
+    _check_kind(kind, ctx, r, s)
     if kind == "brauer":
         return list(diagram_images(ctx, r, columns, gens).values())
     return _gl_images(kind, ctx, r, s, points[0], echelon, columns, gens,

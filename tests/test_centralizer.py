@@ -969,7 +969,8 @@ def test_a_set_short_of_a_simple_root_is_rejected(monkeypatch, m, n):
         osp_mod.osp_generators.cache_clear()
         monkeypatch.setattr(RootDatum, "simple_roots", lambda self, k=k:
                             full(self)[:k] + full(self)[k + 1:])
-        with pytest.raises(VerificationError, match="generate"):
+        with pytest.raises(VerificationError, match=" generate \\d+ of "
+                           f"{len(osp_mod.osp_basis(m, n))} dimensions$"):
             osp_mod.osp_generators(m, n)
 
 
@@ -992,8 +993,9 @@ def test_a_bracket_that_leaves_the_basis_span_is_rejected(monkeypatch):
     osp_mod.osp_generators.cache_clear()
     monkeypatch.setattr(osp_mod, "_superbracket", leaves)
     basis = osp_mod.osp_basis(m, n)
-    with pytest.raises(VerificationError,
-                       match=f"generate {len(basis)} dimensions"):
+    with pytest.raises(VerificationError, match="^the superbrackets of the "
+                       r"Cartan and simple root vectors of osp\(3\|2\) "
+                       "leave the span of its basis$"):
         osp_mod.osp_generators(m, n)
 
 
@@ -1163,14 +1165,14 @@ def _span_args(m, n, r, s):
 
 
 def _closure(ctx, kind, r, s, points, columns=None):
-    # what fft_report hands to _pivot_ranks: the kept words, their echelon,
-    # the identity the words start from, the diagram generators and the
-    # points
+    # what fft_report hands to _later_ranks: the kept words, their echelon,
+    # the diagram generators, the space, the columns the words start from
+    # and the points
     ech = Echelon()
     words = image_basis(kind, ctx, r, s, points, ech, columns)
     gens = list(diagram_generators(kind, ctx, r, s).values())
-    start = identity_on(ctx.space_of("+" * r + "-" * s), columns)
-    return words, ech, start, gens, points
+    return (words, ech, gens, ctx.space_of("+" * r + "-" * s), columns,
+            points)
 
 
 def _full_row_ranks(ctx, kind, r, s, points):
@@ -1187,16 +1189,16 @@ def _full_row_ranks(ctx, kind, r, s, points):
 
 
 @pytest.mark.parametrize("cell", SPAN_CELLS)
-def test_span_ranks_on_pivot_columns_match_full_rows(cell):
+def test_later_ranks_on_pivot_columns_match_full_rows(cell):
     args = _span_args(*cell)
-    assert (centralizer._pivot_ranks(*_closure(*args))
+    assert (centralizer._later_ranks(*_closure(*args))
             == _full_row_ranks(*args))
 
 
 @pytest.mark.parametrize("m, n, r, kept", [(2, 1, 4, 24), (1, 1, 4, 20),
                                            (1, 1, 5, 70)])
-def test_span_ranks_reduce_no_image_at_the_first_point(monkeypatch, m, n, r,
-                                                       kept):
+def test_later_ranks_reduce_no_image_at_the_first_point(monkeypatch, m, n,
+                                                        r, kept):
     # the closure ranks the first point itself; each later point replays
     # the words mod p and ranks only the kept images' entries on the pivot
     # columns, with no residue over Q(q) but the generators' (gl(1|1)
@@ -1212,11 +1214,11 @@ def test_span_ranks_reduce_no_image_at_the_first_point(monkeypatch, m, n, r,
         return add(self, row)
 
     def generators_only(self, point):
-        assert any(self is g for g in closed[3]), "a residue over Q(q)"
+        assert any(self is g for g in closed[2]), "a residue over Q(q)"
         return residues(self, point)
     monkeypatch.setattr(Echelon, "add", spy)
     monkeypatch.setattr(SparseMat, "residues", generators_only)
-    assert centralizer._pivot_ranks(*closed) == want == [kept] * 3
+    assert centralizer._later_ranks(*closed) == want == [kept] * 3
     assert len(rows) == 2 * kept and all(set(row) <= pivots for row in rows)
 
 
@@ -1238,7 +1240,7 @@ def _parent_pivot_ranks(images, ech, points):
     (2, 1, 4, 0, 24), (1, 1, 3, 2, 70), (1, 1, 2, 0, 2), (1, 1, 3, 0, 6),
     (2, 1, 2, 0, 2), (2, 1, 3, 0, 6), (1, 2, 2, 0, 2), (2, 2, 2, 0, 2),
     (2, 1, 1, 1, 2)])
-def test_replayed_pivot_ranks_match_the_q_of_q_residues(m, n, r, s, rank):
+def test_replayed_later_ranks_match_the_q_of_q_residues(m, n, r, s, rank):
     # the benchmark's gl cells, on J's columns as fft_report ranks them: the
     # replayed words give the ranks that the Q(q) images' residues give
     # (the benchmark's osp cells rank no later point)
@@ -1246,7 +1248,7 @@ def test_replayed_pivot_ranks_match_the_q_of_q_residues(m, n, r, s, rank):
     cols = _j_args(m, n, r, s)[2]
     closed = _closure(ctx, kind, r, s, points, cols)
     images = closure_words(kind, ctx, r, s, Echelon(), cols)[1]
-    assert (centralizer._pivot_ranks(*closed)
+    assert (centralizer._later_ranks(*closed)
             == _parent_pivot_ranks(images, closed[1], points) == [rank] * 3)
 
 
@@ -1292,7 +1294,7 @@ def _off_q_of_q(monkeypatch):
                    for g in gens)
 
     def generators_only(self, point):
-        assert "pivot ranks" not in where or any(self is g for g in placed)
+        assert "later ranks" not in where or any(self is g for g in placed)
         assert "block span" not in where or not q_of_q(self) or columns_of(
             self, placed + symmetry)
         return residues(self, point)
@@ -1306,8 +1308,8 @@ def _off_q_of_q(monkeypatch):
     monkeypatch.setattr(functor, "replay", inside("closure", functor.replay))
     monkeypatch.setattr(centralizer, "replay",
                         inside("closure", centralizer.replay))
-    monkeypatch.setattr(centralizer, "_pivot_ranks",
-                        inside("pivot ranks", centralizer._pivot_ranks))
+    monkeypatch.setattr(centralizer, "_later_ranks",
+                        inside("later ranks", centralizer._later_ranks))
     monkeypatch.setattr(SparseMat, "__matmul__", no_q_product)
     monkeypatch.setattr(SparseMat, "residues", generators_only)
 
@@ -1322,9 +1324,9 @@ def test_a_certified_gl_cell_stays_off_q_of_q(monkeypatch, cell):
 
 
 def test_an_uncertified_gl_cell_stays_off_q_of_q(monkeypatch):
-    # q = p/7 is 0 mod p: no module, the closure stops, and the exact path
-    # decides; its closure keeps words, and the later point replays them
-    # from the generators specialised there
+    # q = p/7 is 0 mod p: no module, so the closure is exact, and the exact
+    # path decides; its closure keeps words, and the later point replays
+    # them from the generators specialised there
     points = [Fraction(PRIME, 7), Fraction(13, 9)]
     want = fft_report("gl", 2, 1, 2, s=1, points=points).to_dict()
     _off_q_of_q(monkeypatch)
@@ -1345,14 +1347,15 @@ def _spy_calls(monkeypatch, name):
 
 
 def test_an_unlucky_first_point_takes_the_exact_path(monkeypatch, caplog):
-    # 5 divides the denominator of the first point 7/5: the closure stops,
-    # no certificate can meet a span rank of 0, and the exact closure ranks
-    # the cell to the same bytes
+    # 5 divides the denominator of the first point 7/5: no module is read
+    # there (logged once), so the closure is exact and ranks the cell to
+    # the same bytes, with no mod p closure to stop
     want = fft_report("gl", 1, 1, 2, s=1).to_dict()
     monkeypatch.setattr(superspace, "PRIME", 5)
     with caplog.at_level("INFO", logger="qschur.centralizer"):
         report = fft_report("gl", 1, 1, 2, s=1)
-    assert caplog.text.count("span closure at q = 7/5") == 1
+    assert caplog.text.count("weight module at q = 7/5") == 1
+    assert "span closure" not in caplog.text
     assert report.certificate is None
     assert report.to_dict() == want
 
@@ -1369,9 +1372,9 @@ def test_unlucky_point_messages_name_the_point(caplog):
     vanishes = f"q = {unlucky} vanishes mod {PRIME}"
     assert first.certificate is None and later.certificate is not None
     assert first.equal and later.equal
-    for where in ("weight module", "span closure"):
-        assert f"{where} at q = {unlucky}: {vanishes}; exact path" in (
-            caplog.text)
+    assert f"weight module at q = {unlucky}: {vanishes}; exact path" in (
+        caplog.text)
+    assert "span closure" not in caplog.text
     assert f"span rank at q = {unlucky}: {vanishes}; exact rank" in (
         caplog.text)
     assert "q = 0 " not in caplog.text
@@ -1380,6 +1383,41 @@ def test_unlucky_point_messages_name_the_point(caplog):
     with pytest.raises(UnluckyPrime, match=f"^denominator .* vanishes mod "
                        f"{PRIME} at q = {PRIME + 5}$"):
         SparseMat(V, V, {(0, 0): 1 / (Q - 5)}).residues(PRIME + 5)
+
+
+@pytest.mark.parametrize("m, n, r, s", [
+    (2, 1, 4, 0), (1, 1, 3, 2), (1, 1, 2, 0), (1, 1, 3, 0), (2, 1, 2, 0),
+    (2, 1, 3, 0), (1, 2, 2, 0), (2, 2, 2, 0), (2, 1, 1, 1), (2, 1, 2, 2)])
+def test_gl_generator_entries_are_laurent_polynomials(m, n, r, s):
+    # the benchmark's gl cells and walled gl(2|1) r=2 s=2: every entry of
+    # the symmetry and diagram generators is built from q-powers and
+    # q - q^-1, with denominator 1, so its residue fails only where the
+    # point vanishes mod p, and there no module is read
+    datum = distinguished("gl", m, n)
+    kind = "hecke" if s == 0 else "walled"
+    mats = _glq_generator_mats(datum, r, s) + list(diagram_generators(
+        kind, make_context("glq", datum=datum), r, s).values())
+    entries = [v for g in mats for v in g.entries.values()]
+    assert entries and all(isinstance(v, RatFunc) and v.den == {0: 1}
+                           for v in entries)
+
+
+def test_an_unlucky_first_point_runs_one_exact_closure(monkeypatch):
+    # q = p/7 is 0 mod p: no module is read there, so the closure runs
+    # once, exactly, with no echelon; no closure mod p is tried and dropped
+    calls, fn = [], centralizer.image_basis
+
+    def spy(*args):
+        calls.append(args)  # before the call, which may raise
+        return fn(*args)
+    monkeypatch.setattr(centralizer, "image_basis", spy)
+    for r, s in [(2, 1), (3, 0)]:
+        calls.clear()
+        report = fft_report("gl", 2, 1, r, s=s,
+                            points=[Fraction(PRIME, 7), Fraction(13, 9)])
+        assert report.equal and report.certificate is None
+        (args,) = calls
+        assert args[5] is None and args[6] is None
 
 
 def _no_blocks(monkeypatch):
@@ -1633,7 +1671,7 @@ def test_a_j_that_does_not_generate_misses_both_certificates(monkeypatch,
         assert "spin certificate" in caplog.text
         assert "; exact path" in caplog.text
         (on_j, kept), (exact_args, exact) = closures[-2:]
-        assert on_j[6] == (0,) and exact_args[5:] == ()
+        assert on_j[6] == (0,) and exact_args[5:7] == (None, None)
         assert len(kept) < len(exact) == report.span_rank
 
 
@@ -1641,7 +1679,8 @@ def test_a_point_short_on_j_rebuilds_full_images(monkeypatch, caplog):
     # the later points are short on one pivot column, and the exact rank on
     # J's columns at the first of them is patched one below R, as where J
     # does not generate there: the same words are replayed once on every
-    # column at that point only, with no second closure
+    # column at that point only, before the next point, with no second
+    # closure
     want = fft_report("gl", 2, 1, 4).to_dict()
     _no_blocks(monkeypatch)
     monkeypatch.setattr(Echelon, "pivot_columns",
@@ -1668,8 +1707,8 @@ def test_a_point_short_on_j_rebuilds_full_images(monkeypatch, caplog):
             words, [g.specialize(point) for g in gens],
             identity_on(space, columns))]
     b, c = DEFAULT_POINTS[1:]
-    assert calls == [(rows(b, on_j[6]), [b]), (rows(c, on_j[6]), [c]),
-                     (rows(b, None), [b])]
+    assert calls == [(rows(b, on_j[6]), [b]), (rows(b, None), [b]),
+                     (rows(c, on_j[6]), [c])]
 
 
 def test_an_uncertified_cell_ranks_the_exact_closure(monkeypatch):
@@ -1686,7 +1725,8 @@ def test_an_uncertified_cell_ranks_the_exact_closure(monkeypatch):
     assert report.certificate is None and report.to_dict() == want
     (block_args, _), (mod_p_args, _), (exact_args, words) = closures
     assert isinstance(block_args[8], centralizer.BlockSpan)
-    assert isinstance(mod_p_args[5], Echelon) and exact_args[5:] == ()
+    assert isinstance(mod_p_args[5], Echelon)
+    assert exact_args[5:7] == (None, None)
     assert [at for (_, at), _ in reranks] == [[a] for a in DEFAULT_POINTS[1:]]
     for (rows, _), _ in reranks:
         assert len(rows) == len(words) and not any(

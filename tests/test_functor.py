@@ -295,6 +295,9 @@ def test_image_basis_argument_checks():
     gl = make_context("glq", datum=distinguished("gl", 2, 1))
     with pytest.raises(ValueError, match="no V\\* strands"):
         image_basis("hecke", gl, 2, 1)
+    # nor a Brauer cell: the osp natural module is self-dual
+    with pytest.raises(ValueError, match="no V\\* strands"):
+        image_basis("brauer", ctx, 2, 1)
     # no points is an error, not the default points; None means the defaults
     for kind, r, s in (("hecke", 3, 0), ("walled", 1, 1), ("brauer", 2, 0)):
         kind_ctx = ctx if kind == "brauer" else gl
