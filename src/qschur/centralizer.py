@@ -96,11 +96,19 @@ commutant call of a cell (`_certify`).
 
 The later gl points of the block route are ranked inside it, before the
 commutant: each point b builds its own P_lam(b) from the module's classes
-and the residues of the raising generators at b, and the kept words,
-replayed there block by block, must fill them to the same sum; then the
-rank at b is R too.  A miss anywhere (a block short, a pair not told apart,
-a sum that differs, a denominator that vanishes mod p) is logged, and the
-cell takes the J-column route, as if the P_lam did not generate.  There the
+and the residues of the raising generators at b, reads the diagram
+generators' blocks there, and must fill them to the same sum; then the
+rank at b is R too.  A block of size k >= 2 is full once one element
+theta of the algebra A_b the blocks generate has rank one (`_rank_one`
+tries g_i - mu and (g_i - mu)(g_j - nu) on disjoint slots, mu and nu the
+roots of the tokens' quadratics at b) and its image vector v and row
+vector w spin to dimension k under the blocks and their transposes: then
+a theta b = (a v)(w^T b) for a, b in A_b, and these span End(P_lam).
+Pairs of one size are told apart by the generators' traces.  Only a block
+or a pair left over replays the kept words there (`BlockSpan.fill`).  A
+miss anywhere (a block short, a pair not told apart, a sum that differs,
+a denominator that vanishes mod p) is logged, and the cell takes the
+J-column route, as if the P_lam did not generate.  There the
 closure runs once at points[0]: mod p where the module was read there, and
 with exact ranks where it was not.  Every entry of the gl symmetry and
 diagram generators is a Laurent polynomial in q, so its residues fail only
@@ -145,10 +153,10 @@ from .functor import (EvalContext, check_image_cap, diagram_generators,
                       evaluate, identity_on, image_basis, make_context,
                       replay)
 from .rootdata import RootDatum, distinguished
-from .scalar import RatFunc, qint, rational_residue
+from .scalar import RatFunc, qint, qpow, rational_residue
 from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, check_points,
                          int_rank, kron_chain, log_fallback, ranks_at,
-                         vectorize)
+                         residue_at, vectorize)
 
 __all__ = [
     "FftReport", "fft_report", "commutant_dim_glq", "commutant_dim_osp",
@@ -299,10 +307,12 @@ def _columns(mat: SparseMat) -> dict[int, list[tuple[int, int]]]:
 
 def _residue_columns(mat: SparseMat, point, keep) -> dict:
     """`_columns` of the residues of `mat` at q = `point`, on the columns in
-    `keep` only."""
-    sub = SparseMat(mat.src, mat.dst)
-    sub.entries = {key: v for key, v in mat.entries.items() if key[1] in keep}
-    return _columns(sub.residues(point))
+    `keep` only, in one pass that reduces only the entries there."""
+    residue, cols = residue_at(point), {}
+    for (i, k), v in mat.entries.items():
+        if k in keep and (w := residue(v)):
+            cols.setdefault(k, []).append((i, w))
+    return cols
 
 
 def _apply(cols, vec: dict, p: int) -> dict:
@@ -602,6 +612,65 @@ def certify_primitive(module: WeightModule,
     return cert
 
 
+def _block_product(x: tuple, y: tuple, p: int) -> tuple:
+    """The product x y of two k x k blocks, mod p."""
+    cols = list(zip(*y))
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols)
+                 for row in x)
+
+
+def _spins(vec, mats, p: int) -> bool:
+    """Whether `vec` and its images under words in the k x k `mats` span
+    F_p^k: each vector that raises the rank is queued, and its images are
+    taken as the queue reaches them."""
+    ech, spun = Echelon(), []
+    images = (tuple(sum(map(mul, row, u)) % p for row in g)
+              for u in spun for g in mats)
+    for v in chain([vec], images):
+        if ech.add({t: x for t, x in enumerate(v) if x}):
+            spun.append(v)
+            if ech.rank == len(vec):
+                return True
+    return False
+
+
+def _rank_one(mats, roots) -> bool:
+    """Whether a rank-one element of the algebra A that the k x k `mats`
+    generate (with the identity) proves A = End(F_p^k).
+
+    The candidates, in order: g_i - mu for each g_i and each of
+    `roots[i]`, the residues of the roots of its token's quadratic; then
+    (g_i - mu)(g_j - nu) for i < j - 1, two generators on disjoint slots.
+    The roots only steer the search.  The first candidate theta of rank
+    one decides: theta = v w^T, and if v spins to F_p^k under A (A v) and
+    w under the transposes (w^T A), then the elements a theta b =
+    (a v)(w^T b), a, b in A, span F_p^k (x) (F_p^k)^* = End(F_p^k).  If
+    either spin falls short, F_p^k is a reducible A-module and no
+    element proves it.
+    """
+    p = superspace.PRIME
+    shifted = [[tuple(tuple((x - mu * (t == u)) % p
+                            for u, x in enumerate(row))
+                      for t, row in enumerate(g))
+                for mu in dict.fromkeys(pair)]
+               for g, pair in zip(mats, roots)]
+    pairs = (_block_product(a, b, p)
+             for i, left in enumerate(shifted) for right in shifted[i + 2:]
+             for a in left for b in right)
+    for theta in chain(chain.from_iterable(shifted), pairs):
+        a, c = next(((t, u) for t, row in enumerate(theta)
+                     for u, x in enumerate(row) if x), (None, None))
+        if a is None:
+            continue
+        v, w = [row[c] for row in theta], theta[a]
+        if any((x * theta[a][c] - v[t] * w[u]) % p
+               for t, row in enumerate(theta) for u, x in enumerate(row)):
+            continue
+        return (_spins(v, mats, p)
+                and _spins(w, [tuple(zip(*g)) for g in mats], p))
+    return False
+
+
 class BlockSpan:
     """The diagram span mod p read on the primitive spaces, block by block.
 
@@ -615,7 +684,9 @@ class BlockSpan:
     rank of a block not yet full, ranked in the block's own F_p `Echelon`
     of k^2 columns, or when its trace tells apart two blocks of one size
     not yet told apart (recorded in `separating` by the value's place
-    among those kept).
+    among those kept).  `fill` proves the blocks full from the diagram
+    generators' values alone where it can, by one rank-one element per
+    block (`_rank_one`), and replays words through `add` for the rest.
 
     Once `full` (every block full, every such pair told apart), each P_lam
     is an absolutely simple module for the algebra A that the values
@@ -665,12 +736,13 @@ class BlockSpan:
 
     @staticmethod
     def product(a: tuple, b: tuple) -> tuple:
-        p, out = superspace.PRIME, []
-        for x, y in zip(a, b):
-            cols = list(zip(*y))
-            out.append(tuple(tuple(sum(map(mul, row, col)) % p
-                                   for col in cols) for row in x))
-        return tuple(out)
+        return tuple(_block_product(x, y, superspace.PRIME)
+                     for x, y in zip(a, b))
+
+    @staticmethod
+    def _traces(value: tuple) -> list[int]:
+        return [sum(block[t][t] for t in range(len(block))) % superspace.PRIME
+                for block in value]
 
     def add(self, value: tuple) -> bool:
         kept = False
@@ -682,8 +754,7 @@ class BlockSpan:
                 if ech.rank == len(block) ** 2:
                     self.short.discard(i)
         if self.alike:
-            traces = [sum(block[t][t] for t in range(len(block)))
-                      % superspace.PRIME for block in value]
+            traces = self._traces(value)
             told = sorted((i, j) for i, j in self.alike
                           if traces[i] != traces[j])
             self.alike.difference_update(told)
@@ -691,6 +762,34 @@ class BlockSpan:
             kept = kept or bool(told)
         self.kept += kept
         return kept
+
+    def fill(self, values, roots, words) -> None:
+        """Fill the blocks from the `values` of the diagram generators.
+
+        A block of size 1 is full (A holds the identity), a larger one
+        when `_rank_one` proves it from its blocks of `values` and the
+        residues `roots` of each generator's quadratic, and a pair of
+        one size is told apart when a value's traces on the two differ.
+        Only if a block or a pair is left are the `words` replayed on
+        `values` through `add`, on the blocks left alone (the others are
+        emptied, so their products cost nothing).
+        """
+        for i in list(self.short):
+            if (len(self.bases[i]) == 1
+                    or _rank_one([value[i] for value in values], roots)):
+                self.short.discard(i)
+        traces = [self._traces(value) for value in values]
+        self.alike = {(i, j) for i, j in self.alike
+                      if all(tr[i] == tr[j] for tr in traces)}
+        if self.full:
+            return
+        left = self.short.union(*self.alike)
+
+        def only(value):
+            return tuple(b if i in left else () for i, b in enumerate(value))
+        for img in replay(words, [only(value) for value in values],
+                          only(self.identity), self.product):
+            self.add(img)
 
 
 # ---------------------------------------------------------------------------
@@ -1118,6 +1217,17 @@ def _check_full(span: BlockSpan, point, bound: int) -> None:
             f"{len(span.alike)} pairs of equal size are not told apart")
 
 
+def _token_roots(dgens, loop, point) -> list[tuple[int, int]]:
+    """The residues at q = `point` of the roots of each diagram generator's
+    quadratic: q and -q^-1 for X+ and the dual X+ (the Hecke quadratic),
+    0 and the loop value `loop` = Om- U+ for the wall turnback."""
+    if not dgens:  # nothing to steer, and the point is not read
+        return []
+    residue = residue_at(point)
+    hecke, turn = (residue(qpow(1)), residue(-qpow(-1))), (0, residue(loop))
+    return [turn if name == "wall turnback" else hecke for name in dgens]
+
+
 def _block_span(kind, ctx, r, s, points, module: WeightModule, gens,
                 dgens) -> tuple | None:
     """(words, span) of the block closure, where the diagram span has rank
@@ -1125,13 +1235,16 @@ def _block_span(kind, ctx, r, s, points, module: WeightModule, gens,
 
     The closure (`image_basis` with `blocks`) runs on the k x k blocks of
     the diagram generators `dgens` on the P_lam of `module` at points[0],
-    and stops once its `BlockSpan` is full.  Each later point b builds its
-    own P_lam(b) from the module's classes and the residues at b of the
-    raising generators among the symmetry generators `gens`, replays the
-    kept words there block by block, and must be full with the same bound.
-    At each point the span mod p then has rank at least the bound
-    (`BlockSpan`), and its rank over Q(q) at most the commutant dimension,
-    which the primitive certificate proves equal to the bound.
+    and stops once its `BlockSpan` is full; its kept words are the
+    certificate.  Each later point b builds its own P_lam(b) from the
+    module's classes and the residues at b of the raising generators among
+    the symmetry generators `gens`, reads the blocks of `dgens` there, and
+    must be full with the same bound: each block by one rank-one element
+    of the algebra they generate, each pair by their traces, and what is
+    left by the kept words replayed there (`BlockSpan.fill`).  At each
+    point the span mod p then has rank at least the bound (`BlockSpan`),
+    and its rank over Q(q) at most the commutant dimension, which the
+    primitive certificate proves equal to the bound.
     """
     span, heights = BlockSpan(module.primitive), module.heights
     raising = [g for g in gens if any(heights[i] > heights[k]
@@ -1139,6 +1252,7 @@ def _block_span(kind, ctx, r, s, points, module: WeightModule, gens,
     classes = [members for members, basis
                in zip(module.classes, module.primitive) if basis]
     keep = set(chain.from_iterable(classes))
+    loop = (ctx.images["Om-"] @ ctx.images["U+"]).scalar_value()
     try:
         words = image_basis(kind, ctx, r, s, points, None, None, dgens, span)
         _check_full(span, points[0], span.bound)
@@ -1148,8 +1262,7 @@ def _block_span(kind, ctx, r, s, points, module: WeightModule, gens,
                 len(heights)))
             if at.bound == span.bound:
                 values = [at.value(g, point) for g in dgens.values()]
-                for img in replay(words, values, at.identity, at.product):
-                    at.add(img)
+                at.fill(values, _token_roots(dgens, loop, point), words)
             _check_full(at, point, span.bound)
     except (UnluckyPrime, _NotPrimitive) as exc:
         log_fallback(__name__, "block span: %s; span on J's columns", exc)

@@ -357,15 +357,20 @@ class RatFunc:
         UnluckyPrime if the point or the denominator vanishes mod p; the
         exact `specialize` then decides whether the point is a pole.  The
         denominator's message names no point: `SparseMat.residues` passes
-        the point's residue and adds the point itself.
+        the point's residue and adds the point itself.  A Laurent
+        polynomial (denominator 1, as every gl generator entry is) is
+        evaluated with no denominator and no inverse.
         """
         x = rational_residue(point, p)
         if not x:
             raise UnluckyPrime(f"q = {point} vanishes mod {p}")
-        d = _horner_mod(self._d, x, 0, max(self._d), p)
-        if not d:
-            raise UnluckyPrime(f"denominator {_poly_str(self._d)} vanishes "
-                               f"mod {p}")
+        inv = 1
+        if self._d != _ONE_POLY:
+            d = _horner_mod(self._d, x, 0, max(self._d), p)
+            if not d:
+                raise UnluckyPrime(f"denominator {_poly_str(self._d)} "
+                                   f"vanishes mod {p}")
+            inv = pow(d, -1, p)
         n = self._n
         if not n:
             return 0
@@ -373,7 +378,7 @@ class RatFunc:
         nv = _horner_mod(n, x, lo, max(n), p)
         if lo:
             nv *= pow(x, lo, p)
-        return nv * pow(d, -1, p) % p
+        return nv * inv % p
 
     # -- rendering -------------------------------------------------------
 

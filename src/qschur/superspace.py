@@ -37,7 +37,7 @@ from .scalar import RatFunc, UnluckyPrime, rational_residue
 __all__ = [
     "SuperSpace", "SparseMat", "unit_space", "tau", "graded_kron",
     "rank_at", "ranks_at", "vectorize",
-    "DEFAULT_POINTS", "Echelon", "PRIME", "UnluckyPrime",
+    "DEFAULT_POINTS", "Echelon", "PRIME", "UnluckyPrime", "residue_at",
 ]
 
 #: Default specialisation points: nonzero rationals away from 0, +-1 and
@@ -209,18 +209,10 @@ class SparseMat:
         """Entries at q = point reduced mod p = PRIME, as ints in [0, p).
 
         Built without a Fraction: each entry is evaluated at the point's
-        residue x.  UnluckyPrime, naming the point, if the point or a
-        reduced entry's denominator vanishes mod p.
+        residue x (`residue_at`).  UnluckyPrime, naming the point, if the
+        point or a reduced entry's denominator vanishes mod p.
         """
-        p = PRIME
-        if not (x := rational_residue(Fraction(point), p)):
-            raise UnluckyPrime(f"q = {point} vanishes mod {p}")
-        try:
-            return self.map_values(
-                lambda v: v.residue(x, p) if isinstance(v, RatFunc)
-                else rational_residue(v, p))
-        except UnluckyPrime as exc:
-            raise UnluckyPrime(f"{exc} at q = {point}") from None
+        return self.map_values(residue_at(point))
 
     # -- graded operations ------------------------------------------------
 
@@ -253,6 +245,26 @@ class SparseMat:
 
     def __repr__(self):
         return f"SparseMat({self.rows}x{self.cols}, nnz={len(self.entries)})"
+
+
+def residue_at(point):
+    """The map from an entry (RatFunc, Fraction or int) to its residue mod
+    p = PRIME at q = `point`, as an int in [0, p).
+
+    UnluckyPrime, naming the point, at once if the point vanishes mod p,
+    and from the map if an entry's denominator does.
+    """
+    p = PRIME
+    if not (x := rational_residue(Fraction(point), p)):
+        raise UnluckyPrime(f"q = {point} vanishes mod {p}")
+
+    def residue(v) -> int:
+        try:
+            return (v.residue(x, p) if isinstance(v, RatFunc)
+                    else rational_residue(v, p))
+        except UnluckyPrime as exc:
+            raise UnluckyPrime(f"{exc} at q = {point}") from None
+    return residue
 
 
 def graded_kron(a: SparseMat, b: SparseMat) -> SparseMat:

@@ -1506,6 +1506,159 @@ def test_a_block_is_read_only_where_the_generator_keeps_its_space():
         centralizer.BlockSpan([[{0: 1}]]).value(swap, DEFAULT_POINTS[0])
 
 
+def _later_blocks(args):
+    # per later point: (BlockSpan there, the generators' values, the roots
+    # of their quadratics), as `_block_span` builds them
+    kind, ctx, r, s, points, module, gens, dgens = args
+    heights = module.heights
+    raising = [g for g in gens if any(heights[i] > heights[k]
+                                      for i, k in g.entries)]
+    classes = [members for members, basis
+               in zip(module.classes, module.primitive) if basis]
+    keep = {k for members in classes for k in members}
+    loop = (ctx.images["Om-"] @ ctx.images["U+"]).scalar_value()
+    for point in points[1:]:
+        def at():
+            return centralizer.BlockSpan(centralizer._primitive_spaces(
+                classes, [centralizer._residue_columns(g, point, keep)
+                          for g in raising], len(heights)))
+        values = [at().value(g, point) for g in dgens.values()]
+        yield at, values, centralizer._token_roots(dgens, loop, point)
+
+
+@pytest.mark.parametrize("m, n, r, s", BLOCK_CELLS)
+def test_the_rank_one_proof_agrees_with_the_replay(m, n, r, s):
+    # at each later point, each block of size k >= 2 that a rank-one
+    # element proves is the block that the kept words, replayed, fill to
+    # rank k^2, and each pair that the generators' traces tell apart is a
+    # pair the replay tells apart; on these cells both prove every block
+    args = _block_args(m, n, r, s)
+    words, _ = centralizer._block_span(*args)
+    for at, values, roots in _later_blocks(args):
+        replayed = at()
+        for img in replay(words, values, replayed.identity,
+                          replayed.product):
+            replayed.add(img)
+        assert replayed.full
+        proved = at()
+        sizes = [len(basis) for basis in proved.bases]
+        ranked = [i for i, k in enumerate(sizes) if k > 1 and
+                  centralizer._rank_one([v[i] for v in values], roots)]
+        assert ranked == [i for i, k in enumerate(sizes) if k > 1]
+        proved.fill(values, roots, [])
+        assert proved.full and proved.bound == replayed.bound
+
+
+@pytest.mark.parametrize("gens", [[((1, 1), (0, 2))],
+                                  [((1, 1), (0, 2)), ((3, 0), (0, 5))]])
+def test_a_reducible_block_is_never_proved(gens):
+    # upper triangular values keep the span of e0: g - 1 = v w^T has rank
+    # one, but v = (1, 1) spins only to its own line under the first, and
+    # w = (0, 1) to its own line under the transposes, under both; the
+    # replay cannot fill the block either (the algebra has dimension
+    # len(gens) + 1)
+    roots = [(1, 2)] * len(gens)
+    assert not centralizer._rank_one(gens, roots)
+    span = centralizer.BlockSpan([[{0: 1}, {1: 1}]])
+    words = [None, (0, 0), (len(gens) - 1, 0), (0, 2), (len(gens) - 1, 1)]
+    span.fill([(g,) for g in gens], roots, words)
+    assert span.short == {0} and span.echelons[0].rank == len(gens) + 1
+    with pytest.raises(centralizer._NotPrimitive, match="1 blocks fall"):
+        centralizer._check_full(span, "b", span.bound)
+
+
+def test_a_block_with_no_rank_one_candidate_certifies_through_the_replay(
+        monkeypatch):
+    # the roots 3 and 4 are no eigenvalue of the swap or of diag(1, 2), so
+    # every candidate is invertible and there are no disjoint pairs; the
+    # replayed words I, g1, g2, g1 g2 fill the block
+    gens = [((0, 1), (1, 0)), ((1, 0), (0, 2))]
+    roots = [(3, 4), (3, 4)]
+    assert not centralizer._rank_one(gens, roots)
+    products, product = [], centralizer.BlockSpan.product
+    monkeypatch.setattr(centralizer.BlockSpan, "product", staticmethod(
+        lambda a, b: products.append(1) or product(a, b)))
+    span = centralizer.BlockSpan([[{0: 1}, {1: 1}]])
+    span.fill([(g,) for g in gens], roots, [None, (0, 0), (1, 0), (0, 2)])
+    assert span.full and span.bound == 4 and len(products) == 3
+
+
+def test_two_blocks_are_told_apart_only_by_a_trace():
+    # two 1 x 1 blocks are full at once; the generators' traces tell them
+    # apart where their values differ, and where every value agrees the
+    # pair stays alike through the replay too
+    for second, alike in [(5, set()), (2, {(0, 1)})]:
+        span = centralizer.BlockSpan([[{0: 1}], [{1: 1}]])
+        span.fill([(((2,),), ((second,),))], [(2, 3)], [None, (0, 0)])
+        assert span.short == set() and span.alike == alike
+        assert span.full == (not alike)
+
+
+def test_a_cell_with_no_diagram_generators_reads_no_later_point(caplog):
+    # gl(1|0) r=1 has one 1 x 1 block and no diagram generator, so a later
+    # point that vanishes mod p is never read: the block route holds, and
+    # nothing is logged
+    points = [Fraction(13, 9), Fraction(PRIME, 7)]
+    with caplog.at_level("INFO", logger="qschur.centralizer"):
+        report = fft_report("gl", 1, 0, 1, points=points)
+    assert report.equal and report.certificate.words == (None,)
+    assert not caplog.records
+
+
+def test_the_later_points_of_the_walled_cell_replay_no_word(monkeypatch):
+    # walled gl(1|1) r=3 s=2: after the closure at the first point, every
+    # block (6, 4, 4) at both later points is proved by a rank-one element
+    # and every pair by the generators' traces, so no block product is taken
+    closed, later = [], []
+    closure, product = centralizer.image_basis, centralizer.BlockSpan.product
+
+    def spy_closure(*args):
+        out = closure(*args)
+        closed.append(1)
+        return out
+    monkeypatch.setattr(centralizer, "image_basis", spy_closure)
+    monkeypatch.setattr(centralizer.BlockSpan, "product", staticmethod(
+        lambda a, b: (later.append(1) if closed else None) or product(a, b)))
+    report = fft_report("gl", 1, 1, 3, s=2)
+    assert report.equal and report.span_rank == 70 and report.certificate.kept
+    assert closed == [1] and later == []
+
+
+def test_the_replay_alone_still_proves_the_later_points(monkeypatch):
+    # with no rank-one element found, each later point replays the kept
+    # words, and the cell keeps its bytes and its certificate
+    cells = [(2, 1, 4, 0), (1, 1, 3, 2)]
+    want = [fft_report("gl", m, n, r, s=s) for m, n, r, s in cells]
+    monkeypatch.setattr(centralizer, "_rank_one", lambda mats, roots: False)
+    for (m, n, r, s), expect in zip(cells, want):
+        report = fft_report("gl", m, n, r, s=s)
+        assert report.to_dict() == expect.to_dict()
+        assert report.certificate == expect.certificate
+
+
+def test_residue_columns_match_the_residues_read_by_column():
+    # on the fft-glq cells, the one-pass column maps of every symmetry and
+    # diagram generator at the later points, on the primitive support and
+    # on a sparse set of columns, equal the columns of the residues of the
+    # generator cut to those columns
+    def old(mat, point, keep):
+        sub = SparseMat(mat.src, mat.dst)
+        sub.entries = {key: v for key, v in mat.entries.items()
+                       if key[1] in keep}
+        return centralizer._columns(sub.residues(point))
+    for m, n, r, s in BLOCK_CELLS[:9]:
+        args = _block_args(m, n, r, s)
+        module, gens, dgens = args[5], args[6], args[7]
+        support = centralizer.BlockSpan(module.primitive).support
+        for point in DEFAULT_POINTS[1:]:
+            for mat in gens + list(dgens.values()):
+                for keep in (support, set(range(0, mat.cols, 3))):
+                    got = centralizer._residue_columns(mat, point, keep)
+                    assert got == old(mat, point, keep)
+                    assert list(got.items()) == list(old(mat, point,
+                                                         keep).items())
+
+
 def test_the_frontier_hecke_cell_is_certified_at_default_settings():
     # gl(2|1) r=6: d = 729 fits the default budget, and the blocks (16, 10,
     # 10, 9, 9, 5, 5, 5, 1, 1) prove 695 = sum k^2 of the 720 permutations

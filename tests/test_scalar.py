@@ -170,6 +170,31 @@ def test_residue_is_the_specialisation_mod_p(num, den, x, p):
     assert got == want.numerator * pow(want.denominator, -1, p) % p
 
 
+@pytest.mark.parametrize("f", [
+    Q ** 3 - 2 * Q ** -2 + 5, ONE * 7, -Q ** -1, Q - Q ** -1,  # Laurent
+    (Q ** 2 + 1) / (Q - 2), ONE / (3 * Q ** 2 + Q), Q ** -3 / (Q + 5)])
+def test_residue_is_the_specialisation_mod_p_with_and_without_a_denominator(f):
+    # a Laurent polynomial skips the denominator; both kinds agree with the
+    # exact value reduced mod p, at int and Fraction points
+    for x in (Fraction(7, 5), 13, Fraction(-23, 17), PRIME + 3):
+        want = f.specialize(x)
+        for p in (PRIME, 101):
+            assert f.residue(x, p) == (want.numerator
+                                       * pow(want.denominator, -1, p) % p)
+
+
+def test_both_unlucky_prime_messages_name_what_vanishes():
+    # the point vanishing mod p, for a Laurent polynomial and for a proper
+    # fraction, and the denominator vanishing there
+    for f in (Q, Q ** 2 - Q ** -1, Q / (Q ** 2 + 1)):
+        with pytest.raises(UnluckyPrime) as exc:
+            f.residue(2 * PRIME, PRIME)
+        assert str(exc.value) == f"q = {2 * PRIME} vanishes mod {PRIME}"
+    with pytest.raises(UnluckyPrime) as exc:
+        (ONE / (Q - 2)).residue(PRIME + 2, PRIME)
+    assert str(exc.value) == f"denominator -q + 2 vanishes mod {PRIME}"
+
+
 def test_residue_raises_unlucky_prime_and_specialize_finds_poles():
     f = ONE / (Q - 2)
     # 1/(q - 2) at q = PRIME + 2 is 1/PRIME: no pole, but unlucky mod PRIME

@@ -331,6 +331,22 @@ def test_residues_are_a_ring_map_to_f_p():
         g.residues(Fraction(7, PRIME))
 
 
+def test_residues_name_the_point_in_both_unlucky_messages():
+    # residue_at checks the point once, and adds it to an entry's message
+    V = SuperSpace((0,))
+    for entry, point, message in [
+            (Q, Fraction(PRIME, 7), f"q = {PRIME}/7 vanishes mod {PRIME}"),
+            (ONE / (Q - 2), PRIME + 2,
+             f"denominator -q + 2 vanishes mod {PRIME} at q = {PRIME + 2}"),
+            (Fraction(1, PRIME), 2,
+             f"denominator of 1/{PRIME} vanishes mod {PRIME} at q = 2")]:
+        with pytest.raises(UnluckyPrime) as exc:
+            SparseMat(V, V, {(0, 0): entry}).residues(point)
+        assert str(exc.value) == message
+    with pytest.raises(UnluckyPrime, match="vanishes"):
+        superspace.residue_at(PRIME)  # before any entry is read
+
+
 def test_dump_format():
     V = _space([0, 1])
     m = SparseMat(V, V, {(0, 1): Q})
