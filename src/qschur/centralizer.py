@@ -32,12 +32,8 @@ weight class down, the lowering images of the classes above completed by
 the class's own basis vectors), the primitive spaces of the classes that
 those lowering images leave short, and whether these generate it
 (below).  Where they do, the quantum gl span is proved from its blocks
-(`_block_span`): the closure runs on each image's k x k blocks on the
-P_lam, keeps an image only while it fills a block or tells two blocks of
-one size apart by their traces, and stops once every block is full and
-told apart (`BlockSpan`).  By Burnside and Jacobson density the span mod
-p then has rank at least sum k_lam^2, so R is that sum without ranking an
-image on J.  Elsewhere each image is kept only on J's columns: a
+at every point (`_block_span`, below), so R is sum k_lam^2 without
+ranking an image on J.  Elsewhere each image is kept only on J's columns: a
 combination of images commutes with the generators, so if it vanishes on
 J it vanishes.  For osp the generators
 have int entries, so J generates over Q too, and the exact rank over Q
@@ -94,21 +90,26 @@ upper bound for the nullity over Q(q), up to the first that meets the
 span rank (`least_nullity`).  Both certificates are tried inside the one
 commutant call of a cell (`_certify`).
 
-The later gl points of the block route are ranked inside it, before the
-commutant: each point b builds its own P_lam(b) from the module's classes
-and the residues of the raising generators at b, reads the diagram
-generators' blocks there, and must fill them to the same sum; then the
-rank at b is R too.  A block of size k >= 2 is full once one element
-theta of the algebra A_b the blocks generate has rank one (`_rank_one`
-tries g_i - mu and (g_i - mu)(g_j - nu) on disjoint slots, mu and nu the
-roots of the tokens' quadratics at b) and its image vector v and row
-vector w spin to dimension k under the blocks and their transposes: then
-a theta b = (a v)(w^T b) for a, b in A_b, and these span End(P_lam).
-Pairs of one size are told apart by the generators' traces.  Only a block
-or a pair left over replays the kept words there (`BlockSpan.fill`).  A
-miss anywhere (a block short, a pair not told apart, a sum that differs,
-a denominator that vanishes mod p) is logged, and the cell takes the
-J-column route, as if the P_lam did not generate.  There the
+The block route proves every point's blocks before the commutant, by one
+rule.  Point b reads the diagram generators' k x k blocks on its P_lam
+(points[0] on the module's; each later b on its own P_lam(b), from the
+module's classes and the residues of the raising generators at b).  A
+block of size k >= 2 is full once one element theta of the algebra A_b
+the blocks generate has rank one (`_rank_one` tries g_i - mu and
+(g_i - mu)(g_j - nu) on disjoint slots, mu and nu the roots of the
+tokens' quadratics at b) and its image vector v and row vector w spin to
+dimension k under the blocks and their transposes: then
+a theta b = (a v)(w^T b) for a, b in A_b, and these span End(P_lam)
+(`BlockSpan.fill`).  What that leaves (the 1 x 1 blocks, a block with no
+rank-one element, the pairs of one size) goes to `BlockSpan.add`: at
+points[0] the closure keeps an image only while it fills such a block or
+tells such a pair apart by their traces, and each later point replays
+those words.  Once every block is full and told apart, with the same sum
+at every point, the span mod p has rank at least sum k_lam^2 at each
+(Burnside and Jacobson density).  A miss anywhere (a block short, a pair
+not told apart, a sum that differs, a denominator that vanishes mod p)
+is logged, and the cell takes the J-column route, as if the P_lam did
+not generate.  There the
 closure runs once at points[0]: mod p where the module was read there, and
 with exact ranks where it was not.  Every entry of the gl symmetry and
 diagram generators is a Laurent polynomial in q, so its residues fail only
@@ -272,10 +273,12 @@ class PrimitiveCertificate:
     sigma = +-1 eigenspaces on the P_lam of a fixed class.
 
     Where the span was proved from its blocks (gl; see `BlockSpan`), the
-    span side: `words`, the kept words of the block closure, and
-    `separating`, one (i, j, t) per pair of equal-size blocks i < j (in
-    class order) whose traces the t-th kept image tells apart.  Empty where
-    the span was ranked on J's columns.
+    span side: `words`, the kept words of the block closure, which fill
+    what the rank-one elements leave (the identity for the 1 x 1 blocks,
+    every word of a block with no rank-one element), and `separating`, one
+    (i, j, t) per pair of equal-size blocks i < j (in class order) whose
+    traces the t-th kept image tells apart.  Empty where the span was
+    ranked on J's columns.
     """
     prime: int
     point: str | None
@@ -680,13 +683,13 @@ class BlockSpan:
     p; else _NotPrimitive) to its k x k blocks there, column t holding the
     coordinates of its image of the t-th basis vector, read at the leads;
     only its columns on the P_lam are reduced.  `product` multiplies two
-    such tuples block by block.  `add` keeps a value when it raises the
-    rank of a block not yet full, ranked in the block's own F_p `Echelon`
-    of k^2 columns, or when its trace tells apart two blocks of one size
-    not yet told apart (recorded in `separating` by the value's place
-    among those kept).  `fill` proves the blocks full from the diagram
-    generators' values alone where it can, by one rank-one element per
-    block (`_rank_one`), and replays words through `add` for the rest.
+    such tuples block by block.  `fill` proves a block of size k >= 2 full
+    by one rank-one element (`_rank_one`), and `add` takes what that
+    leaves: it keeps a value when it raises the rank of a block not yet
+    full, ranked in the block's own F_p `Echelon` of k^2 columns, or when
+    its trace tells apart two blocks of one size not yet told apart
+    (recorded in `separating` by the value's place among those kept; the
+    first, the identity that a closure keeps either way, counts).
 
     Once `full` (every block full, every such pair told apart), each P_lam
     is an absolutely simple module for the algebra A that the values
@@ -739,11 +742,6 @@ class BlockSpan:
         return tuple(_block_product(x, y, superspace.PRIME)
                      for x, y in zip(a, b))
 
-    @staticmethod
-    def _traces(value: tuple) -> list[int]:
-        return [sum(block[t][t] for t in range(len(block))) % superspace.PRIME
-                for block in value]
-
     def add(self, value: tuple) -> bool:
         kept = False
         for i in list(self.short):
@@ -754,35 +752,28 @@ class BlockSpan:
                 if ech.rank == len(block) ** 2:
                     self.short.discard(i)
         if self.alike:
-            traces = self._traces(value)
+            traces = [sum(b[t][t] for t in range(len(b))) % superspace.PRIME
+                      for b in value]
             told = sorted((i, j) for i, j in self.alike
                           if traces[i] != traces[j])
             self.alike.difference_update(told)
             self.separating += [(i, j, self.kept) for i, j in told]
             kept = kept or bool(told)
-        self.kept += kept
+        self.kept += kept or not self.kept
         return kept
 
     def fill(self, values, roots, words) -> None:
-        """Fill the blocks from the `values` of the diagram generators.
-
-        A block of size 1 is full (A holds the identity), a larger one
-        when `_rank_one` proves it from its blocks of `values` and the
-        residues `roots` of each generator's quadratic, and a pair of
-        one size is told apart when a value's traces on the two differ.
-        Only if a block or a pair is left are the `words` replayed on
-        `values` through `add`, on the blocks left alone (the others are
-        emptied, so their products cost nothing).
-        """
+        """Prove the blocks of size k >= 2 full from the `values` of the
+        diagram generators and the residues `roots` of each one's quadratic
+        (`_rank_one`), then replay the `words` on `values` through `add`
+        on what is left alone: the 1 x 1 blocks, a block with no rank-one
+        element and the pairs of one size (the other blocks are emptied,
+        so their products cost nothing).  The first point passes no words;
+        its closure finds them."""
         for i in list(self.short):
-            if (len(self.bases[i]) == 1
-                    or _rank_one([value[i] for value in values], roots)):
+            if (len(self.bases[i]) > 1
+                    and _rank_one([value[i] for value in values], roots)):
                 self.short.discard(i)
-        traces = [self._traces(value) for value in values]
-        self.alike = {(i, j) for i, j in self.alike
-                      if all(tr[i] == tr[j] for tr in traces)}
-        if self.full:
-            return
         left = self.short.union(*self.alike)
 
         def only(value):
@@ -1233,15 +1224,16 @@ def _block_span(kind, ctx, r, s, points, module: WeightModule, gens,
     """(words, span) of the block closure, where the diagram span has rank
     `span.bound` = sum k_lam^2 at every point; None, logged, at a miss.
 
-    The closure (`image_basis` with `blocks`) runs on the k x k blocks of
-    the diagram generators `dgens` on the P_lam of `module` at points[0],
-    and stops once its `BlockSpan` is full; its kept words are the
-    certificate.  Each later point b builds its own P_lam(b) from the
-    module's classes and the residues at b of the raising generators among
-    the symmetry generators `gens`, reads the blocks of `dgens` there, and
-    must be full with the same bound: each block by one rank-one element
-    of the algebra they generate, each pair by their traces, and what is
-    left by the kept words replayed there (`BlockSpan.fill`).  At each
+    Every point proves its blocks of size k >= 2 by one rank-one element
+    of the algebra that the blocks of the diagram generators `dgens`
+    generate there (`BlockSpan.fill`).  At points[0], on the P_lam of
+    `module`, the closure (`image_basis` with `blocks`) then runs on those
+    blocks for what is left, and stops once its `BlockSpan` is full; its
+    kept words are the certificate.  Each later point b builds its own
+    P_lam(b) from the module's classes and the residues at b of the
+    raising generators among the symmetry generators `gens`, reads the
+    blocks of `dgens` there, and must be full with the same bound, what
+    the rank-one elements leave by the kept words replayed there.  At each
     point the span mod p then has rank at least the bound (`BlockSpan`),
     and its rank over Q(q) at most the commutant dimension, which the
     primitive certificate proves equal to the bound.
@@ -1253,7 +1245,12 @@ def _block_span(kind, ctx, r, s, points, module: WeightModule, gens,
                in zip(module.classes, module.primitive) if basis]
     keep = set(chain.from_iterable(classes))
     loop = (ctx.images["Om-"] @ ctx.images["U+"]).scalar_value()
+
+    def fill(at, point, words):
+        at.fill([at.value(g, point) for g in dgens.values()],
+                _token_roots(dgens, loop, point), words)
     try:
+        fill(span, points[0], ())
         words = image_basis(kind, ctx, r, s, points, None, None, dgens, span)
         _check_full(span, points[0], span.bound)
         for point in points[1:]:
@@ -1261,8 +1258,7 @@ def _block_span(kind, ctx, r, s, points, module: WeightModule, gens,
                 _residue_columns(g, point, keep) for g in raising],
                 len(heights)))
             if at.bound == span.bound:
-                values = [at.value(g, point) for g in dgens.values()]
-                at.fill(values, _token_roots(dgens, loop, point), words)
+                fill(at, point, words)
             _check_full(at, point, span.bound)
     except (UnluckyPrime, _NotPrimitive) as exc:
         log_fallback(__name__, "block span: %s; span on J's columns", exc)

@@ -10,9 +10,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from qschur.centralizer import (BlockSpan, PrimitiveCertificate,
-                                SpinCertificate, _glq_generator_mats,
-                                module_heights, weight_module)
+from qschur.centralizer import (DEFAULT_UNKNOWN_BUDGET, BlockSpan,
+                                PrimitiveCertificate, SpinCertificate,
+                                _glq_generator_mats, module_heights,
+                                weight_module)
 from qschur.functor import (diagram_generators, identity_on, image_basis,
                             make_context, replay)
 from qschur.rootdata import distinguished
@@ -109,37 +110,87 @@ def assert_certified(rep) -> None:
         assert cert.generation_rank == cert.dim == d
         assert all(k > 0 for k in cert.blocks) and sum(cert.blocks) <= d
         if cert.words:
-            assert_blocks_full(rep, cert)
+            assert_blocks_full(cert, *block_values(rep, cert))
         return
     assert isinstance(cert, SpinCertificate), type(cert)
     assert cert.unknowns - cert.rank == rep.span_rank == rep.commutant_dim
     assert cert.columns <= d
 
 
-def assert_blocks_full(rep, cert) -> None:
-    """The span side of a primitive certificate: the kept words, replayed
-    block by block at its point, fill each block (a dense rank mod p of
-    k^2), and each pair of equal-size blocks has a recorded image whose
-    traces on the two differ."""
+def block_values(rep, cert):
+    """The k x k blocks on the primitive spaces, at the point of `cert`, of
+    each diagram generator of the cell of `rep` and of the identity, as
+    `BlockSpan.value` reads them."""
     datum, r, s = distinguished("gl", rep.m, rep.n), rep.r, rep.s
     point = Fraction(cert.point)
     gens = _glq_generator_mats(datum, r, s)
     module = weight_module(gens, module_heights(datum, (1,) * r + (-1,) * s),
                            point)
-    span, ctx = BlockSpan(module.primitive), make_context("glq", datum=datum)
+    span = BlockSpan(module.primitive)
+    ctx = make_context("glq", datum=datum, budget=DEFAULT_UNKNOWN_BUDGET)
     dgens = diagram_generators("hecke" if s == 0 else "walled", ctx, r, s)
-    images = replay(cert.words, [span.value(g, point) for g in dgens.values()],
-                    span.value(identity_on(ctx.space_of("+" * r + "-" * s),
-                                           None), point), BlockSpan.product)
-    sizes = [len(block) for block in images[0]]
+    return ([span.value(g, point) for g in dgens.values()],
+            span.value(identity_on(ctx.space_of("+" * r + "-" * s), None),
+                       point))
+
+
+def dense_product(x, y, p: int) -> tuple:
+    """The product x y of two square matrices (tuples of rows), mod p."""
+    return tuple(tuple(sum(a * y[t][u] for t, a in enumerate(row)) % p
+                       for u in range(len(y[0]))) for row in x)
+
+
+def dense_algebra_rank(gens, k: int, p: int) -> int:
+    """The dimension mod p, up to k^2, of the algebra of k x k matrices that
+    `gens` generate with the identity: products g a are taken breadth
+    first, and a is kept while a dense elimination finds it new, so the
+    kept matrices span a space closed under every g, which holds the
+    identity."""
+    reduced = []  # (pivot, row): row[pivot] = 1, 0 at every earlier pivot
+
+    def new(mat) -> bool:
+        vec = [x for row in mat for x in row]
+        for c, row in reduced:
+            if f := vec[c]:
+                vec = [(a - f * b) % p for a, b in zip(vec, row)]
+        c = next((c for c, x in enumerate(vec) if x), None)
+        if c is not None:
+            inv = pow(vec[c], -1, p)
+            reduced.append((c, [x * inv % p for x in vec]))
+        return c is not None
+    kept = [tuple(tuple(int(t == u) for u in range(k)) for t in range(k))]
+    new(kept[0])
+    for a in kept:  # a queue: kept grows while it is walked
+        for g in gens:
+            if len(kept) == k * k:
+                return len(kept)
+            if new(b := dense_product(g, a, p)):
+                kept.append(b)
+    return len(kept)
+
+
+def assert_blocks_full(cert, values, identity) -> None:
+    """The span side of a primitive certificate, from the blocks `values` of
+    the diagram generators and the blocks `identity` (`block_values`).
+    Each block is full: the kept words, replayed block by block, fill it
+    (a dense rank mod p of k^2), or, for a block of size k >= 2 that they
+    leave short, the generators' blocks there generate an algebra of
+    dimension k^2 (`dense_algebra_rank`).  Each pair of equal-size blocks
+    has a recorded image whose traces on the two differ."""
+    p = cert.prime
+    images = replay(cert.words, values, identity, lambda a, b: tuple(
+        dense_product(x, y, p) for x, y in zip(a, b)))
+    sizes = [len(block) for block in identity]
     assert sorted(sizes, reverse=True) == list(cert.blocks)
     for c, k in enumerate(sizes):
         rows = [{t: x for t, x in enumerate(v for row in img[c] for v in row)}
                 for img in images]
-        assert dense_rank(rows, k * k, cert.prime) == k * k, (c, k)
+        assert dense_rank(rows, k * k, p) == k * k or (
+            k > 1 and dense_algebra_rank([v[c] for v in values], k, p)
+            == k * k), f"block {c} of size {k} is not full"
 
     def trace(block):
-        return sum(block[t][t] for t in range(len(block))) % cert.prime
+        return sum(block[t][t] for t in range(len(block))) % p
     assert sorted((i, j) for i, j, _ in cert.separating) == sorted(
         (i, j) for j, k in enumerate(sizes) for i in range(j) if sizes[i] == k)
     for i, j, t in cert.separating:

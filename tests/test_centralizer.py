@@ -6,12 +6,14 @@ import pytest
 
 import dataclasses
 
+import conftest
 from conftest import (assert_certified, closure_words, commutator_rows,
-                      dense_nullity, ratfunc_rank)
+                      dense_nullity, dense_rank, ratfunc_rank)
 from qschur import centralizer
 from qschur import osp as osp_mod
 from qschur import functor, qgl, superspace
-from qschur.centralizer import (MembershipError, PrimitiveCertificate,
+from qschur.centralizer import (DEFAULT_UNKNOWN_BUDGET, MembershipError,
+                                PrimitiveCertificate,
                                 SpinCertificate, _glq_generator_mats,
                                 _osp_generator_mats, assemble_commutant_rows,
                                 certify_primitive, certify_spin,
@@ -1472,7 +1474,7 @@ BLOCK_CELLS = [(2, 1, 4, 0), (1, 1, 3, 2), (1, 1, 2, 0), (1, 1, 3, 0),
 
 def _block_args(m, n, r, s, points=DEFAULT_POINTS):
     datum = distinguished("gl", m, n)
-    ctx = make_context("glq", datum=datum)
+    ctx = make_context("glq", datum=datum, budget=DEFAULT_UNKNOWN_BUDGET)
     kind = "hecke" if s == 0 else "walled"
     gens = _glq_generator_mats(datum, r, s)
     module = weight_module(gens, module_heights(datum, (1,) * r + (-1,) * s),
@@ -1506,9 +1508,10 @@ def test_a_block_is_read_only_where_the_generator_keeps_its_space():
         centralizer.BlockSpan([[{0: 1}]]).value(swap, DEFAULT_POINTS[0])
 
 
-def _later_blocks(args):
-    # per later point: (BlockSpan there, the generators' values, the roots
-    # of their quadratics), as `_block_span` builds them
+def _point_blocks(args):
+    # per point, the first included: (a fresh BlockSpan there, the
+    # generators' values, the roots of their quadratics), as `_block_span`
+    # builds them
     kind, ctx, r, s, points, module, gens, dgens = args
     heights = module.heights
     raising = [g for g in gens if any(heights[i] > heights[k]
@@ -1517,36 +1520,105 @@ def _later_blocks(args):
                in zip(module.classes, module.primitive) if basis]
     keep = {k for members in classes for k in members}
     loop = (ctx.images["Om-"] @ ctx.images["U+"]).scalar_value()
-    for point in points[1:]:
-        def at():
-            return centralizer.BlockSpan(centralizer._primitive_spaces(
-                classes, [centralizer._residue_columns(g, point, keep)
-                          for g in raising], len(heights)))
-        values = [at().value(g, point) for g in dgens.values()]
-        yield at, values, centralizer._token_roots(dgens, loop, point)
+    for point in points:
+        primitive = module.primitive if point == points[0] else (
+            centralizer._primitive_spaces(classes, [
+                centralizer._residue_columns(g, point, keep)
+                for g in raising], len(heights)))
+        span = centralizer.BlockSpan(primitive)
+        yield (span, [span.value(g, point) for g in dgens.values()],
+               centralizer._token_roots(dgens, loop, point))
 
 
 @pytest.mark.parametrize("m, n, r, s", BLOCK_CELLS)
-def test_the_rank_one_proof_agrees_with_the_replay(m, n, r, s):
-    # at each later point, each block of size k >= 2 that a rank-one
-    # element proves is the block that the kept words, replayed, fill to
-    # rank k^2, and each pair that the generators' traces tell apart is a
-    # pair the replay tells apart; on these cells both prove every block
+def test_a_rank_one_element_proves_every_block_at_every_point(m, n, r, s):
+    # at every point, the first included, `_rank_one` proves each block of
+    # size k >= 2 from the generators' values alone (the 16 x 16 block of
+    # gl(2|1) r=6, not among these cells, is the one block known to have no
+    # rank-one element; see the frontier tests)
+    for span, values, roots in _point_blocks(_block_args(m, n, r, s)):
+        assert all(centralizer._rank_one([value[i] for value in values],
+                                         roots)
+                   for i, basis in enumerate(span.bases) if len(basis) > 1)
+
+
+@pytest.mark.parametrize("m, n, r, s", BLOCK_CELLS)
+def test_the_first_point_keeps_the_identity_and_what_add_needs(m, n, r, s):
+    # after the rank-one proofs, the first point's closure keeps the
+    # identity (word 0, which fills the 1 x 1 blocks) and only words that
+    # `add` keeps: on these cells one, the first generator, whose traces
+    # tell every pair apart
     args = _block_args(m, n, r, s)
     words, _ = centralizer._block_span(*args)
-    for at, values, roots in _later_blocks(args):
-        replayed = at()
-        for img in replay(words, values, replayed.identity,
-                          replayed.product):
-            replayed.add(img)
-        assert replayed.full
-        proved = at()
-        sizes = [len(basis) for basis in proved.bases]
-        ranked = [i for i, k in enumerate(sizes) if k > 1 and
-                  centralizer._rank_one([v[i] for v in values], roots)]
-        assert ranked == [i for i, k in enumerate(sizes) if k > 1]
-        proved.fill(values, roots, [])
-        assert proved.full and proved.bound == replayed.bound
+    span, values, roots = next(_point_blocks(args))
+    span.fill(values, roots, ())
+    assert span.short == {i for i, basis in enumerate(span.bases)
+                          if len(basis) == 1}
+    kept = [span.add(img) for img in replay(words, values, span.identity,
+                                            span.product)]
+    assert words == [None, (0, 0)] and kept[1:] == [True] and span.full
+
+
+def test_the_replay_alone_still_proves_every_point(monkeypatch, caplog):
+    # with no rank-one element found, the first point's closure keeps the
+    # words that fill every block by rank alone (9 and 38), each later
+    # point replays them, and the cell keeps its bytes
+    cells = {(2, 1, 4, 0): 9, (1, 1, 3, 2): 38}
+    want = [fft_report("gl", m, n, r, s=s) for m, n, r, s in cells]
+    monkeypatch.setattr(centralizer, "_rank_one", lambda mats, roots: False)
+    for ((m, n, r, s), kept), expect in zip(cells.items(), want):
+        with caplog.at_level("INFO", logger="qschur.centralizer"):
+            report = fft_report("gl", m, n, r, s=s)
+        assert report.to_dict() == expect.to_dict() and not caplog.records
+        cert = report.certificate
+        assert cert.kept == kept and cert.separating == (
+            expect.certificate.separating)
+        assert_certified(report)
+        for span, values, roots in _point_blocks(_block_args(m, n, r, s)):
+            span.fill(values, roots, cert.words)
+            assert span.full
+
+
+@pytest.mark.parametrize("m, n, r, s", BLOCK_CELLS)
+def test_the_oracle_checks_the_span_side_of_every_block_route_cell(
+        m, n, r, s, monkeypatch):
+    # the benchmark's gl cells and CI's block-route cells (gl(2|1) r=6 in
+    # the frontier test): `assert_certified` re-checks each one's blocks
+    checked, check = [], conftest.assert_blocks_full
+    monkeypatch.setattr(conftest, "assert_blocks_full",
+                        lambda cert, *blocks: checked.append(cert)
+                        or check(cert, *blocks))
+    report = fft_report("gl", m, n, r, s=s)
+    assert_certified(report)
+    assert checked == [report.certificate]
+
+
+def test_the_block_oracle_rejects_a_reducible_block():
+    # upper triangular values keep the span of e0, so the 2 x 2 block is a
+    # reducible module, its algebra I, g of dimension 2: the words I, g do
+    # not fill it and its dense closure stops at 2, so the oracle refuses
+    # the certificate; the swap and diag(1, 2) generate End(F_p^2), and
+    # the same words pass
+    cert = PrimitiveCertificate(PRIME, "7/5", (2,), 2, 2, (None, (0, 0)))
+    identity = (((1, 0), (0, 1)),)
+    with pytest.raises(AssertionError, match="block 0 of size 2 is not full"):
+        conftest.assert_blocks_full(cert, [(((1, 1), (0, 2)),)], identity)
+    conftest.assert_blocks_full(cert, [(((0, 1), (1, 0)),),
+                                       (((1, 0), (0, 2)),)], identity)
+
+
+def test_the_identity_counts_as_kept_where_it_fills_no_block():
+    # two 2 x 2 blocks, both proved by a rank-one element, and no 1 x 1
+    # block: the identity fills nothing, but a closure keeps it as word 0,
+    # so the diagonal value that tells the pair apart is recorded as word 1
+    swap = ((0, 1), (1, 0))
+    values = [(swap, swap), (((1, 0), (0, 2)), ((1, 0), (0, 3)))]
+    span = centralizer.BlockSpan([[{0: 1}, {1: 1}], [{2: 1}, {3: 1}]])
+    span.fill(values, [(1, PRIME - 1), (1, 2)], ())
+    assert span.short == set() and span.alike == {(0, 1)}
+    assert [span.add(v) for v in [span.identity, *values]] == [
+        False, False, True]
+    assert span.full and span.separating == [(0, 1, 1)] and span.kept == 2
 
 
 @pytest.mark.parametrize("gens", [[((1, 1), (0, 2))],
@@ -1605,37 +1677,6 @@ def test_a_cell_with_no_diagram_generators_reads_no_later_point(caplog):
     assert not caplog.records
 
 
-def test_the_later_points_of_the_walled_cell_replay_no_word(monkeypatch):
-    # walled gl(1|1) r=3 s=2: after the closure at the first point, every
-    # block (6, 4, 4) at both later points is proved by a rank-one element
-    # and every pair by the generators' traces, so no block product is taken
-    closed, later = [], []
-    closure, product = centralizer.image_basis, centralizer.BlockSpan.product
-
-    def spy_closure(*args):
-        out = closure(*args)
-        closed.append(1)
-        return out
-    monkeypatch.setattr(centralizer, "image_basis", spy_closure)
-    monkeypatch.setattr(centralizer.BlockSpan, "product", staticmethod(
-        lambda a, b: (later.append(1) if closed else None) or product(a, b)))
-    report = fft_report("gl", 1, 1, 3, s=2)
-    assert report.equal and report.span_rank == 70 and report.certificate.kept
-    assert closed == [1] and later == []
-
-
-def test_the_replay_alone_still_proves_the_later_points(monkeypatch):
-    # with no rank-one element found, each later point replays the kept
-    # words, and the cell keeps its bytes and its certificate
-    cells = [(2, 1, 4, 0), (1, 1, 3, 2)]
-    want = [fft_report("gl", m, n, r, s=s) for m, n, r, s in cells]
-    monkeypatch.setattr(centralizer, "_rank_one", lambda mats, roots: False)
-    for (m, n, r, s), expect in zip(cells, want):
-        report = fft_report("gl", m, n, r, s=s)
-        assert report.to_dict() == expect.to_dict()
-        assert report.certificate == expect.certificate
-
-
 def test_residue_columns_match_the_residues_read_by_column():
     # on the fft-glq cells, the one-pass column maps of every symmetry and
     # diagram generator at the later points, on the primitive support and
@@ -1661,12 +1702,51 @@ def test_residue_columns_match_the_residues_read_by_column():
 
 def test_the_frontier_hecke_cell_is_certified_at_default_settings():
     # gl(2|1) r=6: d = 729 fits the default budget, and the blocks (16, 10,
-    # 10, 9, 9, 5, 5, 5, 1, 1) prove 695 = sum k^2 of the 720 permutations
+    # 10, 9, 9, 5, 5, 5, 1, 1) prove 695 = sum k^2 of the 720 permutations;
+    # every block but the 16 x 16 one is proved by a rank-one element, so
+    # the kept words are the 256 that fill that block (the identity and the
+    # images that tell the pairs apart among them), and the oracle
+    # re-checks them
     report = fft_report("gl", 2, 1, 6)
     assert report.equal and report.span_rank == 695 and report.agreement
     cert = report.certificate
     assert cert.blocks == (16, 10, 10, 9, 9, 5, 5, 5, 1, 1)
-    assert 0 < cert.kept < 695
+    assert cert.kept == 256
+    assert_certified(report)
+
+
+def test_no_factors_on_disjoint_slots_give_the_frontier_block_rank_one():
+    # the 16 x 16 block of gl(2|1) r=6 is the Specht module of (3, 2, 1), a
+    # 2-core: restricted to H_2 (x) H_2 (x) H_2 on disjoint slots it is a
+    # multiple of the regular representation, so at q = 7/5 every
+    # g_i - mu has rank 8, every disjoint pair (g_i - mu)(g_j - nu) rank 4
+    # and every (g_1 - mu)(g_3 - nu)(g_5 - rho) rank 2; no product of
+    # disjoint-slot factors has rank one, and its words are kept instead
+    span, values, roots = next(_point_blocks(_block_args(2, 1, 6, 0)))
+    block = [len(basis) for basis in span.bases].index(16)
+    gens = [value[block] for value in values]
+
+    def rank(theta):
+        return dense_rank([dict(enumerate(row)) for row in theta], 16, PRIME)
+
+    def factor(i, mu):
+        return tuple(tuple((x - mu * (t == u)) % PRIME
+                           for u, x in enumerate(row))
+                     for t, row in enumerate(gens[i]))
+
+    def product(*factors):
+        theta = factors[0]
+        for f in factors[1:]:
+            theta = centralizer._block_product(theta, f, PRIME)
+        return theta
+    single = [factor(i, mu) for i in range(5) for mu in roots[i]]
+    assert [rank(theta) for theta in single] == [8] * 10
+    assert {rank(product(factor(i, mu), factor(j, nu)))
+            for i in range(5) for j in range(i + 2, 5)
+            for mu in roots[i] for nu in roots[j]} == {4}
+    assert {rank(product(factor(0, mu), factor(2, nu), factor(4, rho)))
+            for mu in roots[0] for nu in roots[2] for rho in roots[4]} == {2}
+    assert not centralizer._rank_one(gens, roots)
 
 
 def test_blocks_not_told_apart_fall_back(monkeypatch, caplog):
