@@ -14,13 +14,13 @@ assembles the other commutator rows over the surviving unknowns only.
 This is an elimination order for the full system, not a reduction of it.
 
 `fft_report` runs both flavors through one sequence of stages: the
-symmetry generators, membership, the diagram generators, the module mod p
-and its set J below, the span, the commutant (`commutant_dim_glq` /
-`commutant_dim_osp`, over the generators the cell built), then the later
-gl points.  One span closure (`functor.image_basis`) multiplies every
-spanning image out of the diagram generators
-(`functor.diagram_generators`: placed crossings, turnbacks, s_i and e_i).
-Each is id (x) T (x) id for a token T on two slots.  Membership checks
+symmetry generators, membership, the module mod p and its set J below,
+the span, the commutant (`commutant_dim_glq` / `commutant_dim_osp`, over
+the generators the cell built), then the later gl points.  One span
+closure (`functor.image_basis`) multiplies every spanning image out of the
+diagram generators (`functor.diagram_generators`: placed crossings,
+turnbacks, s_i and e_i).  Each is id (x) T (x) id for a token T on two
+slots, and only the span off the block route builds the placed ones.  Membership checks
 each token exactly on its own two slots, against the symmetry generators
 there and their parity operator; that proves the placed generator
 commutes with every symmetry generator on the whole space
@@ -93,7 +93,9 @@ commutant call of a cell (`_certify`).
 The block route proves every point's blocks before the commutant, by one
 rule.  Point b reads the diagram generators' k x k blocks on its P_lam
 (points[0] on the module's; each later b on its own P_lam(b), from the
-module's classes and the residues of the raising generators at b).  A
+module's classes and the residues of the raising generators at b), each
+from its token reduced once at b and applied on its own two slots
+(`superspace.on_slots`); the first point's values seed the closure.  A
 block of size k >= 2 is full once one element theta of the algebra A_b
 the blocks generate has rank one (`_rank_one` tries g_i - mu and
 (g_i - mu)(g_j - nu) on disjoint slots, mu and nu the roots of the
@@ -152,12 +154,12 @@ from .errors import (BudgetError, MembershipError, UnluckyPrime, UsageError,
                      check_power)
 from .functor import (EvalContext, check_image_cap, diagram_generators,
                       evaluate, identity_on, image_basis, make_context,
-                      replay)
+                      replay, walled_tokens)
 from .rootdata import RootDatum, distinguished
-from .scalar import RatFunc, qint, qpow, rational_residue
+from .scalar import RatFunc, qint, rational_residue
 from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, check_points,
-                         int_rank, kron_chain, log_fallback, ranks_at,
-                         residue_at, vectorize)
+                         int_rank, kron_chain, log_fallback, on_slots,
+                         ranks_at, residue_at, vectorize)
 
 __all__ = [
     "FftReport", "fft_report", "commutant_dim_glq", "commutant_dim_osp",
@@ -679,11 +681,12 @@ class BlockSpan:
 
     `primitive` lists each class's P_lam in reduced echelon form
     (`_primitive_spaces`); each nonzero one gives a block.  `value` takes a
-    matrix whose residues at a point keep every P_lam (checked exactly mod
-    p; else _NotPrimitive) to its k x k blocks there, column t holding the
-    coordinates of its image of the t-th basis vector, read at the leads;
-    only its columns on the P_lam are reduced.  `product` multiplies two
-    such tuples block by block.  `fill` proves a block of size k >= 2 full
+    linear map mod p on sparse vectors that keeps every P_lam (checked
+    exactly mod p; else _NotPrimitive), a diagram generator's token placed
+    on its own two slots at a point (`superspace.on_slots`), to its k x k
+    blocks there, column t holding the coordinates of its image of the
+    t-th basis vector, read at the leads.  `product` multiplies two such
+    tuples block by block.  `fill` proves a block of size k >= 2 full
     by one rank-one element (`_rank_one`), and `add` takes what that
     leaves: it keeps a value when it raises the rank of a block not yet
     full, ranked in the block's own F_p `Echelon` of k^2 columns, or when
@@ -701,7 +704,6 @@ class BlockSpan:
     def __init__(self, primitive):
         self.bases = [basis for basis in primitive if basis]
         self.leads = [[min(v) for v in basis] for basis in self.bases]
-        self.support = {k for basis in self.bases for v in basis for k in v}
         sizes = [len(basis) for basis in self.bases]
         self.bound = sum(k * k for k in sizes)
         self.echelons = [Echelon() for _ in sizes]
@@ -719,11 +721,10 @@ class BlockSpan:
         return tuple(tuple(tuple(int(i == j) for j in range(len(basis)))
                            for i in range(len(basis))) for basis in self.bases)
 
-    def value(self, mat: SparseMat, point) -> tuple:
+    def value(self, apply) -> tuple:
         p, blocks = superspace.PRIME, []
-        cols = _residue_columns(mat, point, self.support)
         for basis, leads in zip(self.bases, self.leads):
-            images = [_apply(cols, v, p) for v in basis]
+            images = [apply(v) for v in basis]
             block = tuple(tuple(w.get(lead, 0) for w in images)
                           for lead in leads)
             for t, w in enumerate(images):  # w must be its leads' combination
@@ -1208,35 +1209,41 @@ def _check_full(span: BlockSpan, point, bound: int) -> None:
             f"{len(span.alike)} pairs of equal size are not told apart")
 
 
-def _token_roots(dgens, loop, point) -> list[tuple[int, int]]:
+def _token_roots(names, loop, point) -> list[tuple[int, int]]:
     """The residues at q = `point` of the roots of each diagram generator's
-    quadratic: q and -q^-1 for X+ and the dual X+ (the Hecke quadratic),
-    0 and the loop value `loop` = Om- U+ for the wall turnback."""
-    if not dgens:  # nothing to steer, and the point is not read
+    quadratic, by its `names`: x and -x^-1 for X+ and the dual X+ (the
+    Hecke quadratic), x the point's residue, and 0 and the residue of the
+    loop value `loop` = Om- U+ for the wall turnback."""
+    if not names:  # nothing to steer, and the point is not read
         return []
-    residue = residue_at(point)
-    hecke, turn = (residue(qpow(1)), residue(-qpow(-1))), (0, residue(loop))
-    return [turn if name == "wall turnback" else hecke for name in dgens]
+    p, residue = superspace.PRIME, residue_at(point)
+    x = residue(Fraction(point))
+    hecke = (x, -pow(x, -1, p) % p)
+    return [(0, residue(loop)) if name == "wall turnback" else hecke
+            for name in names]
 
 
-def _block_span(kind, ctx, r, s, points, module: WeightModule, gens,
-                dgens) -> tuple | None:
+def _block_span(kind, ctx, r, s, points, module: WeightModule,
+                gens) -> tuple | None:
     """(words, span) of the block closure, where the diagram span has rank
     `span.bound` = sum k_lam^2 at every point; None, logged, at a miss.
 
-    Every point proves its blocks of size k >= 2 by one rank-one element
-    of the algebra that the blocks of the diagram generators `dgens`
+    Each point b reads the diagram generators' blocks from their tokens
+    (`functor.walled_tokens`: X+, the wall turnback and the dual X+), each
+    reduced once at b and placed on its own two slots (`on_slots`), so no
+    placed d x d generator is built.  Every point proves its blocks of
+    size k >= 2 by one rank-one element of the algebra that those blocks
     generate there (`BlockSpan.fill`).  At points[0], on the P_lam of
-    `module`, the closure (`image_basis` with `blocks`) then runs on those
-    blocks for what is left, and stops once its `BlockSpan` is full; its
-    kept words are the certificate.  Each later point b builds its own
-    P_lam(b) from the module's classes and the residues at b of the
-    raising generators among the symmetry generators `gens`, reads the
-    blocks of `dgens` there, and must be full with the same bound, what
-    the rank-one elements leave by the kept words replayed there.  At each
-    point the span mod p then has rank at least the bound (`BlockSpan`),
-    and its rank over Q(q) at most the commutant dimension, which the
-    primitive certificate proves equal to the bound.
+    `module`, the closure (`image_basis` with `blocks`) then runs on the
+    same blocks for what is left, from the identity, and stops once its
+    `BlockSpan` is full; its kept words are the certificate.  Each later
+    point b builds its own P_lam(b) from the module's classes and the
+    residues at b of the raising generators among the symmetry generators
+    `gens`, reads the blocks there, and must be full with the same bound,
+    what the rank-one elements leave by the kept words replayed there.  At
+    each point the span mod p then has rank at least the bound
+    (`BlockSpan`), and its rank over Q(q) at most the commutant dimension,
+    which the primitive certificate proves equal to the bound.
     """
     span, heights = BlockSpan(module.primitive), module.heights
     raising = [g for g in gens if any(heights[i] > heights[k]
@@ -1244,14 +1251,20 @@ def _block_span(kind, ctx, r, s, points, module: WeightModule, gens,
     classes = [members for members, basis
                in zip(module.classes, module.primitive) if basis]
     keep = set(chain.from_iterable(classes))
-    loop = (ctx.images["Om-"] @ ctx.images["U+"]).scalar_value()
+    tokens, slots = walled_tokens(ctx, r, s), r + s
+    distinct = {id(T): T for _, T, _ in tokens}
+    loop = (ctx.images["Om-"] @ ctx.images["U+"]).scalar_value() if s else 0
 
     def fill(at, point, words):
-        at.fill([at.value(g, point) for g in dgens.values()],
-                _token_roots(dgens, loop, point), words)
+        reduced = {key: T.residues(point) for key, T in distinct.items()}
+        values = [at.value(on_slots(reduced[id(T)], t, slots))
+                  for _, T, t in tokens]
+        at.fill(values, _token_roots([name for name, _, _ in tokens], loop,
+                                     point), words)
+        return values
     try:
-        fill(span, points[0], ())
-        words = image_basis(kind, ctx, r, s, points, None, None, dgens, span)
+        values = fill(span, points[0], ())
+        words = image_basis(kind, ctx, r, s, points, None, None, values, span)
         _check_full(span, points[0], span.bound)
         for point in points[1:]:
             at = BlockSpan(_primitive_spaces(classes, [
@@ -1297,9 +1310,10 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     flavor "osp": classical osp(m|2n) with the sigma-extended pair and
     Brauer images; for even m the spanning bound 2r < m(2n+1) is recorded.
     The stages run in order: the symmetry generators, membership on the
-    two slots of each token, the diagram generators, the module mod p and
-    its set J (`weight_module`), the span (for gl whose primitive spaces
-    generate, from its blocks at every point; else on J's columns, exact
+    two slots of each token, the module mod p and its set J
+    (`weight_module`), the span (for gl whose primitive spaces generate,
+    from its blocks at every point, read from each token on its own two
+    slots; else on J's columns from the placed diagram generators, exact
     over Q for osp, the closure's first point for gl, mod p where the
     module was read and exact where it was not), the commutant certified
     against the first point's span rank, then, off the block route, one
@@ -1332,7 +1346,6 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     # tokens are checked to centralise the symmetry generators on two slots,
     # the span rank is a lower bound for the commutant dimension.
     _check_tokens(kind, ctx, r, s, gens)
-    dgens = diagram_generators(kind, ctx, r, s)
     # the images are ranked on the columns of J, which generates the module
     # mod p (at points[0] for gl); no module keeps every column
     module = weight_module(gens, heights, point)
@@ -1340,17 +1353,17 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
     if flavor == "osp":
         # int generators that generate mod p generate over Q: the exact
         # rank on J's columns is the exact rank on every column
-        images = image_basis(kind, ctx, r, s, points, None, cols, dgens)
+        images = image_basis(kind, ctx, r, s, points, None, cols)
         rows = [vectorize(img) for img in images]
         label = _rarest_first(rows)
         ranks = [int_rank([{label[k]: v for k, v in row.items()}
                            for row in rows])]
         cdim, cert = commutant_dim_osp(gens, d, ranks[0], module, budget)
     else:
-        # where the P_lam generate, the span is proved from its blocks
+        # where the P_lam generate, the span is proved from its blocks,
+        # read from the tokens on their own two slots
         route = (None if module is None or isinstance(module.blocks, str)
-                 else _block_span(kind, ctx, r, s, points, module, gens,
-                                  dgens))
+                 else _block_span(kind, ctx, r, s, points, module, gens))
         if route is not None:
             words, span = route
             lower = span.bound
@@ -1358,6 +1371,7 @@ def fft_report(flavor: str, m: int, n: int, r: int, s: int = 0,
             # mod p at points[0] where the module was read there, whose
             # residues then exist (every generator entry is a Laurent
             # polynomial in q); exactly where it was not
+            dgens = diagram_generators(kind, ctx, r, s)
             ech = None if module is None else Echelon()
             words = image_basis(kind, ctx, r, s, points, ech, cols, dgens)
             lower = len(words)

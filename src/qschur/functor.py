@@ -54,7 +54,7 @@ from .superspace import (DEFAULT_POINTS, Echelon, SparseMat, SuperSpace,
 __all__ = [
     "EvalContext", "make_context", "evaluate", "invariant", "image_basis",
     "diagram_images", "diagram_generators", "BudgetError", "dual_braiding",
-    "check_image_cap", "identity_on", "replay",
+    "check_image_cap", "identity_on", "replay", "walled_tokens",
 ]
 
 DEFAULT_BUDGET = 625  # max dimension of any space met during evaluation
@@ -69,7 +69,8 @@ class EvalContext:
     budget: int = DEFAULT_BUDGET
     datum: RootDatum | None = None  # glq only
     mn: tuple[int, int] | None = None  # osp only
-    #: maps built from `images` on first use (`dual_braiding`)
+    #: maps built from `images` on first use (`dual_braiding`, the wall
+    #: turnback of `walled_tokens`)
     derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def space_of(self, signs) -> SuperSpace:
@@ -186,33 +187,41 @@ def dual_braiding(ctx: EvalContext) -> SparseMat:
     return out
 
 
-def _walled_generators(ctx: EvalContext, r: int,
-                       s: int) -> dict[str, SparseMat]:
-    """X+ at each V-side strand, the wall turnback and X+ at each V*-side
-    strand, as the gl closure multiplies them out (s = 0 gives Hecke's).
+def walled_tokens(ctx: EvalContext, r: int,
+                  s: int) -> list[tuple[str, SparseMat, int]]:
+    """(name, T, t) for each diagram generator of the walled cell (r, s), in
+    the gl closure's order: the token T on two slots and the first slot t
+    (from 0) of the r + s it acts on.  X+ at each V-side strand, the wall
+    turnback U+ Om- across the wall and the dual X+ at each V*-side strand
+    (s = 0 gives Hecke's).  The turnback, like the dual braiding, is built
+    once per context and kept in `ctx.derived`.
 
     No X- is placed: either braiding obeys the Hecke quadratic, checked
     exactly by the gl closure, so X- = X+ - (q - q^-1) lies in the span
     of X+ and the identity, and the algebra the closure spans, which
     contains the identity, is the same.
     """
-    V, Vd = ctx.V, ctx.V.dual()
-    iV, iVd = SparseMat.identity(V), SparseMat.identity(Vd)
-    out = {}
-    for i in range(1, r):
-        out[f"X+ at strand {i}"] = kron_chain(
-            [iV] * (i - 1) + [ctx.images["X+"]] + [iV] * (r - i - 1)
-            + [iVd] * s)
+    out = [(f"X+ at strand {i}", ctx.images["X+"], i - 1)
+           for i in range(1, r)]
     if r >= 1 and s >= 1:
-        turn = ctx.images["U+"] @ ctx.images["Om-"]  # V (x) V* -> V (x) V*
-        out["wall turnback"] = kron_chain([iV] * (r - 1) + [turn]
-                                          + [iVd] * (s - 1))
+        if "wall turnback" not in ctx.derived:  # V (x) V* -> V (x) V*
+            ctx.derived["wall turnback"] = ctx.images["U+"] @ ctx.images["Om-"]
+        out.append(("wall turnback", ctx.derived["wall turnback"], r - 1))
     if s >= 2:
         gd = dual_braiding(ctx)
-        for j in range(1, s):
-            out[f"dual X+ at strand {r + j}"] = kron_chain(
-                [iV] * r + [iVd] * (j - 1) + [gd] + [iVd] * (s - j - 1))
+        out += [(f"dual X+ at strand {r + j}", gd, r + j - 1)
+                for j in range(1, s)]
     return out
+
+
+def _walled_generators(ctx: EvalContext, r: int,
+                       s: int) -> dict[str, SparseMat]:
+    """Each of the `walled_tokens` placed as id (x) T (x) id on the whole
+    V^{(x) r} (x) V*^{(x) s}, as the gl closure multiplies them out."""
+    iV, iVd = SparseMat.identity(ctx.V), SparseMat.identity(ctx.V.dual())
+    ids = [iV] * r + [iVd] * s
+    return {name: kron_chain(ids[:t] + [T] + ids[t + 2:])
+            for name, T, t in walled_tokens(ctx, r, s)}
 
 
 def _check_hecke_quadratic(g: SparseMat, what: str) -> None:
@@ -246,11 +255,13 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     exactly, by `rank_at` on specialised values.  Independence at the point
     implies independence over Q(q), so every kept image is new;
     UnluckyPrime if a denominator vanishes mod p.  With `blocks` (a
-    `centralizer.BlockSpan`) the value is instead the tuple of the
-    residues' k x k blocks on the primitive spaces, multiplied block by
-    block; a candidate is kept by `blocks.add`, and the closure stops once
-    `blocks.full`.  Either way the kept words are returned, for `replay`,
-    and nothing is multiplied over Q(q).
+    `centralizer.BlockSpan`) the value is instead the tuple of the k x k
+    blocks on the primitive spaces, multiplied block by block: `gens` are
+    then the generators' values, already read (`BlockSpan.value`), and the
+    closure starts from `blocks.identity`; a candidate is kept by
+    `blocks.add`, and the closure stops once `blocks.full`.  Either way
+    the kept words are returned, for `replay`, and nothing is multiplied
+    over Q(q).
 
     Generator g_i acts on strands i, i+1 (X+ for i < r, the wall turnback
     for i = r, the dual X+ beyond; a Hecke cell is the walled cell s = 0,
@@ -275,35 +286,39 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
     columns on J: g @ (b on J) is (g @ b) on J.  Dropping columns can only
     lower a rank; where J generates the module under maps that every image
     commutes with, a combination of images that vanishes on J vanishes, so
-    the same words are kept in the same order.  `gens` are the
-    `diagram_generators` (built here when None).  With `blocks` the kept
-    images need not span the algebra, only fill the blocks, which the
-    caller checks; there the rules above only prune candidates.
+    the same words are kept in the same order.  Without `blocks`, `gens`
+    are the `diagram_generators` (built here when None).  With `blocks`
+    the kept images need not span the algebra, only fill the blocks, which
+    the caller checks; there the rules above only prune candidates.
     """
     cap = check_image_cap(kind, r, s)
     if r >= 2:
         _check_hecke_quadratic(ctx.images["X+"], "the braiding")
     if s >= 2:
         _check_hecke_quadratic(dual_braiding(ctx), "the dual braiding")
-    if gens is None:
-        gens = diagram_generators(kind, ctx, r, s)
-    ident = identity_on(ctx.space_of(("+",) * r + ("-",) * s), columns)
     if blocks is not None:
-        value, product, raises = blocks.value, blocks.product, blocks.add
-    elif echelon is None:
-        rows = []
-
-        def raises(img):
-            row = vectorize(img)
-            if rank_at(rows + [row], [point]) > len(rows):
-                rows.append(row)
-                return True
-            return False
-        value, product = SparseMat.specialize, SparseMat.__matmul__
+        values, start = list(gens), blocks.identity
+        product, raises = blocks.product, blocks.add
     else:
-        def raises(img):
-            return echelon.add(vectorize(img))
-        value, product = SparseMat.residues, SparseMat.matmul_mod
+        if echelon is None:
+            rows = []
+
+            def raises(img):
+                row = vectorize(img)
+                if rank_at(rows + [row], [point]) > len(rows):
+                    rows.append(row)
+                    return True
+                return False
+            value, product = SparseMat.specialize, SparseMat.__matmul__
+        else:
+            def raises(img):
+                return echelon.add(vectorize(img))
+            value, product = SparseMat.residues, SparseMat.matmul_mod
+        if gens is None:
+            gens = diagram_generators(kind, ctx, r, s)
+        values = [value(g, point) for g in gens.values()]
+        start = value(identity_on(ctx.space_of(("+",) * r + ("-",) * s),
+                                  columns), point)
 
     def mul(g_key, b_key):
         # a key's tag: the last generator of its word, 0 for the identity
@@ -313,8 +328,7 @@ def _gl_images(kind: str, ctx: EvalContext, r: int, s: int, point,
         return i, product(g, b)
 
     return [word for _, word in _span_closure(
-        [(i, value(g, point)) for i, g in enumerate(gens.values(), 1)],
-        (0, value(ident, point)),
+        list(enumerate(values, 1)), (0, start),
         cap, mul, lambda key: raises(key[1]),
         (lambda: blocks.full) if blocks is not None else bool)]
 
@@ -450,10 +464,14 @@ def image_basis(kind: str, ctx: EvalContext, r: int, s: int = 0,
     columns; with none it ranks exactly, so their count is the exact rank
     there.  With `blocks` (a `centralizer.BlockSpan`, and no `columns`) it
     runs on the images' blocks on the primitive spaces and stops once they
-    are full; the caller reads `blocks.full`, and the count of words is
-    then no rank.  Every caller may pass the generators it already built as
-    `gens`, and the basis vectors of a generating set J as `columns`: each
-    image, Brauer ones included, is then kept as its columns on J only.
+    are full; `gens` are then required: the diagram generators' blocks at
+    the first point, in `diagram_generators`' order, as `BlockSpan.value`
+    reads them from each token on its own two slots, so no placed
+    generator is built.  The caller reads `blocks.full`, and the count of
+    words is then no rank.  Otherwise every caller may pass the generators
+    it already built as `gens`, and the basis vectors of a generating set
+    J as `columns`: each image, Brauer ones included, is then kept as its
+    columns on J only.
     `points` None means DEFAULT_POINTS; an empty sequence is a ValueError.
     """
     points = check_points(DEFAULT_POINTS if points is None else points)

@@ -267,6 +267,7 @@ def braiding(datum: RootDatum) -> SparseMat:
     return tau(V, V) @ rmatrix_vv(datum)
 
 
+@lru_cache(maxsize=None)
 def braiding_inverse(datum: RootDatum) -> SparseMat:
     """Inverse braiding via the Hecke identity g^-1 = g - (q - q^-1)."""
     g = braiding(datum)

@@ -20,7 +20,9 @@ handed to the elimination kernel.  `Echelon` is the incremental companion
 over F_p: reduction mod p can only lower a rank, so its rank is a proved
 lower bound for the rank over Q.  `SparseMat.residues` reduces a matrix
 over Q(q) at q = a straight to F_p, without a Fraction, and
-`SparseMat.matmul_mod` multiplies such residue matrices.
+`SparseMat.matmul_mod` multiplies such residue matrices; `on_slots` applies
+an even two-slot operator's residues, placed on two adjacent slots of a
+tensor power, to a vector mod p without building the placed matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import isqrt, lcm
 
 from .kernels import rank_of_int_rows
 from .scalar import RatFunc, UnluckyPrime, rational_residue
@@ -38,6 +40,7 @@ __all__ = [
     "SuperSpace", "SparseMat", "unit_space", "tau", "graded_kron",
     "rank_at", "ranks_at", "vectorize",
     "DEFAULT_POINTS", "Echelon", "PRIME", "UnluckyPrime", "residue_at",
+    "on_slots",
 ]
 
 #: Default specialisation points: nonzero rationals away from 0, +-1 and
@@ -298,6 +301,39 @@ def kron_chain(mats) -> SparseMat:
     for m in mats[1:]:
         out = graded_kron(out, m)
     return out
+
+
+def on_slots(token: SparseMat, t: int, slots: int):
+    """The map v -> (id (x) T (x) id) v mod p = PRIME on sparse vectors
+    (index -> int) of a tensor space of `slots` slots of one dimension D,
+    T = `token` on slots t, t + 1 (from 0): T's residues mod p, on the
+    D^2-dimensional space of two slots.
+
+    In row-major order an index is hi * D^2 * low + pair * low + lo, with
+    low = D^(slots - t - 2) and pair the index on T's slots, so T moves
+    `pair` alone.  A ValueError if T has an odd entry: only an even T is
+    placed by the plain Kronecker product, as `graded_kron` places it; an
+    odd one picks up Koszul signs from the slots on its left.
+    """
+    src, dst = token.src.parities, token.dst.parities
+    if any(src[k] != dst[i] for i, k in token.entries):
+        raise ValueError("an odd two-slot operator is not placed by a plain "
+                         "Kronecker product")
+    low = isqrt(token.cols) ** (slots - t - 2)
+    pairs, p = token.cols, PRIME
+    cols = {}
+    for (i, k), v in token.entries.items():
+        cols.setdefault(k, []).append((i * low, v))
+
+    def apply(vec: dict) -> dict:
+        out = {}
+        for idx, x in vec.items():
+            pair = idx // low % pairs
+            base = idx - pair * low
+            for i, v in cols.get(pair, ()):
+                out[base + i] = (out.get(base + i, 0) + v * x) % p
+        return {i: v for i, v in out.items() if v}
+    return apply
 
 
 def tau(V: SuperSpace, W: SuperSpace) -> SparseMat:

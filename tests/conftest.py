@@ -10,15 +10,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from qschur.centralizer import (DEFAULT_UNKNOWN_BUDGET, BlockSpan,
-                                PrimitiveCertificate, SpinCertificate,
-                                _glq_generator_mats, module_heights,
-                                weight_module)
+from qschur.centralizer import (BlockSpan, PrimitiveCertificate,
+                                SpinCertificate, _glq_generator_mats,
+                                module_heights, weight_module)
 from qschur.functor import (diagram_generators, identity_on, image_basis,
-                            make_context, replay)
+                            make_context, replay, walled_tokens)
 from qschur.rootdata import distinguished
 from qschur.scalar import RatFunc
-from qschur.superspace import SparseMat, SuperSpace
+from qschur.superspace import SparseMat, SuperSpace, on_slots
 
 
 def dense_rank(rows, ncols: int, p: int | None = None) -> int:
@@ -117,21 +116,26 @@ def assert_certified(rep) -> None:
     assert cert.columns <= d
 
 
+def token_values(span, ctx, r, s, point) -> list:
+    """The k x k blocks of `span` at q = `point` of each diagram generator of
+    the walled cell (r, s), in `diagram_generators`' order, read from its
+    token on its own two slots as `centralizer._block_span` reads them."""
+    return [span.value(on_slots(T.residues(point), t, r + s))
+            for _, T, t in walled_tokens(ctx, r, s)]
+
+
 def block_values(rep, cert):
     """The k x k blocks on the primitive spaces, at the point of `cert`, of
-    each diagram generator of the cell of `rep` and of the identity, as
-    `BlockSpan.value` reads them."""
+    each diagram generator of the cell of `rep` (`token_values`) and of the
+    identity."""
     datum, r, s = distinguished("gl", rep.m, rep.n), rep.r, rep.s
     point = Fraction(cert.point)
     gens = _glq_generator_mats(datum, r, s)
     module = weight_module(gens, module_heights(datum, (1,) * r + (-1,) * s),
                            point)
     span = BlockSpan(module.primitive)
-    ctx = make_context("glq", datum=datum, budget=DEFAULT_UNKNOWN_BUDGET)
-    dgens = diagram_generators("hecke" if s == 0 else "walled", ctx, r, s)
-    return ([span.value(g, point) for g in dgens.values()],
-            span.value(identity_on(ctx.space_of("+" * r + "-" * s), None),
-                       point))
+    return (token_values(span, make_context("glq", datum=datum), r, s, point),
+            span.identity)
 
 
 def dense_product(x, y, p: int) -> tuple:

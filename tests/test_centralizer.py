@@ -8,7 +8,7 @@ import dataclasses
 
 import conftest
 from conftest import (assert_certified, closure_words, commutator_rows,
-                      dense_nullity, dense_rank, ratfunc_rank)
+                      dense_nullity, dense_rank, ratfunc_rank, token_values)
 from qschur import centralizer
 from qschur import osp as osp_mod
 from qschur import functor, qgl, superspace
@@ -24,12 +24,13 @@ from qschur.centralizer import (DEFAULT_UNKNOWN_BUDGET, MembershipError,
                                 relation_check, weight_module)
 from qschur.errors import UnluckyPrime, UsageError, VerificationError
 from qschur.functor import (BudgetError, diagram_generators, identity_on,
-                            image_basis, make_context, replay)
+                            image_basis, make_context, replay, walled_tokens)
 from qschur.qgl import act_on_signs, generator_names, natural_rep
 from qschur.rootdata import distinguished
 from qschur.scalar import Q, RatFunc, qint
 from qschur.superspace import (DEFAULT_POINTS, PRIME, Echelon, SparseMat,
-                               SuperSpace, kron_chain, ranks_at, vectorize)
+                               SuperSpace, kron_chain, on_slots, ranks_at,
+                               tau, vectorize)
 
 # Oracle-produced commutant dimensions, frozen (brute-force nullspace at the
 # default points; cross-checked against the dense oracle on the small cells).
@@ -691,12 +692,11 @@ def test_each_token_is_checked_on_two_slots_after_their_parity(
 
 def test_a_walled_cell_builds_the_dual_braiding_once(monkeypatch):
     # the (0, 2) token check, the placed generators and the closure's Hecke
-    # quadratic share one dual braiding, built on first use
+    # quadratic share one dual braiding, built on first use (as is the one
+    # wall turnback)
     class Builds(dict):
-        count = 0
-
         def __setitem__(self, key, value):
-            self.count += 1
+            self.count = getattr(self, "count", 0) + (key == "dual X+")
             super().__setitem__(key, value)
 
     ctxs, calls, dual = [], [], functor.dual_braiding
@@ -1479,8 +1479,7 @@ def _block_args(m, n, r, s, points=DEFAULT_POINTS):
     gens = _glq_generator_mats(datum, r, s)
     module = weight_module(gens, module_heights(datum, (1,) * r + (-1,) * s),
                            points[0])
-    return (kind, ctx, r, s, list(points), module, gens,
-            diagram_generators(kind, ctx, r, s))
+    return kind, ctx, r, s, list(points), module, gens
 
 
 @pytest.mark.parametrize("m, n, r, s", BLOCK_CELLS)
@@ -1488,31 +1487,31 @@ def test_the_block_rank_is_the_rank_on_j(m, n, r, s):
     # the blocks fill at every point and prove the rank that the closure
     # on J's columns reaches at the first point, with fewer kept words
     args = _block_args(m, n, r, s)
-    kind, ctx, _, _, points, module, _, dgens = args
+    kind, ctx, _, _, points, module, _ = args
     words, span = centralizer._block_span(*args)
     ech = Echelon()
-    on_j = image_basis(kind, ctx, r, s, points, ech, module.columns, dgens)
+    on_j = image_basis(kind, ctx, r, s, points, ech, module.columns)
     assert span.full and span.bound == ech.rank == len(on_j)
     assert span.bound == sum(k * k for k in module.blocks)
     assert len(words) <= len(on_j)
 
 
 def test_a_block_is_read_only_where_the_generator_keeps_its_space():
-    # the swap of e0 and e1 keeps the span of e0 + e1 (its block is 1) but
-    # not the span of e0
+    # the flip of V (x) V swaps e01 and e10: it keeps the span of
+    # e01 + e10 (its block is 1) but not the span of e01
     V = SuperSpace((0, 0))
-    swap = SparseMat(V, V, {(0, 1): 1, (1, 0): 1})
-    kept = centralizer.BlockSpan([[{0: 1, 1: 1}]])
-    assert kept.value(swap, DEFAULT_POINTS[0]) == (((1,),),)
+    swap = on_slots(tau(V, V), 0, 2)
+    kept = centralizer.BlockSpan([[{1: 1, 2: 1}]])
+    assert kept.value(swap) == (((1,),),)
     with pytest.raises(centralizer._NotPrimitive, match="does not keep"):
-        centralizer.BlockSpan([[{0: 1}]]).value(swap, DEFAULT_POINTS[0])
+        centralizer.BlockSpan([[{1: 1}]]).value(swap)
 
 
 def _point_blocks(args):
     # per point, the first included: (a fresh BlockSpan there, the
     # generators' values, the roots of their quadratics), as `_block_span`
     # builds them
-    kind, ctx, r, s, points, module, gens, dgens = args
+    kind, ctx, r, s, points, module, gens = args
     heights = module.heights
     raising = [g for g in gens if any(heights[i] > heights[k]
                                       for i, k in g.entries)]
@@ -1520,14 +1519,15 @@ def _point_blocks(args):
                in zip(module.classes, module.primitive) if basis]
     keep = {k for members in classes for k in members}
     loop = (ctx.images["Om-"] @ ctx.images["U+"]).scalar_value()
+    names = [name for name, _, _ in walled_tokens(ctx, r, s)]
     for point in points:
         primitive = module.primitive if point == points[0] else (
             centralizer._primitive_spaces(classes, [
                 centralizer._residue_columns(g, point, keep)
                 for g in raising], len(heights)))
         span = centralizer.BlockSpan(primitive)
-        yield (span, [span.value(g, point) for g in dgens.values()],
-               centralizer._token_roots(dgens, loop, point))
+        yield (span, token_values(span, ctx, r, s, point),
+               centralizer._token_roots(names, loop, point))
 
 
 @pytest.mark.parametrize("m, n, r, s", BLOCK_CELLS)
@@ -1688,9 +1688,9 @@ def test_residue_columns_match_the_residues_read_by_column():
                        if key[1] in keep}
         return centralizer._columns(sub.residues(point))
     for m, n, r, s in BLOCK_CELLS[:9]:
-        args = _block_args(m, n, r, s)
-        module, gens, dgens = args[5], args[6], args[7]
-        support = centralizer.BlockSpan(module.primitive).support
+        kind, ctx, _, _, _, module, gens = _block_args(m, n, r, s)
+        dgens = diagram_generators(kind, ctx, r, s)
+        support = {k for basis in module.primitive for v in basis for k in v}
         for point in DEFAULT_POINTS[1:]:
             for mat in gens + list(dgens.values()):
                 for keep in (support, set(range(0, mat.cols, 3))):
@@ -1698,6 +1698,77 @@ def test_residue_columns_match_the_residues_read_by_column():
                     assert got == old(mat, point, keep)
                     assert list(got.items()) == list(old(mat, point,
                                                          keep).items())
+
+
+# the CI cells on the block route: gl(1|1) r <= 6, gl(2|1) r <= 5, gl(1|2)
+# and gl(2|2) r=2, walled gl(2|1) r=1 s=1 and gl(1|1) r=3 s=2
+TOKEN_CELLS = ([(1, 1, r, 0) for r in range(1, 7)]
+               + [(2, 1, r, 0) for r in range(1, 6)]
+               + [(1, 2, 2, 0), (2, 2, 2, 0), (2, 1, 1, 1), (1, 1, 3, 2)])
+
+
+@pytest.mark.parametrize("m, n, r, s", TOKEN_CELLS)
+def test_the_token_reads_match_the_placed_generators(m, n, r, s):
+    # at each default point, each token placed on its own two slots moves
+    # every basis vector as the residues of the placed diagram generator
+    # do, and its blocks on that point's P_lam are the blocks read from
+    # those residues
+    args = _block_args(m, n, r, s)
+    kind, ctx, _, _, _, _, _ = args
+    dgens = diagram_generators(kind, ctx, r, s)
+    tokens = walled_tokens(ctx, r, s)
+    assert [name for name, _, _ in tokens] == list(dgens)
+    for point, (span, values, _) in zip(DEFAULT_POINTS, _point_blocks(args)):
+        for (_, T, t), mat, value in zip(tokens, dgens.values(), values):
+            placed = centralizer._columns(mat.residues(point))
+            apply = on_slots(T.residues(point), t, r + s)
+            assert all(apply({k: 1}) == dict(placed.get(k, ()))
+                       for k in range(mat.cols))
+            assert value == span.value(
+                lambda v: centralizer._apply(placed, v, PRIME))
+
+
+def test_a_block_route_cell_builds_no_placed_generator(monkeypatch):
+    # over the fft-glq cells, the placed diagram generators are built only
+    # for the two-slot cells of the membership check, and the first point
+    # reads each diagram generator's blocks once, 16 reads in all (the
+    # closure starts from the identity's blocks and reuses the values)
+    cells = BLOCK_CELLS[:9]
+    inside, placed, reads, first = [], [], [], []
+    walled, check = functor._walled_generators, centralizer._check_tokens
+    value, closure = centralizer.BlockSpan.value, centralizer.image_basis
+
+    def spy_walled(ctx, r, s):
+        placed.append((r + s, bool(inside)))
+        return walled(ctx, r, s)
+
+    def spy_check(*args):
+        inside.append(1)
+        try:
+            return check(*args)
+        finally:
+            inside.pop()
+
+    def spy_closure(*args):
+        first.append(len(reads))
+        return closure(*args)
+    monkeypatch.setattr(functor, "_walled_generators", spy_walled)
+    monkeypatch.setattr(centralizer, "_check_tokens", spy_check)
+    monkeypatch.setattr(centralizer.BlockSpan, "value",
+                        lambda self, apply: reads.append(1)
+                        or value(self, apply))
+    monkeypatch.setattr(centralizer, "image_basis", spy_closure)
+    per_cell = []
+    for m, n, r, s in cells:
+        start = len(reads)
+        report = fft_report("gl", m, n, r, s=s)
+        assert report.certificate.words, (m, n, r, s)
+        per_cell.append(first[-1] - start)
+    assert placed and set(placed) == {(2, True)}
+    assert per_cell == [len(walled_tokens(make_context(
+        "glq", datum=distinguished("gl", m, n)), r, s))
+        for m, n, r, s in cells]
+    assert sum(per_cell) == 16
 
 
 def test_the_frontier_hecke_cell_is_certified_at_default_settings():

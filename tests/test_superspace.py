@@ -12,7 +12,8 @@ from qschur.rootdata import distinguished
 from qschur.scalar import ONE, Q, RatFunc
 from qschur.superspace import (DEFAULT_POINTS, PRIME, Echelon, SparseMat,
                                SuperSpace, UnluckyPrime, graded_kron, int_rank,
-                               rank_at, ranks_at, tau, unit_space, vectorize)
+                               kron_chain, on_slots, rank_at, ranks_at, tau,
+                               unit_space, vectorize)
 
 
 def _space(parities):
@@ -360,3 +361,39 @@ def test_dimension_mismatch_raises():
     V, W = _space([0, 0]), _space([0, 0, 0])
     with pytest.raises(ValueError):
         SparseMat.identity(V) @ SparseMat.identity(W)
+
+
+@pytest.mark.parametrize("slots", [2, 3, 4])
+def test_on_slots_places_an_even_token_as_graded_kron_does(slots):
+    # on a module with both parities, an even token T placed on slots t,
+    # t + 1 by `on_slots` moves every basis vector as id (x) T (x) id does,
+    # built by `kron_chain`, with the residues of both taken mod p
+    rng = random.Random(slots)
+    V = SuperSpace((0, 1, 1))
+    T = random_homogeneous(V.tensor(V), 0, rng)
+    ident = SparseMat.identity(V)
+    for t in range(slots - 1):
+        placed = kron_chain([ident] * t + [T] + [ident] * (slots - t - 2))
+        apply = on_slots(T.residues(Fraction(7, 5)), t, slots)
+        cols = {}
+        for (i, k), v in placed.residues(Fraction(7, 5)).entries.items():
+            cols.setdefault(k, {})[i] = v
+        assert all(apply({k: 1}) == cols.get(k, {})
+                   for k in range(placed.cols))
+        vec = {k: rng.randrange(PRIME) for k in range(0, placed.cols, 2)}
+        want = {}
+        for k, x in vec.items():
+            for i, v in cols.get(k, {}).items():
+                want[i] = (want.get(i, 0) + v * x) % PRIME
+        assert apply(vec) == {i: v for i, v in want.items() if v}
+
+
+def test_on_slots_refuses_an_odd_token():
+    # an odd entry picks up a Koszul sign from the slots on its left, so
+    # the plain index arithmetic would be wrong: it is refused
+    V = SuperSpace((0, 1))
+    VV = V.tensor(V)
+    odd = SparseMat(VV, VV, {(0, 1): 1})  # e01 -> e00: parity 1 -> 0
+    with pytest.raises(ValueError, match="odd two-slot operator"):
+        on_slots(odd, 0, 3)
+    on_slots(SparseMat(VV, VV, {(0, 3): 1}), 0, 3)  # e11 -> e00 is even
