@@ -20,11 +20,11 @@ the generators the cell built), then the later gl points.  One span
 closure (`functor.image_basis`) multiplies every spanning image out of the
 diagram generators (`functor.diagram_generators`: placed crossings,
 turnbacks, s_i and e_i).  Each is id (x) T (x) id for a token T on two
-slots, and only the span off the block route builds the placed ones.  Membership checks
-each token exactly on its own two slots, against the symmetry generators
-there and their parity operator; that proves the placed generator
-commutes with every symmetry generator on the whole space
-(`check_membership`).  So every image does, and its span rank is a lower
+slots, and only the span off the block route builds the placed ones.
+Membership checks each token exactly on its own two slots, against the
+symmetry generators there and their parity operator; that proves the
+placed generator commutes with every symmetry generator on the whole
+space (`check_membership`).  So every image does, and its span rank is a lower
 bound for the commutant dimension.  The module mod p (at points[0] for
 quantum gl) is read once per cell into one record, `weight_module`: its
 weight classes, a set J of basis vectors that generates it (from the top
